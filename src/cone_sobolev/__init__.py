@@ -13,7 +13,7 @@ from .bernstein import (AlmostExtremalSystem, BernsteinBound, ShellSpec,
                         superadditivity_certificate, verify_system)
 from .cones import (BUILTIN_CONE_NAMES, ConcavityReport, QuadratureConfig,
                     WeightedCone, ball_measure, builtin_cone,
-                    concavity_probe, thread_cap, unit_ball_measure,
+                    concavity_probe, unit_ball_measure,
                     weight_eval)
 from .errors import (ConeSobolevError, DivergentIntegralError, DomainError,
                      InfeasibleError, InternalConsistencyError,
@@ -40,7 +40,7 @@ __all__ = [
     "verify_system",
     "BUILTIN_CONE_NAMES", "ConcavityReport", "QuadratureConfig",
     "WeightedCone", "ball_measure", "builtin_cone", "concavity_probe",
-    "thread_cap", "unit_ball_measure", "weight_eval",
+    "unit_ball_measure", "weight_eval",
     "ConeSobolevError", "DivergentIntegralError", "DomainError",
     "InfeasibleError", "InternalConsistencyError", "NumericalError",
     "ResourceError", "ValidationError",

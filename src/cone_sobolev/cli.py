@@ -16,7 +16,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -27,7 +26,7 @@ from . import acceptance
 from .bernstein import (bernstein_lower_bound, construct_system,
                         gradient_upper_certificate,
                         superadditivity_certificate, verify_system)
-from .cones import BUILTIN_CONE_NAMES, WeightedCone, builtin_cone, thread_cap
+from .cones import BUILTIN_CONE_NAMES, WeightedCone, builtin_cone
 from .errors import ConeSobolevError, DomainError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
                       lorentz_norm_rearranged)
@@ -477,19 +476,9 @@ _COMMANDS = {
 
 # -- entry point ------------------------------------------------------------
 
-def _apply_thread_cap() -> int:
-    cap = thread_cap()
-    if os.environ.get("CONE_SOBOLEV_THREADS", "0") not in ("", "0"):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-    return cap
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cap = _apply_thread_cap()
         config = _effective_config(args)
         outputs, tolerances, verdicts = _COMMANDS[args.command](config)
     except (ValidationError, DomainError) as exc:
@@ -500,7 +489,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
     echo = {k: _jsonable(v) for k, v in config.items() if k != "out"}
-    echo["threads"] = cap
     report = {
         "command": args.command,
         "config": echo,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -57,25 +56,9 @@ __all__ = [
     "concavity_probe",
     "builtin_cone",
     "BUILTIN_CONE_NAMES",
-    "thread_cap",
 ]
 
 _HALF_PI = 0.5 * math.pi
-
-
-def thread_cap() -> int:
-    """Parallelism cap from CONE_SOBOLEV_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("CONE_SOBOLEV_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"CONE_SOBOLEV_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValidationError("CONE_SOBOLEV_THREADS must be >= 0")
-    if cap == 0:
-        return os.cpu_count() or 1
-    return cap
 
 
 @dataclass(frozen=True)

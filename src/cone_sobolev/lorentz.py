@@ -35,8 +35,7 @@ from .errors import (DomainError, DivergentIntegralError,
 from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive
 from .rearrangement import SampledField, StepFunction1D
-from .segments import (Law, LevelSet, Piece, clip_pieces, moment_integral,
-                       power_primitive)
+from .segments import Law, LevelSet, Piece, clip_pieces, moment_integral
 
 __all__ = [
     "LorentzParams",
@@ -137,8 +136,16 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
     Evaluates ( sum of segment moments of t^(q/p-1) f*(t)^q )^(1/q); each
     step contributes c^q (p/q) (t1^(q/p) - t0^(q/p)) in closed form, power
     arcs integrate analytically, with log/expm1 evaluation guarding nearly
-    cancelling exponents.
+    cancelling exponents.  Step functions take the array route
+    (``StepFunction1D.moment``), one numpy expression over all plateaus.
     """
+    if isinstance(f_star, StepFunction1D):
+        vals = f_star.value_array
+        if (vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300).any():
+            raise ValidationError(
+                "rearranged-route input must be nonincreasing")
+        return f_star.moment(params.q / params.p, params.q) ** (
+            1.0 / params.q)
     pieces = _pieces_of(f_star)
     if not pieces:
         return 0.0
@@ -150,7 +157,14 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
 
 def _field_distributional(field: SampledField, params: LorentzParams,
                           use_gradient: bool = False) -> float:
-    """Distributional norm of a sampled field: exact over value strata."""
+    """Distributional norm of a sampled field: exact over value strata.
+
+    Between consecutive distinct cell values lam0 < lam1 the distribution
+    function is the constant measure m of the cells valued >= lam1, so the
+    stratum contributes m^(q/p) times the integral of lam^(q-1) over
+    (lam0, lam1): lam1^q / q on the first stratum (lam0 = 0), and
+    lam0^q expm1(q log1p((lam1 - lam0) / lam0)) / q above it.
+    """
     data = field.gradient_magnitude if use_gradient else field.values
     vals = np.abs(data.ravel())
     meas = field.cell_measures.ravel()
@@ -161,18 +175,15 @@ def _field_distributional(field: SampledField, params: LorentzParams,
     order = np.argsort(vals)          # ascending lambda levels
     levels = vals[order]
     # measure above each distinct level: suffix sums
-    sorted_meas = meas[order]
-    suffix = np.cumsum(sorted_meas[::-1])[::-1]
+    suffix = np.cumsum(meas[order][::-1])[::-1]
+    first = np.flatnonzero(np.append(True, levels[1:] != levels[:-1]))
+    lam1, m_level = levels[first], suffix[first]
+    lam0 = lam1[:-1]
     p, q = params.p, params.q
-    uniq, first_idx = np.unique(levels, return_index=True)
-    edges = np.concatenate(([0.0], uniq))
-    terms = []
-    for k in range(len(uniq)):
-        lam0, lam1 = edges[k], edges[k + 1]
-        m_level = suffix[first_idx[k]]  # measure of {|f| > lam} on stratum
-        terms.append(m_level ** (q / p)
-                     * power_primitive(lam0, lam1, q - 1.0))
-    return (p * math.fsum(terms)) ** (1.0 / q)
+    strata = np.concatenate((
+        lam1[:1] ** q / q,
+        lam0 ** q * np.expm1(q * np.log1p((lam1[1:] - lam0) / lam0)) / q))
+    return (p * math.fsum(m_level ** (q / p) * strata)) ** (1.0 / q)
 
 
 def lorentz_norm_distributional(f, params: LorentzParams) -> float:

@@ -12,12 +12,16 @@ segment integral has no closed form.  Design constraints:
   panel refinement toward the endpoint (depth-limited bisection).
 
 Error control compares a 32 point rule against an embedded 16 point rule on
-each panel; panels are split until the summed discrepancy falls below the
-relative tolerance times the running integral estimate.
+each panel; panels are split, worst first, until the summed discrepancy
+falls below the relative tolerance times the integral estimate.  Both sums
+are kept as running totals and recomputed exactly before any return, so
+the returned value is always the exact sum over the final panels.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -69,34 +73,69 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         return c, abs(c - r)
 
     coarse, err = both(a, b)
-    panels = [(a, b, coarse, err, 0)]
+    if err <= max(rel_tol * abs(coarse), abs_floor, 1e-300):
+        return coarse
+    # live panels (lo, hi, value, err, depth) keyed by insertion number;
+    # the dict keeps insertion order, so exact sums run over the panels in
+    # the order they were made.  The heap of (-err, key) yields the worst
+    # panel, the earliest one on ties.  Running totals decide when to
+    # recompute the exact sums: each split costs O(log n), not O(n).
+    panels: dict[int, tuple[float, float, float, float, int]] = {}
+    heap: list[tuple[float, int]] = []
+    keys = itertools.count()
+    run_total = run_err = 0.0
+    unresolved = 0          # panels still below the depth cap
+
+    def add(lo: float, hi: float, value: float, err: float,
+            depth: int) -> None:
+        nonlocal run_total, run_err, unresolved
+        key = next(keys)
+        panels[key] = (lo, hi, value, err, depth)
+        heapq.heappush(heap, (-err, key))
+        run_total += value
+        run_err += err
+        unresolved += depth < 52
+
+    def exact_sums() -> tuple[float, float]:
+        return (sum(p[2] for p in panels.values()),
+                sum(p[3] for p in panels.values()))
+
+    add(a, b, coarse, err, 0)
+    peak_err = err          # largest running error since the last resync
     for _ in range(max_panels):
-        total = sum(p[2] for p in panels)
-        total_err = sum(p[3] for p in panels)
-        target = max(rel_tol * abs(total), abs_floor, 1e-300)
-        if total_err <= target:
-            return total
+        if (run_err <= max(rel_tol * abs(run_total), abs_floor, 1e-300)
+                or run_err < 1e-3 * peak_err):
+            # running sums drift by rounding relative to their past size:
+            # recompute them before a verdict and after every thousandfold
+            # drop, so the drift never reaches the tolerance
+            run_total, run_err = exact_sums()
+            peak_err = run_err
+            if run_err <= max(rel_tol * abs(run_total), abs_floor, 1e-300):
+                return run_total
+        peak_err = max(peak_err, run_err)
         # split the worst panel; geometric split keeps scale equivariance
         # when a panel spans many octaves, midpoint split otherwise
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi, _, _, depth = panels.pop(worst)
+        _, key = heapq.heappop(heap)
+        lo, hi, value, err, depth = panels.pop(key)
+        run_total -= value
+        run_err -= err
+        unresolved -= depth < 52
         if depth >= 52:
             # endpoint-singular leftovers below resolvable width: accept
-            panels.append((lo, hi, *both(lo, hi), 99))
-            if all(p[4] >= 52 for p in panels):
-                return sum(p[2] for p in panels)
+            add(lo, hi, value, err, 99)
+            if not unresolved:
+                return exact_sums()[0]
             continue
         if lo > 0.0 and hi / lo > 64.0:
             mid = float(np.sqrt(lo * hi))
         else:
             mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            panels.append((lo, hi, *both(lo, hi), 99))
+            add(lo, hi, value, err, 99)
             continue
-        panels.append((lo, mid, *both(lo, mid), depth + 1))
-        panels.append((mid, hi, *both(mid, hi), depth + 1))
-    total = sum(p[2] for p in panels)
-    total_err = sum(p[3] for p in panels)
+        add(lo, mid, *both(lo, mid), depth + 1)
+        add(mid, hi, *both(mid, hi), depth + 1)
+    total, total_err = exact_sums()
     if total_err <= max(10.0 * rel_tol * abs(total), abs_floor, 1e-300):
         return total
     raise NumericalError(

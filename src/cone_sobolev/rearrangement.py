@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cones import WeightedCone, weight_eval
-from .errors import DomainError, ValidationError
+from .errors import (DivergentIntegralError, DomainError,
+                     NumericalError, ValidationError)
 from .profiles import RadialProfile, from_knots
 from .quadrature import gauss_nodes
 from .segments import Law, Piece
@@ -40,64 +41,125 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class StepFunction1D:
     """Nonnegative step function on (0, inf), zero after the last breakpoint.
 
     values[k] holds on (breakpoints[k-1], breakpoints[k]), starting at 0.
+    The data is kept as read-only float64 arrays (``breakpoint_array``,
+    ``value_array``), so grid-sized steps never become per-cell objects;
+    ``breakpoints`` and ``values`` return them as tuples.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = ("breakpoint_array", "value_array")
 
-    def __post_init__(self) -> None:
-        if len(self.breakpoints) != len(self.values):
+    def __init__(self, breakpoints: Sequence[float],
+                 values: Sequence[float]) -> None:
+        try:
+            bps = np.array(breakpoints, dtype=float)
+            vals = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"step data must be numeric sequences: {exc}") from exc
+        if bps.ndim != 1 or vals.ndim != 1:
+            raise ValidationError("step data must be one-dimensional")
+        if bps.size != vals.size:
             raise ValidationError(
                 "breakpoints and values must have equal length")
-        prev = 0.0
-        for b in self.breakpoints:
-            if not (math.isfinite(b) and b > prev):
-                raise ValidationError(
-                    "breakpoints must be finite, positive, and increasing")
-            prev = b
-        for v in self.values:
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError("step values must be finite and >= 0")
+        # NaN fails every comparison, so these also reject NaN entries
+        if bps.size and not (bps[0] > 0.0 and bps[-1] < math.inf
+                             and (bps[1:] > bps[:-1]).all()):
+            raise ValidationError(
+                "breakpoints must be finite, positive, and increasing")
+        if vals.size and not ((vals >= 0.0).all() and vals.max() < math.inf):
+            raise ValidationError("step values must be finite and >= 0")
+        bps.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "breakpoint_array", bps)
+        object.__setattr__(self, "value_array", vals)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("StepFunction1D is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepFunction1D):
+            return NotImplemented
+        return (np.array_equal(self.breakpoint_array, other.breakpoint_array)
+                and np.array_equal(self.value_array, other.value_array))
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.values))
+
+    def __repr__(self) -> str:
+        return (f"StepFunction1D(breakpoints={self.breakpoints!r}, "
+                f"values={self.values!r})")
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(self.breakpoint_array.tolist())
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.value_array.tolist())
 
     @property
     def support_end(self) -> float:
-        return self.breakpoints[-1] if self.breakpoints else 0.0
+        bps = self.breakpoint_array
+        return float(bps[-1]) if bps.size else 0.0
+
+    def widths(self) -> np.ndarray:
+        """Plateau lengths b_k - b_(k-1), starting from 0."""
+        return np.diff(self.breakpoint_array, prepend=0.0)
 
     def as_pieces(self) -> list[Piece]:
-        out, prev = [], 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            out.append(Piece(prev, b, Law.constant(v)))
-            prev = b
-        return out
+        ends = self.breakpoint_array.tolist()
+        return [Piece(t0, t1, Law.constant(v)) for t0, t1, v in
+                zip([0.0] + ends[:-1], ends, self.value_array.tolist())]
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t)
+        idx = np.searchsorted(self.breakpoint_array, flat, side="right")
+        ok = (idx < self.value_array.size) & (flat > 0)
         out = np.zeros_like(flat)
-        edges = np.concatenate(([0.0], self.breakpoints))
-        idx = np.searchsorted(edges, flat, side="right") - 1
-        ok = (idx >= 0) & (idx < len(self.values)) & (flat > 0)
-        if self.values:
-            vals = np.asarray(self.values)
-            out[ok] = vals[idx[ok]]
+        out[ok] = self.value_array[idx[ok]]
         return out if t.shape else float(out[0])
 
     def is_nonincreasing(self) -> bool:
-        return all(a >= b for a, b in zip(self.values, self.values[1:]))
+        vals = self.value_array
+        return bool((vals[:-1] >= vals[1:]).all())
 
     def distribution_function(self, tau: float) -> float:
         if tau <= 0:
             raise DomainError("distribution threshold must be positive")
-        total, prev = 0.0, 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            if v > tau:
-                total += b - prev
-            prev = b
+        return float(np.sum(self.widths()[self.value_array > tau]))
+
+    def moment(self, gamma: float, q: float) -> float:
+        """integral over (0, inf) of t^(gamma-1) f(t)^q, exactly, gamma > 0.
+
+        Plateau k contributes v_k^q times the integral of t^(gamma-1) over
+        (t0, t1): t1^gamma / gamma on the first plateau (t0 = 0), and
+        t0^gamma expm1(gamma log1p((t1 - t0) / t0)) / gamma after it, which
+        keeps full relative precision when t1/t0 is huge or close to 1.  The
+        terms are summed with math.fsum.
+        """
+        if not gamma > 0.0:
+            raise DivergentIntegralError(
+                f"integral of t^{gamma - 1.0} diverges at the origin")
+        live = self.value_array > 0.0
+        if not live.any():
+            return 0.0
+        t1 = self.breakpoint_array
+        t0 = t1[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            prim = np.concatenate((
+                t1[:1] ** gamma / gamma,
+                t0 ** gamma * np.expm1(gamma * np.log1p((t1[1:] - t0) / t0))
+                / gamma))
+            terms = self.value_array[live] ** q * prim[live]
+        total = math.fsum(terms)
+        if not math.isfinite(total):
+            raise NumericalError(
+                "step moment overflows double precision")
         return total
 
 
@@ -144,12 +206,8 @@ class SampledField:
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         values = np.asarray(fn(pts), dtype=float).reshape(shape)
         measures = _cell_measures(cone, axes, quad_order)
-        spacings = [(hi - lo) / n for (lo, hi), n in zip(box, shape)]
-        grads = np.gradient(values, *spacings, edge_order=1)
-        if isinstance(grads, np.ndarray):
-            grads = [grads]
-        gmag = np.sqrt(np.sum([g * g for g in grads], axis=0))
-        return SampledField(cone, box, shape, values, measures, gmag)
+        return SampledField(cone, box, shape, values, measures,
+                            _gradient_magnitude(values, box, shape))
 
     @property
     def max_cell_diameter(self) -> float:
@@ -277,23 +335,19 @@ def _canonical_step(measures: np.ndarray, values: np.ndarray
     """Sort (measure, value) cells into the canonical nonincreasing step.
 
     Stable descending sort on value with ties broken by original cell
-    index; adjacent equal values merge, zero values drop (the implicit
-    tail).  This canonical form makes rearrangement exactly idempotent.
+    index; cells with a value or measure <= 0 drop (zero values are the
+    implicit tail), and each run of equal values becomes one plateau
+    ending at the run's last cumulative measure.  np.cumsum adds in
+    order, so every breakpoint is the same float a running sum gives.
+    This canonical form makes rearrangement exactly idempotent.
     """
     order = np.argsort(-values, kind="stable")
-    breakpoints, step_values = [], []
-    t = 0.0
-    for idx in order:
-        v, m = float(values[idx]), float(measures[idx])
-        if v <= 0.0 or m <= 0.0:
-            continue
-        t += m
-        if step_values and step_values[-1] == v:
-            breakpoints[-1] = t
-        else:
-            breakpoints.append(t)
-            step_values.append(v)
-    return StepFunction1D(tuple(breakpoints), tuple(step_values))
+    vals, meas = values[order], measures[order]
+    keep = ~((vals <= 0.0) | (meas <= 0.0))   # NaN stays, and is rejected
+    vals, ends = vals[keep], np.cumsum(meas[keep])
+    last = np.ones(vals.size, dtype=bool)
+    last[:-1] = vals[1:] != vals[:-1]
+    return StepFunction1D(ends[last], vals[last])
 
 
 def rearrangement(obj, use_gradient: bool = False) -> StepFunction1D:
@@ -303,18 +357,60 @@ def rearrangement(obj, use_gradient: bool = False) -> StepFunction1D:
     |grad u| instead of the values.
     """
     if isinstance(obj, StepFunction1D):
-        vals = obj.values
-        if (not vals or vals[-1] > 0.0) and all(
-                a > b for a, b in zip(vals, vals[1:])):
+        vals = obj.value_array
+        if not vals.size or (vals[-1] > 0.0
+                             and (vals[:-1] > vals[1:]).all()):
             return obj  # already canonical; re-summing lengths would drift
-        lengths = np.diff(np.concatenate(([0.0], obj.breakpoints)))
-        return _canonical_step(lengths, np.abs(np.asarray(obj.values)))
+        return _canonical_step(obj.widths(), vals)
     if isinstance(obj, SampledField):
         data = obj.gradient_magnitude if use_gradient else obj.values
         return _canonical_step(obj.cell_measures.ravel(),
                                np.abs(data.ravel()))
     raise ValidationError(
         "rearrangement expects a StepFunction1D or SampledField")
+
+
+def _pooled_knots(step: StepFunction1D, ring: float, expo: float
+                  ) -> list[tuple[float, float]]:
+    """Knots of plateaus pooled into groups of one shell's measure.
+
+    A group starting at measure ``start`` closes at the first plateau
+    where its mass M satisfies M >= ring * (start + M/2)^expo.  The test
+    runs on cumulative sums over a window of plateaus that doubles until
+    some plateau passes it, so the work is per group, not per plateau.
+    Masses and moments are summed in plateau order from the group's
+    start, as a running sum would.  An unclosed remainder is folded into
+    the last group.
+    """
+    widths, vals = step.widths(), step.value_array
+    n = widths.size
+    knots: list[tuple[float, float]] = []
+    start, lo, window = 0.0, 0, 16
+    while lo < n:
+        hi = min(n, lo + window)
+        mass = np.cumsum(widths[lo:hi])
+        closes = mass >= ring * (start + 0.5 * mass) ** expo
+        closed = bool(closes.any())
+        if not closed and hi < n:
+            window *= 2
+            continue
+        end = int(np.argmax(closes)) + 1 if closed else hi - lo
+        m = float(mass[end - 1])
+        moment = float(np.cumsum(widths[lo:lo + end]
+                                 * vals[lo:lo + end])[-1])
+        if closed or not knots:
+            knots.append((start + 0.5 * m, moment / m))
+        else:
+            # fold the remainder into the last group
+            t_last, v_last = knots[-1]
+            prev_mass = 2.0 * (start - t_last)
+            total = prev_mass + m
+            knots[-1] = (t_last - 0.5 * prev_mass + 0.5 * total,
+                         (v_last * prev_mass + moment) / total)
+        start += m
+        lo += end
+        window = 2 * end
+    return knots
 
 
 def _interpolant_from_step(cone: WeightedCone, step: StepFunction1D,
@@ -333,37 +429,15 @@ def _interpolant_from_step(cone: WeightedCone, step: StepFunction1D,
     any level boundary of thickness h can have, so this pooling never
     exceeds the grid's actual resolution.
     """
-    if not step.breakpoints:
+    if not step.breakpoint_array.size:
         return RadialProfile(cone, (Piece(0.0, 1.0, Law.constant(0.0)),))
-    knots: list[tuple[float, float]] = []
     if resolution > 0.0:
         ring = (cone.big_d * cone.c_d ** (1.0 / cone.big_d) * resolution)
-        expo = 1.0 - 1.0 / cone.big_d
-        prev = 0.0
-        start, mass, moment = 0.0, 0.0, 0.0
-        for b, v in zip(step.breakpoints, step.values):
-            width = b - prev
-            prev = b
-            mass += width
-            moment += width * v
-            if mass >= ring * (start + 0.5 * mass) ** expo:
-                knots.append((start + 0.5 * mass, moment / mass))
-                start, mass, moment = start + mass, 0.0, 0.0
-        if mass > 0.0:
-            if knots:
-                # fold the remainder into the last group
-                (t_last, v_last), t0 = knots[-1], start
-                prev_mass = 2.0 * (t0 - t_last)
-                total = prev_mass + mass
-                knots[-1] = (t_last - 0.5 * prev_mass + 0.5 * total,
-                             (v_last * prev_mass + moment) / total)
-            else:
-                knots.append((start + 0.5 * mass, moment / mass))
+        knots = _pooled_knots(step, ring, 1.0 - 1.0 / cone.big_d)
     else:
-        prev = 0.0
-        for b, v in zip(step.breakpoints, step.values):
-            knots.append((0.5 * (prev + b), v))
-            prev = b
+        bps = step.breakpoint_array
+        mids = 0.5 * (np.concatenate(([0.0], bps[:-1])) + bps)
+        knots = list(zip(mids.tolist(), step.values))
     knots.append((step.support_end, 0.0))
     return from_knots(cone, knots)
 

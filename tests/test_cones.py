@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cone_sobolev import (BUILTIN_CONE_NAMES, DomainError,
                           QuadratureConfig,
                           ValidationError, WeightedCone, ball_measure,
-                          builtin_cone, concavity_probe, thread_cap,
+                          builtin_cone, concavity_probe,
                           unit_ball_measure, weight_eval)
 
 # closed forms: integrate the monomial over the unit sector
@@ -149,21 +149,6 @@ def test_unweighted_cone_requires_extension_flag():
 def test_quadrature_config_validation(cfg):
     with pytest.raises(ValidationError):
         QuadratureConfig(**cfg)
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("CONE_SOBOLEV_THREADS", raising=False)
-    assert thread_cap() >= 1
-    monkeypatch.setenv("CONE_SOBOLEV_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("CONE_SOBOLEV_THREADS", "0")
-    assert thread_cap() >= 1
-    monkeypatch.setenv("CONE_SOBOLEV_THREADS", "-1")
-    with pytest.raises(ValidationError):
-        thread_cap()
-    monkeypatch.setenv("CONE_SOBOLEV_THREADS", "many")
-    with pytest.raises(ValidationError):
-        thread_cap()
 
 
 @settings(max_examples=10, deadline=None)

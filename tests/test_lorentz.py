@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cone_sobolev import (DomainError, LorentzParams, StepFunction1D,
-                          ValidationError, alvino_profile, ell_q_norm,
+                          ValidationError, alvino_profile,
+                          bump_superposition_field, ell_q_norm,
                           from_knots, gradient_density, hardy_check,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged, rearrangement,
@@ -119,6 +121,48 @@ def test_norm_of_nothing_is_zero():
     params = LorentzParams(2.0, 1.0)
     assert lorentz_norm_rearranged(empty, params) == 0.0
     assert lorentz_norm_distributional(empty, params) == 0.0
+
+
+def step_norm_mpmath(step, p, q, digits=40):
+    """The t-route norm of a step, summed plateau by plateau in mpmath."""
+    with mpmath.workdps(digits):
+        g = mpmath.mpf(q) / p
+        total, t0 = mpmath.mpf(0), mpmath.mpf(0)
+        for b, v in zip(step.breakpoints, step.values):
+            t1 = mpmath.mpf(b)
+            total += mpmath.mpf(v) ** q * (t1 ** g - t0 ** g) / g
+            t0 = t1
+        return total ** (1 / mpmath.mpf(q))
+
+
+# plateau ratios t1/t0 from 1 + 1e-9 to 1e12 after a first plateau at 0
+WIDE_STEP = StepFunction1D((1e-6, 1e-6 * (1.0 + 1e-9), 3e-6, 1e-3, 1e9),
+                           (7.0, 6.5, 2.0, 0.5, 1e-4))
+
+
+@pytest.mark.parametrize("p, q", [(20.0, 1.0), (10.0, 3.0), (4.0, 2.0),
+                                  (2.0, 2.0), (1.0, 1.0)])
+def test_step_route_matches_mpmath(p, q):
+    rng = np.random.default_rng(int(10 * p + q))
+    steps = [WIDE_STEP]
+    for _ in range(5):
+        bps = np.sort(10.0 ** rng.uniform(-6.0, 6.0, 12))
+        steps.append(rearrangement(
+            StepFunction1D(bps, rng.uniform(0.0, 5.0, 12))))
+    for step in steps:
+        got = lorentz_norm_rearranged(step, LorentzParams(p, q))
+        want = step_norm_mpmath(step, p, q)
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (2.5, 1.4), (4.0, 3.0)])
+def test_field_routes_agree(halfplane, p, q):
+    field = bump_superposition_field(
+        halfplane, [(0.0, 3.0), (-1.5, 1.5)], (128, 128), 3, seed=5)
+    params = LorentzParams(p, q)
+    lam_route = lorentz_norm_distributional(field, params)
+    t_route = lorentz_norm_rearranged(rearrangement(field), params)
+    assert lam_route == pytest.approx(t_route, rel=1e-10)
 
 
 # -- Hardy inequality ---------------------------------------------------------------

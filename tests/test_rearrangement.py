@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_sobolev import (DomainError, SampledField, StepFunction1D,
-                          ValidationError, WeightedCone, builtin_cone,
-                          distribution_function, radial_rearrangement,
-                          rearrangement)
+import cone_sobolev.lorentz as lorentz
+import cone_sobolev.segments as segments
+from cone_sobolev import (DomainError, LorentzParams, SampledField,
+                          StepFunction1D, ValidationError, WeightedCone,
+                          builtin_cone, bump_superposition_field,
+                          distribution_function, polya_szego_check,
+                          radial_rearrangement, rearrangement)
+from cone_sobolev.rearrangement import _canonical_step, _pooled_knots
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
@@ -240,3 +244,102 @@ def test_radial_rearrangement_of_zero_field(disc):
     prof = radial_rearrangement(f)
     assert float(prof.value(0.5)) == 0.0
     assert rearrangement(f).breakpoints == ()
+
+
+# -- the array path: reference loops and structure --------------------------------
+
+def reference_canonical_step(measures, values):
+    """The cell-by-cell loop the array code must reproduce bit for bit."""
+    order = np.argsort(-values, kind="stable")
+    breakpoints, step_values = [], []
+    t = 0.0
+    for idx in order:
+        v, m = float(values[idx]), float(measures[idx])
+        if v <= 0.0 or m <= 0.0:
+            continue
+        t += m
+        if step_values and step_values[-1] == v:
+            breakpoints[-1] = t
+        else:
+            breakpoints.append(t)
+            step_values.append(v)
+    return StepFunction1D(tuple(breakpoints), tuple(step_values))
+
+
+def reference_pooled_knots(step, ring, expo):
+    knots, prev = [], 0.0
+    start, mass, moment = 0.0, 0.0, 0.0
+    for b, v in zip(step.breakpoints, step.values):
+        width = b - prev
+        prev = b
+        mass += width
+        moment += width * v
+        if mass >= ring * (start + 0.5 * mass) ** expo:
+            knots.append((start + 0.5 * mass, moment / mass))
+            start, mass, moment = start + mass, 0.0, 0.0
+    if mass > 0.0:
+        if knots:
+            (t_last, v_last), t0 = knots[-1], start
+            prev_mass = 2.0 * (t0 - t_last)
+            total = prev_mass + mass
+            knots[-1] = (t_last - 0.5 * prev_mass + 0.5 * total,
+                         (v_last * prev_mass + moment) / total)
+        else:
+            knots.append((start + 0.5 * mass, moment / mass))
+    return knots
+
+
+# few distinct values and exact zeros, so ties, dropped cells and
+# zero-measure cells all occur
+CELLS = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+              st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                        st.floats(0.0, 3.0))),
+    min_size=0, max_size=40)
+
+
+@given(cells=CELLS)
+def test_canonical_step_matches_cell_loop(cells):
+    meas = np.array([m for m, _ in cells], dtype=float)
+    vals = np.array([v for _, v in cells], dtype=float)
+    got = _canonical_step(meas, vals)
+    want = reference_canonical_step(meas, vals)
+    assert got == want
+    assert got.breakpoints == want.breakpoints
+    assert got.values == want.values
+    assert rearrangement(got) is got
+
+
+@given(cells=CELLS.filter(lambda c: any(m > 0 and v > 0 for m, v in c)),
+       ring=st.floats(0.01, 10.0), dim=st.floats(1.0, 6.0))
+def test_pooled_knots_match_plateau_loop(cells, ring, dim):
+    meas = np.array([m for m, _ in cells], dtype=float)
+    vals = np.array([v for _, v in cells], dtype=float)
+    step = _canonical_step(meas, vals)
+    expo = 1.0 - 1.0 / dim
+    assert _pooled_knots(step, ring, expo) == reference_pooled_knots(
+        step, ring, expo)
+
+
+def test_step_arrays_are_read_only():
+    f = StepFunction1D([1.0, 2.0], np.array([2.0, 1.0]))
+    assert f.breakpoints == (1.0, 2.0) and f.values == (2.0, 1.0)
+    assert f == StepFunction1D((1.0, 2.0), (2.0, 1.0))
+    assert hash(f) == hash(StepFunction1D((1.0, 2.0), (2.0, 1.0)))
+    with pytest.raises(ValueError):
+        f.value_array[0] = 5.0
+    with pytest.raises(AttributeError):
+        f.values = (1.0, 1.0)
+
+
+def test_polya_szego_avoids_per_cell_objects(halfplane, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-cell scalar path used")
+
+    monkeypatch.setattr(StepFunction1D, "as_pieces", forbidden)
+    monkeypatch.setattr(segments, "moment_integral", forbidden)
+    monkeypatch.setattr(lorentz, "moment_integral", forbidden)
+    field = bump_superposition_field(
+        halfplane, [(0.0, 3.0), (-1.5, 1.5)], (256, 256), 3, seed=0)
+    lhs, rhs, ok = polya_szego_check(field, LorentzParams(2.0, 1.0))
+    assert ok and 0.0 < lhs <= rhs
