@@ -8,8 +8,9 @@ Bernstein-number lower bounds for the embedding's maximal non-compactness.
 
 from .bernstein import (AlmostExtremalSystem, BernsteinBound, ShellSpec,
                         absolute_continuity_witness, bernstein_lower_bound,
-                        build_shell_function, construct_system,
-                        gamma_sequence, gradient_upper_certificate,
+                        build_shell_function, certify_span,
+                        construct_system, gamma_sequence,
+                        gradient_upper_certificate,
                         superadditivity_certificate, verify_system)
 from .cones import (BUILTIN_CONE_NAMES, ConcavityReport, QuadratureConfig,
                     WeightedCone, ball_measure, builtin_cone,
@@ -35,7 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmostExtremalSystem", "BernsteinBound", "ShellSpec",
     "absolute_continuity_witness", "bernstein_lower_bound",
-    "build_shell_function", "construct_system", "gamma_sequence",
+    "build_shell_function", "certify_span", "construct_system",
+    "gamma_sequence",
     "gradient_upper_certificate", "superadditivity_certificate",
     "verify_system",
     "BUILTIN_CONE_NAMES", "ConcavityReport", "QuadratureConfig",

@@ -19,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bernstein import (absolute_continuity_witness, bernstein_lower_bound,
-                        construct_system, gradient_upper_certificate,
-                        superadditivity_certificate, verify_system)
+                        certify_span, construct_system, verify_system)
 from .cones import QuadratureConfig, WeightedCone
 from .errors import InternalConsistencyError
 from .lorentz import (LorentzParams, hardy_check, lorentz_norm_distributional,
@@ -308,14 +307,7 @@ def criterion_9() -> CriterionResult:
     def body():
         system = _shell_system(6, 0.9)
         verify_system(system)
-        rng = np.random.default_rng(4)
-        super_fails = grad_fails = 0
-        for _ in range(1000):
-            alpha = rng.standard_normal(6)
-            if not superadditivity_certificate(system, alpha)[2]:
-                super_fails += 1
-            if not gradient_upper_certificate(system, alpha)[2]:
-                grad_fails += 1
+        super_fails, grad_fails = certify_span(system, 1000, 4)
         bound = bernstein_lower_bound(system, directions=5000, seed=0)
         formula = system.lam / 1.05 - 0.05
         ok = (super_fails == 0 and grad_fails == 0

@@ -56,6 +56,7 @@ __all__ = [
     "construct_system",
     "superadditivity_certificate",
     "gradient_upper_certificate",
+    "certify_span",
     "bernstein_lower_bound",
     "BernsteinBound",
     "absolute_continuity_witness",
@@ -524,6 +525,25 @@ def gradient_upper_certificate(system: AlmostExtremalSystem,
     lhs = _span_gradient_norm(system, alpha)
     bound_val = ell_q_norm(alpha, system.params.q)
     return lhs, bound_val, lhs <= bound_val * (1.0 + _CERT_SLACK)
+
+
+def certify_span(system: AlmostExtremalSystem, trials: int,
+                 seed: int) -> tuple[int, int]:
+    """Failure counts of both certificates over random span directions.
+
+    Draws default_rng(seed).standard_normal(m) once per trial and checks
+    the superadditivity and gradient-upper certificates on it; returns
+    (superadditivity failures, gradient-upper failures).
+    """
+    rng = np.random.default_rng(seed)
+    super_failures = grad_failures = 0
+    for _ in range(trials):
+        alpha = rng.standard_normal(system.m)
+        if not superadditivity_certificate(system, alpha)[2]:
+            super_failures += 1
+        if not gradient_upper_certificate(system, alpha)[2]:
+            grad_failures += 1
+    return super_failures, grad_failures
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import acceptance
-from .bernstein import (bernstein_lower_bound, construct_system,
-                        gradient_upper_certificate,
-                        superadditivity_certificate, verify_system)
+from .bernstein import (bernstein_lower_bound, certify_span,
+                        construct_system, verify_system)
 from .cones import BUILTIN_CONE_NAMES, WeightedCone, builtin_cone
 from .errors import ConeSobolevError, DomainError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
@@ -409,15 +408,9 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     system = construct_system(cone, params, m, lam,
                               float(config["eps1"]), float(config["eps2"]))
     verification = verify_system(system)
-    rng = np.random.default_rng(int(config["seed"]))
     trials = int(config["alpha_trials"])
-    super_failures = grad_failures = 0
-    for _ in range(trials):
-        alpha = rng.standard_normal(m)
-        if not superadditivity_certificate(system, alpha)[2]:
-            super_failures += 1
-        if not gradient_upper_certificate(system, alpha)[2]:
-            grad_failures += 1
+    super_failures, grad_failures = certify_span(system, trials,
+                                                 int(config["seed"]))
     bound = bernstein_lower_bound(system, int(config["directions"]),
                                   int(config["seed"]))
     outputs = {

@@ -24,8 +24,7 @@ Two quadrature modes compute c_d:
   endpoint exponents match the integrand's algebraic zeros.  The error
   estimate compares two orders (Richardson style).
 * monte-carlo: uniform samples in the unit ball, averaging w * chi_S,
-  with a standard-error estimate; deterministic for a fixed seed and
-  partition count.
+  with a standard-error estimate; deterministic for a fixed seed.
 
 Setting ``extension_unweighted`` produces the unweighted extension
 (no listed axes, w == 1, S = R^d, D = d); reports must flag this mode.
@@ -67,16 +66,13 @@ class QuadratureConfig:
 
     mode is "product-rule" or "monte-carlo".  ``order`` is the points per
     angular factor for the product rule; ``samples`` the total draw count
-    for monte-carlo.  ``partitions`` fixes the monte-carlo chunking so the
-    result is reproducible for a given (seed, partitions) pair regardless
-    of parallel execution.
+    for monte-carlo, drawn from one stream fixed by ``seed``.
     """
 
     mode: str = "product-rule"
     order: int = 96
     samples: int = 1_000_000
     seed: int = 0
-    partitions: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("product-rule", "monte-carlo"):
@@ -85,8 +81,6 @@ class QuadratureConfig:
             raise ValidationError("product-rule order must be >= 4")
         if self.samples < 1:
             raise ValidationError("monte-carlo sample count must be >= 1")
-        if self.partitions < 1:
-            raise ValidationError("monte-carlo partitions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -394,28 +388,19 @@ def _lebesgue_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _mc_partition(cone: WeightedCone, n: int, seed_seq: np.random.SeedSequence
-                  ) -> tuple[float, float, int]:
-    rng = np.random.default_rng(seed_seq)
+def _unit_ball_mc(cone: WeightedCone, cfg: QuadratureConfig
+                  ) -> tuple[float, float]:
+    # the seed's first spawned child, not default_rng(seed): another
+    # stream would change every seeded estimate
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n = cfg.samples
     normals = rng.standard_normal((n, cone.d))
     radii = rng.random(n) ** (1.0 / cone.d)
     norms = np.linalg.norm(normals, axis=1)
     norms[norms == 0] = 1.0
     pts = normals * (radii / norms)[:, None]
     vals = _weight_values(cone, pts)
-    return float(np.sum(vals)), float(np.sum(vals * vals)), n
-
-
-def _unit_ball_mc(cone: WeightedCone, cfg: QuadratureConfig
-                  ) -> tuple[float, float]:
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.partitions)
-    base = cfg.samples // cfg.partitions
-    counts = [base + (1 if i < cfg.samples % cfg.partitions else 0)
-              for i in range(cfg.partitions)]
-    parts = [_mc_partition(cone, c, s) for c, s in zip(counts, seeds) if c > 0]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
+    total, total_sq = float(np.sum(vals)), float(np.sum(vals * vals))
     vol = _lebesgue_ball_volume(cone.d)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))

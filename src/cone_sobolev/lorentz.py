@@ -33,7 +33,7 @@ from .cones import WeightedCone
 from .errors import (DomainError, DivergentIntegralError,
                      InternalConsistencyError, ValidationError)
 from .profiles import GradientDensity, RadialProfile
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
 from .segments import Law, LevelSet, Piece, clip_pieces, moment_integral
 
@@ -259,17 +259,9 @@ def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
                                                 _REL_TOL)
                          for s in t])
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** (gamma - 1.0) * big_f(t) ** q
-
-    if lo > 0.0:
-        return integrate_adaptive(integrand, lo, hi, rel_tol=1e-11)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        t = u ** (1.0 / gamma)
-        return (1.0 / gamma) * big_f(t) ** q
-
-    return integrate_adaptive(g, 0.0, hi ** gamma, rel_tol=1e-11)
+    # F is bounded at the origin (local order 0)
+    f, a, b = substitute_origin(lambda t: big_f(t) ** q, gamma, lo, hi, 0.0)
+    return integrate_adaptive(f, a, b, rel_tol=1e-11)
 
 
 def hardy_check(f, params: LorentzParams) -> tuple[float, float]:

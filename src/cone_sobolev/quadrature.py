@@ -1,7 +1,9 @@
 """Deterministic adaptive Gauss-Legendre integration.
 
 The adaptive integrator below is the single numeric fallback used whenever a
-segment integral has no closed form.  Design constraints:
+segment integral has no closed form.  Its segment callers build their
+integrands with ``substitute_origin``, the one place the origin-regularizing
+substitution t = u^(1/m) is written.  Design constraints:
 
 * deterministic: no randomness, panel decisions depend only on relative
   error estimates, so repeated runs agree bit for bit;
@@ -9,13 +11,15 @@ segment integral has no closed form.  Design constraints:
   panel spans many octaves, so rescaling the integrand domain by a constant
   reproduces the same panel tree and the result scales exactly;
 * endpoint tolerant: integrable algebraic endpoint behaviour is handled by
-  panel refinement toward the endpoint (depth-limited bisection).
+  panel refinement toward the endpoint (depth-limited bisection), after
+  ``substitute_origin`` has made an algebraic singularity at 0 bounded.
 
 Error control compares a 32 point rule against an embedded 16 point rule on
 each panel; panels are split, worst first, until the summed discrepancy
 falls below the relative tolerance times the integral estimate.  Both sums
 are kept as running totals and recomputed exactly before any return, so
-the returned value is always the exact sum over the final panels.
+the returned value is always the exact sum over the final panels.  There is
+no fixed-rule path: every fallback integral carries this error estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DivergentIntegralError, NumericalError
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -40,23 +44,39 @@ def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                order: int) -> float:
-    """Single Gauss-Legendre panel of the given order on [a, b]."""
-    x, w = gauss_nodes(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return float(half * np.dot(w, f(mid + half * x)))
+def substitute_origin(h: Callable[[np.ndarray], np.ndarray], gamma: float,
+                      t0: float, t1: float, order: float
+                      ) -> tuple[Callable[[np.ndarray], np.ndarray],
+                                 float, float]:
+    """Integrand and interval for integral over (t0, t1) of t^(gamma-1) h(t).
+
+    ``order`` is the local algebraic order L of h at 0 (h(t) ~ t^L).  For
+    t0 > 0 the integrand is returned as is.  Otherwise t = u^(1/m) with
+    m = gamma + L turns it into (1/m) u^(gamma/m - 1) h(u^(1/m)) on
+    (0, t1^m), which is bounded at u = 0; m <= 0 means the integral
+    diverges there and raises DivergentIntegralError.
+    """
+    if t0 > 0.0:
+        return (lambda t: t ** (gamma - 1.0) * h(t)), t0, t1
+    m = gamma + order
+    if m <= 0.0:
+        raise DivergentIntegralError(
+            f"integral diverges at the left endpoint of (0, {t1})")
+
+    def g(u: np.ndarray) -> np.ndarray:
+        return (1.0 / m) * u ** (gamma / m - 1.0) * h(u ** (1.0 / m))
+
+    return g, 0.0, t1 ** m
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rel_tol: float = 1e-12, abs_floor: float = 0.0,
-                       max_panels: int = 8192) -> float:
+                       rel_tol: float = 1e-12, max_panels: int = 8192
+                       ) -> float:
     """Integrate f over [a, b] to a relative tolerance.
 
     f must accept a 1-d numpy array and return values of the same shape.
-    ``abs_floor`` caps the absolute error target from below; it lets callers
-    integrate quantities that are genuinely zero without infinite refinement.
+    The error target never drops below 1e-300, so an integral that is
+    genuinely zero converges without infinite refinement.
     Raises NumericalError when the panel budget is exhausted before the
     tolerance is met.
     """
@@ -73,7 +93,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         return c, abs(c - r)
 
     coarse, err = both(a, b)
-    if err <= max(rel_tol * abs(coarse), abs_floor, 1e-300):
+    if err <= max(rel_tol * abs(coarse), 1e-300):
         return coarse
     # live panels (lo, hi, value, err, depth) keyed by insertion number;
     # the dict keeps insertion order, so exact sums run over the panels in
@@ -103,14 +123,14 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     add(a, b, coarse, err, 0)
     peak_err = err          # largest running error since the last resync
     for _ in range(max_panels):
-        if (run_err <= max(rel_tol * abs(run_total), abs_floor, 1e-300)
+        if (run_err <= max(rel_tol * abs(run_total), 1e-300)
                 or run_err < 1e-3 * peak_err):
             # running sums drift by rounding relative to their past size:
             # recompute them before a verdict and after every thousandfold
             # drop, so the drift never reaches the tolerance
             run_total, run_err = exact_sums()
             peak_err = run_err
-            if run_err <= max(rel_tol * abs(run_total), abs_floor, 1e-300):
+            if run_err <= max(rel_tol * abs(run_total), 1e-300):
                 return run_total
         peak_err = max(peak_err, run_err)
         # split the worst panel; geometric split keeps scale equivariance
@@ -136,7 +156,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         add(lo, mid, *both(lo, mid), depth + 1)
         add(mid, hi, *both(mid, hi), depth + 1)
     total, total_err = exact_sums()
-    if total_err <= max(10.0 * rel_tol * abs(total), abs_floor, 1e-300):
+    if total_err <= max(10.0 * rel_tol * abs(total), 1e-300):
         return total
     raise NumericalError(
         f"adaptive quadrature did not converge on [{a}, {b}]: "

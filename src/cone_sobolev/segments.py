@@ -18,8 +18,9 @@ two independent norm routes possible:
 Exact primitives use a log/expm1 form of the power rule so that segments
 spanning many orders of magnitude (ratios like 1e40) lose no precision.
 Non-elementary cases fall back to the deterministic adaptive quadrature in
-``quadrature``, after an explicit substitution that removes any algebraic
-endpoint singularity.
+``quadrature``, after ``quadrature.substitute_origin`` removes any algebraic
+singularity at the origin.  Both routes take that one fallback, each with
+its own integrand; there is no fixed-rule path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (DivergentIntegralError, InternalConsistencyError,
                      NumericalError, ValidationError)
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, substitute_origin
 
 __all__ = [
     "Law",
@@ -229,46 +230,29 @@ def _moment_exact(t0: float, t1: float, law: Law, gamma: float, q: float
     return None
 
 
-def _zero_endpoint_exponent(law: Law, q: float) -> float:
-    """Algebraic order of law(t)^q as t -> 0+ (base-0 laws only)."""
-    if law.is_constant or law.base != 0.0:
-        return 0.0
-    if law.expo < 0.0:
-        return q * law.expo
-    if law.shift == 0.0:
-        return q * law.expo
+def _origin_order(terms: Sequence[Law], const: float, q: float) -> float:
+    """Algebraic order at 0+ of (const + sum of term powers)^q.
+
+    Only base-0 terms are singular or vanishing there; shifts of the terms
+    are ignored, ``const`` is the total constant.
+    """
+    neg = [t.expo for t in terms if t.base == 0.0 and t.expo < 0.0]
+    if neg:
+        return q * min(neg)
+    if const == 0.0 and all(t.base == 0.0 for t in terms):
+        return q * min(t.expo for t in terms)
     return 0.0
 
 
 def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float,
-                     rel_tol: float, floor_zero: bool = False) -> float:
+                     rel_tol: float) -> float:
     if math.isinf(t1):
         raise NumericalError(
             "no exact route for a moment integral on an infinite segment")
-
-    def f(t: np.ndarray) -> np.ndarray:
-        vals = np.asarray(law.value(t))
-        if floor_zero:
-            vals = np.maximum(vals, 0.0)
-        return t ** (gamma - 1.0) * vals ** q
-
-    if t0 > 0.0:
-        return integrate_adaptive(f, t0, t1, rel_tol=rel_tol)
-    # regularize the origin: with local order L of law^q, the substitution
-    # t = u^(1/m), m = gamma + L, makes the integrand bounded at u = 0
-    m = gamma + _zero_endpoint_exponent(law, q)
-    if m <= 0.0:
-        raise DivergentIntegralError(
-            f"moment integral diverges at the left endpoint of (0, {t1})")
-
-    def g(u: np.ndarray) -> np.ndarray:
-        t = u ** (1.0 / m)
-        vals = np.asarray(law.value(t))
-        if floor_zero:
-            vals = np.maximum(vals, 0.0)
-        return (1.0 / m) * u ** (gamma / m - 1.0) * vals ** q
-
-    return integrate_adaptive(g, 0.0, t1 ** m, rel_tol=rel_tol)
+    f, a, b = substitute_origin(lambda t: np.asarray(law.value(t)) ** q,
+                                gamma, t0, t1,
+                                _origin_order((law,), law.shift, q))
+    return integrate_adaptive(f, a, b, rel_tol=rel_tol)
 
 
 def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float,
@@ -502,7 +486,10 @@ class LevelSet:
     each open stratum between consecutive breakpoints the super-level
     measure m(lam) is const + a sum of inverse laws, merged by exponent.
     The lambda-route Lorentz functional integrates these strata with the
-    same exact-or-adaptive policy as the t-route.
+    same exact-or-adaptive policy as the t-route, but with its own stratum
+    integrand: it shares only ``quadrature`` (the origin substitution and
+    the adaptive rule) with the t-route, and has no fixed-rule path for
+    large level sets.
     """
 
     def __init__(self, strata: Sequence[Stratum], lam_max: float):
@@ -640,54 +627,16 @@ class LevelSet:
                           rel_tol: float = 1e-12) -> float:
         """p * integral over lam of lam^(q-1) * m(lam)^(q/p).
 
-        Exact per stratum when m is constant, a single law with an
-        elementary moment, or q == p with integer q; adaptive otherwise.
+        One pass over the strata.  Exact per stratum when m is constant or
+        a single law with an elementary moment; otherwise the adaptive
+        fallback of ``quadrature``, with its error estimate, on every
+        stratum however many there are.
         """
-        total = []
         qq = q / p
-        finite = [s for s in self.strata
-                  if s.lam0 < s.lam1 and not math.isinf(s.lam1)]
-        tail = [s for s in self.strata
-                if s.lam0 < s.lam1 and math.isinf(s.lam1)]
-        if len(finite) > 512:
-            # grid-derived level sets: thousands of analytic strata; one
-            # fixed high-order panel per stratum, evaluated in bulk
-            total.append(self._qth_power_bulk(finite, q, qq))
-        else:
-            total.extend(self._stratum_qth_power(s, p, q, qq, rel_tol)
-                         for s in finite)
-        total.extend(self._stratum_qth_power(s, p, q, qq, rel_tol)
-                     for s in tail)
-        return p * math.fsum(total)
+        return p * math.fsum(self._stratum_qth_power(s, q, qq, rel_tol)
+                             for s in self.strata if s.lam0 < s.lam1)
 
-    @staticmethod
-    def _qth_power_bulk(finite: Sequence[Stratum], q: float,
-                        qq: float) -> float:
-        from .quadrature import gauss_nodes
-        lam0 = np.array([s.lam0 for s in finite])
-        lam1 = np.array([s.lam1 for s in finite])
-        const = np.array([s.const for s in finite])
-        keys = sorted({(t.expo, t.base, t.orient)
-                       for s in finite for t in s.terms})
-        coefs = np.zeros((len(keys), len(finite)))
-        index = {k: i for i, k in enumerate(keys)}
-        for j, s in enumerate(finite):
-            for t in s.terms:
-                coefs[index[(t.expo, t.base, t.orient)], j] = t.coef
-        x, w = gauss_nodes(24)
-        half = 0.5 * (lam1 - lam0)
-        nodes = lam0[:, None] + half[:, None] * (x[None, :] + 1.0)
-        m_vals = np.broadcast_to(const[:, None], nodes.shape).copy()
-        for (expo, base, orient), row in zip(keys, coefs):
-            arg = np.maximum(orient * (nodes - base), 0.0)
-            m_vals += row[:, None] * arg ** expo
-        integrand = np.maximum(m_vals, 0.0) ** qq
-        if q != 1.0:
-            integrand = integrand * nodes ** (q - 1.0)
-        per_stratum = (integrand @ w) * half
-        return math.fsum(per_stratum.tolist())
-
-    def _stratum_qth_power(self, s: Stratum, p: float, q: float, qq: float,
+    def _stratum_qth_power(self, s: Stratum, q: float, qq: float,
                            rel_tol: float) -> float:
         if not s.terms:
             if s.const == 0.0:
@@ -696,22 +645,31 @@ class LevelSet:
                 raise DivergentIntegralError(
                     "level set has positive measure at every level")
             return s.const ** qq * power_primitive(s.lam0, s.lam1, q - 1.0)
-        if len(s.terms) == 1:
-            law = Law(s.terms[0].coef, s.terms[0].expo, s.terms[0].base,
-                      s.terms[0].orient, s.const)
+        # m = first term + const + other terms: const folded into the
+        # first term's shift, so a one-term stratum is a single law
+        first, *rest = s.terms
+        law = Law(first.coef, first.expo, first.base, first.orient, s.const)
+        if not rest:
             if math.isinf(s.lam1):
                 return self._infinite_tail(law, q, qq)
             exact = _moment_exact(s.lam0, s.lam1, law, q, qq)
             if exact is not None:
                 return exact
-            # m is a distribution function, so any negative value near a
-            # stratum edge is roundoff; floor it before fractional powers
-            return _moment_adaptive(s.lam0, s.lam1, law, q, qq, rel_tol,
-                                    floor_zero=True)
-        if math.isinf(s.lam1):
+        elif math.isinf(s.lam1):
             raise NumericalError(
                 "no exact route for a multi-term stratum of infinite extent")
-        return self._multi_term_adaptive(s, q, qq, rel_tol)
+
+        def m_qq(lam: np.ndarray) -> np.ndarray:
+            out = np.asarray(law.value(lam))
+            for term in rest:
+                out = out + np.asarray(term.value(lam))
+            # m is a distribution function, so any negative value near a
+            # stratum edge is roundoff; floor it before fractional powers
+            return np.maximum(out, 0.0) ** qq
+
+        f, a, b = substitute_origin(m_qq, q, s.lam0, s.lam1,
+                                    _origin_order(s.terms, s.const, qq))
+        return integrate_adaptive(f, a, b, rel_tol=rel_tol)
 
     def _infinite_tail(self, law: Law, q: float, qq: float) -> float:
         # only a pure power admits an elementary infinite-lambda tail
@@ -721,35 +679,3 @@ class LevelSet:
                 lam0, math.inf, q - 1.0 + qq * law.expo)
         raise NumericalError(
             "no exact route for this unbounded level-set tail")
-
-    def _multi_term_adaptive(self, s: Stratum, q: float, qq: float,
-                             rel_tol: float) -> float:
-        def m_of(lam: np.ndarray) -> np.ndarray:
-            out = np.full(lam.shape, s.const)
-            for term in s.terms:
-                out = out + np.asarray(term.value(lam))
-            return np.maximum(out, 0.0)
-
-        def f(lam: np.ndarray) -> np.ndarray:
-            return lam ** (q - 1.0) * m_of(lam) ** qq
-
-        if s.lam0 > 0.0:
-            return integrate_adaptive(f, s.lam0, s.lam1, rel_tol=rel_tol)
-        # regularize lam = 0: local order of m^qq from base-0 terms
-        neg = [t.expo for t in s.terms if t.base == 0.0 and t.expo < 0.0]
-        if neg:
-            local = qq * min(neg)
-        elif s.const == 0.0 and all(t.base == 0.0 for t in s.terms):
-            local = qq * min(t.expo for t in s.terms)
-        else:
-            local = 0.0
-        m_exp = q + local
-        if m_exp <= 0.0:
-            raise DivergentIntegralError(
-                "lambda-route integral diverges at level zero")
-
-        def g(u: np.ndarray) -> np.ndarray:
-            lam = u ** (1.0 / m_exp)
-            return (1.0 / m_exp) * u ** (q / m_exp - 1.0) * m_of(lam) ** qq
-
-        return integrate_adaptive(g, 0.0, s.lam1 ** m_exp, rel_tol=rel_tol)

@@ -10,7 +10,8 @@ from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           InternalConsistencyError, LorentzParams,
                           ResourceError, ValidationError,
                           absolute_continuity_witness, bernstein_lower_bound,
-                          build_shell_function, construct_system, ell_q_norm,
+                          build_shell_function, certify_span,
+                          construct_system, ell_q_norm,
                           embedding_norm, from_knots, gamma_sequence,
                           gradient_upper_certificate, quotient,
                           superadditivity_certificate, verify_system)
@@ -222,3 +223,24 @@ def test_system_json_rejects_malformed(system):
     del data["shells"][0]["profile"]
     with pytest.raises(ValidationError):
         AlmostExtremalSystem.from_json_dict(data)
+
+
+def test_certify_span_counts_match_the_explicit_loop(system):
+    # raise the superadditivity floor to the median sampled ratio, so
+    # about half the directions fail and the counts are not all zero
+    q = system.params.q
+    ratios = sorted(
+        superadditivity_certificate(system, a)[0] / ell_q_norm(a, q)
+        for a in np.random.default_rng(3).standard_normal((9, system.m)))
+    strict = dataclasses.replace(
+        system, eps2=system.lam / (1.0 + system.eps1) - ratios[4])
+    for sys_, seed in ((system, 0), (strict, 5)):
+        rng = np.random.default_rng(seed)
+        want = [0, 0]
+        for _ in range(20):
+            alpha = rng.standard_normal(sys_.m)
+            want[0] += not superadditivity_certificate(sys_, alpha)[2]
+            want[1] += not gradient_upper_certificate(sys_, alpha)[2]
+        got = certify_span(sys_, 20, seed)
+        assert got == tuple(want)
+    assert 0 < got[0] < 20

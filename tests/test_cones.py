@@ -32,16 +32,14 @@ def test_product_rule_matches_oracle(name):
 @pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
 def test_monte_carlo_within_three_standard_errors(name):
     cone = builtin_cone(name)
-    cfg = QuadratureConfig(mode="monte-carlo", samples=200_000, seed=7,
-                           partitions=4)
+    cfg = QuadratureConfig(mode="monte-carlo", samples=200_000, seed=7)
     value, err = unit_ball_measure(cone, cfg)
     deviation = abs(value - ORACLES[name])
     assert deviation <= 3.0 * err or deviation == 0.0
 
 
 def test_monte_carlo_partitioning_is_reproducible(halfplane):
-    cfg = QuadratureConfig(mode="monte-carlo", samples=50_000, seed=11,
-                           partitions=5)
+    cfg = QuadratureConfig(mode="monte-carlo", samples=50_000, seed=11)
     assert unit_ball_measure(halfplane, cfg) == unit_ball_measure(
         halfplane, cfg)
 
@@ -144,7 +142,6 @@ def test_unweighted_cone_requires_extension_flag():
     dict(mode="trapezoid"),
     dict(order=2),
     dict(samples=0),
-    dict(partitions=0),
 ])
 def test_quadrature_config_validation(cfg):
     with pytest.raises(ValidationError):

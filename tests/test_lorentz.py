@@ -165,6 +165,56 @@ def test_field_routes_agree(halfplane, p, q):
     assert lam_route == pytest.approx(t_route, rel=1e-10)
 
 
+def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
+    """The lambda route never borrows the t-route's adaptive moment.
+
+    A shell gradient density (t^(-1/2) arcs) and an affine profile's psi
+    (t^(2/3) arcs) have one-term strata with no closed form; their union
+    overlaps in value, so it adds multi-term strata.  All of them must
+    integrate with ``segments._moment_adaptive`` disabled.
+    """
+    from cone_sobolev import build_shell_function, embedding_norm, segments
+    from cone_sobolev.segments import Piece
+    params = LorentzParams(2.0, 1.0)
+    shell, _ = build_shell_function(
+        halfplane, params, 0.5 * embedding_norm(halfplane, params), 1.0)
+    shell_psi = list(gradient_density(shell).pieces)
+    affine_psi = list(gradient_density(from_knots(
+        halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).pieces)
+    inputs = [shell_psi, affine_psi, shell_psi + affine_psi]
+    assert any(len(s.terms) > 1 for s in
+               segments.LevelSet.from_pieces(inputs[2]).strata)
+    pairs = [(2.0, 1.0), (2.0, 1.5), (2.5, 1.4)]
+    want = [lorentz_norm_distributional(f, LorentzParams(p, q))
+            for f in inputs for p, q in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda route called the t-route fallback")
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate_adaptive(*args, **kwargs)
+
+    integrate_adaptive = segments.integrate_adaptive
+    monkeypatch.setattr(segments, "_moment_adaptive", refuse)
+    monkeypatch.setattr(segments, "integrate_adaptive", counted)
+    got = [lorentz_norm_distributional(f, LorentzParams(p, q))
+           for f in inputs for p, q in pairs]
+    assert got == want
+    assert calls
+    # slid left over its zero head, the shell psi is its own rearrangement,
+    # so the t route (with its own fallback) checks it independently
+    monkeypatch.undo()
+    head = shell_psi[0].t0
+    slid = [Piece(pc.t0 - head, pc.t1 - head,
+                  pc.law.with_argument_shifted(head)) for pc in shell_psi]
+    for (p, q), value in zip(pairs, want):
+        assert lorentz_norm_rearranged(slid, LorentzParams(p, q)) == \
+            pytest.approx(value, rel=1e-10)
+
+
 # -- Hardy inequality ---------------------------------------------------------------
 
 def test_hardy_equality_at_q_one(halfplane):

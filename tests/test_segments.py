@@ -358,3 +358,37 @@ def test_extreme_ratio_routes_agree(halfplane):
             continue
         want = brute_distribution(psi.pieces, lam)
         assert stratum.distribution(lam) == pytest.approx(want, rel=1e-10)
+
+
+# -- many strata ----------------------------------------------------------------
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (3.0, 2.0), (1.5, 1.5)])
+def test_many_strata_match_high_precision(p, q):
+    """Level sets beyond 512 strata keep the 1e-12 adaptive contract.
+
+    f = (1 - t)^1.5 cut into 600 pieces has one-term strata
+    m = 1 - lam^(2/3), whose lambda integral is p * 1.5 * B(1.5 q, q/p + 1).
+    Adding g = 4 (2 - t)^3 on (1, 2), cut the same way, makes the strata
+    below lam = 1 two-term.
+    """
+    cuts = np.linspace(0.0, 1.0, 601)
+    f = Law(1.0, 1.5, base=1.0, orient=-1.0)
+    g = Law(4.0, 3.0, base=2.0, orient=-1.0)
+    one = [Piece(a, b, f) for a, b in zip(cuts[:-1], cuts[1:])]
+    two = one + [Piece(1.0 + a, 1.0 + b, g)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+    with mpmath.workdps(40):
+        e, qq = mpmath.mpf(1.5), mpmath.mpf(q) / p
+
+        def m_two(lam):
+            m = 1 - mpmath.cbrt(lam / 4)
+            return m + 1 - lam ** (1 / e) if lam < 1 else m
+
+        want_one = p * e * mpmath.beta(e * q, qq + 1)
+        want_two = p * mpmath.quad(
+            lambda lam: lam ** (q - 1) * m_two(lam) ** qq, [0, 1, 4])
+    for pieces, want in ((one, want_one), (two, want_two)):
+        level = LevelSet.from_pieces(pieces)
+        assert len(level.strata) > 512
+        got = level.lorentz_qth_power(p, q)
+        assert abs(got - want) <= 1e-12 * want
