@@ -23,10 +23,10 @@ every m since the shells keep coming.  Restricted norms along the
 shrinking supports vanish (absolute continuity), which is the mechanism
 that defeats any fixed finite cover.
 
-Shell profiles are truncated power arcs placed by two monotone bisections
-per shell (head ratio for the quotient, cutoff radius for tail and window
-conditions); everything is exact segment arithmetic or adaptive
-quadrature at 1e-12.
+Shell profiles are truncated power arcs placed by monotone bisections: one
+head ratio per system (the quotient is scale invariant) and one cutoff
+radius per shell (tail and window conditions); everything is exact segment
+arithmetic or adaptive quadrature at 1e-12.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ import numpy as np
 from .cones import WeightedCone
 from .errors import (DomainError, InfeasibleError, InternalConsistencyError,
                      ResourceError, ValidationError)
-from .lorentz import (LorentzParams, ell_q_norm, lorentz_norm_rearranged,
+from .lorentz import (LorentzParams, ell_q_norm,
+                      lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
 from .segments import (Law, LevelSet, Piece, abs_pieces, clip_pieces,
@@ -66,6 +67,8 @@ __all__ = [
 _NORM_RTOL = 1e-10
 _CERT_SLACK = 1e-9
 _MAX_LOG10_RANGE = 300.0
+_QUOTIENT_TOL = 1e-12
+_THRESHOLD_ITERATIONS = 80
 
 
 @dataclass(frozen=True)
@@ -175,17 +178,10 @@ class AlmostExtremalSystem:
 # -- tail budgets ------------------------------------------------------------
 
 def _geometric_ratio(q_prime: float, eps2: float) -> float:
-    """Largest a in (0,1) with a^q' / (1 - a^q') <= eps2^q', by bisection."""
-    target = eps2 ** q_prime
-    lo, hi = 0.0, 1.0 - 1e-16
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        aq = mid ** q_prime
-        if aq / (1.0 - aq) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The a in (0,1) with a^q' / (1 - a^q') = eps2^q', in closed form:
+    a^q' = eps2^q' / (1 + eps2^q')."""
+    return eps2 * (1.0 + eps2 ** q_prime) ** (-1.0 / q_prime)
+
 
 def gamma_sequence(params: LorentzParams, eps2: float,
                    count: int) -> list[float]:
@@ -208,22 +204,21 @@ def gamma_sequence(params: LorentzParams, eps2: float,
 # -- single shell ------------------------------------------------------------
 
 def _quotient_of_ratio(cone: WeightedCone, bound: LorentzParams,
-                       ratio: float, t_outer: float) -> float:
-    profile = alvino_profile(cone, bound.p_star, t_outer / ratio, t_outer)
+                       ratio: float) -> float:
+    t_unit = cone.c_d  # the unit ball's measure
+    profile = alvino_profile(cone, bound.p_star, t_unit / ratio, t_unit)
     return quotient(profile, bound).quotient
 
 
-def build_shell_function(cone: WeightedCone, params: LorentzParams,
-                         lam: float, outer_radius: float
-                         ) -> tuple[RadialProfile, float]:
-    """A radial function with quotient lambda, unit gradient norm, flat head.
+def _head_ratio(cone: WeightedCone, bound: LorentzParams,
+                lam: float) -> float:
+    """Head-to-support ratio (in measure) of the profile with quotient lam.
 
-    The head-to-support ratio of a truncated power profile is expanded
-    until its (scale-invariant) quotient brackets lambda, then bisected to
-    1e-12; the amplitude is then set so ||grad u|| = 1, which makes
-    ||u|| = lambda.  Returns the profile and the flat-head radius r.
+    The quotient of alvino_profile(cone, p*, t/ratio, t) does not depend
+    on the scale t, so the search runs once, on the unit ball: the ratio
+    is expanded until its quotient brackets lambda, then bisected in log
+    space to 1e-12.
     """
-    bound = LorentzParams(params.p, params.q, cone)
     e_norm = embedding_norm(cone, bound)
     if not 0.0 < lam < e_norm:
         raise InfeasibleError(
@@ -234,14 +229,11 @@ def build_shell_function(cone: WeightedCone, params: LorentzParams,
             "at p = q = 1 every radial nonincreasing profile attains the "
             "sharp constant exactly, so no profile has quotient "
             "lambda < ||E||; use q = 1 with p > 1 instead")
-    if outer_radius <= 0:
-        raise DomainError("the outer radius must be positive")
-    t_outer = cone.c_d * outer_radius ** cone.big_d
 
     # bracket the quotient in log-ratio space (quotient grows with ratio)
     lo, hi = math.log(2.0), math.log(16.0)
     cap = _MAX_LOG10_RANGE * math.log(10.0)
-    while _quotient_of_ratio(cone, bound, math.exp(hi), t_outer) < lam:
+    while _quotient_of_ratio(cone, bound, math.exp(hi)) < lam:
         lo = hi
         hi *= 2.0
         if hi > cap:
@@ -249,16 +241,16 @@ def build_shell_function(cone: WeightedCone, params: LorentzParams,
                 f"lambda = {lam} is so close to the sharp constant "
                 f"{e_norm} that the required head-to-support ratio "
                 f"exceeds 1e{_MAX_LOG10_RANGE:.0f} in measure units")
-    while _quotient_of_ratio(cone, bound, math.exp(lo), t_outer) > lam:
+    while _quotient_of_ratio(cone, bound, math.exp(lo)) > lam:
         hi = lo
         lo *= 0.5
         if lo < 1e-12:
             raise InternalConsistencyError(
                 "quotient bracketing failed at vanishing head ratio")
-    tol = 1e-12 * max(1.0, lam)
+    tol = _QUOTIENT_TOL * max(1.0, lam)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = _quotient_of_ratio(cone, bound, math.exp(mid), t_outer)
+        val = _quotient_of_ratio(cone, bound, math.exp(mid))
         if abs(val - lam) <= tol:
             lo = hi = mid
             break
@@ -268,15 +260,39 @@ def build_shell_function(cone: WeightedCone, params: LorentzParams,
             hi = mid
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
-    ratio = math.exp(0.5 * (lo + hi))
+    return math.exp(0.5 * (lo + hi))
+
+
+def _shell_at(cone: WeightedCone, bound: LorentzParams, lam: float,
+              ratio: float, outer_radius: float
+              ) -> tuple[RadialProfile, float]:
+    """The shell in B_{outer_radius} with head ratio ``ratio``, scaled to
+    unit gradient norm; returns the profile and its flat-head radius."""
+    if outer_radius <= 0:
+        raise DomainError("the outer radius must be positive")
+    t_outer = cone.c_d * outer_radius ** cone.big_d
     raw = alvino_profile(cone, bound.p_star, t_outer / ratio, t_outer)
     report = quotient(raw, bound)
-    if abs(report.quotient - lam) > 100.0 * tol:
+    if abs(report.quotient - lam) > 100.0 * _QUOTIENT_TOL * max(1.0, lam):
         raise InternalConsistencyError(
             "head-ratio bisection failed to pin the quotient")
     profile = raw.scaled_amplitude(1.0 / report.denominator)
     inner_radius = cone.radius_of_measure(t_outer / ratio)
     return profile, inner_radius
+
+
+def build_shell_function(cone: WeightedCone, params: LorentzParams,
+                         lam: float, outer_radius: float
+                         ) -> tuple[RadialProfile, float]:
+    """A radial function with quotient lambda, unit gradient norm, flat head.
+
+    The head-to-support ratio of a truncated power profile is found by
+    ``_head_ratio``; the amplitude is then set so ||grad u|| = 1, which
+    makes ||u|| = lambda.  Returns the profile and the flat-head radius r.
+    """
+    bound = LorentzParams(params.p, params.q, cone)
+    return _shell_at(cone, bound, lam, _head_ratio(cone, bound, lam),
+                     outer_radius)
 
 
 # -- windowed energy ----------------------------------------------------------
@@ -305,8 +321,7 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
 
 # -- the inductive construction ----------------------------------------------
 
-def _bisect_threshold(predicate, lo: float, hi: float,
-                      iterations: int = 80) -> float:
+def _bisect_threshold(predicate, lo: float, hi: float) -> float:
     """Largest x in (lo, hi] with predicate(x) true, for a predicate that
     holds near 0 and fails near hi.  Returns hi if it never fails."""
     if predicate(hi):
@@ -319,7 +334,7 @@ def _bisect_threshold(predicate, lo: float, hi: float,
         raise InternalConsistencyError(
             "monotone bisection found no feasible cutoff: restricted "
             "norms are not behaving monotonically")
-    for _ in range(iterations):
+    for _ in range(_THRESHOLD_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             lo = mid
@@ -350,11 +365,12 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     star = bound.star_params()
     lam_q = lam ** bound.q
     inflate = (1.0 + eps1) ** bound.q
+    head_ratio = _head_ratio(cone, bound, lam)
 
     shells: list[ShellSpec] = []
     outer = 1.0
     for j in range(1, m + 1):
-        profile, inner = build_shell_function(cone, bound, lam, outer)
+        profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
         delta = cone.c_d * outer ** cone.big_d
         head = profile.pieces[0].t1  # mu(B_{r_j})
 
@@ -402,8 +418,7 @@ def verify_system(system: AlmostExtremalSystem) -> dict:
               "embedding_norm": e_norm}
     for k, s in enumerate(system.shells):
         psi = gradient_density(s.profile)
-        grad_norm = LevelSet.from_pieces(list(psi.pieces)) \
-            .lorentz_qth_power(bound.p, bound.q) ** (1.0 / bound.q)
+        grad_norm = lorentz_norm_distributional(psi, bound)
         fn_norm = lorentz_norm_rearranged(s.profile, star)
         if abs(grad_norm - 1.0) > _NORM_RTOL:
             raise InternalConsistencyError(

@@ -58,27 +58,27 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+# Gauss-Jacobi points per angular factor; the error estimate compares
+# against half as many
+_PRODUCT_ORDER = 96
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """How to integrate over the cone.
 
-    mode is "product-rule" or "monte-carlo".  ``order`` is the points per
-    angular factor for the product rule; ``samples`` the total draw count
-    for monte-carlo, drawn from one stream fixed by ``seed``.
+    mode is "product-rule" or "monte-carlo".  The product rule uses
+    ``_PRODUCT_ORDER`` points per angular factor; ``samples`` is the total
+    draw count for monte-carlo, drawn from one stream fixed by ``seed``.
     """
 
     mode: str = "product-rule"
-    order: int = 96
     samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("product-rule", "monte-carlo"):
             raise ValidationError(f"unknown quadrature mode {self.mode!r}")
-        if self.order < 4:
-            raise ValidationError("product-rule order must be >= 4")
         if self.samples < 1:
             raise ValidationError("monte-carlo sample count must be >= 1")
 
@@ -168,9 +168,6 @@ class WeightedCone:
             if not strict and x[..., a] < 0:
                 return False
         return True
-
-    def measure_of_radius(self, r: float) -> float:
-        return ball_measure(self, r)
 
     def radius_of_measure(self, t: float) -> float:
         """Inverse of r -> mu(B_r), for t >= 0."""
@@ -357,8 +354,7 @@ def _factor_integral(a: float, b: float, lo: float, hi: float,
     return float(h * np.dot(w, g))
 
 
-def _unit_ball_product(cone: WeightedCone, cfg: QuadratureConfig
-                       ) -> tuple[float, float]:
+def _unit_ball_product(cone: WeightedCone) -> tuple[float, float]:
     if cone.plugin_weight is not None:
         raise DomainError("plugin weights integrate via monte-carlo only")
     factors = _angular_factors(cone)
@@ -366,9 +362,9 @@ def _unit_ball_product(cone: WeightedCone, cfg: QuadratureConfig
     rel_err = 0.0
     for fac in factors:
         hi_ord = _factor_integral(fac["a"], fac["b"], fac["lo"], fac["hi"],
-                                  cfg.order)
+                                  _PRODUCT_ORDER)
         lo_ord = _factor_integral(fac["a"], fac["b"], fac["lo"], fac["hi"],
-                                  max(8, cfg.order // 2))
+                                  _PRODUCT_ORDER // 2)
         if hi_ord <= 0:
             raise NumericalError("angular factor integrated to a nonpositive value")
         value *= hi_ord
@@ -423,7 +419,7 @@ def unit_ball_measure(cone: WeightedCone, config: QuadratureConfig | None = None
     """
     cfg = config or QuadratureConfig()
     if cfg.mode == "product-rule":
-        return _unit_ball_product(cone, cfg)
+        return _unit_ball_product(cone)
     return _unit_ball_mc(cone, cfg)
 
 

@@ -46,8 +46,6 @@ __all__ = [
     "ell_q_norm",
 ]
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LorentzParams:
@@ -151,12 +149,12 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
         return 0.0
     _check_nonincreasing(pieces)
     p, q = params.p, params.q
-    total = math.fsum(pc.moment(q / p, q, _REL_TOL) for pc in pieces)
+    total = math.fsum(pc.moment(q / p, q) for pc in pieces)
     return total ** (1.0 / q)
 
 
-def _field_distributional(field: SampledField, params: LorentzParams,
-                          use_gradient: bool = False) -> float:
+def _field_distributional(field: SampledField, params: LorentzParams
+                          ) -> float:
     """Distributional norm of a sampled field: exact over value strata.
 
     Between consecutive distinct cell values lam0 < lam1 the distribution
@@ -165,8 +163,7 @@ def _field_distributional(field: SampledField, params: LorentzParams,
     (lam0, lam1): lam1^q / q on the first stratum (lam0 = 0), and
     lam0^q expm1(q log1p((lam1 - lam0) / lam0)) / q above it.
     """
-    data = field.gradient_magnitude if use_gradient else field.values
-    vals = np.abs(data.ravel())
+    vals = np.abs(field.values.ravel())
     meas = field.cell_measures.ravel()
     keep = (vals > 0) & (meas > 0)
     vals, meas = vals[keep], meas[keep]
@@ -200,7 +197,7 @@ def lorentz_norm_distributional(f, params: LorentzParams) -> float:
         level_set = f
     else:
         level_set = LevelSet.from_pieces(_pieces_of(f))
-    power = level_set.lorentz_qth_power(params.p, params.q, _REL_TOL)
+    power = level_set.lorentz_qth_power(params.p, params.q)
     return power ** (1.0 / params.q)
 
 
@@ -218,7 +215,7 @@ def _tail_function(pieces: list[Piece]):
         if b.t0 < a.t1 - 1e-15 * max(1.0, a.t1):
             raise ValidationError("pieces overlap")
     # piece tail masses, accumulated from the right
-    masses = [pc.moment(1.0, 1.0, _REL_TOL) for pc in pieces]
+    masses = [pc.moment(1.0, 1.0) for pc in pieces]
     tails_after = [0.0]
     for mass in masses[::-1]:
         tails_after.append(tails_after[-1] + mass)
@@ -251,12 +248,11 @@ def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
                           piece: Piece | None, tail: float,
                           gamma: float, q: float) -> float:
     if f_law is not None:
-        return moment_integral(lo, hi, f_law, gamma, q, _REL_TOL)
+        return moment_integral(lo, hi, f_law, gamma, q)
 
     def big_f(t: np.ndarray) -> np.ndarray:
         return np.array([tail + moment_integral(float(s), piece.t1,
-                                                piece.law, 1.0, 1.0,
-                                                _REL_TOL)
+                                                piece.law, 1.0, 1.0)
                          for s in t])
 
     # F is bounded at the origin (local order 0)
@@ -284,7 +280,7 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
         return 0.0, 0.0
     try:
         rhs_power = math.fsum(
-            pc.moment(q + q / p_star, q, _REL_TOL) for pc in pieces)
+            pc.moment(q + q / p_star, q) for pc in pieces)
     except DivergentIntegralError as exc:
         raise DomainError(
             f"divergent Hardy right-hand side: {exc}") from exc
@@ -317,8 +313,12 @@ def restricted_norm(f, params: LorentzParams, t_cut: float | None = None,
     if radius is not None:
         if radius < 0:
             raise DomainError("ball radius must be nonnegative")
-        cone = f.cone if isinstance(f, (RadialProfile, GradientDensity)) \
-            else params.cone
+        if isinstance(f, RadialProfile):
+            cone = f.cone
+        elif isinstance(f, GradientDensity):
+            cone = f.profile.cone
+        else:
+            cone = params.cone
         if cone is None:
             raise ValidationError(
                 "radius restriction needs a cone (bind params or pass a "

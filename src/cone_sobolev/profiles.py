@@ -226,25 +226,23 @@ def from_knots(cone: WeightedCone,
 
 
 def alvino_profile(cone: WeightedCone, p_star: float, eps: float,
-                   t_max: float, amplitude: float = 1.0) -> RadialProfile:
+                   t_max: float) -> RadialProfile:
     """The truncated maximizing profile
 
-        phi(t) = amplitude * (min(eps, t)^(-1/p*) - t_max^(-1/p*))_+,
+        phi(t) = (min(eps, t)^(-1/p*) - t_max^(-1/p*))_+,
 
     a flat head on (0, eps], a power arc t^(-1/p*) on [eps, t_max], zero
     after.  Quotients of this family approach the embedding norm as
-    t_max/eps grows.
+    t_max/eps grows; ``RadialProfile.scaled_amplitude`` rescales it.
     """
     if p_star <= 0:
         raise ValidationError("p_star must be positive")
     if not 0 < eps < t_max:
         raise DomainError("the flat head requires 0 < eps < t_max")
-    if amplitude <= 0:
-        raise ValidationError("amplitude must be positive")
     e = -1.0 / p_star
     tail = t_max ** e
-    head = Law.constant(amplitude * (eps ** e - tail))
-    arc = Law(amplitude, e, shift=-amplitude * tail)
+    head = Law.constant(eps ** e - tail)
+    arc = Law(1.0, e, shift=-tail)
     return RadialProfile(cone, (Piece(0.0, eps, head),
                                 Piece(eps, t_max, arc)))
 

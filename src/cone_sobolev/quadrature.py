@@ -16,7 +16,8 @@ substitution t = u^(1/m) is written.  Design constraints:
 
 Error control compares a 32 point rule against an embedded 16 point rule on
 each panel; panels are split, worst first, until the summed discrepancy
-falls below the relative tolerance times the integral estimate.  Both sums
+falls below the relative tolerance times the integral estimate; a fixed
+budget of 8192 splits (``_MAX_PANELS``) bounds the work.  Both sums
 are kept as running totals and recomputed exactly before any return, so
 the returned value is always the exact sum over the final panels.  There is
 no fixed-rule path: every fallback integral carries this error estimate.
@@ -31,6 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentIntegralError, NumericalError
+
+_MAX_PANELS = 8192
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -70,15 +73,14 @@ def substitute_origin(h: Callable[[np.ndarray], np.ndarray], gamma: float,
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rel_tol: float = 1e-12, max_panels: int = 8192
-                       ) -> float:
+                       rel_tol: float = 1e-12) -> float:
     """Integrate f over [a, b] to a relative tolerance.
 
     f must accept a 1-d numpy array and return values of the same shape.
     The error target never drops below 1e-300, so an integral that is
     genuinely zero converges without infinite refinement.
-    Raises NumericalError when the panel budget is exhausted before the
-    tolerance is met.
+    Raises NumericalError when the budget of _MAX_PANELS splits is
+    exhausted before the tolerance is met.
     """
     if not (b > a):
         return 0.0
@@ -122,7 +124,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
     add(a, b, coarse, err, 0)
     peak_err = err          # largest running error since the last resync
-    for _ in range(max_panels):
+    for _ in range(_MAX_PANELS):
         if (run_err <= max(rel_tol * abs(run_total), 1e-300)
                 or run_err < 1e-3 * peak_err):
             # running sums drift by rounding relative to their past size:

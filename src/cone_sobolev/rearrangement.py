@@ -40,6 +40,9 @@ __all__ = [
     "radial_rearrangement",
 ]
 
+# Gauss points per axis and cell for the cell measures
+_CELL_ORDER = 4
+
 
 class StepFunction1D:
     """Nonnegative step function on (0, inf), zero after the last breakpoint.
@@ -168,9 +171,9 @@ class SampledField:
     """Grid samples of a function on a box inside the cone closure.
 
     Cell values are center samples; cell measures are per-cell integrals
-    of the weight (separable per-axis panels, order ``quad_order``), so
-    the weight's zero set is integrated accurately.  Gradients use central
-    differences inside, one-sided at the box faces.
+    of the weight (separable per-axis Gauss panels of ``_CELL_ORDER``
+    points), so the weight's zero set is integrated accurately.  Gradients
+    use central differences inside, one-sided at the box faces.
     """
 
     cone: WeightedCone
@@ -194,8 +197,8 @@ class SampledField:
     def from_function(cone: WeightedCone,
                       box: Sequence[tuple[float, float]],
                       shape: Sequence[int],
-                      fn: Callable[[np.ndarray], np.ndarray],
-                      quad_order: int = 4) -> "SampledField":
+                      fn: Callable[[np.ndarray], np.ndarray]
+                      ) -> "SampledField":
         """Sample fn (vectorized over an (n, d) point array) on the grid."""
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         shape = tuple(int(n) for n in shape)
@@ -205,7 +208,7 @@ class SampledField:
         mesh = np.meshgrid(*centers, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         values = np.asarray(fn(pts), dtype=float).reshape(shape)
-        measures = _cell_measures(cone, axes, quad_order)
+        measures = _cell_measures(cone, axes)
         return SampledField(cone, box, shape, values, measures,
                             _gradient_magnitude(values, box, shape))
 
@@ -217,12 +220,10 @@ class SampledField:
     def total_measure(self) -> float:
         return float(np.sum(self.cell_measures))
 
-    def distribution_function(self, tau: float, use_gradient: bool = False
-                              ) -> float:
+    def distribution_function(self, tau: float) -> float:
         if tau <= 0:
             raise DomainError("distribution threshold must be positive")
-        data = self.gradient_magnitude if use_gradient else self.values
-        return float(np.sum(self.cell_measures[np.abs(data) > tau]))
+        return float(np.sum(self.cell_measures[np.abs(self.values) > tau]))
 
     # -- CSV interchange ------------------------------------------------
 
@@ -246,7 +247,7 @@ class SampledField:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(text: str, quad_order: int = 4) -> "SampledField":
+    def from_csv(text: str) -> "SampledField":
         lines = text.splitlines()
         if not lines or not lines[0].startswith("#"):
             raise ValidationError("field CSV must start with a '# {json}' "
@@ -271,7 +272,7 @@ class SampledField:
         _validate_box(cone, box, shape)
         edges = [np.linspace(lo, hi, n + 1)
                  for (lo, hi), n in zip(box, shape)]
-        measures = _cell_measures(cone, edges, quad_order)
+        measures = _cell_measures(cone, edges)
         return SampledField(cone, box, shape, values, measures,
                             _gradient_magnitude(values, box, shape))
 
@@ -296,12 +297,12 @@ def _validate_box(cone: WeightedCone, box, shape) -> None:
         raise ValidationError("grid needs at least 2 cells per axis")
 
 
-def _cell_measures(cone: WeightedCone, axes: list[np.ndarray],
-                   quad_order: int) -> np.ndarray:
+def _cell_measures(cone: WeightedCone, axes: list[np.ndarray]
+                   ) -> np.ndarray:
     """Per-cell mu measures via separable per-axis panel quadrature."""
     if cone.plugin_weight is not None:
         raise ValidationError("sampled fields require a monomial weight")
-    x, w = gauss_nodes(quad_order)
+    x, w = gauss_nodes(_CELL_ORDER)
     per_axis = []
     for a, edges in enumerate(axes):
         power = cone.power_of(a)
@@ -413,43 +414,28 @@ def _pooled_knots(step: StepFunction1D, ring: float, expo: float
     return knots
 
 
-def _interpolant_from_step(cone: WeightedCone, step: StepFunction1D,
-                           resolution: float = 0.0) -> RadialProfile:
-    """Piecewise-affine profile through plateau midpoints of a step.
-
-    With a positive ``resolution`` (a length scale h), consecutive
-    plateaus are first pooled into groups of measure comparable to one
-    radial shell of thickness h, D*C_D^(1/D)*t^(1-1/D)*h, and each group
-    contributes one knot at its measure midpoint with its measure-weighted
-    mean value.  Slopes of the interpolant then difference quantities
-    averaged over a full shell's worth of cells; differencing individual
-    plateaus would make the derivative oscillate at the cell scale, which
-    is noise, not geometry (values closer than one cell's value span are
-    not resolved by the grid).  The shell of a ball is the least measure
-    any level boundary of thickness h can have, so this pooling never
-    exceeds the grid's actual resolution.
-    """
-    if not step.breakpoint_array.size:
-        return RadialProfile(cone, (Piece(0.0, 1.0, Law.constant(0.0)),))
-    if resolution > 0.0:
-        ring = (cone.big_d * cone.c_d ** (1.0 / cone.big_d) * resolution)
-        knots = _pooled_knots(step, ring, 1.0 - 1.0 / cone.big_d)
-    else:
-        bps = step.breakpoint_array
-        mids = 0.5 * (np.concatenate(([0.0], bps[:-1])) + bps)
-        knots = list(zip(mids.tolist(), step.values))
-    knots.append((step.support_end, 0.0))
-    return from_knots(cone, knots)
-
-
 def radial_rearrangement(field: SampledField) -> RadialProfile:
     """The radial rearrangement of a sampled field, as a profile.
 
-    Returns the piecewise-affine interpolant of the rearranged step, with
-    knots pooled at the field's own grid resolution (one radial shell of
-    thickness max_cell_diameter per knot; see _interpolant_from_step), so
-    that gradient-density operations apply; the exact step itself is
-    available via ``rearrangement``.
+    Returns the piecewise-affine interpolant through the rearranged step,
+    so that gradient-density operations apply; the exact step itself is
+    available via ``rearrangement``.  Consecutive plateaus are first
+    pooled into groups of measure comparable to one radial shell of
+    thickness h = max_cell_diameter, D*C_D^(1/D)*t^(1-1/D)*h, and each
+    group contributes one knot at its measure midpoint with its
+    measure-weighted mean value.  Slopes of the interpolant then
+    difference quantities averaged over a full shell's worth of cells;
+    differencing individual plateaus would make the derivative oscillate
+    at the cell scale, which is noise, not geometry (values closer than
+    one cell's value span are not resolved by the grid).  The shell of a
+    ball is the least measure any level boundary of thickness h can have,
+    so this pooling never exceeds the grid's actual resolution.
     """
-    return _interpolant_from_step(field.cone, rearrangement(field),
-                                  resolution=field.max_cell_diameter)
+    cone, step = field.cone, rearrangement(field)
+    if not step.breakpoint_array.size:
+        return RadialProfile(cone, (Piece(0.0, 1.0, Law.constant(0.0)),))
+    ring = cone.big_d * cone.c_d ** (1.0 / cone.big_d) \
+        * field.max_cell_diameter
+    knots = _pooled_knots(step, ring, 1.0 - 1.0 / cone.big_d)
+    knots.append((step.support_end, 0.0))
+    return from_knots(cone, knots)

@@ -20,7 +20,8 @@ spanning many orders of magnitude (ratios like 1e40) lose no precision.
 Non-elementary cases fall back to the deterministic adaptive quadrature in
 ``quadrature``, after ``quadrature.substitute_origin`` removes any algebraic
 singularity at the origin.  Both routes take that one fallback, each with
-its own integrand; there is no fixed-rule path.
+its own integrand, at the fixed relative tolerance ``_REL_TOL`` = 1e-12;
+there is no fixed-rule path and no looser setting.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ __all__ = [
     "clip_pieces",
     "pieces_value",
 ]
+
+# relative tolerance of every adaptive segment integral (a fixed accuracy
+# contract, not a setting)
+_REL_TOL = 1e-12
 
 
 # -- the law ---------------------------------------------------------------
@@ -244,19 +249,19 @@ def _origin_order(terms: Sequence[Law], const: float, q: float) -> float:
     return 0.0
 
 
-def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float,
-                     rel_tol: float) -> float:
+def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float
+                     ) -> float:
     if math.isinf(t1):
         raise NumericalError(
             "no exact route for a moment integral on an infinite segment")
     f, a, b = substitute_origin(lambda t: np.asarray(law.value(t)) ** q,
                                 gamma, t0, t1,
                                 _origin_order((law,), law.shift, q))
-    return integrate_adaptive(f, a, b, rel_tol=rel_tol)
+    return integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
 
 
-def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float,
-                    rel_tol: float = 1e-12) -> float:
+def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
+                    ) -> float:
     """integral over (t0, t1) of t^(gamma-1) * law(t)^q, exact if elementary.
 
     The law must be nonnegative on the segment.  Exact closed forms are
@@ -270,7 +275,7 @@ def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float,
     exact = _moment_exact(t0, t1, law, gamma, q)
     if exact is not None:
         return exact
-    return _moment_adaptive(t0, t1, law, gamma, q, rel_tol)
+    return _moment_adaptive(t0, t1, law, gamma, q)
 
 
 # -- pieces ----------------------------------------------------------------
@@ -320,8 +325,8 @@ class Piece:
         v0, v1 = self.endpoint_values()
         return (v0, v1) if v0 <= v1 else (v1, v0)
 
-    def moment(self, gamma: float, q: float, rel_tol: float = 1e-12) -> float:
-        return moment_integral(self.t0, self.t1, self.law, gamma, q, rel_tol)
+    def moment(self, gamma: float, q: float) -> float:
+        return moment_integral(self.t0, self.t1, self.law, gamma, q)
 
 
 def _power_limit(law: Law, u: float) -> float:
@@ -337,9 +342,8 @@ def _power_limit(law: Law, u: float) -> float:
     return law.coef * u ** law.expo + law.shift
 
 
-def piece_moment(pieces: Iterable[Piece], gamma: float, q: float,
-                 rel_tol: float = 1e-12) -> float:
-    return math.fsum(p.moment(gamma, q, rel_tol) for p in pieces)
+def piece_moment(pieces: Iterable[Piece], gamma: float, q: float) -> float:
+    return math.fsum(p.moment(gamma, q) for p in pieces)
 
 
 def pieces_value(pieces: Sequence[Piece], t) -> np.ndarray:
@@ -597,12 +601,6 @@ class LevelSet:
 
     # -- queries ------------------------------------------------------
 
-    def breakpoints(self) -> list[float]:
-        pts = [s.lam0 for s in self.strata]
-        if self.strata and not math.isinf(self.strata[-1].lam1):
-            pts.append(self.strata[-1].lam1)
-        return pts
-
     def distribution(self, lam):
         """m(lam) = measure of {f > lam} for lam >= 0, vectorized.
 
@@ -623,8 +621,7 @@ class LevelSet:
 
     # -- the lambda-route Lorentz functional ---------------------------
 
-    def lorentz_qth_power(self, p: float, q: float,
-                          rel_tol: float = 1e-12) -> float:
+    def lorentz_qth_power(self, p: float, q: float) -> float:
         """p * integral over lam of lam^(q-1) * m(lam)^(q/p).
 
         One pass over the strata.  Exact per stratum when m is constant or
@@ -633,11 +630,10 @@ class LevelSet:
         stratum however many there are.
         """
         qq = q / p
-        return p * math.fsum(self._stratum_qth_power(s, q, qq, rel_tol)
+        return p * math.fsum(self._stratum_qth_power(s, q, qq)
                              for s in self.strata if s.lam0 < s.lam1)
 
-    def _stratum_qth_power(self, s: Stratum, q: float, qq: float,
-                           rel_tol: float) -> float:
+    def _stratum_qth_power(self, s: Stratum, q: float, qq: float) -> float:
         if not s.terms:
             if s.const == 0.0:
                 return 0.0
@@ -669,7 +665,7 @@ class LevelSet:
 
         f, a, b = substitute_origin(m_qq, q, s.lam0, s.lam1,
                                     _origin_order(s.terms, s.const, qq))
-        return integrate_adaptive(f, a, b, rel_tol=rel_tol)
+        return integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
 
     def _infinite_tail(self, law: Law, q: float, qq: float) -> float:
         # only a pure power admits an elementary infinite-lambda tail

@@ -145,8 +145,7 @@ def bump_superposition_field(cone: WeightedCone,
                              box: Sequence[tuple[float, float]],
                              shape: Sequence[int],
                              n_bumps: int,
-                             seed: int,
-                             quad_order: int = 4) -> SampledField:
+                             seed: int) -> SampledField:
     """A random superposition of Gaussian bumps, sampled on the grid.
 
     Centers are uniform in the box, widths a random fraction of the box
@@ -187,4 +186,4 @@ def bump_superposition_field(cone: WeightedCone,
             out *= smooth_ramp((hi - pts[:, axis]) / margin)
         return out
 
-    return SampledField.from_function(cone, box, shape, fn, quad_order)
+    return SampledField.from_function(cone, box, shape, fn)

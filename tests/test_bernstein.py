@@ -3,9 +3,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from cone_sobolev import bernstein
 from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           InternalConsistencyError, LorentzParams,
                           ResourceError, ValidationError,
@@ -46,6 +48,18 @@ def test_gamma_sequence_geometric_above_q_one():
     norm = ell_q_norm(gammas, params.q_prime)
     assert norm <= 0.05 * (1.0 + 1e-12)
     assert norm > 0.049
+
+
+def test_geometric_ratio_solves_the_budget_equation():
+    # a^q' / (1 - a^q') = eps2^q' makes the series sum of a^(j q') equal
+    # eps2^q' exactly
+    with mpmath.workdps(40):
+        for q_prime in (1.25, 2.0, 3.0, 5.0, 11.0):
+            for eps2 in (0.01, 0.05, 0.3):
+                aq = mpmath.mpf(
+                    bernstein._geometric_ratio(q_prime, eps2)) ** q_prime
+                target = mpmath.mpf(eps2) ** q_prime
+                assert abs(aq / (1 - aq) / target - 1) <= 1e-15
 
 
 def test_gamma_sequence_validation():
@@ -121,6 +135,25 @@ def test_system_with_q_above_one(halfplane):
     assert sys2.geometric_ratio is not None
     assert 0.0 < sys2.geometric_ratio < 1.0
     verify_system(sys2)
+
+
+def test_head_ratio_is_searched_once_per_system(halfplane, monkeypatch):
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    search = bernstein._quotient_of_ratio
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(bernstein, "_quotient_of_ratio", counted)
+    counts = []
+    for m in (1, 6):
+        calls.clear()
+        construct_system(halfplane, PARAMS, m, lam, 0.05, 0.05)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_construct_system_validation(halfplane):

@@ -140,7 +140,6 @@ def test_unweighted_cone_requires_extension_flag():
 
 @pytest.mark.parametrize("cfg", [
     dict(mode="trapezoid"),
-    dict(order=2),
     dict(samples=0),
 ])
 def test_quadrature_config_validation(cfg):

@@ -308,6 +308,10 @@ def test_restricted_norm_of_gradient_density(halfplane):
     assert 0 < tail_only < full
     assert restricted_norm(psi, params, t_cut=8.0) == pytest.approx(
         full, rel=1e-12)
+    # the radius form takes the cone from the density's profile
+    r = halfplane.radius_of_measure(4.0)
+    assert restricted_norm(psi, params, radius=r) == pytest.approx(
+        tail_only, rel=1e-12)
 
 
 # -- sequence norms -----------------------------------------------------------------

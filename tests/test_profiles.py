@@ -69,8 +69,6 @@ def test_alvino_profile_validation(halfplane):
         alvino_profile(halfplane, 1.5, 2.0, 1.0)
     with pytest.raises(ValidationError):
         alvino_profile(halfplane, -1.0, 0.5, 8.0)
-    with pytest.raises(ValidationError):
-        alvino_profile(halfplane, 1.5, 0.5, 8.0, amplitude=0.0)
 
 
 def test_radial_value_uses_measure_coordinates(halfplane):
