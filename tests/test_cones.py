@@ -140,6 +140,7 @@ def test_unweighted_cone_requires_extension_flag():
 
 @pytest.mark.parametrize("cfg", [
     dict(mode="trapezoid"),
+    dict(mode="monte-carlo", samples=-1),
     dict(samples=0),
 ])
 def test_quadrature_config_validation(cfg):
