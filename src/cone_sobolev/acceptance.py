@@ -20,7 +20,7 @@ import numpy as np
 
 from .bernstein import (absolute_continuity_witness, bernstein_lower_bound,
                         certify_span, construct_system, verify_system)
-from .cones import QuadratureConfig, WeightedCone
+from .cones import QuadratureConfig, WeightedCone, ball_measure
 from .errors import InternalConsistencyError
 from .lorentz import (LorentzParams, hardy_check, lorentz_norm_distributional,
                       lorentz_norm_rearranged)
@@ -252,7 +252,7 @@ def criterion_7() -> CriterionResult:
                 worst = max(worst, lhs / rhs)
         # radial equality case: a nonincreasing radial profile
         prof = alvino_profile(cone, params.p_star, 0.05 * cone.c_d,
-                              cone.c_d * 2.0 ** cone.big_d)
+                              ball_measure(cone, 2.0))
         radial = SampledField.from_function(
             cone, [(0.0, 2.2), (-2.2, 2.2)], shape,
             lambda pts: prof.radial_value(np.linalg.norm(pts, axis=1)))

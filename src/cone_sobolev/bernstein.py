@@ -38,14 +38,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cones import WeightedCone
+from .cones import WeightedCone, ball_measure
 from .errors import (DomainError, InfeasibleError, InternalConsistencyError,
                      ResourceError, ValidationError)
 from .lorentz import (LorentzParams, ell_q_norm,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .segments import (Law, LevelSet, Piece, abs_pieces, clip_pieces,
+from .segments import (Law, Piece, abs_pieces, clip_pieces,
                        moment_integral)
 from .sobolev import embedding_norm, quotient
 
@@ -270,7 +270,7 @@ def _shell_at(cone: WeightedCone, bound: LorentzParams, lam: float,
     unit gradient norm; returns the profile and its flat-head radius."""
     if outer_radius <= 0:
         raise DomainError("the outer radius must be positive")
-    t_outer = cone.c_d * outer_radius ** cone.big_d
+    t_outer = ball_measure(cone, outer_radius)
     raw = alvino_profile(cone, bound.p_star, t_outer / ratio, t_outer)
     report = quotient(raw, bound)
     if abs(report.quotient - lam) > 100.0 * _QUOTIENT_TOL * max(1.0, lam):
@@ -371,7 +371,7 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     outer = 1.0
     for j in range(1, m + 1):
         profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
-        delta = cone.c_d * outer ** cone.big_d
+        delta = ball_measure(cone, outer)
         head = profile.pieces[0].t1  # mu(B_{r_j})
 
         def tail_ok(tau: float) -> bool:
@@ -464,6 +464,19 @@ def verify_system(system: AlmostExtremalSystem) -> dict:
 
 # -- span arithmetic -----------------------------------------------------------
 
+def _span_coefficients(system: AlmostExtremalSystem,
+                       alpha: Sequence[float]) -> list[float]:
+    """alpha as floats; one to m finite entries, one per leading shell."""
+    alpha = [float(a) for a in alpha]
+    if not alpha or len(alpha) > system.m:
+        raise ValidationError(
+            f"alpha must have between 1 and {system.m} entries; "
+            f"got {len(alpha)}")
+    if not all(math.isfinite(a) for a in alpha):
+        raise ValidationError("alpha entries must be finite")
+    return alpha
+
+
 def _span_pieces(system: AlmostExtremalSystem,
                  alpha: Sequence[float]) -> list[Piece]:
     """Exact pieces of sum alpha_j u_j on (0, delta_1).
@@ -472,13 +485,7 @@ def _span_pieces(system: AlmostExtremalSystem,
     that shell's profile scaled and lifted by a constant: still one law
     per segment.
     """
-    alpha = [float(a) for a in alpha]
-    if not alpha or len(alpha) > system.m:
-        raise ValidationError(
-            f"alpha must have between 1 and {system.m} entries; "
-            f"got {len(alpha)}")
-    if not all(math.isfinite(a) for a in alpha):
-        raise ValidationError("alpha entries must be finite")
+    alpha = _span_coefficients(system, alpha)
     pieces: list[Piece] = []
     lift = 0.0
     for a_j, shell in zip(alpha, system.shells):
@@ -495,30 +502,20 @@ def _span_pieces(system: AlmostExtremalSystem,
 
 def _span_function_norm(system: AlmostExtremalSystem,
                         alpha: Sequence[float]) -> float:
-    pieces = abs_pieces(_span_pieces(system, alpha))
-    pieces = [p for p in pieces
-              if not (p.law.is_constant and p.law.constant_value() == 0.0)]
-    if not pieces:
-        return 0.0
-    level = LevelSet.from_pieces(pieces)
-    q = system.params.q
-    return level.lorentz_qth_power(system.params.p_star, q) ** (1.0 / q)
+    return lorentz_norm_distributional(abs_pieces(_span_pieces(system, alpha)),
+                                       system.params.star_params())
 
 
 def _span_gradient_norm(system: AlmostExtremalSystem,
                         alpha: Sequence[float]) -> float:
     pieces = []
-    for a_j, shell in zip(alpha, system.shells):
+    for a_j, shell in zip(_span_coefficients(system, alpha), system.shells):
         if a_j == 0.0:
             continue
         psi = gradient_density(shell.profile)
         pieces.extend(Piece(p.t0, p.t1, p.law.scaled(abs(a_j)))
                       for p in psi.pieces)
-    if not pieces:
-        return 0.0
-    level = LevelSet.from_pieces(pieces)
-    q = system.params.q
-    return level.lorentz_qth_power(system.params.p, q) ** (1.0 / q)
+    return lorentz_norm_distributional(pieces, system.params)
 
 
 # -- certificates ---------------------------------------------------------------

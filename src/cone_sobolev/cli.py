@@ -70,87 +70,62 @@ _COMMAND_DEFAULTS: dict[str, dict[str, Any]] = {
 }
 
 _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
-    "constant": ("cone", "p", "q", "seed", "out"),
-    "norm": ("cone", "p", "q", "seed", "out", "profile"),
-    "quotient": ("cone", "p", "q", "seed", "out", "profile"),
+    "constant": ("cone", "p", "q", "out"),
+    "norm": ("cone", "p", "q", "out", "profile"),
+    "quotient": ("cone", "p", "q", "out", "profile"),
     "polya-szego": ("cone", "p", "q", "seed", "out", "grid", "bumps", "box"),
-    "alvino": ("cone", "p", "q", "seed", "out", "ratios"),
+    "alvino": ("cone", "p", "q", "out", "ratios"),
     "bernstein": ("cone", "p", "q", "seed", "out", "m", "lambda_frac",
                   "eps1", "eps2", "alpha_trials", "directions"),
-    "selftest": ("seed", "out", "criteria"),
+    "selftest": ("out", "criteria"),
+}
+
+# argparse keywords of each option's flag --<option with "-" for "_">
+_FLAGS: dict[str, dict[str, Any]] = {
+    "cone": dict(type=str,
+                 help="builtin cone name or path to a cone JSON file"),
+    "p": dict(type=float),
+    "q": dict(type=float),
+    "seed": dict(type=int),
+    "out": dict(type=str, help="also write the JSON report to this path"),
+    "profile": dict(type=str, help="path to a profile JSON file"),
+    "grid": dict(type=int, help="cells per axis"),
+    "bumps": dict(type=int, help="number of random bumps"),
+    "box": dict(type=str, help="sampling box as lo:hi,lo:hi,... "
+                               "(default derived from the cone)"),
+    "ratios": dict(type=str, help="comma separated head-to-support ratios"),
+    "m": dict(type=int, help="number of shells"),
+    "lambda_frac": dict(type=float,
+                        help="target norm as a fraction of the embedding "
+                             "norm, in (0, 1)"),
+    "eps1": dict(type=float),
+    "eps2": dict(type=float),
+    "alpha_trials": dict(type=int,
+                         help="random coefficient vectors per certificate"),
+    "directions": dict(type=int,
+                       help="directions for the empirical minimum"),
+    "criteria": dict(type=str,
+                     help="comma separated criterion numbers (default: all)"),
 }
 
 
 # -- configuration plumbing -------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file with option defaults; flags override")
-    common.add_argument("--cone", type=str, default=None,
-                        help="builtin cone name or path to a cone JSON file")
-    common.add_argument("--p", type=float, default=None)
-    common.add_argument("--q", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", type=str, default=None,
-                        help="also write the JSON report to this path")
-
+    """One subcommand per row of _COMMAND_OPTIONS, taking exactly its
+    options plus --config; each handler's docstring is its help line."""
     parser = argparse.ArgumentParser(
         prog="cone-sobolev",
         description="weighted Lorentz-Sobolev embedding verifications")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("constant", parents=[common],
-                   help="sharp embedding constant for a cone and exponents")
-
-    p_norm = sub.add_parser("norm", parents=[common],
-                            help="Lorentz norm of a profile by both routes")
-    p_norm.add_argument("--profile", type=str, default=None,
-                        help="path to a profile JSON file")
-
-    p_quot = sub.add_parser("quotient", parents=[common],
-                            help="Sobolev quotient report for a profile")
-    p_quot.add_argument("--profile", type=str, default=None,
-                        help="path to a profile JSON file")
-
-    p_ps = sub.add_parser("polya-szego", parents=[common],
-                          help="rearrangement gradient-contraction check on "
-                               "a sampled bump field")
-    p_ps.add_argument("--grid", type=int, default=None,
-                      help="cells per axis")
-    p_ps.add_argument("--bumps", type=int, default=None,
-                      help="number of random bumps")
-    p_ps.add_argument("--box", type=str, default=None,
-                      help="sampling box as lo:hi,lo:hi,... "
-                           "(default derived from the cone)")
-
-    p_alv = sub.add_parser("alvino", parents=[common],
-                           help="maximizing-family quotient sweep")
-    p_alv.add_argument("--ratios", type=str, default=None,
-                       help="comma separated head-to-support ratios")
-
-    p_bern = sub.add_parser("bernstein", parents=[common],
-                            help="almost-extremal shell system with "
-                                 "certificates and the lower bound")
-    p_bern.add_argument("--m", type=int, default=None,
-                        help="number of shells")
-    p_bern.add_argument("--lambda-frac", dest="lambda_frac", type=float,
-                        default=None,
-                        help="target norm as a fraction of the embedding "
-                             "norm, in (0, 1)")
-    p_bern.add_argument("--eps1", type=float, default=None)
-    p_bern.add_argument("--eps2", type=float, default=None)
-    p_bern.add_argument("--alpha-trials", dest="alpha_trials", type=int,
-                        default=None,
-                        help="random coefficient vectors per certificate")
-    p_bern.add_argument("--directions", type=int, default=None,
-                        help="directions for the empirical minimum")
-
-    p_self = sub.add_parser("selftest", parents=[common],
-                            help="run the acceptance criteria")
-    p_self.add_argument("--criteria", type=str, default=None,
-                        help="comma separated criterion numbers "
-                             "(default: all)")
+    for command, options in _COMMAND_OPTIONS.items():
+        cmd = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        cmd.add_argument("--config", type=str, default=None,
+                         help="JSON file with option defaults; flags "
+                              "override")
+        for key in options:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             default=None, **_FLAGS[key])
     return parser
 
 
@@ -288,6 +263,7 @@ def _jsonable(obj: Any) -> Any:
 # -- commands ---------------------------------------------------------------
 
 def _cmd_constant(config: dict) -> tuple[dict, dict, dict]:
+    """Sharp embedding constant for a cone and exponents."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
     params = LorentzParams(config["p"], config["q"], cone)
@@ -303,6 +279,7 @@ def _cmd_constant(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_norm(config: dict) -> tuple[dict, dict, dict]:
+    """Lorentz norm of a profile by both routes."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
     profile = _load_profile(config["profile"], fallback)
@@ -323,6 +300,7 @@ def _cmd_norm(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
+    """Sobolev quotient report for a profile."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
     profile = _load_profile(config["profile"], fallback)
@@ -343,6 +321,7 @@ def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
+    """Rearrangement gradient-contraction check on a sampled bump field."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
     params = LorentzParams(config["p"], config["q"], cone)
@@ -368,6 +347,7 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_alvino(config: dict) -> tuple[dict, dict, dict]:
+    """Maximizing-family quotient sweep."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
     params = LorentzParams(config["p"], config["q"], cone)
@@ -397,6 +377,7 @@ def _cmd_alvino(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
+    """Almost-extremal shell system with certificates and the lower bound."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
     params = LorentzParams(config["p"], config["q"], cone)
@@ -439,6 +420,7 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
 
 
 def _cmd_selftest(config: dict) -> tuple[dict, dict, dict]:
+    """Run the acceptance criteria."""
     numbers = None
     if config["criteria"] is not None:
         numbers = [int(v) for v in _parse_floats(config["criteria"],

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import WeightedCone
+from .cones import WeightedCone, ball_measure
 from .errors import (DomainError, DivergentIntegralError,
                      InternalConsistencyError, ValidationError)
 from .profiles import GradientDensity, RadialProfile
@@ -311,8 +311,6 @@ def restricted_norm(f, params: LorentzParams, t_cut: float | None = None,
     if (t_cut is None) == (radius is None):
         raise ValidationError("give exactly one of t_cut or radius")
     if radius is not None:
-        if radius < 0:
-            raise DomainError("ball radius must be nonnegative")
         if isinstance(f, RadialProfile):
             cone = f.cone
         elif isinstance(f, GradientDensity):
@@ -323,7 +321,7 @@ def restricted_norm(f, params: LorentzParams, t_cut: float | None = None,
             raise ValidationError(
                 "radius restriction needs a cone (bind params or pass a "
                 "profile)")
-        t_cut = cone.c_d * radius ** cone.big_d
+        t_cut = ball_measure(cone, radius)
     if t_cut < 0:
         raise DomainError("measure cutoff must be nonnegative")
     if t_cut == 0.0:

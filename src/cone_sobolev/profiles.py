@@ -116,12 +116,6 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         return self.value(self.cone.c_d * r ** self.cone.big_d)
 
-    def radial_gradient_magnitude(self, r):
-        """|grad u|(x) for |x| = r, via the gradient density."""
-        psi = gradient_density(self)
-        r = np.asarray(r, dtype=float)
-        return psi.value(self.cone.c_d * r ** self.cone.big_d)
-
     def scaled_amplitude(self, k: float) -> "RadialProfile":
         """k * phi for k > 0."""
         if k <= 0:

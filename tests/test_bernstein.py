@@ -206,9 +206,12 @@ def test_certificates_hold(system, alpha):
 
 
 def test_certificate_alpha_validation(system):
-    for bad in ([], [1.0] * 4, [math.nan, 1.0, 1.0]):
-        with pytest.raises(ValidationError):
-            superadditivity_certificate(system, bad)
+    for certificate in (superadditivity_certificate,
+                        gradient_upper_certificate):
+        for bad in ([], [1.0] * 4, [1.0, 1.0, 1.0, 50.0],
+                    [math.nan, 1.0, 1.0]):
+            with pytest.raises(ValidationError):
+                certificate(system, bad)
 
 
 def test_bernstein_lower_bound_certificate(system):

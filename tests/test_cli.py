@@ -101,6 +101,7 @@ def test_polya_szego_command(capsys):
                                                ["grid_rel"])
     # default box: constrained axis starts at the wall
     assert report["config"]["box"] == [[0.0, 3.0], [-1.5, 1.5]]
+    assert report["config"]["seed"] == 0
 
 
 def test_bernstein_command(capsys):
@@ -109,6 +110,7 @@ def test_bernstein_command(capsys):
                  "--directions", "10", "--lambda-frac", "0.5"])
     assert code == 0
     assert report["config"]["p"] == 2.0   # per-command default
+    assert report["config"]["seed"] == 0
     out = report["outputs"]
     assert out["superadditivity_failures"] == 0
     assert out["gradient_upper_failures"] == 0
@@ -202,10 +204,23 @@ def test_configuration_errors_exit_2(capsys, argv):
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"grid": 8}))
-    code, _, err = run_json(capsys, ["constant", "--config", str(path)])
-    assert code == 2
-    assert "not an option" in err
+    for data in ({"grid": 8}, {"seed": 1}):
+        path.write_text(json.dumps(data))
+        code, _, err = run_json(capsys, ["constant", "--config", str(path)])
+        assert code == 2
+        assert "not an option" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "--seed", "5"],             # constant draws nothing
+    ["selftest", "--p", "2"],                # selftest takes no exponents
+    ["selftest", "--criteria", "2", "--cone", "nonsense"],
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_config_file_exits_2(capsys, tmp_path):

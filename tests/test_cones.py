@@ -1,7 +1,13 @@
 """Weighted cone measures: oracles, homogeneity, admissibility probes."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +31,84 @@ ORACLES = {
 def test_product_rule_matches_oracle(name):
     cone = builtin_cone(name)
     oracle = ORACLES[name]
-    assert abs(cone.c_d - oracle) / oracle <= 1e-6
-    assert cone.c_d_error <= 1e-6 * oracle
+    assert abs(cone.c_d - oracle) / oracle <= 2e-15
+    assert abs(cone.c_d - oracle) <= cone.c_d_error <= 1e-13 * oracle
+
+
+def _sector_quadrature(d, exps, theta_range, phi_range=None):
+    """mu(B_1 cap S) at 40 digits by angular quadrature.
+
+    Polar (d = 2) or spherical (d = 3) coordinates with x_0 = cos(theta)
+    sin(phi), x_1 = sin(theta) sin(phi), x_2 = cos(phi); the radial factor
+    integrates to 1/D.
+    """
+    power = [mpmath.mpf(0)] * 3
+    for axis, p in exps:
+        power[axis] = mpmath.mpf(p)
+    with mpmath.workdps(40):
+        value = mpmath.quad(lambda t: mpmath.cos(t) ** power[0]
+                            * mpmath.sin(t) ** power[1], theta_range)
+        if d == 3:
+            value *= mpmath.quad(
+                lambda f: mpmath.sin(f) ** (1 + power[0] + power[1])
+                * mpmath.cos(f) ** power[2], phi_range)
+        return value / (d + sum(power))
+
+
+HALF_PI = mpmath.pi / 2
+
+
+@pytest.mark.parametrize("d, exps, ranges", [
+    (2, [(0, 0.37)], [(-HALF_PI, HALF_PI)]),
+    (2, [(0, 1.3), (1, 2.6)], [(0, HALF_PI)]),
+    (3, [(0, 1.0)], [(-HALF_PI, HALF_PI), (0, mpmath.pi)]),
+    (3, [(0, 0.5), (2, 2.7)], [(-HALF_PI, HALF_PI), (0, HALF_PI)]),
+])
+def test_closed_form_matches_sector_quadrature(d, exps, ranges):
+    cone = WeightedCone.create(d, exps)
+    exact = _sector_quadrature(d, exps, *ranges)
+    err = abs(cone.c_d - exact)
+    assert err <= 2e-15 * exact
+    assert err <= cone.c_d_error
+
+
+def _gamma_product_40(d, exps):
+    power = {axis: mpmath.mpf(p) for axis, p in exps}
+    with mpmath.workdps(40):
+        top = mpmath.fprod(mpmath.gamma((power.get(i, 0) + 1) / 2)
+                           for i in range(d))
+        big_d = d + sum(power.values())
+        return top / (2 ** len(exps) * mpmath.gamma(big_d / 2 + 1))
+
+
+def test_error_bound_covers_the_closed_form_on_random_cones():
+    rng = random.Random(20261018)
+    specs = [(2, [(0, 400.0)])]
+    for _ in range(1200):
+        d = rng.randint(2, 8)
+        axes = rng.sample(range(d), rng.randint(0, d))
+        specs.append((d, [(a, 10.0 ** rng.uniform(-3.0, 2.0))
+                          for a in axes]))
+    checked = 0
+    for d, exps in specs:
+        cone = WeightedCone.create(d, exps, extension_unweighted=not exps)
+        if cone.c_d < sys.float_info.min:
+            continue  # underflowed: no relative accuracy to check
+        checked += 1
+        assert abs(cone.c_d - _gamma_product_40(d, exps)) <= cone.c_d_error, \
+            (d, exps)
+    assert checked >= 1000
+
+
+def test_library_imports_without_scipy():
+    src = Path(__import__("cone_sobolev").__file__).resolve().parents[1]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from cone_sobolev import BUILTIN_CONE_NAMES, builtin_cone\n"
+            "print([builtin_cone(n).c_d for n in BUILTIN_CONE_NAMES])\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
