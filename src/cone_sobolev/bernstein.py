@@ -539,25 +539,6 @@ def gradient_upper_certificate(system: AlmostExtremalSystem,
     return lhs, bound_val, lhs <= bound_val * (1.0 + _CERT_SLACK)
 
 
-def certify_span(system: AlmostExtremalSystem, trials: int,
-                 seed: int) -> tuple[int, int]:
-    """Failure counts of both certificates over random span directions.
-
-    Draws default_rng(seed).standard_normal(m) once per trial and checks
-    the superadditivity and gradient-upper certificates on it; returns
-    (superadditivity failures, gradient-upper failures).
-    """
-    rng = np.random.default_rng(seed)
-    super_failures = grad_failures = 0
-    for _ in range(trials):
-        alpha = rng.standard_normal(system.m)
-        if not superadditivity_certificate(system, alpha)[2]:
-            super_failures += 1
-        if not gradient_upper_certificate(system, alpha)[2]:
-            grad_failures += 1
-    return super_failures, grad_failures
-
-
 @dataclass(frozen=True)
 class BernsteinBound:
     """A certified Bernstein lower bound with its empirical witness."""
@@ -566,6 +547,33 @@ class BernsteinBound:
     empirical_minimum: float
     directions: int
     seed: int
+
+
+def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
+                 seed: int) -> tuple[int, int, BernsteinBound]:
+    """Both certificates and the Bernstein bound from one sweep.
+
+    Each of the first max(trials, directions) span directions
+    default_rng(seed).standard_normal(m) gets both certificates, once.
+    Returns their failure counts over the first ``trials`` and the bound
+    whose empirical minimum is the least quotient ||sum alpha_j u_j|| /
+    ||sum alpha_j grad u_j|| over the first ``directions`` (zero gradient
+    norms skipped).
+    """
+    rng = np.random.default_rng(seed)
+    sweep = []  # (function norm, gradient norm, both verdicts) per direction
+    for _ in range(max(trials, directions)):
+        alpha = rng.standard_normal(system.m)
+        num, _, super_ok = superadditivity_certificate(system, alpha)
+        den, _, grad_ok = gradient_upper_certificate(system, alpha)
+        sweep.append((num, den, super_ok, grad_ok))
+    super_failures = sum(not rec[2] for rec in sweep[:trials])
+    grad_failures = sum(not rec[3] for rec in sweep[:trials])
+    worst = min((num / den for num, den, _, _ in sweep[:directions]
+                 if den != 0.0), default=math.inf)
+    bound = BernsteinBound(system.lam / (1.0 + system.eps1) - system.eps2,
+                           worst, directions, seed)
+    return super_failures, grad_failures, bound
 
 
 def bernstein_lower_bound(system: AlmostExtremalSystem,
@@ -577,17 +585,7 @@ def bernstein_lower_bound(system: AlmostExtremalSystem,
     certified value; the sweep over random directions reports the
     empirical minimum as a direct witness.
     """
-    certified = system.lam / (1.0 + system.eps1) - system.eps2
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(directions):
-        alpha = rng.standard_normal(system.m)
-        num = _span_function_norm(system, alpha)
-        den = _span_gradient_norm(system, alpha)
-        if den == 0.0:
-            continue
-        worst = min(worst, num / den)
-    return BernsteinBound(certified, worst, directions, seed)
+    return certify_span(system, 0, directions, seed)[2]
 
 
 def absolute_continuity_witness(system: AlmostExtremalSystem,

@@ -23,8 +23,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import acceptance
-from .bernstein import (bernstein_lower_bound, certify_span,
-                        construct_system, verify_system)
+from .bernstein import certify_span, construct_system, verify_system
 from .cones import BUILTIN_CONE_NAMES, WeightedCone, builtin_cone
 from .errors import ConeSobolevError, DomainError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
@@ -384,16 +383,15 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     frac = float(config["lambda_frac"])
     if not 0.0 < frac < 1.0:
         raise ValidationError("lambda_frac must lie strictly in (0, 1)")
+    trials, directions = int(config["alpha_trials"]), int(config["directions"])
+    if trials < 1 or directions < 1:
+        raise ValidationError("alpha_trials and directions must be at least 1")
     lam = frac * embedding_norm(cone, params)
-    m = int(config["m"])
-    system = construct_system(cone, params, m, lam,
+    system = construct_system(cone, params, int(config["m"]), lam,
                               float(config["eps1"]), float(config["eps2"]))
     verification = verify_system(system)
-    trials = int(config["alpha_trials"])
-    super_failures, grad_failures = certify_span(system, trials,
-                                                 int(config["seed"]))
-    bound = bernstein_lower_bound(system, int(config["directions"]),
-                                  int(config["seed"]))
+    super_failures, grad_failures, bound = certify_span(
+        system, trials, directions, int(config["seed"]))
     outputs = {
         "lambda": lam,
         "certified_lower_bound": bound.certified,
@@ -423,9 +421,11 @@ def _cmd_selftest(config: dict) -> tuple[dict, dict, dict]:
     """Run the acceptance criteria."""
     numbers = None
     if config["criteria"] is not None:
-        numbers = [int(v) for v in _parse_floats(config["criteria"],
-                                                 "criteria")]
-        config["criteria"] = numbers
+        numbers = _parse_floats(config["criteria"], "criteria")
+        if not all(v in acceptance.CRITERIA for v in numbers):  # 2.0 matches 2
+            raise ValidationError(f"criteria must be among "
+                                  f"{sorted(acceptance.CRITERIA)}: {numbers}")
+        numbers = config["criteria"] = [int(v) for v in numbers]
     results = acceptance.run_criteria(numbers)
     for result in results:
         print(acceptance.result_line(result), file=sys.stderr)

@@ -21,7 +21,10 @@ Non-elementary cases fall back to the deterministic adaptive quadrature in
 ``quadrature``, after ``quadrature.substitute_origin`` removes any algebraic
 singularity at the origin.  Both routes take that one fallback, each with
 its own integrand, at the fixed relative tolerance ``_REL_TOL`` = 1e-12;
-there is no fixed-rule path and no looser setting.
+there is no fixed-rule path and no looser setting.  The routes also share
+the closed forms: the lambda route evaluates a one-term stratum with
+``_moment_exact`` and a constant stratum with ``power_primitive``, the
+same functions the t-route uses for segment moments.
 """
 
 from __future__ import annotations
@@ -490,10 +493,11 @@ class LevelSet:
     each open stratum between consecutive breakpoints the super-level
     measure m(lam) is const + a sum of inverse laws, merged by exponent.
     The lambda-route Lorentz functional integrates these strata with the
-    same exact-or-adaptive policy as the t-route, but with its own stratum
-    integrand: it shares only ``quadrature`` (the origin substitution and
-    the adaptive rule) with the t-route, and has no fixed-rule path for
-    large level sets.
+    same exact-or-adaptive policy as the t-route and with the t-route's own
+    closed forms (``_moment_exact`` for one-term strata, ``power_primitive``
+    for constant ones); only the adaptive fallback has its own stratum
+    integrand, passed to ``quadrature``'s origin substitution and adaptive
+    rule.  There is no fixed-rule path for large level sets.
     """
 
     def __init__(self, strata: Sequence[Stratum], lam_max: float):

@@ -261,6 +261,24 @@ def test_system_json_rejects_malformed(system):
         AlmostExtremalSystem.from_json_dict(data)
 
 
+def _explicit_sweep(system, trials, directions, seed):
+    """Failure counts and least quotient from two separate loops, each
+    drawing its own directions from the seed."""
+    rng = np.random.default_rng(seed)
+    fails = [0, 0]
+    for _ in range(trials):
+        alpha = rng.standard_normal(system.m)
+        fails[0] += not superadditivity_certificate(system, alpha)[2]
+        fails[1] += not gradient_upper_certificate(system, alpha)[2]
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(directions):
+        alpha = rng.standard_normal(system.m)
+        worst = min(worst, bernstein._span_function_norm(system, alpha)
+                    / bernstein._span_gradient_norm(system, alpha))
+    return fails[0], fails[1], worst
+
+
 def test_certify_span_counts_match_the_explicit_loop(system):
     # raise the superadditivity floor to the median sampled ratio, so
     # about half the directions fail and the counts are not all zero
@@ -271,12 +289,20 @@ def test_certify_span_counts_match_the_explicit_loop(system):
     strict = dataclasses.replace(
         system, eps2=system.lam / (1.0 + system.eps1) - ratios[4])
     for sys_, seed in ((system, 0), (strict, 5)):
-        rng = np.random.default_rng(seed)
-        want = [0, 0]
-        for _ in range(20):
-            alpha = rng.standard_normal(sys_.m)
-            want[0] += not superadditivity_certificate(sys_, alpha)[2]
-            want[1] += not gradient_upper_certificate(sys_, alpha)[2]
-        got = certify_span(sys_, 20, seed)
-        assert got == tuple(want)
-    assert 0 < got[0] < 20
+        super_fails, grad_fails, bound = certify_span(sys_, 20, 20, seed)
+        want = _explicit_sweep(sys_, 20, 20, seed)
+        assert (super_fails, grad_fails, bound.empirical_minimum) == want
+        assert (bound.directions, bound.seed) == (20, seed)
+        assert bound.certified == sys_.lam / (1.0 + sys_.eps1) - sys_.eps2
+    assert 0 < super_fails < 20
+
+
+@pytest.mark.parametrize("trials, directions", [(4, 9), (9, 4)])
+def test_certify_span_splits_one_sweep(system, trials, directions):
+    # the counts cover the first `trials` directions and the minimum the
+    # first `directions`, whichever is longer
+    got = certify_span(system, trials, directions, 11)
+    want = _explicit_sweep(system, trials, directions, 11)
+    assert got[:2] == want[:2]
+    assert got[2].empirical_minimum == want[2]
+    assert got[2] == bernstein_lower_bound(system, directions, 11)

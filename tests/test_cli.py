@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cone_sobolev.bernstein as bernstein
 import cone_sobolev.cli as cli
 
 SCHEMA_KEYS = {"command", "config", "outputs", "passed", "timestamp",
@@ -119,6 +120,26 @@ def test_bernstein_command(capsys):
     assert report["passed"] is True
 
 
+def test_bernstein_evaluates_each_direction_once(capsys, monkeypatch):
+    # 7 alpha trials and 5 directions from one seed share their first 5
+    # directions, so each span norm runs once per distinct direction
+    calls = {"_span_function_norm": 0, "_span_gradient_norm": 0}
+    for name in calls:
+        original = getattr(bernstein, name)
+
+        def counted(system, alpha, name=name, original=original):
+            calls[name] += 1
+            return original(system, alpha)
+
+        monkeypatch.setattr(bernstein, name, counted)
+    code, report, _ = run_json(
+        capsys, ["bernstein", "--m", "2", "--lambda-frac", "0.5",
+                 "--alpha-trials", "7", "--directions", "5"])
+    assert code == 0
+    assert report["outputs"]["alpha_trials"] == 7
+    assert calls == {"_span_function_norm": 7, "_span_gradient_norm": 7}
+
+
 def test_selftest_subset(capsys):
     code, report, err = run_json(capsys, ["selftest", "--criteria", "2"])
     assert code == 0
@@ -194,6 +215,12 @@ def test_report_does_not_depend_on_thread_env(capsys, monkeypatch):
     ["polya-szego", "--grid", "1"],
     ["bernstein", "--lambda-frac", "1.5", "--m", "2"],
     ["bernstein", "--q", "2.0", "--p", "1.5", "--m", "2"],  # q > p
+    ["bernstein", "--m", "2", "--lambda-frac", "0.5",
+     "--alpha-trials", "-3"],                # no direction certified
+    ["bernstein", "--m", "2", "--lambda-frac", "0.5",
+     "--directions", "0"],                   # no empirical minimum
+    ["selftest", "--criteria", "99"],        # no such criterion
+    ["selftest", "--criteria", "2.7"],       # not a criterion number
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, report, err = run_json(capsys, argv)

@@ -225,6 +225,45 @@ def test_hardy_equality_at_q_one(halfplane):
     assert lhs > 0
 
 
+def test_hardy_on_affine_knots_matches_high_precision(halfplane):
+    # q = 1.5 on a from_knots profile: the tail F(t) = integral_t^inf f on
+    # each affine piece is evaluated in closed form on the node arrays
+    knots = [(0.5, 2.0), (1.5, 0.5), (3.0, 0.0)]
+    prof = from_knots(halfplane, knots)
+    params = LorentzParams(2.0, 1.5, halfplane)
+    lhs, rhs = hardy_check(prof, params)
+    with mpmath.workdps(40):
+        p_star, q = mpmath.mpf(6), mpmath.mpf("1.5")
+        ts = [mpmath.mpf(0)] + [mpmath.mpf(t) for t, _ in knots]
+        vs = [mpmath.mpf(knots[0][1])] + [mpmath.mpf(v) for _, v in knots]
+
+        def f(t):
+            for a, b, va, vb in zip(ts, ts[1:], vs, vs[1:]):
+                if t <= b:
+                    return va + (vb - va) * (t - a) / (b - a)
+            return mpmath.mpf(0)
+
+        def big_f(t):
+            # exact trapezoids: every piece is affine
+            total = mpmath.mpf(0)
+            for a, b in zip(ts, ts[1:]):
+                lo = max(a, t)
+                if lo < b:
+                    total += (b - lo) * (f(lo) + f(b)) / 2
+            return total
+
+        # u = t^gamma removes the t^(gamma-1) singularity at the origin
+        gamma = q / p_star
+        want_lhs = (mpmath.quad(lambda u: big_f(u ** (1 / gamma)) ** q,
+                                [t ** gamma for t in ts]) / gamma) ** (1 / q)
+        want_rhs = p_star * mpmath.quad(
+            lambda t: (t ** (1 + 1 / p_star - 1 / q) * f(t)) ** q,
+            ts) ** (1 / q)
+    assert abs(lhs - want_lhs) <= 1e-12 * want_lhs
+    assert abs(rhs - want_rhs) <= 1e-12 * want_rhs
+    assert lhs < rhs
+
+
 def test_hardy_indicator_frozen_value(halfplane):
     # p = q = 1 on the indicator of unit measure: both sides are 9/10
     step = StepFunction1D((1.0,), (1.0,))
