@@ -553,13 +553,14 @@ def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
                  seed: int) -> tuple[int, int, BernsteinBound]:
     """Both certificates and the Bernstein bound from one sweep.
 
-    Each of the first max(trials, directions) span directions
-    default_rng(seed).standard_normal(m) gets both certificates, once.
-    Returns their failure counts over the first ``trials`` and the bound
-    whose empirical minimum is the least quotient ||sum alpha_j u_j|| /
-    ||sum alpha_j grad u_j|| over the first ``directions`` (zero gradient
-    norms skipped).
+    Checks both certificates once on each of the first max(trials,
+    directions) directions default_rng(seed).standard_normal(m). Returns
+    the failure counts over the first ``trials`` and the bound (least
+    function/gradient span-norm quotient, zero gradient norms skipped)
+    over the first ``directions``.
     """
+    if trials < 0 or directions < 0:
+        raise ValidationError("trial and direction counts must be >= 0")
     rng = np.random.default_rng(seed)
     sweep = []  # (function norm, gradient norm, both verdicts) per direction
     for _ in range(max(trials, directions)):
@@ -569,11 +570,10 @@ def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
         sweep.append((num, den, super_ok, grad_ok))
     super_failures = sum(not rec[2] for rec in sweep[:trials])
     grad_failures = sum(not rec[3] for rec in sweep[:trials])
-    worst = min((num / den for num, den, _, _ in sweep[:directions]
-                 if den != 0.0), default=math.inf)
-    bound = BernsteinBound(system.lam / (1.0 + system.eps1) - system.eps2,
-                           worst, directions, seed)
-    return super_failures, grad_failures, bound
+    low = min((num / den for num, den, _, _ in sweep[:directions]
+               if den != 0.0), default=math.inf)
+    return super_failures, grad_failures, BernsteinBound(
+        system.lam / (1.0 + system.eps1) - system.eps2, low, directions, seed)
 
 
 def bernstein_lower_bound(system: AlmostExtremalSystem,

@@ -250,38 +250,19 @@ def _tail_function(pieces: list[Piece]):
     return intervals
 
 
-def _tail_values(t: np.ndarray, piece: Piece, tail: float) -> np.ndarray:
-    """F(t) = tail + integral_t^t1 law, at every node t of the piece.
-
-    With u = orient (s - base) the law is coef u^expo + shift, so F is
-    coef times the power primitive over the u-image of (t, t1), in the
-    log1p/expm1 form of ``power_primitive``, plus shift (t1 - t).
-    """
-    law = piece.law
-    if law.orient > 0:
-        u0, u1 = np.maximum(t - law.base, 0.0), max(piece.t1 - law.base, 0.0)
-    else:
-        u0, u1 = max(law.base - piece.t1, 0.0), np.maximum(law.base - t, 0.0)
-    u0, u1 = np.broadcast_arrays(u0, u1)  # numpy division, never a raise
-    r1 = law.expo + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log1p((u1 - u0) / u0)
-        inner = (log_ratio if r1 == 0.0
-                 else u0 ** r1 * np.expm1(r1 * log_ratio) / r1)
-        # u0 = 0 has r1 > 0: a law not integrable at u = 0 has already
-        # raised in its piece's tail mass
-        primitive = np.where(u0 == 0.0, u1 ** r1 / r1, inner)
-    return tail + law.coef * primitive + law.shift * (piece.t1 - t)
-
-
 def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
                           piece: Piece | None, tail: float,
                           gamma: float, q: float) -> float:
     if f_law is not None:
         return moment_integral(lo, hi, f_law, gamma, q)
+
+    def big_f(t: np.ndarray) -> np.ndarray:
+        return np.array([tail + moment_integral(float(s), piece.t1,
+                                                piece.law, 1.0, 1.0)
+                         for s in t])
+
     # F is bounded at the origin (local order 0)
-    f, a, b = substitute_origin(lambda t: _tail_values(t, piece, tail) ** q,
-                                gamma, lo, hi, 0.0)
+    f, a, b = substitute_origin(lambda t: big_f(t) ** q, gamma, lo, hi, 0.0)
     return integrate_adaptive(f, a, b, rel_tol=1e-11)
 
 

@@ -297,6 +297,12 @@ def test_certify_span_counts_match_the_explicit_loop(system):
     assert 0 < super_fails < 20
 
 
+@pytest.mark.parametrize("trials, directions", [(-3, 10), (10, -2)])
+def test_certify_span_rejects_negative_counts(system, trials, directions):
+    with pytest.raises(ValidationError):
+        certify_span(system, trials, directions, 0)
+
+
 @pytest.mark.parametrize("trials, directions", [(4, 9), (9, 4)])
 def test_certify_span_splits_one_sweep(system, trials, directions):
     # the counts cover the first `trials` directions and the minimum the
