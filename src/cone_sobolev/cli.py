@@ -243,6 +243,22 @@ def _parse_box(value: Any, cone: WeightedCone) -> list[tuple[float, float]]:
     return box
 
 
+def _number(config: dict, key: str, kind: type) -> Any:
+    """config[key] cast to int or float; a value that does not cast is a
+    configuration error, not a crash."""
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(
+            f"option {key!r} must be {what}, got {config[key]!r}") from exc
+
+
+def _params(config: dict, cone: WeightedCone | None = None) -> LorentzParams:
+    return LorentzParams(_number(config, "p", float),
+                         _number(config, "q", float), cone)
+
+
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -265,7 +281,7 @@ def _cmd_constant(config: dict) -> tuple[dict, dict, dict]:
     """Sharp embedding constant for a cone and exponents."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"], cone)
+    params = _params(config, cone)
     value = embedding_norm(cone, params)
     outputs = {
         "embedding_norm": value,
@@ -283,7 +299,7 @@ def _cmd_norm(config: dict) -> tuple[dict, dict, dict]:
                 if config["cone"] is not None else None)
     profile = _load_profile(config["profile"], fallback)
     config["cone"] = profile.cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"])
+    params = _params(config)
     rearranged = lorentz_norm_rearranged(profile, params)
     distributional = lorentz_norm_distributional(profile, params)
     scale = max(rearranged, distributional, 1.0)
@@ -304,7 +320,7 @@ def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
                 if config["cone"] is not None else None)
     profile = _load_profile(config["profile"], fallback)
     config["cone"] = profile.cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"], profile.cone)
+    params = _params(config, profile.cone)
     report = quotient(profile, params)
     outputs = {
         "numerator": report.numerator,
@@ -323,15 +339,15 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
     """Rearrangement gradient-contraction check on a sampled bump field."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"], cone)
+    params = _params(config, cone)
     box = _parse_box(config["box"], cone)
     config["box"] = [list(pair) for pair in box]
-    grid = int(config["grid"])
+    grid = _number(config, "grid", int)
     if grid < 2:
         raise ValidationError("grid must have at least 2 cells per axis")
     field = bump_superposition_field(cone, box, (grid,) * cone.d,
-                                     int(config["bumps"]),
-                                     int(config["seed"]))
+                                     _number(config, "bumps", int),
+                                     _number(config, "seed", int))
     lhs, rhs, ok = polya_szego_check(field, params)
     h = field.max_cell_diameter
     outputs = {
@@ -349,7 +365,7 @@ def _cmd_alvino(config: dict) -> tuple[dict, dict, dict]:
     """Maximizing-family quotient sweep."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"], cone)
+    params = _params(config, cone)
     ratios = _parse_floats(config["ratios"], "ratios")
     config["ratios"] = ratios
     reports = alvino_search(cone, params, ratios)
@@ -379,19 +395,21 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     """Almost-extremal shell system with certificates and the lower bound."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = LorentzParams(config["p"], config["q"], cone)
-    frac = float(config["lambda_frac"])
+    params = _params(config, cone)
+    frac = _number(config, "lambda_frac", float)
     if not 0.0 < frac < 1.0:
         raise ValidationError("lambda_frac must lie strictly in (0, 1)")
-    trials, directions = int(config["alpha_trials"]), int(config["directions"])
+    trials = _number(config, "alpha_trials", int)
+    directions = _number(config, "directions", int)
     if trials < 1 or directions < 1:
         raise ValidationError("alpha_trials and directions must be at least 1")
     lam = frac * embedding_norm(cone, params)
-    system = construct_system(cone, params, int(config["m"]), lam,
-                              float(config["eps1"]), float(config["eps2"]))
+    system = construct_system(cone, params, _number(config, "m", int), lam,
+                              _number(config, "eps1", float),
+                              _number(config, "eps2", float))
     verification = verify_system(system)
     super_failures, grad_failures, bound = certify_span(
-        system, trials, directions, int(config["seed"]))
+        system, trials, directions, _number(config, "seed", int))
     outputs = {
         "lambda": lam,
         "certified_lower_bound": bound.certified,

@@ -11,13 +11,14 @@ different code paths (t-space segment moments vs lambda-space level-set
 strata) and cross-checking them is the main guard against integration
 bugs, since no external numeric tables exist for these norms.
 
-Both routes are exact on steps and on elementary law moments, falling back
-to deterministic adaptive quadrature (relative 1e-12) otherwise.  The
-paths are not fully disjoint: the lambda route integrates its one-term
-strata with the t-route's closed forms (``segments._moment_exact``) and
-its constant strata with ``segments.power_primitive``, and both routes
-share ``quadrature``'s origin substitution and adaptive rule.  Sampled
-fields are the exception: there each route is its own numpy expression.
+Both routes are exact on steps and on elementary moments, and share no
+integration code otherwise.  The t route falls back to ``quadrature``'s
+deterministic adaptive rule (relative 1e-12) on non-elementary segment
+moments; the lambda route integrates its strata with its own batched
+tanh-sinh rule (``tanhsinh.stratum_integrals``) to the same tolerance,
+using ``segments.power_primitive`` only for constant strata and pure-power
+infinite tails.  Sampled fields take their own numpy expressions on both
+routes.
 
 The Hardy evaluation check
 

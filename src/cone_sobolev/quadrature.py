@@ -1,9 +1,11 @@
 """Deterministic adaptive Gauss-Legendre integration.
 
-The adaptive integrator below is the single numeric fallback used whenever a
-segment integral has no closed form.  Its segment callers build their
-integrands with ``substitute_origin``, the one place the origin-regularizing
-substitution t = u^(1/m) is written.  Design constraints:
+The adaptive integrator below is the t-route's numeric fallback, used
+whenever a segment moment (or a Hardy tail) has no closed form; the
+lambda route has its own tanh-sinh rule in ``tanhsinh`` and never calls
+it.  Its callers build their integrands with ``substitute_origin``, the
+one place the origin-regularizing substitution t = u^(1/m) is written.
+Design constraints:
 
 * deterministic: no randomness, panel decisions depend only on relative
   error estimates, so repeated runs agree bit for bit;

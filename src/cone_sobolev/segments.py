@@ -17,14 +17,20 @@ two independent norm routes possible:
 
 Exact primitives use a log/expm1 form of the power rule so that segments
 spanning many orders of magnitude (ratios like 1e40) lose no precision.
-Non-elementary cases fall back to the deterministic adaptive quadrature in
-``quadrature``, after ``quadrature.substitute_origin`` removes any algebraic
-singularity at the origin.  Both routes take that one fallback, each with
-its own integrand, at the fixed relative tolerance ``_REL_TOL`` = 1e-12;
-there is no fixed-rule path and no looser setting.  The routes also share
-the closed forms: the lambda route evaluates a one-term stratum with
-``_moment_exact`` and a constant stratum with ``power_primitive``, the
-same functions the t-route uses for segment moments.
+The two routes share no integration code, since their agreement is the
+main self-check:
+
+* the t-route's non-elementary moments fall back to the deterministic
+  adaptive quadrature in ``quadrature``, after
+  ``quadrature.substitute_origin`` removes an algebraic singularity at the
+  origin (mirrored onto the right end when a law blows up there);
+* the lambda route integrates every finite stratum with terms by its own
+  batched tanh-sinh rule (``tanhsinh.stratum_integrals``), all strata of a
+  level set at once, and uses ``power_primitive`` only for constant strata
+  and pure-power infinite tails.
+
+Both meet the fixed relative tolerance 1e-12 with an error estimate or
+raise NumericalError; there is no fixed-rule path and no looser setting.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 from .errors import (DivergentIntegralError, InternalConsistencyError,
                      NumericalError, ValidationError)
 from .quadrature import integrate_adaptive, substitute_origin
+from .tanhsinh import stratum_integrals
 
 __all__ = [
     "Law",
@@ -53,8 +60,9 @@ __all__ = [
     "pieces_value",
 ]
 
-# relative tolerance of every adaptive segment integral (a fixed accuracy
-# contract, not a setting)
+# relative tolerance of every segment moment without a closed form (a fixed
+# accuracy contract, not a setting; the lambda route's rule in ``tanhsinh``
+# states the same contract)
 _REL_TOL = 1e-12
 
 
@@ -238,17 +246,14 @@ def _moment_exact(t0: float, t1: float, law: Law, gamma: float, q: float
     return None
 
 
-def _origin_order(terms: Sequence[Law], const: float, q: float) -> float:
-    """Algebraic order at 0+ of (const + sum of term powers)^q.
+def _origin_order(law: Law, q: float) -> float:
+    """Algebraic order at 0+ of law(t)^q.
 
-    Only base-0 terms are singular or vanishing there; shifts of the terms
-    are ignored, ``const`` is the total constant.
+    Only a base-0 law is singular or vanishing there: singular when its
+    exponent is negative, vanishing when it also has no shift.
     """
-    neg = [t.expo for t in terms if t.base == 0.0 and t.expo < 0.0]
-    if neg:
-        return q * min(neg)
-    if const == 0.0 and all(t.base == 0.0 for t in terms):
-        return q * min(t.expo for t in terms)
+    if law.base == 0.0 and (law.expo < 0.0 or law.shift == 0.0):
+        return q * law.expo
     return 0.0
 
 
@@ -257,10 +262,22 @@ def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float
     if math.isinf(t1):
         raise NumericalError(
             "no exact route for a moment integral on an infinite segment")
+    right = 0.0
+    if law.orient < 0 and law.base <= t1 and q * law.expo < 0:
+        # the law blows up at t1: mirror the origin substitution onto
+        # u = t1 - t, which is the law's argument itself, on the right half
+        mid = 0.5 * (t0 + t1)
+
+        def h(u: np.ndarray) -> np.ndarray:
+            return ((t1 - u) ** (gamma - 1.0)
+                    * (law.coef * u ** law.expo + law.shift) ** q)
+
+        f, a, b = substitute_origin(h, 1.0, 0.0, t1 - mid, q * law.expo)
+        right = integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
+        t1 = mid
     f, a, b = substitute_origin(lambda t: np.asarray(law.value(t)) ** q,
-                                gamma, t0, t1,
-                                _origin_order((law,), law.shift, q))
-    return integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
+                                gamma, t0, t1, _origin_order(law, q))
+    return integrate_adaptive(f, a, b, rel_tol=_REL_TOL) + right
 
 
 def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
@@ -492,12 +509,10 @@ class LevelSet:
     Breakpoints are the closure endpoints of the pieces' value ranges; on
     each open stratum between consecutive breakpoints the super-level
     measure m(lam) is const + a sum of inverse laws, merged by exponent.
-    The lambda-route Lorentz functional integrates these strata with the
-    same exact-or-adaptive policy as the t-route and with the t-route's own
-    closed forms (``_moment_exact`` for one-term strata, ``power_primitive``
-    for constant ones); only the adaptive fallback has its own stratum
-    integrand, passed to ``quadrature``'s origin substitution and adaptive
-    rule.  There is no fixed-rule path for large level sets.
+    The lambda-route Lorentz functional integrates these strata with its
+    own batched tanh-sinh rule (``tanhsinh.stratum_integrals``), which
+    shares no code with the t-route's moments; constant strata and
+    pure-power infinite tails are exact through ``power_primitive``.
     """
 
     def __init__(self, strata: Sequence[Stratum], lam_max: float):
@@ -628,54 +643,38 @@ class LevelSet:
     def lorentz_qth_power(self, p: float, q: float) -> float:
         """p * integral over lam of lam^(q-1) * m(lam)^(q/p).
 
-        One pass over the strata.  Exact per stratum when m is constant or
-        a single law with an elementary moment; otherwise the adaptive
-        fallback of ``quadrature``, with its error estimate, on every
-        stratum however many there are.
+        Constant strata and pure-power infinite tails are exact
+        (``power_primitive``); every finite stratum with terms goes through
+        one batched tanh-sinh rule (``tanhsinh.stratum_integrals``), whose
+        error bound meets the 1e-12 contract or raises NumericalError.
         """
         qq = q / p
-        return p * math.fsum(self._stratum_qth_power(s, q, qq)
-                             for s in self.strata if s.lam0 < s.lam1)
-
-    def _stratum_qth_power(self, s: Stratum, q: float, qq: float) -> float:
-        if not s.terms:
-            if s.const == 0.0:
-                return 0.0
+        exact: list[float] = []
+        ruled: list[Stratum] = []
+        for s in self.strata:
+            if not s.lam0 < s.lam1:
+                continue
             if math.isinf(s.lam1):
-                raise DivergentIntegralError(
-                    "level set has positive measure at every level")
-            return s.const ** qq * power_primitive(s.lam0, s.lam1, q - 1.0)
-        # m = first term + const + other terms: const folded into the
-        # first term's shift, so a one-term stratum is a single law
-        first, *rest = s.terms
-        law = Law(first.coef, first.expo, first.base, first.orient, s.const)
-        if not rest:
-            if math.isinf(s.lam1):
-                return self._infinite_tail(law, q, qq)
-            exact = _moment_exact(s.lam0, s.lam1, law, q, qq)
-            if exact is not None:
-                return exact
-        elif math.isinf(s.lam1):
-            raise NumericalError(
-                "no exact route for a multi-term stratum of infinite extent")
+                exact.append(_infinite_tail(s, q, qq))
+            elif s.terms:
+                ruled.append(s)
+            elif s.const != 0.0:
+                exact.append(s.const ** qq
+                             * power_primitive(s.lam0, s.lam1, q - 1.0))
+        values, _ = stratum_integrals(ruled, q, qq)
+        return p * math.fsum(exact + values.tolist())
 
-        def m_qq(lam: np.ndarray) -> np.ndarray:
-            out = np.asarray(law.value(lam))
-            for term in rest:
-                out = out + np.asarray(term.value(lam))
-            # m is a distribution function, so any negative value near a
-            # stratum edge is roundoff; floor it before fractional powers
-            return np.maximum(out, 0.0) ** qq
 
-        f, a, b = substitute_origin(m_qq, q, s.lam0, s.lam1,
-                                    _origin_order(s.terms, s.const, qq))
-        return integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
-
-    def _infinite_tail(self, law: Law, q: float, qq: float) -> float:
-        # only a pure power admits an elementary infinite-lambda tail
-        if law.shift == 0.0 and law.base == 0.0 and law.orient == 1.0:
-            lam0 = self.strata[-1].lam0
-            return law.coef ** qq * power_primitive(
-                lam0, math.inf, q - 1.0 + qq * law.expo)
-        raise NumericalError(
-            "no exact route for this unbounded level-set tail")
+def _infinite_tail(s: Stratum, q: float, qq: float) -> float:
+    if not s.terms:
+        if s.const == 0.0:
+            return 0.0
+        raise DivergentIntegralError(
+            "level set has positive measure at every level")
+    # only a pure power admits an elementary infinite-lambda tail
+    law = s.terms[0]
+    if (len(s.terms) == 1 and s.const == 0.0 and law.base == 0.0
+            and law.orient == 1.0):
+        return law.coef ** qq * power_primitive(
+            s.lam0, math.inf, q - 1.0 + qq * law.expo)
+    raise NumericalError("no exact route for this unbounded level-set tail")

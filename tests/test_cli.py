@@ -229,6 +229,23 @@ def test_configuration_errors_exit_2(capsys, argv):
     assert "configuration error:" in err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("bernstein", {"alpha_trials": "many"}),
+    ("polya-szego", {"grid": "x"}),
+    ("constant", {"p": "two"}),
+    ("bernstein", {"eps1": [0.05]}),
+])
+def test_malformed_config_values_exit_2(capsys, tmp_path, command, data):
+    """A config value that does not cast is a configuration error."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, report, err = run_json(capsys, [command, "--config", str(path)])
+    assert code == 2
+    assert report is None
+    assert "configuration error:" in err
+    assert repr(next(iter(data))) in err
+
+
 def test_unknown_config_key_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     for data in ({"grid": 8}, {"seed": 1}):

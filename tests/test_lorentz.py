@@ -166,14 +166,17 @@ def test_field_routes_agree(halfplane, p, q):
 
 
 def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
-    """The lambda route never borrows the t-route's adaptive moment.
+    """The lambda route shares no integration code with the t route.
 
     A shell gradient density (t^(-1/2) arcs) and an affine profile's psi
     (t^(2/3) arcs) have one-term strata with no closed form; their union
     overlaps in value, so it adds multi-term strata.  All of them must
-    integrate with ``segments._moment_adaptive`` disabled.
+    integrate with the t route's closed forms, its origin substitution
+    and the adaptive rule disabled, and still give the values the shared
+    adaptive fallback gave (frozen below, computed with it).
     """
-    from cone_sobolev import build_shell_function, embedding_norm, segments
+    from cone_sobolev import (build_shell_function, embedding_norm,
+                              quadrature, segments)
     from cone_sobolev.segments import Piece
     params = LorentzParams(2.0, 1.0)
     shell, _ = build_shell_function(
@@ -185,32 +188,30 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     assert any(len(s.terms) > 1 for s in
                segments.LevelSet.from_pieces(inputs[2]).strata)
     pairs = [(2.0, 1.0), (2.0, 1.5), (2.5, 1.4)]
-    want = [lorentz_norm_distributional(f, LorentzParams(p, q))
-            for f in inputs for p, q in pairs]
+    frozen = [0.9999999999999998, 0.57179580060681, 0.8070932256098965,
+              3.172543370232452, 1.794551910601188, 2.219595379052407,
+              3.3813133829135267, 1.89619821321326, 2.315866938377439]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("lambda route called the t-route fallback")
+        raise AssertionError("lambda route called t-route integration code")
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return integrate_adaptive(*args, **kwargs)
-
-    integrate_adaptive = segments.integrate_adaptive
-    monkeypatch.setattr(segments, "_moment_adaptive", refuse)
-    monkeypatch.setattr(segments, "integrate_adaptive", counted)
+    for module, name in ((segments, "_moment_exact"),
+                         (segments, "_moment_adaptive"),
+                         (segments, "substitute_origin"),
+                         (segments, "integrate_adaptive"),
+                         (quadrature, "integrate_adaptive")):
+        monkeypatch.setattr(module, name, refuse)
     got = [lorentz_norm_distributional(f, LorentzParams(p, q))
            for f in inputs for p, q in pairs]
-    assert got == want
-    assert calls
+    for value, want in zip(got, frozen):
+        assert value == pytest.approx(want, rel=1e-12)
     # slid left over its zero head, the shell psi is its own rearrangement,
     # so the t route (with its own fallback) checks it independently
     monkeypatch.undo()
     head = shell_psi[0].t0
     slid = [Piece(pc.t0 - head, pc.t1 - head,
                   pc.law.with_argument_shifted(head)) for pc in shell_psi]
-    for (p, q), value in zip(pairs, want):
+    for (p, q), value in zip(pairs, got):
         assert lorentz_norm_rearranged(slid, LorentzParams(p, q)) == \
             pytest.approx(value, rel=1e-10)
 
@@ -295,6 +296,23 @@ def test_hardy_rejects_divergent_input(halfplane):
     singular_head = [Piece(0.0, 1.0, Law(1.0, -2.0))]
     with pytest.raises(DomainError):
         hardy_check(singular_head, LorentzParams(2.0, 1.0, halfplane))
+
+
+def test_hardy_right_end_singularity_has_finite_rhs(halfplane):
+    """(2 - t)^(-1/2) on (0.5, 2): the rhs moment blows up integrably at
+    the segment's right end, where the t route mirrors its substitution."""
+    from cone_sobolev.segments import Law, Piece
+    piece = Piece(0.5, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0))
+    params = LorentzParams(2.0, 1.2, halfplane)
+    lhs, rhs = hardy_check(piece, params)
+    with mpmath.workdps(40):
+        gamma = params.q + params.q / params.p_star
+        power = mpmath.quad(lambda t: t ** (gamma - 1) * (2 - t) ** -0.6,
+                            [0.5, 2])
+        want = params.p_star * power ** (1 / mpmath.mpf(params.q))
+    assert math.isfinite(rhs)
+    assert rhs == pytest.approx(float(want), rel=1e-12)
+    assert 0.0 < lhs <= rhs
 
 
 # -- restricted norms ---------------------------------------------------------------

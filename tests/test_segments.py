@@ -15,13 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cone_sobolev import (DivergentIntegralError, ValidationError,
-                          builtin_cone)
+from cone_sobolev import (DivergentIntegralError, NumericalError,
+                          ValidationError, builtin_cone)
 from cone_sobolev.profiles import alvino_profile, gradient_density
-from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
-                                   clip_pieces, moment_integral,
+from cone_sobolev.segments import (Law, LevelSet, Piece, Stratum,
+                                   abs_pieces, clip_pieces, moment_integral,
                                    piece_moment, pieces_value,
                                    power_primitive)
+from cone_sobolev.tanhsinh import stratum_integrals
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -334,9 +335,9 @@ def test_extreme_ratio_routes_agree(halfplane):
     """
     profile = alvino_profile(halfplane, 3.0, 1.0, 1e40)
     gaps = []
-    # q = 1 keeps every stratum integrand a single power: exact across the
-    # whole 40-decade sweep.  Fractional q/p strata are only adaptive, so
-    # they are checked at a moderate ratio below.
+    # q = 1 keeps every t-route moment a single power, exact across the
+    # whole 40-decade sweep; fractional q leaves the t route adaptive, so
+    # those pairs are checked at a moderate ratio below.
     for p_exp in (3.0, 2.0, 4.0):
         level = LevelSet.from_pieces(list(profile.pieces))
         lam_route = level.lorentz_qth_power(p_exp, 1.0)
@@ -364,7 +365,7 @@ def test_extreme_ratio_routes_agree(halfplane):
 
 @pytest.mark.parametrize("p, q", [(2.0, 1.0), (3.0, 2.0), (1.5, 1.5)])
 def test_many_strata_match_high_precision(p, q):
-    """Level sets beyond 512 strata keep the 1e-12 adaptive contract.
+    """Level sets beyond 512 strata keep the 1e-12 contract.
 
     f = (1 - t)^1.5 cut into 600 pieces has one-term strata
     m = 1 - lam^(2/3), whose lambda integral is p * 1.5 * B(1.5 q, q/p + 1).
@@ -392,3 +393,174 @@ def test_many_strata_match_high_precision(p, q):
         assert len(level.strata) > 512
         got = level.lorentz_qth_power(p, q)
         assert abs(got - want) <= 1e-12 * want
+
+
+# -- the lambda route's tanh-sinh rule ------------------------------------------
+
+def stratum_oracle(stratum, q, qq, points=(), pole=None):
+    """40-digit integral of lam^(q-1) m(lam)^qq over the stratum.
+
+    ``points`` are extra interior breakpoints for mpmath, placed
+    geometrically toward a near singularity by the callers.  ``pole`` =
+    (end, order) names an end where the integrand has that algebraic
+    order; lam = end +- width v^s with s (1 + order) >= 1 makes the
+    integrand bounded in v there.
+    """
+    with mpmath.workdps(40):
+        lam0, lam1 = mpmath.mpf(stratum.lam0), mpmath.mpf(stratum.lam1)
+
+        def f(end, d):
+            # lam = end + d, with each argument measured from ``end`` so
+            # that d below 1e-40 of end still counts
+            total = mpmath.mpf(stratum.const)
+            for t in stratum.terms:
+                arg = t.orient * ((end - mpmath.mpf(t.base)) + d)
+                total += t.coef * mpmath.power(arg, t.expo)
+            return (end + d) ** (q - 1) * total ** qq
+
+        if pole is not None:
+            end, order = pole
+            s = math.ceil(1.0 / (1.0 + order))
+            width = lam1 - lam0
+            sign = 1 if end == stratum.lam0 else -1
+
+            def g(v):
+                if v == 0:  # a node mpmath rounds onto the pole; weight 0
+                    return mpmath.mpf(0)
+                return (f(mpmath.mpf(end), sign * width * v ** s)
+                        * width * s * v ** (s - 1))
+
+            return mpmath.quad(g, [0, 1])
+        ends = sorted({stratum.lam0, *points, stratum.lam1})
+        return mpmath.quad(lambda lam: f(lam, 0), [mpmath.mpf(x) for x in ends])
+
+
+def geometric_points(a, b, dist, toward_a=True):
+    """Breakpoints a + dist * 1000^k inside (a, b) (or mirrored toward b)."""
+    out = []
+    while dist < b - a:
+        out.append(a + dist if toward_a else b - dist)
+        dist *= 1e3
+    return out
+
+
+def check_rule(strata, q, qq, points=None, poles=None, rel=1e-13):
+    values, errors = stratum_integrals(strata, q, qq)
+    for i, s in enumerate(strata):
+        want = stratum_oracle(s, q, qq, points[i] if points else (),
+                              poles[i] if poles else None)
+        true_err = abs(mpmath.mpf(values[i]) - want)
+        assert true_err <= rel * want, (s, values[i], want)
+        assert errors[i] >= true_err, (s, errors[i], true_err)
+
+
+def decreasing_terms(rng, lam0, lam1, k):
+    """k random term laws, each nonnegative and nonincreasing on the
+    stratum, with bases outside it (as the level-set sweep makes them)."""
+    terms = []
+    for _ in range(k):
+        if rng.random() < 0.5:   # (lam - base)^e, e < 0, base below lam0
+            base = lam0 - (lam1 - lam0) * rng.uniform(0.05, 3.0)
+            terms.append(Law(rng.uniform(0.1, 2.0), -rng.uniform(0.2, 4.0),
+                             base=base, orient=1.0))
+        else:                    # (base - lam)^e, e > 0, base above lam1
+            base = lam1 + (lam1 - lam0) * rng.uniform(0.0, 3.0)
+            terms.append(Law(rng.uniform(0.1, 2.0), rng.uniform(0.2, 3.0),
+                             base=base, orient=-1.0))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 11])
+def test_stratum_rule_random_strata_match_mpmath(k):
+    rng = np.random.default_rng(100 + k)
+    strata = []
+    for _ in range(6):
+        lam0 = rng.uniform(0.0, 2.0) * (rng.random() < 0.7)
+        lam1 = lam0 + rng.uniform(0.01, 3.0)
+        strata.append(Stratum(lam0, lam1, rng.uniform(0.0, 2.0),
+                              decreasing_terms(rng, lam0, lam1, k)))
+    for q, p in [(1.0, 2.0), (1.5, 3.0), (2.7, 2.7), (1.2, 6.0)]:
+        check_rule(strata, q, q / p)
+
+
+@pytest.mark.parametrize("order", [-0.3, -0.5, -0.75, -0.9])
+def test_stratum_rule_endpoint_singular_strata(order):
+    """A term base at an end with integrand order down to -0.9."""
+    qq = 0.5
+    e = order / qq
+    strata = [Stratum(0.0, 1.0, 0.0, (Law(1.0, e),)),
+              Stratum(0.3, 1.7, 0.4, (Law(0.7, e, base=0.3),
+                                      Law(1.0, 1.5, base=2.0, orient=-1.0))),
+              Stratum(0.3, 1.7, 0.0, (Law(2.0, e, base=1.7, orient=-1.0),))]
+    poles = [(0.0, order), (0.3, order), (1.7, order)]
+    check_rule(strata, 1.0, qq, poles=poles)
+    check_rule(strata[1:], 1.4, qq, poles=poles[1:])
+
+
+@pytest.mark.parametrize("e", [-3.0, -1.6, 0.5, 2.5])
+def test_stratum_rule_near_endpoint_bases(e):
+    """Bases 1e-13 of the width outside an end: graded panels."""
+    qq = 0.25
+    a, b = 0.5, 1.5
+    gap = 1e-13 * (b - a)
+    left = Stratum(a, b, 0.2, (Law(1.0, e, base=a - gap, orient=1.0),))
+    right = Stratum(a, b, 0.2, (Law(1.0, e, base=b + gap, orient=-1.0),))
+    both = Stratum(a, b, 0.0, left.terms + right.terms)
+    at_zero = Stratum(0.0, 1.0, 0.0, (Law(1.0, e, base=-4.6e-14),))
+    points = [geometric_points(a, b, gap),
+              geometric_points(a, b, gap, toward_a=False),
+              geometric_points(a, 1.0, gap)
+              + geometric_points(1.0, b, gap, toward_a=False),
+              geometric_points(0.0, 1.0, 4.6e-14)]
+    check_rule([left, right, both, at_zero], 1.0, qq, points)
+    check_rule([left, right, both, at_zero], 2.0, qq, points)
+
+
+@pytest.mark.parametrize("decades", [40, 300])
+def test_stratum_rule_spans_many_decades(decades):
+    lam0 = 10.0 ** -decades
+    strata = [Stratum(lam0, 1.0, 0.0, (Law(1.0, -1.5),)),
+              Stratum(lam0, 1.0, 0.5, (Law(2.0, -0.8),
+                                       Law(1.0, 2.0, base=1.0, orient=-1.0)))]
+    points = [geometric_points(lam0, 1.0, lam0)] * 2
+    check_rule(strata, 1.0, 0.5, points)
+    check_rule(strata, 1.3, 0.6, points)
+
+
+def test_stratum_rule_brackets_slivers():
+    """Strata at most 1e-9 wide (relative) return a bracket's midpoint."""
+    strata = [Stratum(1.0, 1.0 + 1e-10, 0.5, (Law(1.0, -2.0, base=0.9),)),
+              Stratum(3.0, 3.0 + 4.0 * 2.0 ** -51, 0.0,
+                      (Law(1.0, 0.5, base=3.5, orient=-1.0),)),
+              # a broad stratum keeps the slivers' share of the total small
+              Stratum(0.5, 4.0, 0.1, (Law(1.0, 0.5, base=4.0, orient=-1.0),))]
+    q, qq = 1.5, 0.5
+    values, errors = stratum_integrals(strata, q, qq)
+    for s, value, err in zip(strata[:2], values, errors):
+        want = stratum_oracle(s, q, qq)
+        assert value - err <= want <= value + err
+        assert err <= 1e-9 * value
+
+
+def test_stratum_rule_raises_when_it_cannot_converge():
+    # order -0.999 at the left end: integrable, but its tail outruns every
+    # node reach, so the truncation term never meets the contract
+    stratum = Stratum(0.0, 1.0, 0.0, (Law(1.0, -1.998),))
+    with pytest.raises(NumericalError):
+        stratum_integrals([stratum], 1.0, 0.5)
+    with pytest.raises(DivergentIntegralError):
+        stratum_integrals([Stratum(0.0, 1.0, 0.0, (Law(1.0, -2.0),))],
+                          1.0, 0.5)
+
+
+def test_right_end_singular_moment_matches_mpmath():
+    """A law that blows up integrably at its segment's right end."""
+    piece = Piece(0.5, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0))
+    got = piece.moment(1.4, 1.2)
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda t: t ** 0.4 * (2 - t) ** -0.6, [0.5, 2])
+    assert got == pytest.approx(float(want), rel=1e-12)
+    origin = Piece(0.0, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0))
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda t: t ** -0.3 * (2 - t) ** -0.6, [0, 1, 2])
+    assert origin.moment(0.7, 1.2) == pytest.approx(float(want), rel=1e-12)
