@@ -309,22 +309,25 @@ def criterion_9() -> CriterionResult:
     def body():
         system = _shell_system(6, 0.9)
         verify_system(system)
-        super_fails, grad_fails, bound = certify_span(system, 5000, 5000, 0)
+        sweep = certify_span(system, 5000, 5000, 0)
+        bound = sweep.bound
         formula = system.lam / 1.05 - 0.05
-        ok = (super_fails == 0 and grad_fails == 0
+        ok = (sweep.super_failures == 0 and sweep.grad_failures == 0
               and abs(bound.certified - formula) <= 1e-12
               and bound.empirical_minimum >= bound.certified)
         return ok, {
             "lambda": system.lam,
-            "superadditivity_failures": super_fails,
-            "gradient_upper_failures": grad_fails,
+            "superadditivity_failures": sweep.super_failures,
+            "gradient_upper_failures": sweep.grad_failures,
+            "superadditivity_margin": sweep.super_margin,
+            "gradient_upper_margin": sweep.grad_margin,
             "certified": bound.certified,
             "empirical_minimum": bound.empirical_minimum,
             "directions": bound.directions,
         }
 
     return _timed(9, "shell system certificates and Bernstein bound",
-                  120.0, body)
+                  30.0, body)
 
 
 def criterion_10() -> CriterionResult:

@@ -27,14 +27,22 @@ Shell profiles are truncated power arcs placed by monotone bisections: one
 head ratio per system (the quotient is scale invariant) and one cutoff
 radius per shell (tail and window conditions); everything is exact segment
 arithmetic or adaptive quadrature at 1e-12.
+
+Span directions go to the span engine (``spans``).  Each system keeps the
+law tables of its two spans, built on first use: every direction has the
+same pieces, and only their coefficients and lifts move with alpha.
+``certify_span`` evaluates all its directions as one batch per span, and
+a direction's norms are bit-identical alone (the certificate functions)
+or in any batch.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +53,9 @@ from .lorentz import (LorentzParams, ell_q_norm,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .segments import (Law, Piece, abs_pieces, clip_pieces,
-                       moment_integral)
+from .segments import moment_integral
 from .sobolev import embedding_norm, quotient
+from .spans import SpanTables, span_norms
 
 __all__ = [
     "ShellSpec",
@@ -60,6 +68,7 @@ __all__ = [
     "certify_span",
     "bernstein_lower_bound",
     "BernsteinBound",
+    "SpanSweep",
     "absolute_continuity_witness",
     "verify_system",
 ]
@@ -110,6 +119,11 @@ class AlmostExtremalSystem:
     @property
     def m(self) -> int:
         return len(self.shells)
+
+    @functools.cached_property
+    def _span_tables(self) -> SpanTables:
+        """The law tables of both spans, built on first use."""
+        return SpanTables.of(self.shells, self.params)
 
     def prefix(self, k: int) -> "AlmostExtremalSystem":
         """The subsystem of the first k shells (valid on its own)."""
@@ -463,10 +477,14 @@ def verify_system(system: AlmostExtremalSystem) -> dict:
 
 
 # -- span arithmetic -----------------------------------------------------------
+#
+# The norms of sum alpha_j u_j and sum alpha_j grad u_j come from the span
+# engine (``spans``), on the per-system law tables (``_span_tables``).
 
 def _span_coefficients(system: AlmostExtremalSystem,
-                       alpha: Sequence[float]) -> list[float]:
-    """alpha as floats; one to m finite entries, one per leading shell."""
+                       alpha: Sequence[float]) -> np.ndarray:
+    """alpha as a one-row array: one to m finite entries, one per leading
+    shell."""
     alpha = [float(a) for a in alpha]
     if not alpha or len(alpha) > system.m:
         raise ValidationError(
@@ -474,69 +492,40 @@ def _span_coefficients(system: AlmostExtremalSystem,
             f"got {len(alpha)}")
     if not all(math.isfinite(a) for a in alpha):
         raise ValidationError("alpha entries must be finite")
-    return alpha
-
-
-def _span_pieces(system: AlmostExtremalSystem,
-                 alpha: Sequence[float]) -> list[Piece]:
-    """Exact pieces of sum alpha_j u_j on (0, delta_1).
-
-    Inside shell j's annulus every earlier shell is flat, so the sum is
-    that shell's profile scaled and lifted by a constant: still one law
-    per segment.
-    """
-    alpha = _span_coefficients(system, alpha)
-    pieces: list[Piece] = []
-    lift = 0.0
-    for a_j, shell in zip(alpha, system.shells):
-        for pc in clip_pieces(shell.profile.pieces, shell.cutoff_measure,
-                              shell.profile.t_max):
-            pieces.append(Piece(pc.t0, pc.t1,
-                                pc.law.scaled(a_j).shifted(lift)))
-        lift += a_j * shell.profile.max_value
-    last_cut = system.shells[len(alpha) - 1].cutoff_measure
-    if lift != 0.0:
-        pieces.append(Piece(0.0, last_cut, Law.constant(lift)))
-    return sorted(pieces, key=lambda p: p.t0)
-
-
-def _span_function_norm(system: AlmostExtremalSystem,
-                        alpha: Sequence[float]) -> float:
-    return lorentz_norm_distributional(abs_pieces(_span_pieces(system, alpha)),
-                                       system.params.star_params())
-
-
-def _span_gradient_norm(system: AlmostExtremalSystem,
-                        alpha: Sequence[float]) -> float:
-    pieces = []
-    for a_j, shell in zip(_span_coefficients(system, alpha), system.shells):
-        if a_j == 0.0:
-            continue
-        psi = gradient_density(shell.profile)
-        pieces.extend(Piece(p.t0, p.t1, p.law.scaled(abs(a_j)))
-                      for p in psi.pieces)
-    return lorentz_norm_distributional(pieces, system.params)
+    return np.array([alpha])
 
 
 # -- certificates ---------------------------------------------------------------
+
+def _superadditivity(system: AlmostExtremalSystem, alpha: Sequence[float],
+                     lhs: float) -> tuple[float, float, bool]:
+    floor = system.lam / (1.0 + system.eps1) - system.eps2
+    bound_val = floor * ell_q_norm(alpha, system.params.q)
+    return lhs, bound_val, lhs >= bound_val * (1.0 - _CERT_SLACK)
+
+
+def _gradient_upper(system: AlmostExtremalSystem, alpha: Sequence[float],
+                    lhs: float) -> tuple[float, float, bool]:
+    bound_val = ell_q_norm(alpha, system.params.q)
+    return lhs, bound_val, lhs <= bound_val * (1.0 + _CERT_SLACK)
+
 
 def superadditivity_certificate(system: AlmostExtremalSystem,
                                 alpha: Sequence[float]
                                 ) -> tuple[float, float, bool]:
     """||sum alpha_j u_j|| against (lambda/(1+eps1) - eps2) ||alpha||_q."""
-    lhs = _span_function_norm(system, alpha)
-    floor = system.lam / (1.0 + system.eps1) - system.eps2
-    bound_val = floor * ell_q_norm(alpha, system.params.q)
-    return lhs, bound_val, lhs >= bound_val * (1.0 - _CERT_SLACK)
+    (lhs,) = span_norms(system._span_tables,
+                        _span_coefficients(system, alpha), gradient=False)
+    return _superadditivity(system, alpha, lhs)
 
 
 def gradient_upper_certificate(system: AlmostExtremalSystem,
                                alpha: Sequence[float]
                                ) -> tuple[float, float, bool]:
     """||sum alpha_j grad u_j|| against ||alpha||_q (disjoint supports)."""
-    lhs = _span_gradient_norm(system, alpha)
-    bound_val = ell_q_norm(alpha, system.params.q)
-    return lhs, bound_val, lhs <= bound_val * (1.0 + _CERT_SLACK)
+    (lhs,) = span_norms(system._span_tables,
+                        _span_coefficients(system, alpha), gradient=True)
+    return _gradient_upper(system, alpha, lhs)
 
 
 @dataclass(frozen=True)
@@ -549,31 +538,54 @@ class BernsteinBound:
     seed: int
 
 
+class SpanSweep(NamedTuple):
+    """Both certificates over the trials, and the Bernstein bound.
+
+    The margins are the least relative slack over the trials:
+    min(lhs/bound) - 1 for superadditivity and 1 - max(lhs/bound) for the
+    gradient upper bound (inf without trials).
+    """
+
+    super_failures: int
+    grad_failures: int
+    bound: BernsteinBound
+    super_margin: float
+    grad_margin: float
+
+
 def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
-                 seed: int) -> tuple[int, int, BernsteinBound]:
+                 seed: int) -> SpanSweep:
     """Both certificates and the Bernstein bound from one sweep.
 
-    Checks both certificates once on each of the first max(trials,
-    directions) directions default_rng(seed).standard_normal(m). Returns
-    the failure counts over the first ``trials`` and the bound (least
-    function/gradient span-norm quotient, zero gradient norms skipped)
-    over the first ``directions``.
+    Evaluates both span norms once on each of the first max(trials,
+    directions) directions, the rows of default_rng(seed).standard_normal
+    ((n, m)) (the same numbers as n draws of m), as one batch per span.
+    Returns the failure counts and margins over the first ``trials`` and
+    the bound (least function/gradient span-norm quotient, zero gradient
+    norms skipped) over the first ``directions``.  Each norm equals what
+    the certificate functions give for its direction, bit for bit.
     """
     if trials < 0 or directions < 0:
         raise ValidationError("trial and direction counts must be >= 0")
-    rng = np.random.default_rng(seed)
-    sweep = []  # (function norm, gradient norm, both verdicts) per direction
-    for _ in range(max(trials, directions)):
-        alpha = rng.standard_normal(system.m)
-        num, _, super_ok = superadditivity_certificate(system, alpha)
-        den, _, grad_ok = gradient_upper_certificate(system, alpha)
-        sweep.append((num, den, super_ok, grad_ok))
-    super_failures = sum(not rec[2] for rec in sweep[:trials])
-    grad_failures = sum(not rec[3] for rec in sweep[:trials])
-    low = min((num / den for num, den, _, _ in sweep[:directions]
+    alphas = np.random.default_rng(seed).standard_normal(
+        (max(trials, directions), system.m))
+    nums = span_norms(system._span_tables, alphas, gradient=False)
+    dens = span_norms(system._span_tables, alphas, gradient=True)
+    supers = [_superadditivity(system, a, lhs)
+              for a, lhs in zip(alphas[:trials], nums)]
+    grads = [_gradient_upper(system, a, lhs)
+             for a, lhs in zip(alphas[:trials], dens)]
+    low = min((num / den for num, den in zip(nums[:directions],
+                                             dens[:directions])
                if den != 0.0), default=math.inf)
-    return super_failures, grad_failures, BernsteinBound(
-        system.lam / (1.0 + system.eps1) - system.eps2, low, directions, seed)
+    return SpanSweep(
+        sum(not ok for _, _, ok in supers), sum(not ok for _, _, ok in grads),
+        BernsteinBound(system.lam / (1.0 + system.eps1) - system.eps2, low,
+                       directions, seed),
+        min((lhs / bound - 1.0 for lhs, bound, _ in supers),
+            default=math.inf),
+        min((1.0 - lhs / bound for lhs, bound, _ in grads),
+            default=math.inf))
 
 
 def bernstein_lower_bound(system: AlmostExtremalSystem,
@@ -585,7 +597,7 @@ def bernstein_lower_bound(system: AlmostExtremalSystem,
     certified value; the sweep over random directions reports the
     empirical minimum as a direct witness.
     """
-    return certify_span(system, 0, directions, seed)[2]
+    return certify_span(system, 0, directions, seed).bound
 
 
 def absolute_continuity_witness(system: AlmostExtremalSystem,

@@ -408,14 +408,17 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
                               _number(config, "eps1", float),
                               _number(config, "eps2", float))
     verification = verify_system(system)
-    super_failures, grad_failures, bound = certify_span(
-        system, trials, directions, _number(config, "seed", int))
+    sweep = certify_span(system, trials, directions,
+                         _number(config, "seed", int))
+    bound = sweep.bound
     outputs = {
         "lambda": lam,
         "certified_lower_bound": bound.certified,
         "empirical_minimum": bound.empirical_minimum,
-        "superadditivity_failures": super_failures,
-        "gradient_upper_failures": grad_failures,
+        "superadditivity_failures": sweep.super_failures,
+        "gradient_upper_failures": sweep.grad_failures,
+        "superadditivity_margin": sweep.super_margin,
+        "gradient_upper_margin": sweep.grad_margin,
         "alpha_trials": trials,
         "shells": [{"index": s.index,
                     "outer_radius": s.outer_radius,
@@ -428,7 +431,8 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     }
     tolerances = {"certificate_slack": 1e-9}
     verdicts = {
-        "certificates": super_failures == 0 and grad_failures == 0,
+        "certificates": sweep.super_failures == 0
+        and sweep.grad_failures == 0,
         "empirical_at_least_certified":
             bound.empirical_minimum >= bound.certified,
     }

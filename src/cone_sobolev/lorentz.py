@@ -15,7 +15,7 @@ Both routes are exact on steps and on elementary moments, and share no
 integration code otherwise.  The t route falls back to ``quadrature``'s
 deterministic adaptive rule (relative 1e-12) on non-elementary segment
 moments; the lambda route integrates its strata with its own batched
-tanh-sinh rule (``tanhsinh.stratum_integrals``) to the same tolerance,
+tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance,
 using ``segments.power_primitive`` only for constant strata and pure-power
 infinite tails.  Sampled fields take their own numpy expressions on both
 routes.

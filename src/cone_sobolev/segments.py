@@ -25,7 +25,7 @@ main self-check:
   ``quadrature.substitute_origin`` removes an algebraic singularity at the
   origin (mirrored onto the right end when a law blows up there);
 * the lambda route integrates every finite stratum with terms by its own
-  batched tanh-sinh rule (``tanhsinh.stratum_integrals``), all strata of a
+  batched tanh-sinh rule (``tanhsinh.row_integrals``), all strata of a
   level set at once, and uses ``power_primitive`` only for constant strata
   and pure-power infinite tails.
 
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (DivergentIntegralError, InternalConsistencyError,
                      NumericalError, ValidationError)
 from .quadrature import integrate_adaptive, substitute_origin
-from .tanhsinh import stratum_integrals
+from .tanhsinh import Rows, row_integrals
 
 __all__ = [
     "Law",
@@ -58,6 +58,7 @@ __all__ = [
     "abs_pieces",
     "clip_pieces",
     "pieces_value",
+    "infinite_tail",
 ]
 
 # relative tolerance of every segment moment without a closed form (a fixed
@@ -510,7 +511,7 @@ class LevelSet:
     each open stratum between consecutive breakpoints the super-level
     measure m(lam) is const + a sum of inverse laws, merged by exponent.
     The lambda-route Lorentz functional integrates these strata with its
-    own batched tanh-sinh rule (``tanhsinh.stratum_integrals``), which
+    own batched tanh-sinh rule (``tanhsinh.row_integrals``), which
     shares no code with the t-route's moments; constant strata and
     pure-power infinite tails are exact through ``power_primitive``.
     """
@@ -645,7 +646,7 @@ class LevelSet:
 
         Constant strata and pure-power infinite tails are exact
         (``power_primitive``); every finite stratum with terms goes through
-        one batched tanh-sinh rule (``tanhsinh.stratum_integrals``), whose
+        one batched tanh-sinh rule (``tanhsinh.row_integrals``), whose
         error bound meets the 1e-12 contract or raises NumericalError.
         """
         qq = q / p
@@ -655,17 +656,22 @@ class LevelSet:
             if not s.lam0 < s.lam1:
                 continue
             if math.isinf(s.lam1):
-                exact.append(_infinite_tail(s, q, qq))
+                exact.append(infinite_tail(s, q, qq))
             elif s.terms:
                 ruled.append(s)
             elif s.const != 0.0:
                 exact.append(s.const ** qq
                              * power_primitive(s.lam0, s.lam1, q - 1.0))
-        values, _ = stratum_integrals(ruled, q, qq)
+        values, _ = row_integrals(Rows.of(ruled), q, qq)
         return p * math.fsum(exact + values.tolist())
 
 
-def _infinite_tail(s: Stratum, q: float, qq: float) -> float:
+def infinite_tail(s: Stratum, q: float, qq: float) -> float:
+    """integral over (lam0, inf) of lam^(q-1) m(lam)^qq on a stratum.
+
+    Zero when m vanishes, the closed form for a pure power, and an error
+    otherwise (divergent for a positive constant).
+    """
     if not s.terms:
         if s.const == 0.0:
             return 0.0

@@ -11,10 +11,17 @@ Every finite stratum with terms is integrated here by one tanh-sinh
 h = 2^-level (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005).  The
 integrand is analytic inside a stratum and only algebraically singular
 where a term's argument vanishes, which the rule's double-exponential
-clustering at the ends absorbs.  All strata of a level set are rows of one
-struct-of-arrays table, evaluated together; nodes are measured from the
-nearer panel end, so a term whose base sits at or near that end keeps its
+clustering at the ends absorbs.  Strata are rows of one struct-of-arrays
+table (``Rows``), evaluated together; nodes are measured from the nearer
+panel end, so a term whose base sits at or near that end keeps its
 distance instead of losing it to rounding.
+
+``row_integrals`` is the one entry: ``LevelSet.lorentz_qth_power`` passes
+the strata of one level set (``Rows.of``), and the span engine
+(``spans``) builds the table from arrays, with the strata of many level
+sets at once and each row's level set in ``owner``.  A row's value and
+bound depend on that row alone, so they are bit-identical however the
+rows are batched; only the sliver check reads a whole level set.
 
 The module shares no code with the t route's adaptive Gauss-Legendre rule
 in ``quadrature``, so the agreement of the two routes checks two
@@ -35,7 +42,7 @@ from .errors import DivergentIntegralError, NumericalError
 if TYPE_CHECKING:
     from .segments import Stratum
 
-__all__ = ["stratum_integrals"]
+__all__ = ["Rows", "row_integrals"]
 
 # relative tolerance of every stratum integral (a fixed accuracy contract,
 # not a setting; the t route states the same contract for its moments)
@@ -51,6 +58,8 @@ _SLIVER = 1e-9    # relative width up to which a stratum takes its bracket
 _GRADE = 64.0     # panel ratio toward an end with a nearby outside base
 _CHUNK = 1 << 16  # term-by-node elements evaluated at once
 _EPS = float(np.finfo(float).eps)
+# step h = 2^-level of levels 2 to _TS_FIRST, times the 1/2 of t = j h
+_LEVEL_WEIGHTS = 2.0 ** -np.arange(2.0, _TS_FIRST + 1.0)[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,50 +99,53 @@ def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(np.concatenate(parts) for parts in zip(*levels)), blocks
 
 
-class _Rows:
+class Rows:
     """Struct-of-arrays table of stratum panels for the tanh-sinh rule.
 
     Row i is the panel (a[i], b[i]) with m = const[i] plus the terms
     first[i]:first[i+1]; ``row`` maps each term to its row.  A term keeps
     its argument orient*(lam - base) at both panel ends, clamped at 0, in
-    ``arg_a`` and ``arg_b``.
+    ``arg_a`` and ``arg_b`` (``args`` passes them when they are known).
     """
 
     __slots__ = ("a", "b", "const", "first", "row", "coef", "expo",
                  "orient", "base", "arg_a", "arg_b")
 
-    def __init__(self, a, b, const, counts, coef, expo, base, orient):
+    def __init__(self, a, b, const, counts, coef, expo, base, orient,
+                 args=None):
         self.a, self.b, self.const = a, b, const
         self.first = np.concatenate(([0], np.cumsum(counts)))
         self.row = np.repeat(np.arange(len(a)), counts)
         self.coef, self.expo, self.base, self.orient = coef, expo, base, orient
-        self.arg_a = np.maximum(orient * (a[self.row] - base), 0.0)
-        self.arg_b = np.maximum(orient * (b[self.row] - base), 0.0)
+        self.arg_a, self.arg_b = args if args is not None else (
+            np.maximum(orient * (a[self.row] - base), 0.0),
+            np.maximum(orient * (b[self.row] - base), 0.0))
 
     @staticmethod
-    def of(strata: Sequence[Stratum]) -> "_Rows":
+    def of(strata: Sequence[Stratum]) -> "Rows":
         terms = [t for s in strata for t in s.terms]
-        return _Rows(np.array([s.lam0 for s in strata]),
-                     np.array([s.lam1 for s in strata]),
-                     np.array([s.const for s in strata]),
-                     np.array([len(s.terms) for s in strata], dtype=int),
-                     np.array([t.coef for t in terms]),
-                     np.array([t.expo for t in terms]),
-                     np.array([t.base for t in terms]),
-                     np.array([t.orient for t in terms]))
+        return Rows(np.array([s.lam0 for s in strata]),
+                    np.array([s.lam1 for s in strata]),
+                    np.array([s.const for s in strata]),
+                    np.array([len(s.terms) for s in strata], dtype=int),
+                    np.array([t.coef for t in terms]),
+                    np.array([t.expo for t in terms]),
+                    np.array([t.base for t in terms]),
+                    np.array([t.orient for t in terms]))
 
-    def take(self, sel: np.ndarray) -> "_Rows":
+    def take(self, sel: np.ndarray) -> "Rows":
         """The sub-table of rows ``sel`` (increasing indices)."""
         if len(sel) == len(self.a):
             return self
         keep = np.zeros(len(self.a), dtype=bool)
         keep[sel] = True
         terms = keep[self.row]
-        return _Rows(self.a[sel], self.b[sel], self.const[sel],
-                     np.diff(self.first)[sel], self.coef[terms],
-                     self.expo[terms], self.base[terms], self.orient[terms])
+        return Rows(self.a[sel], self.b[sel], self.const[sel],
+                    np.diff(self.first)[sel], self.coef[terms],
+                    self.expo[terms], self.base[terms], self.orient[terms],
+                    (self.arg_a[terms], self.arg_b[terms]))
 
-    def graded(self) -> tuple["_Rows", np.ndarray]:
+    def graded(self) -> tuple["Rows", np.ndarray]:
         """The rows cut into graded panels, and each panel's row.
 
         The distance of the nearest term base outside each end is the
@@ -154,11 +166,11 @@ class _Rows:
         owner = np.repeat(owner, [len(c) - 1 for c in cuts])
         pick = np.concatenate([np.arange(self.first[i], self.first[i + 1])
                                for i in owner.tolist()])
-        return _Rows(np.array([x for c in cuts for x in c[:-1]]),
-                     np.array([x for c in cuts for x in c[1:]]),
-                     self.const[owner], np.diff(self.first)[owner],
-                     self.coef[pick], self.expo[pick], self.base[pick],
-                     self.orient[pick]), owner
+        return Rows(np.array([x for c in cuts for x in c[:-1]]),
+                    np.array([x for c in cuts for x in c[1:]]),
+                    self.const[owner], np.diff(self.first)[owner],
+                    self.coef[pick], self.expo[pick], self.base[pick],
+                    self.orient[pick]), owner
 
     def args(self, left: np.ndarray, sc: np.ndarray) -> np.ndarray:
         """Every term's argument at every node, from the nearer end."""
@@ -174,7 +186,9 @@ class _Rows:
         with np.errstate(divide="ignore", over="ignore"):
             term = np.power(arg, self.expo[:, None])
         term *= self.coef[:, None]
-        m = np.add.reduceat(term, self.first[:-1], axis=0)
+        # with one term per row, the sum over each row's terms is the term
+        m = (term if len(term) == len(self.a)
+             else np.add.reduceat(term, self.first[:-1], axis=0))
         m += self.const[:, None]
         # m is a distribution function, so a negative value near a
         # stratum edge is roundoff; floor it before fractional powers
@@ -225,16 +239,21 @@ class _Rows:
         elements, so memory does not grow with the level set.
         """
         left, sc, w = nodes
-        out = np.empty((len(blocks), len(self.a)))
-        ends = np.cumsum(np.diff(self.first))
+        starts = [0, *blocks[:-1]]
+        ends = self.first[1:]
         budget = max(_CHUNK // len(w), 1)
+        if ends[-1] <= budget:
+            f = self.integrand(left, sc, q, qq)
+            f *= w
+            return np.add.reduceat(f, starts, axis=1).T
+        out = np.empty((len(blocks), len(self.a)))
         lo = 0
         while lo < len(self.a):
             start = ends[lo - 1] if lo else 0
             hi = max(int(np.searchsorted(ends, start + budget, "right")),
                      lo + 1)
             f = self.take(np.arange(lo, hi)).integrand(left, sc, q, qq) * w
-            out[:, lo:hi] = np.add.reduceat(f, [0, *blocks[:-1]], axis=1).T
+            out[:, lo:hi] = np.add.reduceat(f, starts, axis=1).T
             lo = hi
         return out
 
@@ -264,7 +283,7 @@ def _grade_cuts(a: float, b: float, da: float, db: float) -> list[float]:
     return [a] + [c for c in inner if a < c < b] + [b]
 
 
-def _singular_ends(rows: _Rows, q: float, qq: float) -> np.ndarray:
+def _singular_ends(rows: Rows, q: float, qq: float) -> np.ndarray:
     """Rows with a negative-order term whose argument vanishes at an end.
 
     Raises DivergentIntegralError when the order there, with lam^(q-1) at
@@ -285,7 +304,7 @@ def _singular_ends(rows: _Rows, q: float, qq: float) -> np.ndarray:
     return singular
 
 
-def _rule(rows: _Rows, q: float, qq: float, span: float
+def _rule(rows: Rows, q: float, qq: float, span: float
           ) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-sinh values and error bounds of every row, |t| <= span.
 
@@ -303,8 +322,7 @@ def _rule(rows: _Rows, q: float, qq: float, span: float
     nodes, blocks = _ts_first(span)
     sums = np.cumsum(rows.weighted_sums(nodes, q, qq, blocks), axis=0)
     tail = 0.25 * half * sums[0]
-    levels = [half * sums[i] * 2.0 ** -(i + 1)
-              for i in range(1, len(blocks))]
+    levels = half * sums[1:] * _LEVEL_WEIGHTS
     n_nodes = int(blocks[-1])
     value, err = _level_error(*levels, tail, n_nodes)
     # a non-finite value or bound is never within the contract
@@ -344,53 +362,62 @@ def _level_error(older: np.ndarray, prev: np.ndarray, cur: np.ndarray,
         [step, guard, tail, n_nodes * _EPS * cur])
 
 
-def stratum_integrals(strata: Sequence[Stratum], q: float, qq: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error bounds of integral lam^(q-1) m(lam)^qq per stratum.
+def row_integrals(rows: Rows, q: float, qq: float,
+                  owner: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error bounds of integral lam^(q-1) m(lam)^qq per row.
 
-    The strata must be finite and carry terms.  A sliver (relative width
-    at most 1e-9) is bracketed instead of ruled: m is nonincreasing and
-    lam^(q-1) nondecreasing, so its integral lies in width *
+    The rows must be finite strata with terms; ``owner`` maps each row to
+    its level set (all rows form one when it is None).  A sliver (relative
+    width at most 1e-9) is bracketed instead of ruled: m is nonincreasing
+    and lam^(q-1) nondecreasing, so its integral lies in width *
     [lam0^(q-1) m(lam1)^qq, lam1^(q-1) m(lam0)^qq]; it takes the midpoint,
     with the half-width as its error bound.  NumericalError is raised if
-    the slivers' bounds together pass the 1e-12 contract of the total.  A
-    sliver whose bracket is unbounded (a singular term at its end) is
-    ruled.  Other strata are graded into panels and ruled, with the wider
-    node reach for panels that have a singular end.
+    the slivers' bounds of a level set pass the 1e-12 contract of that
+    level set's total.  A sliver whose bracket is unbounded (a singular
+    term at its end) is ruled.  Other strata are graded into panels and
+    ruled, with the wider node reach for panels that have a singular end.
     """
-    values, errors = np.zeros(len(strata)), np.zeros(len(strata))
-    if not strata:
+    n = len(rows.a)
+    values, errors = np.zeros(n), np.zeros(n)
+    if not n:
         return values, errors
-    rows = _Rows.of(strata)
     width = rows.b - rows.a
     sliver = np.flatnonzero(width <= _SLIVER * rows.b)
     if sliver.size:
-        sub = rows.take(sliver)
-        ends = sub.m_power(np.array([True, False]), np.zeros(2), qq)
-        lo = width[sliver] * sub.a ** (q - 1.0) * ends[:, 1]
-        hi = width[sliver] * sub.b ** (q - 1.0) * ends[:, 0]
+        # m^qq at both ends of every row, read at the slivers
+        ends = rows.m_power(np.array([True, False]), np.zeros(2), qq)[sliver]
+        lo = hi = width[sliver]
+        if q != 1.0:
+            lo = lo * rows.a[sliver] ** (q - 1.0)
+            hi = hi * rows.b[sliver] ** (q - 1.0)
+        lo, hi = lo * ends[:, 1], hi * ends[:, 0]
         bounded = np.isfinite(hi)
         sliver = sliver[bounded]
         values[sliver] = 0.5 * (lo + hi)[bounded]
         errors[sliver] = 0.5 * np.abs(hi - lo)[bounded]
-    ruled = np.ones(len(strata), dtype=bool)
+    ruled = np.ones(n, dtype=bool)
     ruled[sliver] = False
     ruled = np.flatnonzero(ruled)
     if ruled.size:
-        panels, owner = rows.take(ruled).graded()
-        owner = ruled[owner]
+        panels, stratum = rows.take(ruled).graded()
+        stratum = ruled[stratum]
         singular = _singular_ends(panels, q, qq)
         for span, pick in ((_TS_SPAN, ~singular),
                            (_TS_SPAN_SINGULAR, singular)):
             sel = np.flatnonzero(pick)
             if sel.size:
                 v, e = _rule(panels.take(sel), q, qq, span)
-                np.add.at(values, owner[sel], v)
-                np.add.at(errors, owner[sel], e)
+                np.add.at(values, stratum[sel], v)
+                np.add.at(errors, stratum[sel], e)
     if sliver.size:
-        bound, total = math.fsum(errors[sliver]), math.fsum(values)
-        if bound > _REL_TOL * total:
-            raise NumericalError(
-                f"sliver strata are bracketed only to {bound:.3e} of a "
-                f"total {total:.6e}")
+        owner = np.zeros(n, dtype=int) if owner is None else owner
+        for level_set in set(owner[sliver].tolist()):
+            mine = owner == level_set
+            bound = math.fsum(errors[sliver[mine[sliver]]])
+            total = math.fsum(values[mine])
+            if bound > _REL_TOL * total:
+                raise NumericalError(
+                    f"sliver strata are bracketed only to {bound:.3e} of "
+                    f"a total {total:.6e}")
     return values, errors

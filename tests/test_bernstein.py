@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cone_sobolev import bernstein
+from cone_sobolev import bernstein, spans
 from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           InternalConsistencyError, LorentzParams,
                           ResourceError, ValidationError,
@@ -17,6 +17,10 @@ from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           embedding_norm, from_knots, gamma_sequence,
                           gradient_upper_certificate, quotient,
                           superadditivity_certificate, verify_system)
+
+from cone_sobolev.lorentz import lorentz_norm_distributional
+from cone_sobolev.profiles import gradient_density
+from cone_sobolev.segments import Law, Piece, abs_pieces, clip_pieces
 
 PARAMS = LorentzParams(2.0, 1.0)
 
@@ -262,8 +266,8 @@ def test_system_json_rejects_malformed(system):
 
 
 def _explicit_sweep(system, trials, directions, seed):
-    """Failure counts and least quotient from two separate loops, each
-    drawing its own directions from the seed."""
+    """Failure counts and least quotient from two separate loops over the
+    public certificates, each drawing its own directions from the seed."""
     rng = np.random.default_rng(seed)
     fails = [0, 0]
     for _ in range(trials):
@@ -274,8 +278,8 @@ def _explicit_sweep(system, trials, directions, seed):
     worst = math.inf
     for _ in range(directions):
         alpha = rng.standard_normal(system.m)
-        worst = min(worst, bernstein._span_function_norm(system, alpha)
-                    / bernstein._span_gradient_norm(system, alpha))
+        worst = min(worst, superadditivity_certificate(system, alpha)[0]
+                    / gradient_upper_certificate(system, alpha)[0])
     return fails[0], fails[1], worst
 
 
@@ -289,12 +293,14 @@ def test_certify_span_counts_match_the_explicit_loop(system):
     strict = dataclasses.replace(
         system, eps2=system.lam / (1.0 + system.eps1) - ratios[4])
     for sys_, seed in ((system, 0), (strict, 5)):
-        super_fails, grad_fails, bound = certify_span(sys_, 20, 20, seed)
+        sweep = certify_span(sys_, 20, 20, seed)
+        bound = sweep.bound
         want = _explicit_sweep(sys_, 20, 20, seed)
-        assert (super_fails, grad_fails, bound.empirical_minimum) == want
+        assert (sweep.super_failures, sweep.grad_failures,
+                bound.empirical_minimum) == want
         assert (bound.directions, bound.seed) == (20, seed)
         assert bound.certified == sys_.lam / (1.0 + sys_.eps1) - sys_.eps2
-    assert 0 < super_fails < 20
+    assert 0 < sweep.super_failures < 20
 
 
 @pytest.mark.parametrize("trials, directions", [(-3, 10), (10, -2)])
@@ -312,3 +318,110 @@ def test_certify_span_splits_one_sweep(system, trials, directions):
     assert got[:2] == want[:2]
     assert got[2].empirical_minimum == want[2]
     assert got[2] == bernstein_lower_bound(system, directions, 11)
+
+
+# -- the span engine against the Piece path ---------------------------------------
+
+def _reference_norms(system, alpha):
+    """Both span norms through Piece objects, abs_pieces and the level-set
+    sweep: the path the engine replaces, from public functions."""
+    pieces, lift = [], 0.0
+    for a, shell in zip(alpha, system.shells):
+        for pc in clip_pieces(shell.profile.pieces, shell.cutoff_measure,
+                              shell.profile.t_max):
+            pieces.append(Piece(pc.t0, pc.t1,
+                                pc.law.scaled(a).shifted(lift)))
+        lift += a * shell.profile.max_value
+    if lift != 0.0:
+        pieces.append(Piece(0.0, system.shells[len(alpha) - 1].cutoff_measure,
+                            Law.constant(lift)))
+    signed = abs_pieces(pieces)
+    function = lorentz_norm_distributional(signed,
+                                           system.params.star_params())
+    gradient = lorentz_norm_distributional(
+        [Piece(p.t0, p.t1, p.law.scaled(abs(a)))
+         for a, shell in zip(alpha, system.shells) if a != 0.0
+         for p in gradient_density(shell.profile).pieces], system.params)
+    return function, gradient, len(signed) - len(pieces)
+
+
+def _awkward_alphas(system, rng):
+    """Random alphas, alphas with zero entries, alphas shorter than m and
+    all-negative ones, and one whose sum changes sign inside an arc of the
+    second shell: there alpha_2 u_2 + alpha_1 max u_1 runs from -alpha_1
+    max u_1 at the head to alpha_1 max u_1 at the support's end."""
+    m = system.m
+    heights = [s.profile.max_value for s in system.shells]
+    return ([rng.standard_normal(m) for _ in range(6)]
+            + [np.where(rng.random(m) < 0.5, 0.0, rng.standard_normal(m))
+               for _ in range(3)]
+            + [rng.standard_normal(k) for k in range(1, m)]
+            + [-np.abs(rng.standard_normal(m)) for _ in range(2)]
+            + [np.array([1.0, -2.0 * heights[0] / heights[1]])])
+
+
+@pytest.fixture(scope="module")
+def q_two_system(halfplane_module):
+    params = LorentzParams(2.0, 2.0)
+    lam = 0.5 * embedding_norm(halfplane_module, params)
+    return construct_system(halfplane_module, params, 3, lam, 0.05, 0.05)
+
+
+@pytest.fixture(scope="module")
+def quadrant_system():
+    from cone_sobolev import builtin_cone
+    cone = builtin_cone("quadrant-x1x2")
+    lam = 0.6 * embedding_norm(cone, PARAMS)
+    return construct_system(cone, PARAMS, 3, lam, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("which", ["q=1", "q=2", "quadrant-x1x2", "json"])
+def test_span_engine_matches_the_piece_path(which, system, q_two_system,
+                                            quadrant_system):
+    sys_ = {"q=1": system, "q=2": q_two_system,
+            "quadrant-x1x2": quadrant_system,
+            "json": AlmostExtremalSystem.from_json(system.to_json())}[which]
+    splits = 0
+    for alpha in _awkward_alphas(sys_, np.random.default_rng(17)):
+        function, gradient, split = _reference_norms(sys_, alpha)
+        splits += split
+        got = superadditivity_certificate(sys_, alpha)[0]
+        assert got == pytest.approx(function, rel=1e-13, abs=0.0), alpha
+        got = gradient_upper_certificate(sys_, alpha)[0]
+        assert got == pytest.approx(gradient, rel=1e-13, abs=0.0), alpha
+    assert splits > 0  # some alpha cut a piece at a sign root
+
+
+def test_span_engine_gives_zero_norms_for_zero_alpha(system):
+    assert superadditivity_certificate(system, [0.0, 0.0])[0] == 0.0
+    assert gradient_upper_certificate(system, [0.0, 0.0, 0.0])[0] == 0.0
+
+
+def test_span_engine_batches_bit_identically(system, quadrant_system):
+    # a direction's norms do not depend on the directions batched with it
+    for sys_ in (system, quadrant_system):
+        alphas = np.random.default_rng(5).standard_normal((70, sys_.m))
+        awkward = alphas.copy()
+        awkward[3, 1] = 0.0
+        awkward[4] = -np.abs(awkward[4])
+        tables = sys_._span_tables
+        for gradient in (False, True):
+            batch = spans.span_norms(tables, awkward, gradient)
+            alone = [spans.span_norms(tables, a[None], gradient)[0]
+                     for a in awkward]
+            assert batch == alone
+        sweep = certify_span(sys_, 70, 70, 5)
+        assert sweep.bound.empirical_minimum == min(
+            superadditivity_certificate(sys_, a)[0]
+            / gradient_upper_certificate(sys_, a)[0] for a in alphas)
+
+
+def test_certify_span_margins_are_the_least_relative_slack(system):
+    sweep = certify_span(system, 12, 4, 2)
+    alphas = np.random.default_rng(2).standard_normal((12, system.m))
+    supers = [superadditivity_certificate(system, a) for a in alphas]
+    grads = [gradient_upper_certificate(system, a) for a in alphas]
+    assert sweep.super_margin == min(l / b - 1.0 for l, b, _ in supers)
+    assert sweep.grad_margin == min(1.0 - l / b for l, b, _ in grads)
+    assert certify_span(system, 0, 4, 2).super_margin == math.inf
+

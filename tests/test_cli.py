@@ -3,10 +3,14 @@
 import datetime
 import json
 
+import numpy as np
 import pytest
 
 import cone_sobolev.bernstein as bernstein
 import cone_sobolev.cli as cli
+from cone_sobolev import (LorentzParams, WeightedCone, construct_system,
+                          gradient_upper_certificate,
+                          superadditivity_certificate)
 
 SCHEMA_KEYS = {"command", "config", "outputs", "passed", "timestamp",
                "tolerances", "verdicts"}
@@ -122,22 +126,44 @@ def test_bernstein_command(capsys):
 
 def test_bernstein_evaluates_each_direction_once(capsys, monkeypatch):
     # 7 alpha trials and 5 directions from one seed share their first 5
-    # directions, so each span norm runs once per distinct direction
-    calls = {"_span_function_norm": 0, "_span_gradient_norm": 0}
-    for name in calls:
-        original = getattr(bernstein, name)
+    # directions, so each span norm runs once per distinct direction (a
+    # sweep per list would evaluate 12)
+    rows = {False: [], True: []}
+    original = bernstein.span_norms
 
-        def counted(system, alpha, name=name, original=original):
-            calls[name] += 1
-            return original(system, alpha)
+    def counted(tables, alphas, gradient):
+        rows[gradient].extend(map(tuple, alphas))
+        return original(tables, alphas, gradient)
 
-        monkeypatch.setattr(bernstein, name, counted)
+    monkeypatch.setattr(bernstein, "span_norms", counted)
     code, report, _ = run_json(
         capsys, ["bernstein", "--m", "2", "--lambda-frac", "0.5",
                  "--alpha-trials", "7", "--directions", "5"])
     assert code == 0
     assert report["outputs"]["alpha_trials"] == 7
-    assert calls == {"_span_function_norm": 7, "_span_gradient_norm": 7}
+    for seen in rows.values():
+        assert len(seen) == len(set(seen)) == 7
+
+
+def test_bernstein_reports_certificate_margins(capsys):
+    code, report, _ = run_json(
+        capsys, ["bernstein", "--m", "2", "--lambda-frac", "0.5",
+                 "--alpha-trials", "6", "--directions", "3", "--seed", "4"])
+    assert code == 0
+    config, out = report["config"], report["outputs"]
+    cone = WeightedCone.from_json_dict(config["cone"])
+    system = construct_system(
+        cone, LorentzParams(config["p"], config["q"], cone), config["m"],
+        out["lambda"], config["eps1"], config["eps2"])
+    alphas = np.random.default_rng(4).standard_normal((6, 2))
+    supers = [superadditivity_certificate(system, a) for a in alphas]
+    grads = [gradient_upper_certificate(system, a) for a in alphas]
+    assert out["superadditivity_margin"] == min(
+        lhs / bound - 1.0 for lhs, bound, _ in supers)
+    assert out["gradient_upper_margin"] == min(
+        1.0 - lhs / bound for lhs, bound, _ in grads)
+    assert out["superadditivity_margin"] > 0.0
+    assert out["gradient_upper_margin"] > -1e-9
 
 
 def test_selftest_subset(capsys):

@@ -22,9 +22,14 @@ from cone_sobolev.segments import (Law, LevelSet, Piece, Stratum,
                                    abs_pieces, clip_pieces, moment_integral,
                                    piece_moment, pieces_value,
                                    power_primitive)
-from cone_sobolev.tanhsinh import stratum_integrals
+from cone_sobolev.tanhsinh import Rows, row_integrals
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def stratum_integrals(strata, q, qq):
+    """The lambda route's rule on the strata of one level set."""
+    return row_integrals(Rows.of(strata), q, qq)
 
 
 # -- the law ------------------------------------------------------------------
