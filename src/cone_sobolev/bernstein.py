@@ -104,9 +104,27 @@ class ShellSpec:
         return self.profile.pieces[0].t1
 
 
+def _certified_floor(lam: float, eps1: float, eps2: float) -> float:
+    """The certified quotient lambda/(1+eps1) - eps2.
+
+    Raises ValidationError unless it is positive: a bound of zero or below
+    certifies nothing, and the certificates' relative margins divide by it.
+    """
+    floor = lam / (1.0 + eps1) - eps2
+    if not floor > 0.0:
+        raise ValidationError(
+            f"the certified bound lambda/(1+eps1) - eps2 must be positive; "
+            f"got {floor!r} (lambda {lam!r}, eps1 {eps1!r}, eps2 {eps2!r})")
+    return floor
+
+
 @dataclass(frozen=True)
 class AlmostExtremalSystem:
-    """The full shell system with its defining scalars."""
+    """The full shell system with its defining scalars.
+
+    Its certified bound lambda/(1+eps1) - eps2 is positive on every
+    construction (``construct_system``, ``from_json``, ``prefix``).
+    """
 
     cone: WeightedCone
     params: LorentzParams
@@ -115,6 +133,9 @@ class AlmostExtremalSystem:
     eps2: float
     geometric_ratio: float | None
     shells: tuple[ShellSpec, ...]
+
+    def __post_init__(self) -> None:
+        _certified_floor(self.lam, self.eps1, self.eps2)
 
     @property
     def m(self) -> int:
@@ -372,6 +393,7 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
         raise ValidationError("shell count m must be a positive integer")
     if eps1 <= 0 or eps2 <= 0:
         raise ValidationError("eps1 and eps2 must be positive")
+    _certified_floor(lam, eps1, eps2)
     bound = LorentzParams(params.p, params.q, cone)
     gammas = gamma_sequence(bound, eps2, m)
     ratio = (None if bound.q == 1.0
@@ -499,7 +521,7 @@ def _span_coefficients(system: AlmostExtremalSystem,
 
 def _superadditivity(system: AlmostExtremalSystem, alpha: Sequence[float],
                      lhs: float) -> tuple[float, float, bool]:
-    floor = system.lam / (1.0 + system.eps1) - system.eps2
+    floor = _certified_floor(system.lam, system.eps1, system.eps2)
     bound_val = floor * ell_q_norm(alpha, system.params.q)
     return lhs, bound_val, lhs >= bound_val * (1.0 - _CERT_SLACK)
 
@@ -580,8 +602,8 @@ def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
                if den != 0.0), default=math.inf)
     return SpanSweep(
         sum(not ok for _, _, ok in supers), sum(not ok for _, _, ok in grads),
-        BernsteinBound(system.lam / (1.0 + system.eps1) - system.eps2, low,
-                       directions, seed),
+        BernsteinBound(_certified_floor(system.lam, system.eps1,
+                                        system.eps2), low, directions, seed),
         min((lhs / bound - 1.0 for lhs, bound, _ in supers),
             default=math.inf),
         min((1.0 - lhs / bound for lhs, bound, _ in grads),

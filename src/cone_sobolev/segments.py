@@ -25,9 +25,10 @@ main self-check:
   ``quadrature.substitute_origin`` removes an algebraic singularity at the
   origin (mirrored onto the right end when a law blows up there);
 * the lambda route integrates every finite stratum with terms by its own
-  batched tanh-sinh rule (``tanhsinh.row_integrals``), all strata of a
-  level set at once, and uses ``power_primitive`` only for constant strata
-  and pure-power infinite tails.
+  batched tanh-sinh rule (``tanhsinh.row_integrals``), all strata of one
+  or many level sets at once (``level_set_qth_powers``), and uses
+  ``power_primitive`` only for constant strata and pure-power infinite
+  tails.
 
 Both meet the fixed relative tolerance 1e-12 with an error estimate or
 raise NumericalError; there is no fixed-rule path and no looser setting.
@@ -58,7 +59,7 @@ __all__ = [
     "abs_pieces",
     "clip_pieces",
     "pieces_value",
-    "infinite_tail",
+    "level_set_qth_powers",
 ]
 
 # relative tolerance of every segment moment without a closed form (a fixed
@@ -644,43 +645,57 @@ class LevelSet:
     def lorentz_qth_power(self, p: float, q: float) -> float:
         """p * integral over lam of lam^(q-1) * m(lam)^(q/p).
 
-        Constant strata and pure-power infinite tails are exact
-        (``power_primitive``); every finite stratum with terms goes through
-        one batched tanh-sinh rule (``tanhsinh.row_integrals``), whose
-        error bound meets the 1e-12 contract or raises NumericalError.
+        The strata go to ``level_set_qth_powers`` as one level set.
         """
-        qq = q / p
-        exact: list[float] = []
-        ruled: list[Stratum] = []
-        for s in self.strata:
-            if not s.lam0 < s.lam1:
-                continue
-            if math.isinf(s.lam1):
-                exact.append(infinite_tail(s, q, qq))
-            elif s.terms:
-                ruled.append(s)
-            elif s.const != 0.0:
-                exact.append(s.const ** qq
-                             * power_primitive(s.lam0, s.lam1, q - 1.0))
-        values, _ = row_integrals(Rows.of(ruled), q, qq)
-        return p * math.fsum(exact + values.tolist())
+        strata = [s for s in self.strata if s.lam0 < s.lam1]
+        ruled = [s for s in strata if s.terms]
+        (total,) = level_set_qth_powers(
+            Rows.of(ruled), np.zeros(len(ruled), dtype=int),
+            [(0, s.lam0, s.lam1, s.const) for s in strata if not s.terms],
+            1, p, q)
+        return total
 
 
-def infinite_tail(s: Stratum, q: float, qq: float) -> float:
-    """integral over (lam0, inf) of lam^(q-1) m(lam)^qq on a stratum.
+def level_set_qth_powers(rows: Rows, owner: np.ndarray,
+                         flat: Iterable[tuple[int, float, float, float]],
+                         count: int, p: float, q: float) -> list[float]:
+    """p * integral lam^(q-1) m(lam)^(q/p) of each of ``count`` level sets.
 
-    Zero when m vanishes, the closed form for a pure power, and an error
-    otherwise (divergent for a positive constant).
+    Each level set's strata (lam0 < lam1) are rows of ``rows`` when they
+    have terms (row i in level set owner[i]) and (level set, lam0, lam1,
+    const) entries of ``flat`` when they are constant.  Constant strata
+    and pure-power infinite tails are exact (``power_primitive``); every
+    finite stratum with terms goes through one call of the batched
+    tanh-sinh rule (``tanhsinh.row_integrals``), whose error bound meets
+    the 1e-12 contract or raises NumericalError.  Each level set's parts
+    are added by math.fsum, so its value does not depend on the other
+    level sets.
     """
-    if not s.terms:
-        if s.const == 0.0:
-            return 0.0
-        raise DivergentIntegralError(
-            "level set has positive measure at every level")
+    qq = q / p
+    parts: list[list[float]] = [[] for _ in range(count)]
+    for d, a, b, c in flat:
+        if c == 0.0:
+            continue
+        if b == math.inf:
+            raise DivergentIntegralError(
+                "level set has positive measure at every level")
+        parts[d].append(c ** qq * power_primitive(a, b, q - 1.0))
+    values, _ = row_integrals(rows, q, qq, owner)
+    for r, (d, b, v) in enumerate(zip(owner.tolist(), rows.b.tolist(),
+                                      values.tolist())):
+        parts[d].append(_infinite_tail(rows, r, q, qq) if b == math.inf
+                        else v)
+    return [p * math.fsum(part) for part in parts]
+
+
+def _infinite_tail(rows: Rows, r: int, q: float, qq: float) -> float:
+    """integral over (lam0, inf) of lam^(q-1) m(lam)^qq on row r: the
+    closed form for a pure power, an error otherwise."""
+    first, last = rows.first[r], rows.first[r + 1]
     # only a pure power admits an elementary infinite-lambda tail
-    law = s.terms[0]
-    if (len(s.terms) == 1 and s.const == 0.0 and law.base == 0.0
-            and law.orient == 1.0):
-        return law.coef ** qq * power_primitive(
-            s.lam0, math.inf, q - 1.0 + qq * law.expo)
+    if (last - first == 1 and rows.const[r] == 0.0
+            and rows.base[first] == 0.0 and rows.orient[first] == 1.0):
+        return float(rows.coef[first]) ** qq * power_primitive(
+            float(rows.a[r]), math.inf,
+            q - 1.0 + qq * float(rows.expo[first]))
     raise NumericalError("no exact route for this unbounded level-set tail")

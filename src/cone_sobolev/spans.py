@@ -14,9 +14,10 @@ shift move with alpha.  So the pieces are tabulated once per system
 (``SpanTables``), with everything alpha does not move, and ``span_norms``
 turns a batch of directions into the strata of their level sets as
 arrays: no ``Piece``, ``Law``, ``Stratum`` or ``LevelSet`` per direction.
-The strata of each pass of directions go to the lambda route's rule in
-one call (``tanhsinh.row_integrals``).  Every step is per direction, and
-each direction's parts are added by math.fsum, so a norm is bit-identical
+The strata of each pass of directions go in one call to
+``segments.level_set_qth_powers``, which also serves
+``LevelSet.lorentz_qth_power``.  Every step is per direction, and each
+direction's parts are added by math.fsum, so a norm is bit-identical
 whether its direction is evaluated alone or in any batch.
 
 The steps are those of ``segments.abs_pieces`` (the function span only;
@@ -34,9 +35,8 @@ import numpy as np
 
 from .lorentz import LorentzParams
 from .profiles import gradient_density
-from .segments import (Law, Piece, Stratum, clip_pieces, infinite_tail,
-                       power_primitive)
-from .tanhsinh import Rows, row_integrals
+from .segments import Law, Piece, clip_pieces, level_set_qth_powers
+from .tanhsinh import Rows
 
 if TYPE_CHECKING:
     from .bernstein import ShellSpec
@@ -179,12 +179,11 @@ def _span_qth_powers(tpl: _Template, coef: np.ndarray, shift: np.ndarray
       terms are not merged by law, so m is the same sum, term by term;
     * a stratum's constant is the math.fsum of its pieces' contributions,
       so survivors far below transients keep every digit;
-    * strata with terms go to the rule in one call, constant strata are
-      exact (``power_primitive``), and each direction's parts are added
-      by math.fsum, so no value depends on the other directions.
+    * the strata of all directions go to ``level_set_qth_powers`` in
+      one call, which adds each direction's parts by math.fsum, so no
+      value depends on the other directions.
     """
     p, q = tpl.params.p, tpl.params.q
-    qq = q / p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         flat = coef == 0.0
         va = np.where(flat, shift, coef * tpl.w0 + shift)
@@ -227,27 +226,13 @@ def _span_qth_powers(tpl: _Template, coef: np.ndarray, shift: np.ndarray
              tpl.inv_h[piece], shift[term_level, piece],
              np.where(coef > 0.0, 1.0, -1.0)[term_level, piece])
     counts = np.count_nonzero(strad, axis=1)
-    finite = np.isfinite(lam1)
-    ruled = (counts > 0) & finite
-    values, _ = row_integrals(
-        Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled],
-             *(t[ruled[term_row]] for t in terms)), q, qq,
-        level[ruled] if len(lo) > 1 else None)
-    totals: list[list[float]] = [[] for _ in range(len(lo))]
-    for d, v in zip(level[ruled].tolist(), values.tolist()):
-        totals[d].append(v)
-    exact = (counts == 0) & (const > 0.0) & finite
-    for d, c, a, b in zip(level[exact].tolist(), const[exact].tolist(),
-                          lam0[exact].tolist(), lam1[exact].tolist()):
-        totals[d].append(c ** qq * power_primitive(a, b, q - 1.0))
-    if not finite.all():
-        for r in np.flatnonzero(~finite & ((counts > 0) | (const != 0.0))):
-            mine = term_row == r
-            totals[level[r]].append(infinite_tail(Stratum(
-                lam0[r], math.inf, const[r], tuple(
-                    Law(*law) for law in zip(*(t[mine].tolist()
-                                               for t in terms)))), q, qq))
-    return [p * math.fsum(total) for total in totals]
+    ruled, flat = counts > 0, counts == 0
+    # dropping the strata without terms leaves the term arrays as they are
+    return level_set_qth_powers(
+        Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled], *terms),
+        level[ruled], zip(level[flat].tolist(), lam0[flat].tolist(),
+                          lam1[flat].tolist(), const[flat].tolist()),
+        len(lo), p, q)
 
 
 def span_norms(tables: SpanTables, alphas: np.ndarray,

@@ -16,12 +16,12 @@ table (``Rows``), evaluated together; nodes are measured from the nearer
 panel end, so a term whose base sits at or near that end keeps its
 distance instead of losing it to rounding.
 
-``row_integrals`` is the one entry: ``LevelSet.lorentz_qth_power`` passes
-the strata of one level set (``Rows.of``), and the span engine
-(``spans``) builds the table from arrays, with the strata of many level
-sets at once and each row's level set in ``owner``.  A row's value and
-bound depend on that row alone, so they are bit-identical however the
-rows are batched; only the sliver check reads a whole level set.
+``row_integrals`` is the one entry, called through
+``segments.level_set_qth_powers`` with the strata of one level set
+(``LevelSet.lorentz_qth_power``) or of many (the span engine, ``spans``),
+each row's level set in ``owner``.  A row's value and bound depend on that
+row alone, so they are bit-identical however the rows are batched; only
+the sliver check reads a whole level set.
 
 The module shares no code with the t route's adaptive Gauss-Legendre rule
 in ``quadrature``, so the agreement of the two routes checks two
@@ -58,8 +58,6 @@ _SLIVER = 1e-9    # relative width up to which a stratum takes its bracket
 _GRADE = 64.0     # panel ratio toward an end with a nearby outside base
 _CHUNK = 1 << 16  # term-by-node elements evaluated at once
 _EPS = float(np.finfo(float).eps)
-# step h = 2^-level of levels 2 to _TS_FIRST, times the 1/2 of t = j h
-_LEVEL_WEIGHTS = 2.0 ** -np.arange(2.0, _TS_FIRST + 1.0)[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,7 +103,8 @@ class Rows:
     Row i is the panel (a[i], b[i]) with m = const[i] plus the terms
     first[i]:first[i+1]; ``row`` maps each term to its row.  A term keeps
     its argument orient*(lam - base) at both panel ends, clamped at 0, in
-    ``arg_a`` and ``arg_b`` (``args`` passes them when they are known).
+    ``arg_a`` and ``arg_b`` (``take`` passes them in ``args``, since a row
+    keeps its ends).
     """
 
     __slots__ = ("a", "b", "const", "first", "row", "coef", "expo",
@@ -186,9 +185,7 @@ class Rows:
         with np.errstate(divide="ignore", over="ignore"):
             term = np.power(arg, self.expo[:, None])
         term *= self.coef[:, None]
-        # with one term per row, the sum over each row's terms is the term
-        m = (term if len(term) == len(self.a)
-             else np.add.reduceat(term, self.first[:-1], axis=0))
+        m = np.add.reduceat(term, self.first[:-1], axis=0)
         m += self.const[:, None]
         # m is a distribution function, so a negative value near a
         # stratum edge is roundoff; floor it before fractional powers
@@ -239,21 +236,16 @@ class Rows:
         elements, so memory does not grow with the level set.
         """
         left, sc, w = nodes
-        starts = [0, *blocks[:-1]]
-        ends = self.first[1:]
-        budget = max(_CHUNK // len(w), 1)
-        if ends[-1] <= budget:
-            f = self.integrand(left, sc, q, qq)
-            f *= w
-            return np.add.reduceat(f, starts, axis=1).T
         out = np.empty((len(blocks), len(self.a)))
+        ends = np.cumsum(np.diff(self.first))
+        budget = max(_CHUNK // len(w), 1)
         lo = 0
         while lo < len(self.a):
             start = ends[lo - 1] if lo else 0
             hi = max(int(np.searchsorted(ends, start + budget, "right")),
                      lo + 1)
             f = self.take(np.arange(lo, hi)).integrand(left, sc, q, qq) * w
-            out[:, lo:hi] = np.add.reduceat(f, starts, axis=1).T
+            out[:, lo:hi] = np.add.reduceat(f, [0, *blocks[:-1]], axis=1).T
             lo = hi
         return out
 
@@ -322,7 +314,8 @@ def _rule(rows: Rows, q: float, qq: float, span: float
     nodes, blocks = _ts_first(span)
     sums = np.cumsum(rows.weighted_sums(nodes, q, qq, blocks), axis=0)
     tail = 0.25 * half * sums[0]
-    levels = half * sums[1:] * _LEVEL_WEIGHTS
+    levels = [half * sums[i] * 2.0 ** -(i + 1)
+              for i in range(1, len(blocks))]
     n_nodes = int(blocks[-1])
     value, err = _level_error(*levels, tail, n_nodes)
     # a non-finite value or bound is never within the contract
@@ -362,43 +355,38 @@ def _level_error(older: np.ndarray, prev: np.ndarray, cur: np.ndarray,
         [step, guard, tail, n_nodes * _EPS * cur])
 
 
-def row_integrals(rows: Rows, q: float, qq: float,
-                  owner: np.ndarray | None = None
+def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Values and error bounds of integral lam^(q-1) m(lam)^qq per row.
 
-    The rows must be finite strata with terms; ``owner`` maps each row to
-    its level set (all rows form one when it is None).  A sliver (relative
-    width at most 1e-9) is bracketed instead of ruled: m is nonincreasing
-    and lam^(q-1) nondecreasing, so its integral lies in width *
-    [lam0^(q-1) m(lam1)^qq, lam1^(q-1) m(lam0)^qq]; it takes the midpoint,
-    with the half-width as its error bound.  NumericalError is raised if
-    the slivers' bounds of a level set pass the 1e-12 contract of that
-    level set's total.  A sliver whose bracket is unbounded (a singular
-    term at its end) is ruled.  Other strata are graded into panels and
-    ruled, with the wider node reach for panels that have a singular end.
+    The rows are strata with terms, ``owner`` maps each to its level set.
+    Rows with an unbounded end are left at 0: their integrals have closed
+    forms (``segments.level_set_qth_powers``).  A sliver
+    (relative width at most 1e-9) is bracketed instead of ruled: m is
+    nonincreasing and lam^(q-1) nondecreasing, so its integral lies in
+    width * [lam0^(q-1) m(lam1)^qq, lam1^(q-1) m(lam0)^qq]; it takes the
+    midpoint, with the half-width as its error bound.  NumericalError is
+    raised if the slivers' bounds of a level set pass the 1e-12 contract
+    of that level set's total.  A sliver whose bracket is unbounded (a
+    singular term at its end) is ruled.  Other strata are graded into
+    panels and ruled, with the wider node reach for panels that have a
+    singular end.
     """
-    n = len(rows.a)
-    values, errors = np.zeros(n), np.zeros(n)
-    if not n:
-        return values, errors
+    values, errors = np.zeros(len(rows.a)), np.zeros(len(rows.a))
+    live = np.isfinite(rows.b)
     width = rows.b - rows.a
-    sliver = np.flatnonzero(width <= _SLIVER * rows.b)
+    sliver = np.flatnonzero(live & (width <= _SLIVER * rows.b))
     if sliver.size:
-        # m^qq at both ends of every row, read at the slivers
-        ends = rows.m_power(np.array([True, False]), np.zeros(2), qq)[sliver]
-        lo = hi = width[sliver]
-        if q != 1.0:
-            lo = lo * rows.a[sliver] ** (q - 1.0)
-            hi = hi * rows.b[sliver] ** (q - 1.0)
-        lo, hi = lo * ends[:, 1], hi * ends[:, 0]
+        sub = rows.take(sliver)
+        ends = sub.m_power(np.array([True, False]), np.zeros(2), qq)
+        lo = width[sliver] * sub.a ** (q - 1.0) * ends[:, 1]
+        hi = width[sliver] * sub.b ** (q - 1.0) * ends[:, 0]
         bounded = np.isfinite(hi)
         sliver = sliver[bounded]
         values[sliver] = 0.5 * (lo + hi)[bounded]
         errors[sliver] = 0.5 * np.abs(hi - lo)[bounded]
-    ruled = np.ones(n, dtype=bool)
-    ruled[sliver] = False
-    ruled = np.flatnonzero(ruled)
+    live[sliver] = False
+    ruled = np.flatnonzero(live)
     if ruled.size:
         panels, stratum = rows.take(ruled).graded()
         stratum = ruled[stratum]
@@ -411,7 +399,6 @@ def row_integrals(rows: Rows, q: float, qq: float,
                 np.add.at(values, stratum[sel], v)
                 np.add.at(errors, stratum[sel], e)
     if sliver.size:
-        owner = np.zeros(n, dtype=int) if owner is None else owner
         for level_set in set(owner[sliver].tolist()):
             mine = owner == level_set
             bound = math.fsum(errors[sliver[mine[sliver]]])

@@ -425,3 +425,19 @@ def test_certify_span_margins_are_the_least_relative_slack(system):
     assert sweep.grad_margin == min(1.0 - l / b for l, b, _ in grads)
     assert certify_span(system, 0, 4, 2).super_margin == math.inf
 
+
+def test_systems_reject_a_certified_bound_that_is_not_positive(
+        system, halfplane_module):
+    # a bound of zero or below certifies nothing, and the superadditivity
+    # margin divides by it: every way a system is built refuses it
+    edge = system.lam / (1.0 + system.eps1)
+    with pytest.raises(ValidationError, match="must be positive"):
+        construct_system(halfplane_module, PARAMS, 2, system.lam, 0.05, 5.0)
+    for eps2 in (edge, 2.0 * edge):
+        with pytest.raises(ValidationError, match="must be positive"):
+            dataclasses.replace(system, eps2=eps2)
+        spec = system.to_json_dict()
+        spec["eps2"] = eps2
+        with pytest.raises(ValidationError, match="must be positive"):
+            AlmostExtremalSystem.from_json_dict(spec)
+

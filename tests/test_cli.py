@@ -245,6 +245,8 @@ def test_report_does_not_depend_on_thread_env(capsys, monkeypatch):
      "--alpha-trials", "-3"],                # no direction certified
     ["bernstein", "--m", "2", "--lambda-frac", "0.5",
      "--directions", "0"],                   # no empirical minimum
+    ["bernstein", "--m", "2", "--lambda-frac", "0.5",
+     "--eps2", "5.0"],                       # certified bound below 0
     ["selftest", "--criteria", "99"],        # no such criterion
     ["selftest", "--criteria", "2.7"],       # not a criterion number
 ])

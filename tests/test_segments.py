@@ -29,7 +29,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 def stratum_integrals(strata, q, qq):
     """The lambda route's rule on the strata of one level set."""
-    return row_integrals(Rows.of(strata), q, qq)
+    return row_integrals(Rows.of(strata), q, qq,
+                         np.zeros(len(strata), dtype=int))
 
 
 # -- the law ------------------------------------------------------------------
