@@ -23,10 +23,13 @@ every m since the shells keep coming.  Restricted norms along the
 shrinking supports vanish (absolute continuity), which is the mechanism
 that defeats any fixed finite cover.
 
-Shell profiles are truncated power arcs placed by monotone bisections: one
-head ratio per system (the quotient is scale invariant) and one cutoff
-radius per shell (tail and window conditions); everything is exact segment
-arithmetic or adaptive quadrature at 1e-12.
+Shell profiles are truncated power arcs placed by monotone bisections.
+Every shell is the first one dilated in the measure coordinate, with the
+same norms, so each search runs once per system and is dilated to every
+shell: the head ratio (the quotient is scale invariant), the window
+cutoff, and the tail cutoff once per distinct budget gamma_j (once at
+q = 1).  Each shell then checks both cutoff conditions itself; everything
+is exact segment arithmetic or adaptive quadrature at 1e-12.
 
 Span directions go to the span engine (``spans``).  Each system keeps the
 law tables of its two spans, built on first use: every direction has the
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -383,11 +387,17 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
                      ) -> AlmostExtremalSystem:
     """Build the m-shell almost-extremal system, verifying every invariant.
 
-    Per shell: a quotient-lambda profile in B_{R_j}; a cutoff radius found
-    by monotone bisection so the tail norm stays within gamma_j while the
-    windowed energy inflated by (1+eps1) still covers lambda; then the
-    next outer radius shrinks further to meet the measure-decay rule
-    delta_{j+1} < delta_j / j.
+    Per shell: a quotient-lambda profile in B_{R_j}; a cutoff measure
+    where the tail norm stays within gamma_j while the windowed energy
+    inflated by (1+eps1) still covers lambda; then the next outer radius
+    shrinks further to meet the measure-decay rule delta_{j+1} < delta_j / j.
+
+    Both cutoff conditions are conditions on tau/delta_j, since every
+    shell is shell 1 dilated in measure.  So the window cutoff is bisected
+    once, on shell 1, and the tail cutoff once per distinct gamma_j (once
+    at q = 1), then dilated; every shell checks both conditions at its own
+    cutoff.  Raises ResourceError once a shell's delta or cutoff measure
+    is below the normal double range.
     """
     if int(m) != m or m < 1:
         raise ValidationError("shell count m must be a positive integer")
@@ -403,36 +413,59 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     inflate = (1.0 + eps1) ** bound.q
     head_ratio = _head_ratio(cone, bound, lam)
 
+    # searched cutoffs as (tau, delta of the shell searched on)
+    tail_cuts: dict[float, tuple[float, float]] = {}
+    window_cut: tuple[float, float] | None = None
     shells: list[ShellSpec] = []
     outer = 1.0
     for j in range(1, m + 1):
-        profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
         delta = ball_measure(cone, outer)
+        _check_representable(j, "delta", delta)
+        profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
         head = profile.pieces[0].t1  # mu(B_{r_j})
+        gamma = gammas[j - 1]
 
         def tail_ok(tau: float) -> bool:
-            return restricted_norm(profile, star, t_cut=tau) \
-                <= gammas[j - 1]
+            return restricted_norm(profile, star, t_cut=tau) <= gamma
 
         def window_ok(tau: float) -> bool:
             return inflate * _window_energy(profile, bound, tau) >= lam_q
 
-        tau_tail = _bisect_threshold(tail_ok, head * 1e-24, head)
-        tau_window = _bisect_threshold(window_ok, head * 1e-24, head)
+        if gamma not in tail_cuts:
+            tail_cuts[gamma] = (
+                _bisect_threshold(tail_ok, head * 1e-24, head), delta)
+        tau, at = tail_cuts[gamma]
+        tau_tail = tau * (delta / at)
+        if window_cut is None:
+            window_cut = (_bisect_threshold(window_ok, head * 1e-24,
+                                            min(tau_tail, 0.75 * head)),
+                          delta)
+        tau, at = window_cut
+        tau_window = tau * (delta / at)
         tau_feasible = 0.5 * min(tau_tail, tau_window, 0.75 * head)
         if not (tail_ok(tau_feasible) and window_ok(tau_feasible)):
             raise InternalConsistencyError(
-                "cutoff bisection produced an infeasible radius")
+                f"shell {j}: cutoff bisection produced an infeasible radius")
         cutoff_measure = min(0.5 * tau_feasible,
                              delta / (2.0 * j))
+        _check_representable(j, "cutoff measure", cutoff_measure)
         cutoff_radius = cone.radius_of_measure(cutoff_measure)
         shells.append(ShellSpec(j, outer, inner, cutoff_radius, delta,
-                                cutoff_measure, gammas[j - 1], profile))
+                                cutoff_measure, gamma, profile))
         outer = cutoff_radius
     system = AlmostExtremalSystem(cone, bound, lam, eps1, eps2, ratio,
                                   tuple(shells))
     verify_system(system)
     return system
+
+
+def _check_representable(j: int, name: str, measure: float) -> None:
+    """Raise ResourceError once shell j's measure is not a normal double."""
+    if not measure >= sys.float_info.min:
+        raise ResourceError(
+            f"shell {j}: its {name} {measure!r} is below the smallest "
+            f"normal double; only systems of at most {j - 1} shells are "
+            f"representable with these parameters")
 
 
 def verify_system(system: AlmostExtremalSystem) -> dict:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -151,7 +153,10 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
                 return exact_sums()[0]
             continue
         if lo > 0.0 and hi / lo > 64.0:
-            mid = float(np.sqrt(lo * hi))
+            # lo * hi underflows for panels below about 1e-154
+            mid = lo * hi
+            mid = (math.sqrt(mid) if mid >= sys.float_info.min
+                   else math.sqrt(lo) * math.sqrt(hi))
         else:
             mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):

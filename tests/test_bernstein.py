@@ -160,6 +160,99 @@ def test_head_ratio_is_searched_once_per_system(halfplane, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
+                                                       monkeypatch):
+    # beyond the first, a shell costs one feasibility check at its cutoff
+    # in construct_system and one in verify_system: no bisection
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    calls = {"_window_energy": 0, "restricted_norm": 0}
+    for name in calls:
+        original = getattr(bernstein, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bernstein, name, counted)
+    counts = []
+    for m in (1, 6):
+        calls.update(dict.fromkeys(calls, 0))
+        construct_system(halfplane, PARAMS, m, lam, 0.05, 0.05)
+        counts.append(dict(calls))
+    for name in calls:
+        assert counts[1][name] - counts[0][name] <= 2 * 5
+
+
+def _per_shell_cutoffs(system):
+    """Each shell's cutoff_measure/delta and whether its window condition
+    binds, from bisections on that shell alone."""
+    bound = system.params
+    star = bound.star_params()
+    lam_q = system.lam ** bound.q
+    inflate = (1.0 + system.eps1) ** bound.q
+    rows = []
+    for s in system.shells:
+        head = s.head_measure
+
+        def tail_ok(tau, s=s):
+            return bernstein.restricted_norm(s.profile, star,
+                                             t_cut=tau) <= s.gamma
+
+        def window_ok(tau, s=s):
+            return inflate * bernstein._window_energy(
+                s.profile, bound, tau) >= lam_q
+
+        tau_tail = bernstein._bisect_threshold(tail_ok, head * 1e-24, head)
+        tau_window = bernstein._bisect_threshold(window_ok, head * 1e-24,
+                                                 head)
+        feasible = 0.5 * min(tau_tail, tau_window, 0.75 * head)
+        cutoff = min(0.5 * feasible, s.delta / (2.0 * s.index))
+        rows.append((cutoff / s.delta, tau_window < min(tau_tail,
+                                                        0.75 * head)))
+    return rows
+
+
+@pytest.mark.parametrize("q, binds", [(1.0, [True] * 4),
+                                      (1.5, [True, False, False, False])])
+def test_dilated_cutoffs_match_per_shell_bisection(halfplane, q, binds):
+    params = LorentzParams(2.0, q)
+    lam = 0.5 * embedding_norm(halfplane, params)
+    system = construct_system(halfplane, params, 4, lam, 0.05, 0.3)
+    rows = _per_shell_cutoffs(system)
+    assert [bind for _, bind in rows] == binds
+    for s, (ratio, _) in zip(system.shells, rows):
+        assert s.cutoff_measure / s.delta == pytest.approx(ratio, rel=1e-11)
+
+
+def test_window_energy_below_1e160_matches_the_first_shell(halfplane):
+    # a shell is the first one dilated in measure, so its windowed energy
+    # at the same tau/head is the same number, also where the adaptive
+    # rule works on panels below 1e-154
+    bound = LorentzParams(2.0, 1.0, halfplane)
+    lam = 0.9 * embedding_norm(halfplane, bound)
+    ratio = bernstein._head_ratio(halfplane, bound, lam)
+    first, _ = bernstein._shell_at(halfplane, bound, lam, ratio, 1.0)
+    deep, _ = bernstein._shell_at(halfplane, bound, lam, ratio,
+                                  halfplane.radius_of_measure(1e-165))
+    assert deep.t_max < 1e-160
+    for share in (1e-6, 1e-3, 0.3):
+        want = bernstein._window_energy(first, bound,
+                                        share * first.pieces[0].t1)
+        got = bernstein._window_energy(deep, bound,
+                                       share * deep.pieces[0].t1)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_deepest_representable_system(halfplane):
+    # at lambda 0.9 on halfplane-x1 shell 23's cutoff measure is subnormal
+    lam = 0.9 * embedding_norm(halfplane, PARAMS)
+    system = construct_system(halfplane, PARAMS, 22, lam, 0.05, 0.05)
+    verify_system(system)
+    assert system.shells[-1].cutoff_measure < 1e-295
+    with pytest.raises(ResourceError, match="shell 23"):
+        construct_system(halfplane, PARAMS, 23, lam, 0.05, 0.05)
+
+
 def test_construct_system_validation(halfplane):
     lam = 0.5 * embedding_norm(halfplane, PARAMS)
     with pytest.raises(ValidationError):

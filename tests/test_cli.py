@@ -312,6 +312,14 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     assert "numerical failure:" in err
 
 
+def test_bernstein_beyond_the_double_range_exits_3(capsys):
+    # at lambda 0.9 on halfplane-x1 shell 23's cutoff measure is subnormal
+    code, report, err = run_json(capsys, ["bernstein", "--m", "23"])
+    assert code == 3
+    assert report is None
+    assert "shell 23" in err
+
+
 def test_failed_verdict_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "constant",
                         lambda config: ({}, {}, {"always": False}))

@@ -1,5 +1,7 @@
 """Adaptive Gauss-Legendre quadrature and its origin substitution."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -49,3 +51,12 @@ def test_origin_substitution_matches_high_precision(t0):
 def test_origin_substitution_rejects_divergence(gamma):
     with pytest.raises(DivergentIntegralError):
         substitute_origin(lambda t: t ** -0.7, gamma, 0.0, 1.0, -0.7)
+
+
+def test_geometric_split_of_panels_below_1e154():
+    # the geometric midpoint sqrt(lo * hi) of a panel on [s, 1000 s]
+    # underflows to 0 at s = 1e-170; the panel must still be split, not
+    # accepted unconverged
+    s = 1e-170
+    got = integrate_adaptive(lambda t: 1.0 / t, s, 1000.0 * s)
+    assert abs(got - math.log(1000.0)) <= 1e-12 * math.log(1000.0)
