@@ -23,7 +23,7 @@ each row's level set in ``owner``.  A row's value and bound depend on that
 row alone, so they are bit-identical however the rows are batched; only
 the sliver check reads a whole level set.
 
-The module shares no code with the t route's adaptive Gauss-Legendre rule
+The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two
 independent integrators.  It meets the same fixed relative tolerance of
 1e-12 with an error bound per stratum, or raises NumericalError.

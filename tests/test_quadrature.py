@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature and its origin substitution."""
+"""Adaptive Gauss-Kronrod (G15/K31) quadrature and its origin substitution."""
 
 import math
 
@@ -6,8 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from cone_sobolev import (LorentzParams, alvino_profile, builtin_cone,
+                          lorentz_norm_distributional,
+                          lorentz_norm_rearranged)
 from cone_sobolev.errors import DivergentIntegralError, NumericalError
-from cone_sobolev.quadrature import integrate_adaptive, substitute_origin
+from cone_sobolev.quadrature import (_K31_NODES, _K31_WEIGHTS,
+                                     integrate_adaptive, substitute_origin)
 
 
 def test_thousands_of_panels_meet_the_tolerance():
@@ -20,9 +24,22 @@ def test_thousands_of_panels_meet_the_tolerance():
     got = integrate_adaptive(f, 0.0, 10.0, rel_tol=1e-12)
     with mpmath.workdps(40):
         want = 20 + mpmath.sin(mpmath.mpf(30000)) / 3000
-    # two rule evaluations per panel made
-    assert len(calls) > 2 * 2000
+    # one call rules the first panel on 31 nodes, each split rules both
+    # halves in one call on 62 nodes: more than 2000 panels were made
+    assert calls[0] == 31 and set(calls[1:]) == {62}
+    assert sum(calls) // 31 > 2000
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_one_panel_integral_makes_one_call():
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return t ** 3 - 2.0 * t
+
+    assert integrate_adaptive(f, 0.0, 1.0) == pytest.approx(-0.75, rel=1e-15)
+    assert calls == [31]
 
 
 def test_panel_budget_exhaustion_raises():
@@ -60,3 +77,87 @@ def test_geometric_split_of_panels_below_1e154():
     s = 1e-170
     got = integrate_adaptive(lambda t: 1.0 / t, s, 1000.0 * s)
     assert abs(got - math.log(1000.0)) <= 1e-12 * math.log(1000.0)
+
+
+# -- the G15/K31 tables ------------------------------------------------------------
+
+def _legendre_rule(n):
+    """Roots and weights of P_n, ascending, at the current mpmath precision."""
+    def p(x):
+        return mpmath.legendre(n, x)
+
+    def dp(x):
+        return n * (x * p(x) - mpmath.legendre(n - 1, x)) / (x ** 2 - 1)
+
+    roots = sorted(mpmath.findroot(p, mpmath.cos(mpmath.pi * (i - 0.25)
+                                                 / (n + 0.5)),
+                                   df=dp, solver="newton")
+                   for i in range(1, n + 1))
+    return roots, [2 / ((1 - x ** 2) * dp(x) ** 2) for x in roots]
+
+
+def test_gauss_nodes_and_weights_are_legendre():
+    gauss = _K31_WEIGHTS[:, 1] != 0.0
+    assert list(np.flatnonzero(gauss)) == list(range(1, 31, 2))
+    with mpmath.workdps(40):
+        roots, weights = _legendre_rule(15)
+        for x, w, want_x, want_w in zip(_K31_NODES[gauss],
+                                        _K31_WEIGHTS[gauss, 1],
+                                        roots, weights):
+            assert abs(x - want_x) <= math.ulp(x)
+            assert abs(w - want_w) <= math.ulp(w)
+
+
+@pytest.mark.parametrize("column, degree", [(0, 46), (1, 29)])
+def test_rules_integrate_monomials_exactly(column, degree):
+    # K31 is exact to degree 3 * 15 + 1, G15 to 2 * 15 - 1
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        nodes = [mpmath.mpf(x) for x in _K31_NODES]
+        weights = [mpmath.mpf(w) for w in _K31_WEIGHTS[:, column]]
+        for k in range(degree + 1):
+            got = mpmath.fsum(w * x ** k for w, x in zip(weights, nodes))
+            want = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            assert abs(got - want) <= 2 * eps
+
+
+def test_tables_are_symmetric():
+    assert np.all(np.diff(_K31_NODES) > 0.0)
+    assert np.array_equal(_K31_NODES, -_K31_NODES[::-1])
+    assert np.array_equal(_K31_WEIGHTS, _K31_WEIGHTS[::-1])
+
+
+# -- t-route defects this rule does not fix ----------------------------------------
+
+@pytest.mark.xfail(strict=True, reason="|K31 - G15| vanishes on panels "
+                   "holding a kink of |sin t|: 1.0e-8 off at rel_tol 1e-12")
+def test_kinks_meet_the_tolerance():
+    got = integrate_adaptive(lambda t: np.abs(np.sin(t)), 0.0, 300.0,
+                             rel_tol=1e-12)
+    with mpmath.workdps(40):
+        n = mpmath.floor(300 / mpmath.pi)
+        want = 2 * n + 1 - mpmath.cos(300 - n * mpmath.pi)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError,
+                   reason="bisection toward an unsubstituted endpoint "
+                   "singularity stops at the depth cap")
+def test_unsubstituted_endpoint_singularity():
+    # integral of t^-0.5 over [0, 1] is 2
+    got = integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0)
+    assert abs(got - 2.0) <= 1e-12 * 2.0
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError,
+                   reason="the t-route does not resolve the arc of an alvino "
+                   "profile over 300 decades at q > 1")
+def test_alvino_arc_over_300_decades():
+    # the lambda route, which shares no integration code, is the oracle
+    params = LorentzParams(1.2, 1.1, builtin_cone("halfplane-x1"))
+    star = params.star_params()
+    prof = alvino_profile(params.cone, params.p_star, 1.0, 1e300)
+    want = lorentz_norm_distributional(prof, star)
+    assert want == pytest.approx(381.10, rel=1e-5)
+    assert lorentz_norm_rearranged(prof, star) == pytest.approx(
+        want, rel=1e-10)
