@@ -200,11 +200,8 @@ def lorentz_norm_distributional(f, params: LorentzParams) -> float:
     """
     if isinstance(f, SampledField):
         return _field_distributional(f, params)
-    if isinstance(f, LevelSet):
-        level_set = f
-    else:
-        level_set = LevelSet.from_pieces(_pieces_of(f))
-    power = level_set.lorentz_qth_power(params.p, params.q)
+    power = LevelSet.from_pieces(_pieces_of(f)).lorentz_qth_power(
+        params.p, params.q)
     return power ** (1.0 / params.q)
 
 

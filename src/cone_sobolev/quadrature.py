@@ -139,8 +139,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     _MAX_PANELS + 1 times in all.
     The error target never drops below 1e-300, so an integral that is
     genuinely zero converges without infinite refinement.
-    Raises NumericalError when the budget of _MAX_PANELS splits is
-    exhausted before the tolerance is met.
+    A panel is split at most 52 times.  When the worst panel cannot be
+    split (at that depth, or with no float strictly inside), or the budget
+    of _MAX_PANELS splits is spent, the result is returned only if its
+    error estimate is within 10 times the tolerance; otherwise
+    NumericalError is raised, naming the panel that could not be split.
     """
     if not (b > a):
         return 0.0
@@ -156,17 +159,15 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     heap: list[tuple[float, int]] = []
     keys = itertools.count()
     run_total = run_err = 0.0
-    unresolved = 0          # panels still below the depth cap
 
     def add(lo: float, hi: float, value: float, err: float,
             depth: int) -> None:
-        nonlocal run_total, run_err, unresolved
+        nonlocal run_total, run_err
         key = next(keys)
         panels[key] = (lo, hi, value, err, depth)
         heapq.heappush(heap, (-err, key))
         run_total += value
         run_err += err
-        unresolved += depth < 52
 
     def exact_sums() -> tuple[float, float]:
         return (sum(p[2] for p in panels.values()),
@@ -174,6 +175,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
     add(a, b, coarse, err, 0)
     peak_err = err          # largest running error since the last resync
+    stuck = ""
     for _ in range(_MAX_PANELS):
         if (run_err <= max(rel_tol * abs(run_total), 1e-300)
                 or run_err < 1e-3 * peak_err):
@@ -188,16 +190,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         # split the worst panel; geometric split keeps scale equivariance
         # when a panel spans many octaves, midpoint split otherwise
         _, key = heapq.heappop(heap)
-        lo, hi, value, err, depth = panels.pop(key)
-        run_total -= value
-        run_err -= err
-        unresolved -= depth < 52
-        if depth >= 52:
-            # endpoint-singular leftovers below resolvable width: accept
-            add(lo, hi, value, err, 99)
-            if not unresolved:
-                return exact_sums()[0]
-            continue
+        lo, hi, value, err, depth = panels[key]
         if lo > 0.0 and hi / lo > 64.0:
             # lo * hi underflows for panels below about 1e-154
             mid = lo * hi
@@ -205,9 +198,13 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
                    else math.sqrt(lo) * math.sqrt(hi))
         else:
             mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            add(lo, hi, value, err, 99)
-            continue
+        if depth >= 52 or not lo < mid < hi:
+            # the worst panel cannot be refined: no split can help
+            stuck = f"; panel [{lo}, {hi}] cannot be split"
+            break
+        del panels[key]
+        run_total -= value
+        run_err -= err
         (left, left_err), (right, right_err) = _rule_panels(f, (lo, mid, hi))
         add(lo, mid, left, left_err, depth + 1)
         add(mid, hi, right, right_err, depth + 1)
@@ -216,4 +213,4 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         return total
     raise NumericalError(
         f"adaptive quadrature did not converge on [{a}, {b}]: "
-        f"estimate {total:.6e}, residual error {total_err:.3e}")
+        f"estimate {total:.6e}, residual error {total_err:.3e}{stuck}")

@@ -24,11 +24,13 @@ main self-check:
   adaptive quadrature in ``quadrature``, after
   ``quadrature.substitute_origin`` removes an algebraic singularity at the
   origin (mirrored onto the right end when a law blows up there);
-* the lambda route integrates every finite stratum with terms by its own
-  batched tanh-sinh rule (``tanhsinh.row_integrals``), all strata of one
-  or many level sets at once (``level_set_qth_powers``), and uses
-  ``power_primitive`` only for constant strata and pure-power infinite
-  tails.
+* the lambda route builds the strata of one or many level sets with one
+  array builder (``level_set_strata``), for profiles, gradient densities,
+  steps, grid-derived profiles and span batches alike; it integrates
+  every finite stratum with terms by its own batched tanh-sinh rule
+  (``tanhsinh.row_integrals``), all strata at once
+  (``level_set_qth_powers``), and uses ``power_primitive`` only for
+  constant strata and pure-power infinite tails.
 
 Both meet the fixed relative tolerance 1e-12 with an error estimate or
 raise NumericalError; there is no fixed-rule path and no looser setting.
@@ -36,10 +38,10 @@ raise NumericalError; there is no fixed-rule path and no looser setting.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,14 +53,15 @@ from .tanhsinh import Rows, row_integrals
 __all__ = [
     "Law",
     "Piece",
-    "Stratum",
     "LevelSet",
+    "Strata",
     "power_primitive",
     "moment_integral",
     "piece_moment",
     "abs_pieces",
     "clip_pieces",
     "pieces_value",
+    "level_set_strata",
     "level_set_qth_powers",
 ]
 
@@ -448,177 +451,196 @@ def abs_pieces(pieces: Iterable[Piece]) -> list[Piece]:
 
 # -- level sets ------------------------------------------------------------
 
-class _Accumulator:
-    """Exact running sum kept as a Shewchuk partials expansion.
+class Strata(NamedTuple):
+    """The lambda-strata of len(top) level sets, as arrays.
 
-    Values that enter and later leave the sweep can differ by fifty or
-    more orders of magnitude, and survivors can be smaller than one ulp
-    of the largest transient; a single compensation term is not enough.
-    The partials list represents the sum exactly at every scale at once
-    (the incremental form of math.fsum), so transients cancel without
-    leaving residue above the survivors.
+    On a stratum (lam0, lam1) the distribution function m(lam), the
+    measure of {f > lam}, is const plus a sum of term laws in lam with
+    zero shift.  Strata with terms are the rows of ``rows``, row i in level
+    set owner[i]; constant strata are (level set, lam0, lam1, const)
+    entries of ``flat``.  ``top`` is each level set's last cut, lam_max.
     """
 
-    __slots__ = ("partials",)
-
-    def __init__(self) -> None:
-        self.partials: list[float] = []
-
-    def add(self, x: float) -> None:
-        ps = self.partials
-        i = 0
-        for y in ps:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo != 0.0:
-                ps[i] = lo
-                i += 1
-            x = hi
-        ps[i:] = [x]
-
-    @property
-    def value(self) -> float:
-        return math.fsum(self.partials)
+    rows: Rows
+    owner: np.ndarray
+    flat: list[tuple[int, float, float, float]]
+    top: np.ndarray
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """One lambda-interval on which the distribution function is
+def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
+                     ) -> Strata:
+    """The strata of the level sets of f_0 .. f_(count-1).
 
-        m(lam) = const + sum of term laws in lam.
+    ``coef``, ``shift`` and the end values ``va``, ``vb`` (limits at t0+
+    and t1-) are (count, n) arrays, row d giving f_d the n pieces (t0, t1)
+    with laws coef * (orient (t - base))**expo + shift; ``expo``, ``base``
+    and ``orient`` are (n,) arrays, and t0, t1 either.  Values must be
+    nonnegative up to roundoff.  A constant law has equal end values, so
+    it never straddles a level; an empty piece (t0 == t1) has no length.
 
-    Term laws have zero shift; their constants were folded into ``const``.
+    The cuts of a level set are 0 and its pieces' value-range ends, sorted
+    per level set; on the stratum between consecutive distinct cuts a
+    piece is above the level (its length counts), straddles it (its
+    inverse law is a term, with a constant) or lies below it.  The
+    fully-above mass is a suffix sum of lengths along the sorted cuts.
+    Only (stratum, straddling piece) pairs are made, from the sorted
+    positions of each piece's range ends, so the cost is near-linear in
+    the pieces plus the output.  A stratum's straddle constants, and the
+    coefficients of its terms that share a law key (expo, base, orient),
+    are added by math.fsum, so each sum is correctly rounded however its
+    parts cancel.  Every step is per level set, so no stratum depends on
+    the other rows.
     """
+    count, n = coef.shape
+    # entry 0 of a level set is the cut at 0, entries 1..n its pieces'
+    # lower values, the rest their upper values; lengths sit at the lower
+    entries, lengths = np.zeros((2, count, 2 * n + 1))
+    np.minimum(va, vb, out=entries[:, 1:n + 1])
+    np.maximum(va, vb, out=entries[:, n + 1:])
+    np.maximum(entries, 0.0, out=entries)
+    np.subtract(t1, t0, out=lengths[:, 1:n + 1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the inverse law of each piece, and the constant that comes with
+        # it: the piece is (t0, inverse) while falling, (inverse, t1)
+        # else, and the inverse's coefficient has the sign of -coef*expo
+        inv_expo = 1.0 / expo
+        slope = coef * expo
+        inv_coef = np.copysign(np.abs(coef) ** -inv_expo, -slope).ravel()
+        straddle = np.where(np.signbit(slope * orient), base - t0,
+                            t1 - base).ravel()
+    # sort each level set's entries; positions below are flat, row d's
+    # sorted position p at d * m + p
+    m = 2 * n + 1
+    by = entries.argsort(axis=1, kind="stable")
+    by += np.arange(0, count * m, m)[:, None]
+    cuts = entries.ravel()[by]
+    suffix = lengths.ravel()[by][:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
+    # a stratum ends at each position where the cut rises from the one
+    # before; the pieces fully above it have their lower value there or
+    # later
+    rises = np.zeros((count, m), dtype=bool)
+    np.not_equal(cuts[:, 1:], cuts[:, :-1], out=rises[:, 1:])
+    cuts = cuts.ravel()
+    at = rises.ravel().nonzero()[0]
+    owner = at // m
+    lam0, lam1, above = cuts[at - 1], cuts[at], suffix[at]
+    # piece i straddles the strata that end after its lower value's
+    # position and up to its upper value's; ``before`` counts the strata
+    # that end at or before each entry's position
+    before = np.empty((count, m), dtype=int)
+    before.ravel()[by] = rises.cumsum().reshape(count, m)
+    first = before[:, 1:n + 1].ravel()
+    span = before[:, n + 1:].ravel() - first
+    strad = span.nonzero()[0]
+    span = span[strad]
+    pieces = np.repeat(strad, span)
+    stratum = (np.repeat(first[strad] - span.cumsum() + span, span)
+               + np.arange(len(pieces)))
+    # a stratum's straddle constants, and the coefficients of its terms
+    # that share a law key (expo, base, orient), are added by math.fsum
+    key = (np.sign(coef.ravel()[pieces]), shift.ravel()[pieces],
+           inv_expo[pieces % n])
+    order = np.lexsort((*key, stratum))
+    pieces, stratum = pieces[order], stratum[order]
+    key = [x[order] for x in key]
+    const = above + _group_fsums(straddle[pieces], stratum, len(lam0))
+    head = np.ones(len(pieces), dtype=bool)
+    head[1:] = stratum[1:] != stratum[:-1]
+    for x in key:
+        head[1:] |= x[1:] != x[:-1]
+    terms = head.nonzero()[0]
+    coefs = _group_fsums(inv_coef[pieces], head.cumsum() - 1, len(terms))
+    nonzero = coefs != 0.0
+    terms, coefs = terms[nonzero], coefs[nonzero]
+    counts = np.bincount(stratum[terms], minlength=len(lam0))
+    ruled = counts > 0
+    flat = ~ruled & (const > 0.0)
+    orient_t, base_t, expo_t = (x[terms] for x in key)
+    return Strata(
+        Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled], coefs,
+             expo_t, base_t, orient_t),
+        owner[ruled],
+        list(zip(owner[flat].tolist(), lam0[flat].tolist(),
+                 lam1[flat].tolist(), const[flat].tolist())),
+        cuts[m - 1::m])
+
+
+def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
+                 ) -> np.ndarray:
+    """math.fsum of the values of each of ``size`` groups; ``group`` is
+    nondecreasing.  A group of one keeps its value, an empty one is 0."""
+    members = np.bincount(group, minlength=size)
+    out = np.bincount(group, weights=values, minlength=size)
+    multi = (members > 1).nonzero()[0].tolist()
+    if multi:
+        ends = members.cumsum().tolist()
+        count, vals = members.tolist(), values.tolist()
+        for g in multi:
+            out[g] = math.fsum(vals[ends[g] - count[g]:ends[g]])
+    return out
+
+
+class _Stratum(NamedTuple):
+    """A view of one stratum: m(lam) = const + sum of the term laws."""
 
     lam0: float
     lam1: float
     const: float
     terms: tuple[Law, ...]
 
-    def distribution(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.full(lam.shape if lam.shape else (1,), self.const)
-        for term in self.terms:
-            out = out + np.asarray(term.value(np.atleast_1d(lam)))
-        return out if lam.shape else float(out[0])
-
 
 class LevelSet:
     """Distribution function of a nonnegative piecewise-law function.
 
-    Breakpoints are the closure endpoints of the pieces' value ranges; on
-    each open stratum between consecutive breakpoints the super-level
-    measure m(lam) is const + a sum of inverse laws, merged by exponent.
-    The lambda-route Lorentz functional integrates these strata with its
-    own batched tanh-sinh rule (``tanhsinh.row_integrals``), which
-    shares no code with the t-route's moments; constant strata and
-    pure-power infinite tails are exact through ``power_primitive``.
+    A thin holder of the ``Strata`` of one level set (``level_set_strata``,
+    which also serves the span engine).  The lambda-route Lorentz
+    functional integrates them with its own batched tanh-sinh rule
+    (``tanhsinh.row_integrals``), which shares no code with the t-route's
+    moments; constant strata and pure-power infinite tails are exact
+    through ``power_primitive``.
     """
 
-    def __init__(self, strata: Sequence[Stratum], lam_max: float):
-        self.strata = tuple(strata)
-        self.lam_max = lam_max
+    def __init__(self, table: Strata):
+        self.table = table
+        self.lam_max = float(table.top[0])
 
     @staticmethod
     def from_pieces(pieces: Sequence[Piece]) -> "LevelSet":
-        """Build the strata by an event sweep over piece value ranges.
-
-        A piece is fully above the level until lam reaches its lower
-        value, straddles it up to its upper value (contributing a shifted
-        inverse law), then drops out.  Fully-above mass is read off exact
-        suffix sums over the pieces sorted by lower value; straddle
-        constants and inverse-law coefficients are kept in compensated
-        accumulators, so huge and tiny pieces can coexist without the
-        small contributions being absorbed.  Near-linear in the piece
-        count, which matters for grid-derived profiles with thousands of
-        segments.
-        """
-        pieces = [p for p in pieces if not (
-            p.law.is_constant and p.law.constant_value() == 0.0)]
-        cuts = {0.0}
-        lows: list[float] = []
-        lengths: list[float] = []
-        # events[lam] = list of (straddle_const, key, coef, sign)
-        events: dict[float, list] = {}
-        has_inf = False
-        init: list[tuple[float, tuple, float]] = []
-        for p in pieces:
-            lo, hi = p.value_range()
+        """The level set of a nonnegative piece list: its laws as one row
+        of arrays, through ``level_set_strata``."""
+        table = np.array([(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo,
+                           p.law.base, p.law.orient) for p in pieces],
+                         dtype=float).reshape(-1, 7).T
+        t0, t1, coef, shift, expo, base, orient = table
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ends = np.maximum(orient * (table[:2] - base), 0.0) ** expo
+            va, vb = np.where(coef == 0.0, shift, coef * ends + shift)
+        low = np.minimum(va, vb)
+        for i in (low < 0.0).nonzero()[0].tolist():
             # negativity slack scales with the law's own evaluation
             # magnitude: a value near a root of coef*arg^expo + shift is a
             # cancellation of shift-sized quantities, so its roundoff is
             # ulp(shift), not ulp(value)
-            if lo < -1e-12 * max(1.0, _evaluation_scale(p)):
+            if low[i] < -1e-12 * max(1.0, _evaluation_scale(pieces[i])):
                 raise ValidationError(
                     "level sets require a nonnegative function")
-            lo = max(lo, 0.0)
-            cuts.add(lo)
-            lows.append(lo)
-            lengths.append(p.length)
-            if math.isinf(hi):
-                has_inf = True
-            else:
-                cuts.add(hi)
-            if p.law.is_constant:
-                continue  # never straddles: above until its value, then gone
-            inv = p.law.inverse()
-            key = (inv.expo, inv.base, inv.orient)
-            if p.law.monotone_direction() < 0:
-                # f > lam on (t0, inv(lam)) while straddling
-                straddle, d_coef = inv.shift - p.t0, inv.coef
-            else:
-                # f > lam on (inv(lam), t1) while straddling
-                straddle, d_coef = p.t1 - inv.shift, -inv.coef
-            if lo <= 0.0:
-                init.append((straddle, key, d_coef))
-            else:
-                events.setdefault(lo, []).append(
-                    (straddle, key, d_coef, +1.0))
-            if not math.isinf(hi):
-                events.setdefault(hi, []).append(
-                    (straddle, key, d_coef, -1.0))
-        order = sorted(range(len(lows)), key=lambda i: lows[i])
-        sorted_lows = [lows[i] for i in order]
-        suffix = np.concatenate([
-            np.cumsum([lengths[i] for i in reversed(order)])[::-1], [0.0]])
-        finite = sorted(cuts)
-        lam_max = math.inf if has_inf else (finite[-1] if finite else 0.0)
-        bounds = list(zip(finite[:-1], finite[1:]))
-        if has_inf:
-            bounds.append((finite[-1], math.inf))
-        strata: list[Stratum] = []
-        acc_const = _Accumulator()
-        coef_accs: dict[tuple[float, float, float], _Accumulator] = {}
-        key_counts: dict[tuple[float, float, float], int] = {}
-        straddling = 0
-        for straddle, key, d_coef in init:
-            acc_const.add(straddle)
-            coef_accs.setdefault(key, _Accumulator()).add(d_coef)
-            key_counts[key] = key_counts.get(key, 0) + 1
-            straddling += 1
-        for lam0, lam1 in bounds:
-            for straddle, key, d_coef, sign in events.get(lam0, ()):
-                acc_const.add(sign * straddle)
-                coef_accs.setdefault(key, _Accumulator()).add(sign * d_coef)
-                key_counts[key] = key_counts.get(key, 0) + int(sign)
-                straddling += int(sign)
-                if key_counts[key] == 0:
-                    del coef_accs[key], key_counts[key]
-            if straddling == 0:
-                acc_const = _Accumulator()  # exact reset kills residue
-            above = suffix[bisect.bisect_left(sorted_lows, lam1)]
-            const = float(above) + acc_const.value
-            stratum_terms = tuple(
-                Law(acc.value, e, b, o, 0.0)
-                for (e, b, o), acc in coef_accs.items() if acc.value != 0.0)
-            if not stratum_terms:
-                if const <= 0.0:
-                    continue  # nothing lives at this level
-                const = max(const, 0.0)
-            strata.append(Stratum(lam0, lam1, const, stratum_terms))
-        return LevelSet(strata, lam_max)
+        return LevelSet(level_set_strata(t0, t1, coef[None], shift[None],
+                                         expo, base, orient, va[None],
+                                         vb[None]))
+
+    @functools.cached_property
+    def strata(self) -> tuple[_Stratum, ...]:
+        """Views of the strata in increasing lam (a constant stratum has
+        no terms), built on first use."""
+        rows = self.table.rows
+        out = [_Stratum(a, b, c, ()) for _, a, b, c in self.table.flat]
+        for i, (a, b, c) in enumerate(zip(rows.a.tolist(), rows.b.tolist(),
+                                          rows.const.tolist())):
+            out.append(_Stratum(a, b, c, tuple(
+                Law(float(rows.coef[j]), float(rows.expo[j]),
+                    float(rows.base[j]), float(rows.orient[j]))
+                for j in range(rows.first[i], rows.first[i + 1]))))
+        return tuple(sorted(out))
 
     # -- queries ------------------------------------------------------
 
@@ -636,52 +658,37 @@ class LevelSet:
         for s in self.strata:
             mask = (flat >= s.lam0) & (flat < s.lam1)
             if np.any(mask):
-                out[mask] = np.asarray(
-                    np.atleast_1d(s.distribution(flat[mask])))
+                out[mask] = sum((t.value(flat[mask]) for t in s.terms),
+                                np.full(np.count_nonzero(mask), s.const))
         return out if lam.shape else float(out[0])
 
     # -- the lambda-route Lorentz functional ---------------------------
 
     def lorentz_qth_power(self, p: float, q: float) -> float:
-        """p * integral over lam of lam^(q-1) * m(lam)^(q/p).
-
-        The strata go to ``level_set_qth_powers`` as one level set.
-        """
-        strata = [s for s in self.strata if s.lam0 < s.lam1]
-        ruled = [s for s in strata if s.terms]
-        (total,) = level_set_qth_powers(
-            Rows.of(ruled), np.zeros(len(ruled), dtype=int),
-            [(0, s.lam0, s.lam1, s.const) for s in strata if not s.terms],
-            1, p, q)
+        """p * integral over lam of lam^(q-1) * m(lam)^(q/p)."""
+        (total,) = level_set_qth_powers(self.table, p, q)
         return total
 
 
-def level_set_qth_powers(rows: Rows, owner: np.ndarray,
-                         flat: Iterable[tuple[int, float, float, float]],
-                         count: int, p: float, q: float) -> list[float]:
-    """p * integral lam^(q-1) m(lam)^(q/p) of each of ``count`` level sets.
+def level_set_qth_powers(strata: Strata, p: float, q: float) -> list[float]:
+    """p * integral lam^(q-1) m(lam)^(q/p) of each level set of ``strata``.
 
-    Each level set's strata (lam0 < lam1) are rows of ``rows`` when they
-    have terms (row i in level set owner[i]) and (level set, lam0, lam1,
-    const) entries of ``flat`` when they are constant.  Constant strata
-    and pure-power infinite tails are exact (``power_primitive``); every
-    finite stratum with terms goes through one call of the batched
-    tanh-sinh rule (``tanhsinh.row_integrals``), whose error bound meets
-    the 1e-12 contract or raises NumericalError.  Each level set's parts
-    are added by math.fsum, so its value does not depend on the other
-    level sets.
+    Constant strata and pure-power infinite tails are exact
+    (``power_primitive``); every finite stratum with terms goes through
+    one call of the batched tanh-sinh rule (``tanhsinh.row_integrals``),
+    whose error bound meets the 1e-12 contract or raises NumericalError.
+    Each level set's parts are added by math.fsum, so its value does not
+    depend on the other level sets.
     """
-    qq = q / p
-    parts: list[list[float]] = [[] for _ in range(count)]
-    for d, a, b, c in flat:
-        if c == 0.0:
-            continue
+    rows, qq = strata.rows, q / p
+    parts: list[list[float]] = [[] for _ in strata.top]
+    for d, a, b, c in strata.flat:
         if b == math.inf:
             raise DivergentIntegralError(
                 "level set has positive measure at every level")
         parts[d].append(c ** qq * power_primitive(a, b, q - 1.0))
-    values, _ = row_integrals(rows, q, qq, owner)
-    for r, (d, b, v) in enumerate(zip(owner.tolist(), rows.b.tolist(),
+    values, _ = row_integrals(rows, q, qq, strata.owner)
+    for r, (d, b, v) in enumerate(zip(strata.owner.tolist(), rows.b.tolist(),
                                       values.tolist())):
         parts[d].append(_infinite_tail(rows, r, q, qq) if b == math.inf
                         else v)

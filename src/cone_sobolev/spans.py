@@ -12,31 +12,28 @@ measure coordinate t:
 Every direction has the same pieces in t; only each law's coefficient and
 shift move with alpha.  So the pieces are tabulated once per system
 (``SpanTables``), with everything alpha does not move, and ``span_norms``
-turns a batch of directions into the strata of their level sets as
-arrays: no ``Piece``, ``Law``, ``Stratum`` or ``LevelSet`` per direction.
-The strata of each pass of directions go in one call to
-``segments.level_set_qth_powers``, which also serves
-``LevelSet.lorentz_qth_power``.  Every step is per direction, and each
+scales a batch of directions into one coef/shift row each: no ``Piece``,
+``Law`` or ``LevelSet`` per direction.  The function span is signed, so
+its pieces are first cut at their sign roots and flipped where negative
+(``_signed_halves``, the steps of ``segments.abs_pieces``); the gradient
+span is nonnegative for every alpha.  The strata of each pass of
+directions come from ``segments.level_set_strata``, the builder
+``LevelSet.from_pieces`` uses too, and go in one call to
+``segments.level_set_qth_powers``.  Every step is per direction, and each
 direction's parts are added by math.fsum, so a norm is bit-identical
 whether its direction is evaluated alone or in any batch.
-
-The steps are those of ``segments.abs_pieces`` (the function span only;
-the gradient span is nonnegative for every alpha),
-``LevelSet.from_pieces`` and ``LevelSet.lorentz_qth_power``, which stay
-the reference for analytic profiles.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .lorentz import LorentzParams
 from .profiles import gradient_density
-from .segments import Law, Piece, clip_pieces, level_set_qth_powers
-from .tanhsinh import Rows
+from .segments import (Law, Piece, clip_pieces, level_set_qth_powers,
+                       level_set_strata)
 
 if TYPE_CHECKING:
     from .bernstein import ShellSpec
@@ -53,9 +50,9 @@ class _Template(NamedTuple):
     unscaled law coef * (orient (t - base))**expo + shift, 1/expo, and the
     power max(orient (t - base), 0)**expo at both ends (w0, w1), which no
     alpha moves.  A signed span's pieces are cut in two at their sign
-    roots, giving 2n halves (all first parts, then all second parts); per
-    half, or per piece of an unsigned span: base, orient, expo * orient,
-    1/expo and -1/expo.
+    roots, giving 2n halves (all first parts, then all second parts);
+    expo, base and orient per half, or per piece of an unsigned span, are
+    in expo_h, base_h and orient_h.
     """
 
     signed: bool
@@ -71,11 +68,9 @@ class _Template(NamedTuple):
     inv_expo: np.ndarray
     w0: np.ndarray
     w1: np.ndarray
+    expo_h: np.ndarray
     base_h: np.ndarray
     orient_h: np.ndarray
-    expo_orient_h: np.ndarray
-    inv_h: np.ndarray
-    neg_inv_h: np.ndarray
 
     @staticmethod
     def of(pieces: Sequence[tuple[int, Piece]], signed: bool,
@@ -87,14 +82,11 @@ class _Template(NamedTuple):
             inv_expo = 1.0 / expo
             w0, w1 = (np.maximum(orient * (t - base), 0.0) ** expo
                       for t in (t0, t1))
-        base_h, orient_h, expo_h, inv_h = (
-            np.tile(x, 2 if signed else 1)
-            for x in (base, orient, expo, inv_expo))
         return _Template(signed, params,
                          np.array([j for j, _ in pieces], dtype=int),
                          t0, t1, coef, shift, expo, base, orient, inv_expo,
-                         w0, w1, base_h, orient_h, expo_h * orient_h, inv_h,
-                         -inv_h)
+                         w0, w1, *(np.tile(x, 2 if signed else 1)
+                                   for x in (expo, base, orient)))
 
 
 class SpanTables(NamedTuple):
@@ -139,100 +131,29 @@ class SpanTables(NamedTuple):
         return self.templates[gradient, k]
 
 
-def _signed_halves(tpl: _Template, coef, shift, v0, v1, keep, varying):
+def _signed_halves(tpl: _Template, coef, shift, v0, v1):
     """|f| on the halves of each piece: (t0, root) and (root, t1) with the
     law's root in closed form, as ``abs_pieces`` takes it (the second half
-    is empty without a root inside), each flipped where negative.  The
-    law is 0 at its root, and monotone, so a half's sign is that of the
-    sum of its end values.  Returns the end values, coef, shift, (t0, t1),
-    keep and varying per half."""
+    is empty, (t1, t1) with end values 0, without a root inside), each
+    flipped where negative.  The law is 0 at its root, and monotone, so a
+    half's sign is that of the sum of its end values.  Returns (t0, t1),
+    coef, shift and the end values per half."""
     n = coef.shape[1]
     ratio = -shift / coef
     root = tpl.base + tpl.orient * ratio ** tpl.inv_expo
-    split = varying & (ratio > 0.0) & (tpl.t0 < root) & (root < tpl.t1)
+    split = ((coef != 0.0) & (tpl.expo != 0.0) & (ratio > 0.0)
+             & (tpl.t0 < root) & (root < tpl.t1))
     cut = np.where(split, root, tpl.t1)
     v_cut = np.where(split, 0.0, v1)
     lo_t, hi_t = np.concatenate((cut, cut), axis=1), np.concatenate(
         (cut, cut), axis=1)
     lo_t[:, :n], hi_t[:, n:] = tpl.t0, tpl.t1
-    va = np.concatenate((v0, v_cut), axis=1)
-    vb = np.concatenate((v_cut, v1), axis=1)
+    va = np.concatenate((v0, np.zeros_like(v0)), axis=1)
+    vb = np.concatenate((v_cut, np.where(split, v1, 0.0)), axis=1)
     sign = np.where(va + vb < 0.0, -1.0, 1.0)
-    return (va * sign, vb * sign, np.concatenate((coef, coef), axis=1) * sign,
-            np.concatenate((shift, shift), axis=1) * sign, lo_t, hi_t,
-            np.concatenate((keep, split), axis=1),
-            np.concatenate((varying, split), axis=1))
-
-
-def _span_qth_powers(tpl: _Template, coef: np.ndarray, shift: np.ndarray
-                     ) -> list[float]:
-    """p * integral lam^(q-1) m(lam)^(q/p) of |f| for a batch of piece lists.
-
-    Row d of ``coef`` and ``shift`` gives f_d the template's pieces with
-    the laws coef * (orient (t - base))**expo + shift.  The steps are those
-    of ``abs_pieces`` (signed spans only, ``_signed_halves``),
-    ``LevelSet.from_pieces`` and ``LevelSet.lorentz_qth_power``, on arrays:
-
-    * strata lie between consecutive value-range ends of the pieces; on
-      each, a piece is above the level (its length counts), straddles it
-      (its inverse law is a term, with a constant) or lies below it;
-      terms are not merged by law, so m is the same sum, term by term;
-    * a stratum's constant is the math.fsum of its pieces' contributions,
-      so survivors far below transients keep every digit;
-    * the strata of all directions go to ``level_set_qth_powers`` in
-      one call, which adds each direction's parts by math.fsum, so no
-      value depends on the other directions.
-    """
-    p, q = tpl.params.p, tpl.params.q
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        flat = coef == 0.0
-        va = np.where(flat, shift, coef * tpl.w0 + shift)
-        vb = np.where(flat, shift, coef * tpl.w1 + shift)
-        varying = ~flat & (tpl.expo != 0.0)
-        keep = varying | (va != 0.0)  # a zero constant has no level set
-        lo_t, hi_t = tpl.t0, tpl.t1
-        if tpl.signed:
-            va, vb, coef, shift, lo_t, hi_t, keep, varying = _signed_halves(
-                tpl, coef, shift, va, vb, keep, varying)
-        lo = np.maximum(np.minimum(va, vb), 0.0) + 0.0
-        hi = np.maximum(va, vb)
-        # the inverse law of each piece, and the constant that comes with
-        # it: the piece is (t0, inverse) while falling, (inverse, t1) else
-        inv_coef = tpl.orient_h * np.abs(coef) ** tpl.neg_inv_h
-        falling = np.signbit(coef * tpl.expo_orient_h)
-    cuts = np.sort(np.concatenate((
-        np.zeros((len(lo), 1)), np.where(keep, lo, np.nan),
-        np.where(keep, hi, np.nan)), axis=1), axis=1)
-    level, k = np.nonzero(cuts[:, :-1] < cuts[:, 1:])
-    lam0, lam1 = cuts[level, k], cuts[level, k + 1]
-    lo_r = lo[level]
-    above = keep[level] & (lo_r >= lam1[:, None])
-    strad = varying[level] & (lo_r <= lam0[:, None]) & (
-        hi[level] > lam0[:, None])
-    inside = above | strad
-    length = hi_t - lo_t
-    contrib = np.where(above, length[level] if tpl.signed else length,
-                       np.where(falling, tpl.base_h - lo_t,
-                                hi_t - tpl.base_h)[level])[inside].tolist()
-    const = []
-    i = 0
-    for count in np.count_nonzero(inside, axis=1).tolist():
-        const.append(math.fsum(contrib[i:i + count]))
-        i += count
-    const = np.array(const)
-    term_row, piece = np.nonzero(strad)
-    term_level = level[term_row]
-    terms = (np.where(falling, inv_coef, -inv_coef)[term_level, piece],
-             tpl.inv_h[piece], shift[term_level, piece],
-             np.where(coef > 0.0, 1.0, -1.0)[term_level, piece])
-    counts = np.count_nonzero(strad, axis=1)
-    ruled, flat = counts > 0, counts == 0
-    # dropping the strata without terms leaves the term arrays as they are
-    return level_set_qth_powers(
-        Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled], *terms),
-        level[ruled], zip(level[flat].tolist(), lam0[flat].tolist(),
-                          lam1[flat].tolist(), const[flat].tolist()),
-        len(lo), p, q)
+    return (lo_t, hi_t, np.concatenate((coef, coef), axis=1) * sign,
+            np.concatenate((shift, shift), axis=1) * sign, va * sign,
+            vb * sign)
 
 
 def span_norms(tables: SpanTables, alphas: np.ndarray,
@@ -259,6 +180,15 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
             coef = a[:, tpl.shell] * tpl.coef
             shift = a[:, tpl.shell] * tpl.shift + below[:, tpl.shell]
             coef[:, -1], shift[:, -1] = lifts[:, -1], 0.0
-        powers += (_span_qth_powers(tpl, coef, shift)
-                   if len(tpl.t0) else [0.0] * len(a))
+        t0, t1 = tpl.t0, tpl.t1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            va, vb = (np.where(coef == 0.0, shift, coef * w + shift)
+                      for w in (tpl.w0, tpl.w1))
+            if tpl.signed:
+                t0, t1, coef, shift, va, vb = _signed_halves(
+                    tpl, coef, shift, va, vb)
+        powers += level_set_qth_powers(
+            level_set_strata(t0, t1, coef, shift, tpl.expo_h, tpl.base_h,
+                             tpl.orient_h, va, vb),
+            tpl.params.p, tpl.params.q)
     return [power ** (1.0 / tpl.params.q) for power in powers]

@@ -1,8 +1,8 @@
 """Batched tanh-sinh integration of level-set strata: the lambda route's rule.
 
 The lambda route of the Lorentz norm integrates lam^(q-1) m(lam)^(q/p)
-over the strata of a level set (``segments.LevelSet``), on each of which
-the distribution function is
+over the strata of a level set (built by ``segments.level_set_strata``),
+on each of which the distribution function is
 
     m(lam) = const + sum of coef * (orient * (lam - base))**expo.
 
@@ -19,9 +19,10 @@ distance instead of losing it to rounding.
 ``row_integrals`` is the one entry, called through
 ``segments.level_set_qth_powers`` with the strata of one level set
 (``LevelSet.lorentz_qth_power``) or of many (the span engine, ``spans``),
-each row's level set in ``owner``.  A row's value and bound depend on that
-row alone, so they are bit-identical however the rows are batched; only
-the sliver check reads a whole level set.
+each row's level set in ``owner``; ``segments.level_set_strata`` builds
+them as this table.  A row's value and bound depend on that row alone,
+so they are bit-identical however the rows are batched; only the sliver
+check reads a whole level set.
 
 The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two
@@ -33,14 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DivergentIntegralError, NumericalError
-
-if TYPE_CHECKING:
-    from .segments import Stratum
 
 __all__ = ["Rows", "row_integrals"]
 
@@ -120,18 +118,6 @@ class Rows:
             np.maximum(orient * (a[self.row] - base), 0.0),
             np.maximum(orient * (b[self.row] - base), 0.0))
 
-    @staticmethod
-    def of(strata: Sequence[Stratum]) -> "Rows":
-        terms = [t for s in strata for t in s.terms]
-        return Rows(np.array([s.lam0 for s in strata]),
-                    np.array([s.lam1 for s in strata]),
-                    np.array([s.const for s in strata]),
-                    np.array([len(s.terms) for s in strata], dtype=int),
-                    np.array([t.coef for t in terms]),
-                    np.array([t.expo for t in terms]),
-                    np.array([t.base for t in terms]),
-                    np.array([t.orient for t in terms]))
-
     def take(self, sel: np.ndarray) -> "Rows":
         """The sub-table of rows ``sel`` (increasing indices)."""
         if len(sel) == len(self.a):
@@ -140,7 +126,7 @@ class Rows:
         keep[sel] = True
         terms = keep[self.row]
         return Rows(self.a[sel], self.b[sel], self.const[sel],
-                    np.diff(self.first)[sel], self.coef[terms],
+                    (self.first[1:] - self.first[:-1])[sel], self.coef[terms],
                     self.expo[terms], self.base[terms], self.orient[terms],
                     (self.arg_a[terms], self.arg_b[terms]))
 
@@ -154,7 +140,7 @@ class Rows:
                                     self.first[:-1])
                 for arg in (self.arg_a, self.arg_b)]
         width = self.b - self.a
-        todo = np.flatnonzero(np.minimum(near[0], near[1]) < width / _GRADE)
+        todo = (np.minimum(near[0], near[1]) < width / _GRADE).nonzero()[0]
         owner = np.arange(len(self.a))
         if not todo.size:
             return self, owner
@@ -167,7 +153,8 @@ class Rows:
                                for i in owner.tolist()])
         return Rows(np.array([x for c in cuts for x in c[:-1]]),
                     np.array([x for c in cuts for x in c[1:]]),
-                    self.const[owner], np.diff(self.first)[owner],
+                    self.const[owner],
+                    (self.first[1:] - self.first[:-1])[owner],
                     self.coef[pick], self.expo[pick], self.base[pick],
                     self.orient[pick]), owner
 
@@ -237,7 +224,7 @@ class Rows:
         """
         left, sc, w = nodes
         out = np.empty((len(blocks), len(self.a)))
-        ends = np.cumsum(np.diff(self.first))
+        ends = self.first[1:]
         budget = max(_CHUNK // len(w), 1)
         lo = 0
         while lo < len(self.a):
@@ -319,7 +306,7 @@ def _rule(rows: Rows, q: float, qq: float, span: float
     n_nodes = int(blocks[-1])
     value, err = _level_error(*levels, tail, n_nodes)
     # a non-finite value or bound is never within the contract
-    todo = np.flatnonzero(~(err <= np.maximum(_REL_TOL * value, 1e-300)))
+    todo = (~(err <= np.maximum(_REL_TOL * value, 1e-300))).nonzero()[0]
     total = sums[-1][todo]
     older, prev = levels[-2][todo], levels[-1][todo]
     level = _TS_FIRST
@@ -351,8 +338,8 @@ def _level_error(older: np.ndarray, prev: np.ndarray, cur: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.abs(cur - prev)
         guard = np.where(cur > 0.0, (prev - older) ** 2 / cur, step)
-    return cur, np.maximum.reduce(
-        [step, guard, tail, n_nodes * _EPS * cur])
+    return cur, np.maximum(np.maximum(step, guard),
+                           np.maximum(tail, n_nodes * _EPS * cur))
 
 
 def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
@@ -375,7 +362,7 @@ def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
     values, errors = np.zeros(len(rows.a)), np.zeros(len(rows.a))
     live = np.isfinite(rows.b)
     width = rows.b - rows.a
-    sliver = np.flatnonzero(live & (width <= _SLIVER * rows.b))
+    sliver = (live & (width <= _SLIVER * rows.b)).nonzero()[0]
     if sliver.size:
         sub = rows.take(sliver)
         ends = sub.m_power(np.array([True, False]), np.zeros(2), qq)
@@ -386,14 +373,14 @@ def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
         values[sliver] = 0.5 * (lo + hi)[bounded]
         errors[sliver] = 0.5 * np.abs(hi - lo)[bounded]
     live[sliver] = False
-    ruled = np.flatnonzero(live)
+    ruled = live.nonzero()[0]
     if ruled.size:
         panels, stratum = rows.take(ruled).graded()
         stratum = ruled[stratum]
         singular = _singular_ends(panels, q, qq)
         for span, pick in ((_TS_SPAN, ~singular),
                            (_TS_SPAN_SINGULAR, singular)):
-            sel = np.flatnonzero(pick)
+            sel = pick.nonzero()[0]
             if sel.size:
                 v, e = _rule(panels.take(sel), q, qq, span)
                 np.add.at(values, stratum[sel], v)

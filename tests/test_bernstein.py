@@ -17,10 +17,10 @@ from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           embedding_norm, from_knots, gamma_sequence,
                           gradient_upper_certificate, quotient,
                           superadditivity_certificate, verify_system)
-
-from cone_sobolev.lorentz import lorentz_norm_distributional
 from cone_sobolev.profiles import gradient_density
 from cone_sobolev.segments import Law, Piece, abs_pieces, clip_pieces
+
+import level_set_reference
 
 PARAMS = LorentzParams(2.0, 1.0)
 
@@ -416,8 +416,8 @@ def test_certify_span_splits_one_sweep(system, trials, directions):
 # -- the span engine against the Piece path ---------------------------------------
 
 def _reference_norms(system, alpha):
-    """Both span norms through Piece objects, abs_pieces and the level-set
-    sweep: the path the engine replaces, from public functions."""
+    """Both span norms through Piece objects, abs_pieces and the reference
+    object sweep, which shares no strata code with the engine."""
     pieces, lift = [], 0.0
     for a, shell in zip(alpha, system.shells):
         for pc in clip_pieces(shell.profile.pieces, shell.cutoff_measure,
@@ -429,9 +429,8 @@ def _reference_norms(system, alpha):
         pieces.append(Piece(0.0, system.shells[len(alpha) - 1].cutoff_measure,
                             Law.constant(lift)))
     signed = abs_pieces(pieces)
-    function = lorentz_norm_distributional(signed,
-                                           system.params.star_params())
-    gradient = lorentz_norm_distributional(
+    function = level_set_reference.norm(signed, system.params.star_params())
+    gradient = level_set_reference.norm(
         [Piece(p.t0, p.t1, p.law.scaled(abs(a)))
          for a, shell in zip(alpha, system.shells) if a != 0.0
          for p in gradient_density(shell.profile).pieces], system.params)

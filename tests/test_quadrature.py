@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod (G15/K31) quadrature and its origin substitution."""
 
+import heapq
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from cone_sobolev import (LorentzParams, alvino_profile, builtin_cone,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged)
+from cone_sobolev import quadrature
 from cone_sobolev.errors import DivergentIntegralError, NumericalError
 from cone_sobolev.quadrature import (_K31_NODES, _K31_WEIGHTS,
                                      integrate_adaptive, substitute_origin)
@@ -147,6 +149,25 @@ def test_unsubstituted_endpoint_singularity():
     # integral of t^-0.5 over [0, 1] is 2
     got = integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0)
     assert abs(got - 2.0) <= 1e-12 * 2.0
+
+
+def test_unsplittable_worst_panel_fails_fast(monkeypatch):
+    """The worst panel reaches the depth cap after 52 splits toward 0; the
+    rule raises there instead of spending its budget on idle pops."""
+    pops = []
+
+    class CountingHeap:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            pops.append(1)
+            return heapq.heappop(heap)
+
+    monkeypatch.setattr(quadrature, "heapq", CountingHeap)
+    with pytest.raises(NumericalError, match="cannot be split"):
+        integrate_adaptive(lambda t: t ** -0.5, 0.0, 1.0)
+    assert len(pops) <= 64
 
 
 @pytest.mark.xfail(strict=True, raises=NumericalError,

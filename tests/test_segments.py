@@ -1,7 +1,8 @@
-"""The piecewise power-law algebra and its level-set sweep.
+"""The piecewise power-law algebra and its level-set strata.
 
 The level-set strata are cross-checked against a brute-force distribution
-function computed piece by piece, including configurations whose straddle
+function computed piece by piece, and against the object event sweep of
+``level_set_reference``, including configurations whose straddle
 constants span dozens of decades (where a merely compensated sum would
 leave residue far above the surviving mass).
 """
@@ -17,19 +18,20 @@ from scipy.integrate import quad
 
 from cone_sobolev import (DivergentIntegralError, NumericalError,
                           ValidationError, builtin_cone)
-from cone_sobolev.profiles import alvino_profile, gradient_density
-from cone_sobolev.segments import (Law, LevelSet, Piece, Stratum,
-                                   abs_pieces, clip_pieces, moment_integral,
+from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
+from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
+                                   clip_pieces, moment_integral,
                                    piece_moment, pieces_value,
                                    power_primitive)
-from cone_sobolev.tanhsinh import Rows, row_integrals
+from cone_sobolev.tanhsinh import row_integrals
+from level_set_reference import Stratum, qth_power, rows_of, sweep
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def stratum_integrals(strata, q, qq):
     """The lambda route's rule on the strata of one level set."""
-    return row_integrals(Rows.of(strata), q, qq,
+    return row_integrals(rows_of(strata), q, qq,
                          np.zeros(len(strata), dtype=int))
 
 
@@ -245,11 +247,11 @@ def brute_distribution(pieces, lam: float) -> float:
     return total
 
 
-def sample_levels(level_set):
+def sample_levels(strata):
     """Strictly interior sample levels, one per stratum (None if the
     stratum is so thin its float midpoint touches a boundary)."""
     out = []
-    for s in level_set.strata:
+    for s in strata:
         if math.isinf(s.lam1):
             out.append(2.0 * s.lam0 + 1.0)
             continue
@@ -276,10 +278,10 @@ piece_strategy = st.builds(
 @given(pieces=st.lists(piece_strategy, min_size=1, max_size=8))
 def test_level_set_matches_brute_force(pieces):
     level = LevelSet.from_pieces(pieces)
-    for stratum, lam in zip(level.strata, sample_levels(level)):
+    for lam in sample_levels(level.strata):
         if lam is None:
             continue
-        got = stratum.distribution(lam)
+        got = level.distribution(lam)
         want = brute_distribution(pieces, lam)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -301,30 +303,36 @@ def test_level_set_rejects_negative_functions():
         LevelSet.from_pieces([Piece(0.0, 1.0, Law.constant(-0.5))])
 
 
-def test_deep_span_strata_survive_huge_transients():
-    """Strata whose mass is 40+ decades below the straddle constants.
-
-    Each annulus contributes straddle constants of order its own support
-    scale; with supports descending 1e3 .. 1e-45 the in/out transients at
-    the top dwarf the surviving mass at the bottom.  The sweep's exact
-    accumulation must recover every stratum to full relative precision.
-    """
+def deep_transient_pieces():
+    """Nine decreasing arcs on (1e-6 t_hi, t_hi), t_hi = 1e3 .. 1e-45,
+    arc j spanning values [j, j+1]."""
     pieces = []
     t_hi = 1e3
     for j in range(9):
         t_lo = t_hi * 1e-6
-        # decreasing arc spanning values [j, j+1] on (t_lo, t_hi)
         coef = (t_lo ** -0.25 - t_hi ** -0.25)
         law = Law(1.0 / coef, -0.25,
                   shift=float(j) - t_hi ** -0.25 / coef)
         pieces.append(Piece(t_lo, t_hi, law))
         t_hi = t_lo
+    return pieces
+
+
+def test_deep_span_strata_survive_huge_transients():
+    """Strata whose mass is 40+ decades below the straddle constants.
+
+    Each annulus contributes straddle constants of order its own support
+    scale; with supports descending 1e3 .. 1e-45 the in/out transients at
+    the top dwarf the surviving mass at the bottom.  Every stratum must
+    still come out to full relative precision.
+    """
+    pieces = deep_transient_pieces()
     level = LevelSet.from_pieces(pieces)
-    for stratum, lam in zip(level.strata, sample_levels(level)):
+    for lam in sample_levels(level.strata):
         if lam is None:
             continue
         want = brute_distribution(pieces, lam)
-        got = stratum.distribution(lam)
+        got = level.distribution(lam)
         assert got == pytest.approx(want, rel=1e-9), (lam, got, want)
         assert got >= 0.0
 
@@ -360,14 +368,26 @@ def test_extreme_ratio_routes_agree(halfplane):
 
     psi = gradient_density(profile)
     level = LevelSet.from_pieces(list(psi.pieces))
-    for stratum, lam in zip(level.strata, sample_levels(level)):
+    for lam in sample_levels(level.strata):
         if lam is None:
             continue
         want = brute_distribution(psi.pieces, lam)
-        assert stratum.distribution(lam) == pytest.approx(want, rel=1e-10)
+        assert level.distribution(lam) == pytest.approx(want, rel=1e-10)
 
 
 # -- many strata ----------------------------------------------------------------
+
+def many_strata_pieces():
+    """(1 - t)^1.5 cut into 600 pieces; with 4 (2 - t)^3 on (1, 2) cut the
+    same way, 1200 pieces."""
+    cuts = np.linspace(0.0, 1.0, 601)
+    f = Law(1.0, 1.5, base=1.0, orient=-1.0)
+    g = Law(4.0, 3.0, base=2.0, orient=-1.0)
+    one = [Piece(a, b, f) for a, b in zip(cuts[:-1], cuts[1:])]
+    two = one + [Piece(1.0 + a, 1.0 + b, g)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+    return one, two
+
 
 @pytest.mark.parametrize("p, q", [(2.0, 1.0), (3.0, 2.0), (1.5, 1.5)])
 def test_many_strata_match_high_precision(p, q):
@@ -378,12 +398,7 @@ def test_many_strata_match_high_precision(p, q):
     Adding g = 4 (2 - t)^3 on (1, 2), cut the same way, makes the strata
     below lam = 1 two-term.
     """
-    cuts = np.linspace(0.0, 1.0, 601)
-    f = Law(1.0, 1.5, base=1.0, orient=-1.0)
-    g = Law(4.0, 3.0, base=2.0, orient=-1.0)
-    one = [Piece(a, b, f) for a, b in zip(cuts[:-1], cuts[1:])]
-    two = one + [Piece(1.0 + a, 1.0 + b, g)
-                 for a, b in zip(cuts[:-1], cuts[1:])]
+    one, two = many_strata_pieces()
     with mpmath.workdps(40):
         e, qq = mpmath.mpf(1.5), mpmath.mpf(q) / p
 
@@ -399,6 +414,67 @@ def test_many_strata_match_high_precision(p, q):
         assert len(level.strata) > 512
         got = level.lorentz_qth_power(p, q)
         assert abs(got - want) <= 1e-12 * want
+
+
+# -- the strata builder against the object sweep --------------------------------
+
+def assert_matches_reference(pieces, pairs=((1.2, 1.0), (1.4, 1.2))):
+    """Per-stratum distribution within 1e-12 and q-th powers within 1e-14
+    of the reference sweep."""
+    level = LevelSet.from_pieces(pieces)
+    strata, lam_max = sweep(pieces)
+    assert level.lam_max == pytest.approx(lam_max, rel=1e-15)
+    lams, want = [], []
+    for stratum, lam in zip(strata, sample_levels(strata)):
+        if lam is not None:
+            lams.append(lam)
+            want.append(stratum.distribution(lam))
+    assert list(level.distribution(np.array(lams))) == pytest.approx(
+        want, rel=1e-12)
+    for p, q in pairs:
+        try:
+            want = qth_power(pieces, p, q)
+        except (NumericalError, ArithmeticError) as exc:  # fails alike
+            with pytest.raises(type(exc)):
+                level.lorentz_qth_power(p, q)
+            continue
+        assert level.lorentz_qth_power(p, q) == pytest.approx(
+            want, rel=1e-14, nan_ok=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pieces=st.lists(piece_strategy, min_size=1, max_size=8))
+def test_builder_matches_reference_sweep(pieces):
+    assert_matches_reference(pieces)
+
+
+def test_builder_matches_reference_across_40_decades(halfplane):
+    assert_matches_reference(deep_transient_pieces())
+    profile = alvino_profile(halfplane, 3.0, 1.0, 1e40)
+    assert_matches_reference(list(profile.pieces), ((3.0, 1.0), (2.0, 1.0)))
+    assert_matches_reference(list(gradient_density(profile).pieces),
+                             ((2.0, 1.0), (3.0, 1.5)))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_builder_matches_reference_on_many_strata(which):
+    assert_matches_reference(many_strata_pieces()[which],
+                             ((2.0, 1.0), (3.0, 2.0), (1.5, 1.5)))
+
+
+def test_builder_merges_terms_by_law_key(halfplane):
+    """The arcs of an affine profile's gradient density all invert to
+    laws of one key, so every stratum with terms has exactly one."""
+    rng = np.random.default_rng(11)
+    ts = 0.5 + np.cumsum(rng.uniform(0.01, 1.0, 2000))
+    vs = np.sort(rng.uniform(0.0, 1.0, 2000))[::-1]
+    vs[-1] = 0.0
+    pieces = list(gradient_density(from_knots(
+        halfplane, list(zip(ts.tolist(), vs.tolist())))).pieces)
+    level = LevelSet.from_pieces(pieces)
+    ruled = [s for s in level.strata if s.terms]
+    assert ruled and all(len(s.terms) == 1 for s in ruled)
+    assert len(level.strata) == len(sweep(pieces)[0])
 
 
 # -- the lambda route's tanh-sinh rule ------------------------------------------
