@@ -23,7 +23,8 @@ every m since the shells keep coming.  Restricted norms along the
 shrinking supports vanish (absolute continuity), which is the mechanism
 that defeats any fixed finite cover.
 
-Shell profiles are truncated power arcs placed by monotone bisections.
+Shell profiles are truncated power arcs placed by monotone searches: the
+head ratio by bracketed regula falsi (Illinois), the cutoffs by bisection.
 Every shell is the first one dilated in the measure coordinate, with the
 same norms, so each search runs once per system and is dilated to every
 shell: the head ratio (the quotient is scale invariant), the window
@@ -41,6 +42,7 @@ or in any batch.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -144,6 +146,11 @@ class AlmostExtremalSystem:
     @property
     def m(self) -> int:
         return len(self.shells)
+
+    @functools.cached_property
+    def _verification(self) -> dict:
+        """The report of ``verify_system``, checked on first use."""
+        return _verification_report(self)
 
     @functools.cached_property
     def _span_tables(self) -> SpanTables:
@@ -255,8 +262,12 @@ def _head_ratio(cone: WeightedCone, bound: LorentzParams,
 
     The quotient of alvino_profile(cone, p*, t/ratio, t) does not depend
     on the scale t, so the search runs once, on the unit ball: the ratio
-    is expanded until its quotient brackets lambda, then bisected in log
-    space to 1e-12.
+    is expanded until its quotient brackets lambda, then the root of
+    f(x) = Q(e^x) - lambda in log space is found by the Illinois variant
+    of regula falsi (Dowell & Jarratt 1971), to |f| <= 1e-12 max(1, lam).
+    Every step keeps a bracket whose ends have f of opposite measured
+    signs, so the quotient's own 1e-12 error cannot lose the root; a step
+    that would leave the bracket takes its midpoint instead.
     """
     e_norm = embedding_norm(cone, bound)
     if not 0.0 < lam < e_norm:
@@ -269,34 +280,54 @@ def _head_ratio(cone: WeightedCone, bound: LorentzParams,
             "sharp constant exactly, so no profile has quotient "
             "lambda < ||E||; use q = 1 with p > 1 instead")
 
+    def f(x: float) -> float:
+        return _quotient_of_ratio(cone, bound, math.exp(x)) - lam
+
     # bracket the quotient in log-ratio space (quotient grows with ratio)
     lo, hi = math.log(2.0), math.log(16.0)
     cap = _MAX_LOG10_RANGE * math.log(10.0)
-    while _quotient_of_ratio(cone, bound, math.exp(hi)) < lam:
-        lo = hi
+    f_lo, f_hi = None, f(hi)
+    while f_hi < 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > cap:
             raise ResourceError(
                 f"lambda = {lam} is so close to the sharp constant "
                 f"{e_norm} that the required head-to-support ratio "
                 f"exceeds 1e{_MAX_LOG10_RANGE:.0f} in measure units")
-    while _quotient_of_ratio(cone, bound, math.exp(lo)) > lam:
-        hi = lo
+        f_hi = f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    while f_lo > 0.0:
+        hi, f_hi = lo, f_lo
         lo *= 0.5
         if lo < 1e-12:
             raise InternalConsistencyError(
                 "quotient bracketing failed at vanishing head ratio")
+        f_lo = f(lo)
     tol = _QUOTIENT_TOL * max(1.0, lam)
+    for x, fx in ((lo, f_lo), (hi, f_hi)):
+        if abs(fx) <= tol:
+            return math.exp(x)
+    # f_lo < 0 < f_hi from here on; ``side`` is the end moved last
+    side = 0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = _quotient_of_ratio(cone, bound, math.exp(mid))
-        if abs(val - lam) <= tol:
-            lo = hi = mid
-            break
-        if val < lam:
-            lo = mid
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= tol:
+            return math.exp(x)
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5  # Illinois: the other end stalled, halve it
+            side = -1
         else:
-            hi = mid
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
         if hi - lo <= 1e-15 * max(1.0, hi):
             break
     return math.exp(0.5 * (lo + hi))
@@ -314,7 +345,7 @@ def _shell_at(cone: WeightedCone, bound: LorentzParams, lam: float,
     report = quotient(raw, bound)
     if abs(report.quotient - lam) > 100.0 * _QUOTIENT_TOL * max(1.0, lam):
         raise InternalConsistencyError(
-            "head-ratio bisection failed to pin the quotient")
+            "head-ratio search failed to pin the quotient")
     profile = raw.scaled_amplitude(1.0 / report.denominator)
     inner_radius = cone.radius_of_measure(t_outer / ratio)
     return profile, inner_radius
@@ -471,8 +502,17 @@ def _check_representable(j: int, name: str, measure: float) -> None:
 def verify_system(system: AlmostExtremalSystem) -> dict:
     """Check every system invariant exactly; raise on any failure.
 
-    Returns a report dict with the measured values for each shell.
+    Returns a report dict with the measured values for each shell.  The
+    checks run once per system object, whose report is kept (a failed
+    check keeps nothing and raises again); every call returns a copy of
+    it.  ``from_json``, ``prefix`` and ``dataclasses.replace`` make new
+    objects, so their systems are checked on their first call.
     """
+    return copy.deepcopy(system._verification)
+
+
+def _verification_report(system: AlmostExtremalSystem) -> dict:
+    """The checks and the report of ``verify_system``."""
     cone, bound = system.cone, system.params
     star = bound.star_params()
     e_norm = embedding_norm(cone, bound)

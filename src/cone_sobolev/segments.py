@@ -172,10 +172,12 @@ class Law:
 def power_primitive(t0: float, t1: float, rho: float) -> float:
     """integral of t**rho over (t0, t1), 0 <= t0 <= t1 <= inf, exactly.
 
-    Uses t0^(rho+1) * expm1((rho+1) * log(t1/t0)) / (rho+1) so the result
-    keeps full relative precision even when t1/t0 is enormous or the
-    exponent nearly cancels.  Divergent combinations raise
-    DivergentIntegralError naming the offending segment.
+    With r1 = rho + 1 and x = r1 log(t1/t0), uses the larger endpoint's
+    power: t0^r1 expm1(x) / r1, or t1^r1 (-expm1(-x)) / r1 once x > 1,
+    so the result keeps full relative precision (and stays finite where
+    it is) even when t1/t0 is enormous or the exponent nearly cancels.
+    Divergent combinations raise DivergentIntegralError naming the
+    offending segment.
     """
     if not 0.0 <= t0 <= t1:
         raise ValidationError(f"bad integration segment ({t0}, {t1})")
@@ -197,10 +199,15 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
                 f"integral of t^{rho} diverges at the right endpoint of "
                 f"({t0}, inf)")
         return -(t0 ** r1) / r1
-    log_ratio = math.log1p((t1 - t0) / t0)
+    gap = (t1 - t0) / t0
+    log_ratio = (math.log1p(gap) if math.isfinite(gap)
+                 else math.log(t1) - math.log(t0))
     if r1 == 0.0:
         return log_ratio
-    return t0 ** r1 * math.expm1(r1 * log_ratio) / r1
+    x = r1 * log_ratio
+    if x > 1.0:
+        return -(t1 ** r1) * math.expm1(-x) / r1
+    return t0 ** r1 * math.expm1(x) / r1
 
 
 def _signed_u_interval(t0: float, t1: float, law: Law) -> tuple[float, float]:

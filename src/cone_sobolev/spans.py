@@ -13,10 +13,15 @@ Every direction has the same pieces in t; only each law's coefficient and
 shift move with alpha.  So the pieces are tabulated once per system
 (``SpanTables``), with everything alpha does not move, and ``span_norms``
 scales a batch of directions into one coef/shift row each: no ``Piece``,
-``Law`` or ``LevelSet`` per direction.  The function span is signed, so
-its pieces are first cut at their sign roots and flipped where negative
-(``_signed_halves``, the steps of ``segments.abs_pieces``); the gradient
-span is nonnegative for every alpha.  The strata of each pass of
+``Law`` or ``LevelSet`` per direction.  The function span's end values
+are alpha_j u + lift_(j-1), from each piece's unscaled end values u
+(``_shell_end_values``), the same rounded expression as the cumulative
+lifts: a shell's head value, the lift it carries into the next shell and
+the next arc's end value are one float, so the builder merges their cuts
+instead of leaving ulp-wide strata between them.  The function span is
+signed, so its pieces are first cut at their sign roots and flipped where
+negative (``_signed_halves``, the steps of ``segments.abs_pieces``); the
+gradient span is nonnegative for every alpha.  The strata of each pass of
 directions come from ``segments.level_set_strata``, the builder
 ``LevelSet.from_pieces`` uses too, and go in one call to
 ``segments.level_set_qth_powers``.  Every step is per direction, and each
@@ -47,15 +52,17 @@ class _Template(NamedTuple):
     """The n pieces of one span for alphas of one length, as arrays.
 
     Per piece: its alpha entry ``shell`` (the lift's is -1), (t0, t1), the
-    unscaled law coef * (orient (t - base))**expo + shift, 1/expo, and the
-    power max(orient (t - base), 0)**expo at both ends (w0, w1), which no
-    alpha moves.  A signed span's pieces are cut in two at their sign
-    roots, giving 2n halves (all first parts, then all second parts);
-    expo, base and orient per half, or per piece of an unsigned span, are
-    in expo_h, base_h and orient_h.
+    unscaled law coef * (orient (t - base))**expo + shift and 1/expo.
+    What no alpha moves at the piece's ends: for an unsigned span the
+    power max(orient (t - base), 0)**expo (w0, w1), which the scaled
+    coefficient multiplies; for a signed span the unscaled end values
+    (u0, u1, see ``_shell_end_values``), which alpha_j scales and the lift
+    shifts.  The other pair is None.  A signed span's pieces are cut in
+    two at their sign roots, giving 2n halves (all first parts, then all
+    second parts); expo, base and orient per half, or per piece of an
+    unsigned span, are in expo_h, base_h and orient_h.
     """
 
-    signed: bool
     params: LorentzParams  # of the span's norm
     shell: np.ndarray
     t0: np.ndarray
@@ -66,8 +73,10 @@ class _Template(NamedTuple):
     base: np.ndarray
     orient: np.ndarray
     inv_expo: np.ndarray
-    w0: np.ndarray
-    w1: np.ndarray
+    w0: np.ndarray | None
+    w1: np.ndarray | None
+    u0: np.ndarray | None
+    u1: np.ndarray | None
     expo_h: np.ndarray
     base_h: np.ndarray
     orient_h: np.ndarray
@@ -80,13 +89,42 @@ class _Template(NamedTuple):
               p.law.orient) for _, p in pieces], dtype=float).reshape(-1, 7).T
         with np.errstate(divide="ignore", over="ignore"):
             inv_expo = 1.0 / expo
-            w0, w1 = (np.maximum(orient * (t - base), 0.0) ** expo
-                      for t in (t0, t1))
-        return _Template(signed, params,
+            if signed:
+                w0 = w1 = None
+                u0, u1 = map(np.array, _shell_end_values(pieces))
+            else:
+                w0, w1 = (np.maximum(orient * (t - base), 0.0) ** expo
+                          for t in (t0, t1))
+                u0 = u1 = None
+        return _Template(params,
                          np.array([j for j, _ in pieces], dtype=int),
                          t0, t1, coef, shift, expo, base, orient, inv_expo,
-                         w0, w1, *(np.tile(x, 2 if signed else 1)
-                                   for x in (expo, base, orient)))
+                         w0, w1, u0, u1,
+                         *(np.tile(x, 2 if signed else 1)
+                           for x in (expo, base, orient)))
+
+
+def _shell_end_values(pieces: Sequence[tuple[int, Piece]]
+                      ) -> tuple[list[float], list[float]]:
+    """Each piece's values at t0+ and t1-, with a shell's identities exact.
+
+    ``pieces`` runs through each shell's pieces in t order.  A shell's
+    first piece starts at its own value (its flat head's, the shell's max
+    u), every later piece starts at the value the piece before it ends
+    at, and the last one ends at 0, where the shell's support ends (the
+    lift's one constant piece is 0 at both ends).  So alpha_j u + lift,
+    evaluated as the cumulative lifts are, gives the head value, the lift
+    carried into the next shell and the arc's end values as one float
+    each.
+    """
+    u0: list[float] = []
+    u1: list[float] = []
+    for i, (j, piece) in enumerate(pieces):
+        start, end = piece.endpoint_values()
+        u0.append(start if i == 0 or pieces[i - 1][0] != j else u1[-1])
+        last = i + 1 == len(pieces) or pieces[i + 1][0] != j
+        u1.append(0.0 if last else end)
+    return u0, u1
 
 
 class SpanTables(NamedTuple):
@@ -170,21 +208,21 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
     powers: list[float] = []
     for i in range(0, len(alphas), _SPAN_CHUNK):
         a = alphas[i:i + _SPAN_CHUNK]
-        if gradient:
-            scale = np.abs(a)[:, tpl.shell]
-            coef, shift = scale * tpl.coef, scale * tpl.shift
-        else:
-            lifts = np.cumsum(a * tables.heights[:k], axis=1)
-            below = np.concatenate((np.zeros((len(a), 1)), lifts[:, :-1]),
-                                   axis=1)
-            coef = a[:, tpl.shell] * tpl.coef
-            shift = a[:, tpl.shell] * tpl.shift + below[:, tpl.shell]
-            coef[:, -1], shift[:, -1] = lifts[:, -1], 0.0
         t0, t1 = tpl.t0, tpl.t1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            va, vb = (np.where(coef == 0.0, shift, coef * w + shift)
-                      for w in (tpl.w0, tpl.w1))
-            if tpl.signed:
+            if gradient:
+                scale = np.abs(a)[:, tpl.shell]
+                coef, shift = scale * tpl.coef, scale * tpl.shift
+                va, vb = (np.where(coef == 0.0, shift, coef * w + shift)
+                          for w in (tpl.w0, tpl.w1))
+            else:
+                # below[:, j] is the lift of the shells before j, and
+                # below[:, -1] (the lift piece's) that of all k
+                below = np.zeros((len(a), k + 1))
+                np.cumsum(a * tables.heights[:k], axis=1, out=below[:, 1:])
+                scale, lift = a[:, tpl.shell], below[:, tpl.shell]
+                coef, shift = scale * tpl.coef, scale * tpl.shift + lift
+                va, vb = (scale * u + lift for u in (tpl.u0, tpl.u1))
                 t0, t1, coef, shift, va, vb = _signed_halves(
                     tpl, coef, shift, va, vb)
         powers += level_set_qth_powers(

@@ -253,10 +253,16 @@ def _grade_cuts(a: float, b: float, da: float, db: float) -> list[float]:
             mid, b, math.inf, db)
     if not (near_a or near_b):
         return [a, b]
-    dist, inner = (da if near_a else db), []
+    dist, dists = (da if near_a else db), [0.0]
     while dist < width:
-        inner.append(a + dist if near_a else b - dist)
+        dists.append(dist)
         dist *= _GRADE
+    # a last cut within 1/_GRADE of its panel from the far end would leave
+    # a sliver panel there, which cannot meet the tolerance of its own
+    # value where m cancels; the panel before it takes that end instead
+    if width - dists[-1] < (dists[-1] - dists[-2]) / _GRADE:
+        dists.pop()
+    inner = [a + d if near_a else b - d for d in dists[1:]]
     if near_b:
         inner.reverse()
     return [a] + [c for c in inner if a < c < b] + [b]

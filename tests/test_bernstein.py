@@ -160,6 +160,25 @@ def test_head_ratio_is_searched_once_per_system(halfplane, monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (2.0, 1.5), (1.5, 1.0)])
+@pytest.mark.parametrize("frac", [0.5, 0.7, 0.9])
+def test_head_ratio_needs_few_quotients(halfplane, monkeypatch, p, q, frac):
+    bound = LorentzParams(p, q, halfplane)
+    lam = frac * embedding_norm(halfplane, bound)
+    search = bernstein._quotient_of_ratio
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(bernstein, "_quotient_of_ratio", counted)
+    ratio = bernstein._head_ratio(halfplane, bound, lam)
+    assert len(calls) <= 16
+    assert abs(search(halfplane, bound, ratio) - lam) <= 1e-12 * max(1.0,
+                                                                     lam)
+
+
 def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
                                                        monkeypatch):
     # beyond the first, a shell costs one feasibility check at its cutoff
@@ -272,6 +291,26 @@ def test_verify_system_detects_tampering(system):
         + system.shells[1:])
     with pytest.raises(InternalConsistencyError):
         verify_system(starved)
+
+
+def test_verify_system_runs_once_per_object(halfplane, monkeypatch):
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    built = construct_system(halfplane, PARAMS, 2, lam, 0.05, 0.05)
+    norm = bernstein.lorentz_norm_distributional
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(bernstein, "lorentz_norm_distributional", counted)
+    report = verify_system(built)
+    assert not calls
+    report["shells"].clear()  # a copy: the kept report is untouched
+    assert len(verify_system(built)["shells"]) == 2
+    loaded = AlmostExtremalSystem.from_json(built.to_json())
+    assert verify_system(loaded) == verify_system(built)
+    assert len(calls) == 2  # the loaded system is checked on its own
 
 
 def test_prefix_systems_stand_alone(system):
@@ -465,6 +504,30 @@ def quadrant_system():
     cone = builtin_cone("quadrant-x1x2")
     lam = 0.6 * embedding_norm(cone, PARAMS)
     return construct_system(cone, PARAMS, 3, lam, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.7, 0.9])
+def test_function_span_has_no_sliver_strata(halfplane, monkeypatch, frac):
+    # a shell's head value, the lift it carries into the next shell and
+    # the next arc's end value are one float, so their cuts merge
+    system = construct_system(halfplane, PARAMS, 6,
+                              frac * embedding_norm(halfplane, PARAMS),
+                              0.05, 0.05)
+    engine = spans.level_set_qth_powers
+    rows = []
+
+    def spy(strata, p, q):
+        rows.append(strata.rows)
+        return engine(strata, p, q)
+
+    monkeypatch.setattr(spans, "level_set_qth_powers", spy)
+    for seed in range(10):
+        alphas = np.random.default_rng(seed).standard_normal((20, 6))
+        spans.span_norms(system._span_tables, alphas, gradient=False)
+    assert rows
+    for r in rows:
+        finite = np.isfinite(r.b)
+        assert not (finite & (r.b - r.a <= 1e-9 * r.b)).any()
 
 
 @pytest.mark.parametrize("which", ["q=1", "q=2", "quadrant-x1x2", "json"])

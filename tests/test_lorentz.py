@@ -83,6 +83,17 @@ def test_routes_agree_on_random_steps():
         assert via_lambda == pytest.approx(via_t, rel=1e-10, abs=1e-300)
 
 
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+def test_routes_agree_on_a_step_down_to_a_tiny_value(tiny):
+    # the lambda route's cut at the tiny value makes a plateau ratio
+    # 1/tiny past the double range
+    step = StepFunction1D((0.5, 1.0), (1.0, tiny))
+    params = LorentzParams(1.4, 1.2)
+    via_t = lorentz_norm_rearranged(step, params)
+    assert lorentz_norm_distributional(step, params) == pytest.approx(
+        via_t, rel=1e-10)
+
+
 def test_routes_agree_on_power_arcs(halfplane):
     prof = alvino_profile(halfplane, 3.0, 1.0, 50.0)
     for p, q in PAIRS:

@@ -16,14 +16,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cone_sobolev import (DivergentIntegralError, NumericalError,
-                          ValidationError, builtin_cone)
+from cone_sobolev import (DivergentIntegralError, LorentzParams,
+                          NumericalError, ValidationError, builtin_cone,
+                          lorentz_norm_distributional, quotient)
 from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
 from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
                                    clip_pieces, moment_integral,
                                    piece_moment, pieces_value,
                                    power_primitive)
-from cone_sobolev.tanhsinh import row_integrals
+from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
 from level_set_reference import Stratum, qth_power, rows_of, sweep
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -135,6 +136,21 @@ def test_power_primitive_huge_ratio_keeps_precision(rho):
         lo, hi = mpmath.mpf("1e-20"), mpmath.mpf("1e20")
         want = mpmath.log(hi / lo) if r1 == 0 else (hi ** r1 - lo ** r1) / r1
         assert got == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("t0, t1, rho", [
+    (1e-300, 1.0, 0.2), (5e-324, 1.0, 0.0), (1e-300, 1.0, 0.0),
+    (5e-324, 1.0, -1.0), (1e-300, 1.0, -0.5), (1e-200, 1e100, 1.5),
+    (1e-300, 2.0, -1.5), (0.5, 1e300, 0.0)])
+def test_power_primitive_extreme_ratios_against_mpmath(t0, t1, rho):
+    # ratios t1/t0 past the double range: the larger endpoint's power is
+    # factored out, so nothing overflows and no digit is lost to exp
+    got = power_primitive(t0, t1, rho)
+    with mpmath.workdps(40):
+        r1 = mpmath.mpf(rho) + 1
+        lo, hi = mpmath.mpf(t0), mpmath.mpf(t1)
+        want = mpmath.log(hi / lo) if r1 == 0 else (hi ** r1 - lo ** r1) / r1
+        assert abs(got - want) <= 4e-16 * want
 
 
 def test_power_primitive_divergences():
@@ -622,6 +638,35 @@ def test_stratum_rule_brackets_slivers():
         want = stratum_oracle(s, q, qq)
         assert value - err <= want <= value + err
         assert err <= 1e-9 * value
+
+
+def test_graded_panels_leave_no_ulp_wide_final_panel():
+    # the fourth cut from a lands within ulps of b, at 64^3 * d
+    d = (1.0 - 1e-15) / _GRADE ** 3
+    for cuts in (_grade_cuts(0.0, 1.0, d, math.inf),
+                 _grade_cuts(0.0, 1.0, math.inf, d)[::-1]):
+        panels = np.abs(np.diff(cuts))
+        assert len(panels) == 4
+        assert (panels[1:] >= panels[:-1]).all()
+        assert panels[-1] >= 0.5
+
+
+def test_alvino_gradient_with_a_sliver_graded_panel():
+    # a graded stratum of the gradient density's level set ended in a
+    # panel 9.1e-15 of its width, where m cancels to 3.5e-22
+    params = LorentzParams(2.0, 1.0, builtin_cone("halfplane-x1"))
+    prof = alvino_profile(params.cone, params.p_star, 1.0,
+                          6.2771017353866083e+57)
+    report = quotient(prof, params)
+    assert report.numerator == pytest.approx(
+        lorentz_norm_distributional(prof, params.star_params()), rel=1e-10)
+    # psi = c t^(-1/2) on (1, t_max), so its (2, 1) norm is
+    # c * integral of t^(-1/2) (t + 1)^(-1/2) over (0, t_max - 1)
+    (piece,) = gradient_density(prof).pieces
+    with mpmath.workdps(40):
+        want = piece.law.coef * 2 * mpmath.asinh(mpmath.sqrt(
+            mpmath.mpf(piece.t1) - 1))
+    assert report.denominator == pytest.approx(float(want), rel=1e-10)
 
 
 def test_stratum_rule_raises_when_it_cannot_converge():
