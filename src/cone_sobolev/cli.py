@@ -499,7 +499,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if config.get("out"):
-        Path(config["out"]).write_text(text)
+        try:
+            Path(config["out"]).write_text(text)
+        except OSError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return EXIT_PASS if report["passed"] else EXIT_VERDICT_FAIL
 
 

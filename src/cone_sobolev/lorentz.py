@@ -15,10 +15,9 @@ Both routes are exact on steps and on elementary moments, and share no
 integration code otherwise.  The t route falls back to ``quadrature``'s
 deterministic adaptive rule (relative 1e-12) on non-elementary segment
 moments; the lambda route integrates its strata with its own batched
-tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance,
-using ``segments.power_primitive`` only for constant strata and pure-power
-infinite tails.  Sampled fields take their own numpy expressions on both
-routes.
+tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance.  Steps
+and sampled fields stay arrays on both routes, and the lambda route takes
+their plateaus to the one strata builder (``LevelSet.from_plateaus``).
 
 The Hardy evaluation check
 
@@ -160,49 +159,22 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
     return total ** (1.0 / q)
 
 
-def _field_distributional(field: SampledField, params: LorentzParams
-                          ) -> float:
-    """Distributional norm of a sampled field: exact over value strata.
-
-    Between consecutive distinct cell values lam0 < lam1 the distribution
-    function is the constant measure m of the cells valued >= lam1, so the
-    stratum contributes m^(q/p) times the integral of lam^(q-1) over
-    (lam0, lam1): lam1^q / q on the first stratum (lam0 = 0), and
-    lam0^q expm1(q log1p((lam1 - lam0) / lam0)) / q above it.
-    """
-    vals = np.abs(field.values.ravel())
-    meas = field.cell_measures.ravel()
-    keep = (vals > 0) & (meas > 0)
-    vals, meas = vals[keep], meas[keep]
-    if vals.size == 0:
-        return 0.0
-    order = np.argsort(vals)          # ascending lambda levels
-    levels = vals[order]
-    # measure above each distinct level: suffix sums
-    suffix = np.cumsum(meas[order][::-1])[::-1]
-    first = np.flatnonzero(np.append(True, levels[1:] != levels[:-1]))
-    lam1, m_level = levels[first], suffix[first]
-    lam0 = lam1[:-1]
-    p, q = params.p, params.q
-    strata = np.concatenate((
-        lam1[:1] ** q / q,
-        lam0 ** q * np.expm1(q * np.log1p((lam1[1:] - lam0) / lam0)) / q))
-    return (p * math.fsum(m_level ** (q / p) * strata)) ** (1.0 / q)
-
-
 def lorentz_norm_distributional(f, params: LorentzParams) -> float:
     """Lorentz norm via the distribution function.
 
-    ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), evaluated exactly
-    stratum-by-stratum for piece inputs and over value levels for sampled
-    fields.  Must agree with the rearranged route; the test suite enforces
-    1e-10 relative agreement on random steps.
+    ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), stratum by stratum,
+    from a step's plateaus, a sampled field's cells as the plateaus
+    (0, cell measure) of their |value|, or pieces.  Must agree with the
+    rearranged route; the tests enforce 1e-10 relative agreement.
     """
     if isinstance(f, SampledField):
-        return _field_distributional(f, params)
-    power = LevelSet.from_pieces(_pieces_of(f)).lorentz_qth_power(
-        params.p, params.q)
-    return power ** (1.0 / params.q)
+        level = LevelSet.from_plateaus(0.0, f.cell_measures.ravel(),
+                                       np.abs(f.values.ravel()))
+    elif isinstance(f, StepFunction1D):
+        level = LevelSet.from_plateaus(*f.plateaus(), f.value_array)
+    else:
+        level = LevelSet.from_pieces(_pieces_of(f))
+    return level.lorentz_qth_power(params.p, params.q) ** (1.0 / params.q)
 
 
 # -- Hardy inequality evaluation ---------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (DivergentIntegralError, DomainError,
                      NumericalError, ValidationError)
 from .profiles import RadialProfile, from_knots
 from .quadrature import gauss_nodes
-from .segments import Law, Piece
+from .segments import Law, Piece, power_primitives
 
 __all__ = [
     "StepFunction1D",
@@ -113,10 +113,15 @@ class StepFunction1D:
         """Plateau lengths b_k - b_(k-1), starting from 0."""
         return np.diff(self.breakpoint_array, prepend=0.0)
 
+    def plateaus(self) -> tuple[np.ndarray, np.ndarray]:
+        """The plateaus' ends (b_(k-1), b_k), starting from 0."""
+        ends = self.breakpoint_array
+        return np.append(0.0, ends)[:-1], ends
+
     def as_pieces(self) -> list[Piece]:
-        ends = self.breakpoint_array.tolist()
         return [Piece(t0, t1, Law.constant(v)) for t0, t1, v in
-                zip([0.0] + ends[:-1], ends, self.value_array.tolist())]
+                zip(*(x.tolist() for x in self.plateaus()),
+                    self.value_array.tolist())]
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -140,10 +145,8 @@ class StepFunction1D:
         """integral over (0, inf) of t^(gamma-1) f(t)^q, exactly, gamma > 0.
 
         Plateau k contributes v_k^q times the integral of t^(gamma-1) over
-        (t0, t1): t1^gamma / gamma on the first plateau (t0 = 0), and
-        t0^gamma expm1(gamma log1p((t1 - t0) / t0)) / gamma after it, which
-        keeps full relative precision when t1/t0 is huge or close to 1.  The
-        terms are summed with math.fsum.
+        it, all plateaus in one array expression (``power_primitives``, in
+        full precision for t1/t0 huge or close to 1), summed by math.fsum.
         """
         if not gamma > 0.0:
             raise DivergentIntegralError(
@@ -151,13 +154,8 @@ class StepFunction1D:
         live = self.value_array > 0.0
         if not live.any():
             return 0.0
-        t1 = self.breakpoint_array
-        t0 = t1[:-1]
+        prim = power_primitives(*self.plateaus(), gamma)
         with np.errstate(over="ignore", invalid="ignore"):
-            prim = np.concatenate((
-                t1[:1] ** gamma / gamma,
-                t0 ** gamma * np.expm1(gamma * np.log1p((t1[1:] - t0) / t0))
-                / gamma))
             terms = self.value_array[live] ** q * prim[live]
         total = math.fsum(terms)
         if not math.isfinite(total):
@@ -190,8 +188,10 @@ class SampledField:
             raise ValidationError("grid needs at least 2 cells per axis")
         if self.values.shape != self.shape:
             raise ValidationError("value array does not match the grid shape")
-        if np.any(self.cell_measures < 0):
+        if not (self.cell_measures >= 0.0).all():   # NaN fails as well
             raise ValidationError("cell measures must be nonnegative")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("cell values must be finite")
 
     @staticmethod
     def from_function(cone: WeightedCone,

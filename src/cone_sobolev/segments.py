@@ -26,11 +26,11 @@ main self-check:
   origin (mirrored onto the right end when a law blows up there);
 * the lambda route builds the strata of one or many level sets with one
   array builder (``level_set_strata``), for profiles, gradient densities,
-  steps, grid-derived profiles and span batches alike; it integrates
-  every finite stratum with terms by its own batched tanh-sinh rule
+  steps, sampled fields and span batches alike; it integrates every
+  finite stratum with terms by its own batched tanh-sinh rule
   (``tanhsinh.row_integrals``), all strata at once
-  (``level_set_qth_powers``), and uses ``power_primitive`` only for
-  constant strata and pure-power infinite tails.
+  (``level_set_qth_powers``), and uses the power rule only for constant
+  strata (``power_primitives``) and pure-power infinite tails.
 
 Both meet the fixed relative tolerance 1e-12 with an error estimate or
 raise NumericalError; there is no fixed-rule path and no looser setting.
@@ -56,6 +56,7 @@ __all__ = [
     "LevelSet",
     "Strata",
     "power_primitive",
+    "power_primitives",
     "moment_integral",
     "piece_moment",
     "abs_pieces",
@@ -208,6 +209,22 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
     if x > 1.0:
         return -(t1 ** r1) * math.expm1(-x) / r1
     return t0 ** r1 * math.expm1(x) / r1
+
+
+def power_primitives(t0, t1, r1: float) -> np.ndarray:
+    """integral of t**(r1-1) over each of the arrays' segments (t0, t1),
+    finite 0 <= t0 < t1, for r1 > 0: the power rule for arrays.
+    t1^r1 (-expm1(-x)) / r1 with x = r1 log1p((t1 - t0)/t0) keeps full
+    precision for every x >= 0; t0 = 0 gives x = inf.  Where (t1 - t0)/t0
+    overflows, x = inf would drop a share (t0/t1)^r1 < e^(-709 r1), above
+    an ulp for r1 < 0.052, so below r1 = 1/16 x is log(t1) - log(t0) there.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.log1p((t1 - t0) / t0)
+        if r1 < 0.0625:
+            x = np.where(x < np.inf, x, np.log(t1) - np.log(t0))
+        x *= -r1
+        return np.expm1(x, out=x) * t1 ** r1 / -r1
 
 
 def _signed_u_interval(t0: float, t1: float, law: Law) -> tuple[float, float]:
@@ -464,13 +481,13 @@ class Strata(NamedTuple):
     On a stratum (lam0, lam1) the distribution function m(lam), the
     measure of {f > lam}, is const plus a sum of term laws in lam with
     zero shift.  Strata with terms are the rows of ``rows``, row i in level
-    set owner[i]; constant strata are (level set, lam0, lam1, const)
-    entries of ``flat``.  ``top`` is each level set's last cut, lam_max.
+    set owner[i]; constant strata are the arrays ``flat``: (level set,
+    lam0, lam1, const).  ``top`` is each level set's last cut, lam_max.
     """
 
     rows: Rows
     owner: np.ndarray
-    flat: list[tuple[int, float, float, float]]
+    flat: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     top: np.ndarray
 
 
@@ -566,9 +583,7 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     return Strata(
         Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled], coefs,
              expo_t, base_t, orient_t),
-        owner[ruled],
-        list(zip(owner[flat].tolist(), lam0[flat].tolist(),
-                 lam1[flat].tolist(), const[flat].tolist())),
+        owner[ruled], (owner[flat], lam0[flat], lam1[flat], const[flat]),
         cuts[m - 1::m])
 
 
@@ -603,8 +618,7 @@ class LevelSet:
     which also serves the span engine).  The lambda-route Lorentz
     functional integrates them with its own batched tanh-sinh rule
     (``tanhsinh.row_integrals``), which shares no code with the t-route's
-    moments; constant strata and pure-power infinite tails are exact
-    through ``power_primitive``.
+    moments; constant strata and pure-power infinite tails are exact.
     """
 
     def __init__(self, table: Strata):
@@ -635,12 +649,25 @@ class LevelSet:
                                          expo, base, orient, va[None],
                                          vb[None]))
 
+    @staticmethod
+    def from_plateaus(t0, t1, values: np.ndarray) -> "LevelSet":
+        """The level set of the array ``values`` >= 0, constant on the
+        segments (t0, t1), as one row of arrays: no ``Piece`` or ``Law``.
+        Only lengths count, so segments may overlap, as a field's cells at
+        (0, cell measure) do."""
+        if not (values >= 0.0).all():
+            raise ValidationError("level sets require a nonnegative function")
+        zero, row = np.zeros(values.shape), values[None]
+        return LevelSet(level_set_strata(t0, t1, row, zero[None], zero,
+                                         zero, zero + 1.0, row, row))
+
     @functools.cached_property
     def strata(self) -> tuple[_Stratum, ...]:
         """Views of the strata in increasing lam (a constant stratum has
         no terms), built on first use."""
         rows = self.table.rows
-        out = [_Stratum(a, b, c, ()) for _, a, b, c in self.table.flat]
+        out = [_Stratum(a, b, c, ()) for _, a, b, c in
+               zip(*(x.tolist() for x in self.table.flat))]
         for i, (a, b, c) in enumerate(zip(rows.a.tolist(), rows.b.tolist(),
                                           rows.const.tolist())):
             out.append(_Stratum(a, b, c, tuple(
@@ -680,26 +707,31 @@ class LevelSet:
 def level_set_qth_powers(strata: Strata, p: float, q: float) -> list[float]:
     """p * integral lam^(q-1) m(lam)^(q/p) of each level set of ``strata``.
 
-    Constant strata and pure-power infinite tails are exact
-    (``power_primitive``); every finite stratum with terms goes through
-    one call of the batched tanh-sinh rule (``tanhsinh.row_integrals``),
-    whose error bound meets the 1e-12 contract or raises NumericalError.
-    Each level set's parts are added by math.fsum, so its value does not
-    depend on the other level sets.
+    Constant strata (one array expression, ``power_primitives``) and
+    pure-power infinite tails are exact; every finite stratum with terms
+    goes through one call of the batched tanh-sinh rule
+    (``tanhsinh.row_integrals``), whose error bound meets the 1e-12
+    contract or raises NumericalError, as does an overflow.  Each level
+    set's parts are added by math.fsum, independently of the others.
     """
     rows, qq = strata.rows, q / p
     parts: list[list[float]] = [[] for _ in strata.top]
-    for d, a, b, c in strata.flat:
-        if b == math.inf:
+    flat, a, b, c = strata.flat
+    for d, lam1, v in zip(flat.tolist(), b.tolist(),
+                          (c ** qq * power_primitives(a, b, q)).tolist()):
+        if lam1 == math.inf:
             raise DivergentIntegralError(
                 "level set has positive measure at every level")
-        parts[d].append(c ** qq * power_primitive(a, b, q - 1.0))
+        parts[d].append(v)
     values, _ = row_integrals(rows, q, qq, strata.owner)
     for r, (d, b, v) in enumerate(zip(strata.owner.tolist(), rows.b.tolist(),
                                       values.tolist())):
         parts[d].append(_infinite_tail(rows, r, q, qq) if b == math.inf
                         else v)
-    return [p * math.fsum(part) for part in parts]
+    totals = [p * math.fsum(part) for part in parts]
+    if not all(map(math.isfinite, totals)):
+        raise NumericalError("level-set moment overflows double precision")
+    return totals
 
 
 def _infinite_tail(rows: Rows, r: int, q: float, qq: float) -> float:

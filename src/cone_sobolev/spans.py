@@ -52,15 +52,13 @@ class _Template(NamedTuple):
     """The n pieces of one span for alphas of one length, as arrays.
 
     Per piece: its alpha entry ``shell`` (the lift's is -1), (t0, t1), the
-    unscaled law coef * (orient (t - base))**expo + shift and 1/expo.
-    What no alpha moves at the piece's ends: for an unsigned span the
-    power max(orient (t - base), 0)**expo (w0, w1), which the scaled
-    coefficient multiplies; for a signed span the unscaled end values
-    (u0, u1, see ``_shell_end_values``), which alpha_j scales and the lift
-    shifts.  The other pair is None.  A signed span's pieces are cut in
-    two at their sign roots, giving 2n halves (all first parts, then all
-    second parts); expo, base and orient per half, or per piece of an
-    unsigned span, are in expo_h, base_h and orient_h.
+    unscaled law coef * (orient (t - base))**expo + shift, 1/expo, and
+    the unscaled end values (u0, u1) that alpha_j scales (and the lift
+    shifts on the signed span, see ``_shell_end_values``).  A signed
+    span's pieces are cut in two at their sign roots, giving 2n halves
+    (all first parts, then all second parts); expo, base and orient per
+    half, or per piece of an unsigned span, are in expo_h, base_h and
+    orient_h.
     """
 
     params: LorentzParams  # of the span's norm
@@ -73,10 +71,8 @@ class _Template(NamedTuple):
     base: np.ndarray
     orient: np.ndarray
     inv_expo: np.ndarray
-    w0: np.ndarray | None
-    w1: np.ndarray | None
-    u0: np.ndarray | None
-    u1: np.ndarray | None
+    u0: np.ndarray
+    u1: np.ndarray
     expo_h: np.ndarray
     base_h: np.ndarray
     orient_h: np.ndarray
@@ -87,19 +83,14 @@ class _Template(NamedTuple):
         t0, t1, coef, shift, expo, base, orient = np.array(
             [(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo, p.law.base,
               p.law.orient) for _, p in pieces], dtype=float).reshape(-1, 7).T
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore"):
             inv_expo = 1.0 / expo
-            if signed:
-                w0 = w1 = None
-                u0, u1 = map(np.array, _shell_end_values(pieces))
-            else:
-                w0, w1 = (np.maximum(orient * (t - base), 0.0) ** expo
-                          for t in (t0, t1))
-                u0 = u1 = None
+        u0, u1 = map(np.array, _shell_end_values(pieces) if signed else
+                     zip(*(p.endpoint_values() for _, p in pieces)))
         return _Template(params,
                          np.array([j for j, _ in pieces], dtype=int),
                          t0, t1, coef, shift, expo, base, orient, inv_expo,
-                         w0, w1, u0, u1,
+                         u0, u1,
                          *(np.tile(x, 2 if signed else 1)
                            for x in (expo, base, orient)))
 
@@ -213,8 +204,7 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
             if gradient:
                 scale = np.abs(a)[:, tpl.shell]
                 coef, shift = scale * tpl.coef, scale * tpl.shift
-                va, vb = (np.where(coef == 0.0, shift, coef * w + shift)
-                          for w in (tpl.w0, tpl.w1))
+                va, vb = scale * tpl.u0, scale * tpl.u1
             else:
                 # below[:, j] is the lift of the shells before j, and
                 # below[:, -1] (the lift piece's) that of all k

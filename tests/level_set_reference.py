@@ -186,9 +186,12 @@ def qth_power(pieces, p: float, q: float) -> float:
     """p * integral lam^(q-1) m(lam)^(q/p) over the swept strata."""
     strata, lam_max = sweep(pieces)
     ruled = [s for s in strata if s.terms]
+    lam0, lam1, const = np.array(
+        [(s.lam0, s.lam1, s.const) for s in strata if not s.terms],
+        dtype=float).reshape(-1, 3).T
     (total,) = level_set_qth_powers(Strata(
         rows_of(ruled), np.zeros(len(ruled), dtype=int),
-        [(0, s.lam0, s.lam1, s.const) for s in strata if not s.terms],
+        (np.zeros(len(lam0), dtype=int), lam0, lam1, const),
         np.array([lam_max])), p, q)
     return total
 

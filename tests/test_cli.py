@@ -210,6 +210,13 @@ def test_report_written_to_out_file(capsys, tmp_path):
     assert "out" not in json.loads(text)["config"]
 
 
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    code = cli.run(["constant", "--out", str(tmp_path / "no-dir" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error:" in err and "Traceback" not in err
+
+
 def test_determinism_modulo_timestamp(capsys):
     argv = ["bernstein", "--m", "2", "--alpha-trials", "5",
             "--directions", "5", "--lambda-frac", "0.5"]

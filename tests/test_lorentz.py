@@ -1,5 +1,6 @@
 """Lorentz norms: dual-route agreement, Hardy checks, restrictions."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -9,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from cone_sobolev import (DomainError, LorentzParams, StepFunction1D,
+from cone_sobolev import (DomainError, LorentzParams, NumericalError,
+                          SampledField, StepFunction1D,
                           ValidationError, alvino_profile,
                           bump_superposition_field, ell_q_norm,
                           from_knots, gradient_density, hardy_check,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged, rearrangement,
                           restricted_norm)
+from cone_sobolev.segments import LevelSet
 
 PAIRS = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (2.5, 1.4), (4.0, 3.0)]
 
@@ -174,6 +177,58 @@ def test_field_routes_agree(halfplane, p, q):
     lam_route = lorentz_norm_distributional(field, params)
     t_route = lorentz_norm_rearranged(rearrangement(field), params)
     assert lam_route == pytest.approx(t_route, rel=1e-10)
+
+
+def tiny_cell_field(cone, tiny):
+    """A 2x2 field with cells valued 1 and ``tiny``, whose lambda strata
+    have the plateau ratio 1/tiny, past the double range for 5e-324."""
+    grid = SampledField.from_function(cone, [(0.0, 1.0), (0.0, 1.0)], (2, 2),
+                                      lambda x: np.ones(len(x)))
+    values = np.array([[1.0, tiny], [tiny, 1.0]])
+    return dataclasses.replace(grid, values=values)
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324, 1e-100])
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 1.5), (4.0, 3.0)])
+def test_field_routes_agree_down_to_a_tiny_cell(halfplane, tiny, p, q):
+    field = tiny_cell_field(halfplane, tiny)
+    params = LorentzParams(p, q)
+    t_route = lorentz_norm_rearranged(rearrangement(field), params)
+    assert abs(lorentz_norm_distributional(field, params) - t_route) \
+        <= 1e-14 * t_route
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-300])
+@pytest.mark.parametrize("p", [1.0, 100.0])
+def test_step_route_down_to_a_tiny_breakpoint(tiny, p):
+    # the second plateau's ratio 1/tiny is past the double range for
+    # 5e-324; at p = 100 the share tiny^(1/p) of its primitive is 6e-4
+    step = StepFunction1D((tiny, 1.0), (1.0, 0.5))
+    got = lorentz_norm_rearranged(step, LorentzParams(p, 1.0))
+    want = step_norm_mpmath(step, p, 1.0)
+    assert abs(got - want) <= 1e-15 * want
+
+
+def test_overflowing_step_norms_raise_on_both_routes():
+    step = StepFunction1D((1.0,), (1e200,))
+    for route in (lorentz_norm_rearranged, lorentz_norm_distributional):
+        with pytest.raises(NumericalError):
+            route(step, LorentzParams(2.0, 2.0))
+
+
+def test_plateau_inputs_build_no_pieces(halfplane, monkeypatch):
+    # steps and fields reach the strata builder as arrays
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-plateau objects built")
+
+    monkeypatch.setattr(StepFunction1D, "as_pieces", forbidden)
+    monkeypatch.setattr(LevelSet, "from_pieces", forbidden)
+    params = LorentzParams(2.5, 1.4)
+    field = tiny_cell_field(halfplane, 0.25)
+    step = rearrangement(field)
+    for f in (field, step):
+        assert lorentz_norm_distributional(f, params) == pytest.approx(
+            lorentz_norm_rearranged(step, params), rel=1e-14)
 
 
 def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):

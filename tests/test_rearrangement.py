@@ -1,5 +1,6 @@
 """Rearrangement operators: steps, sampled fields, radial interpolants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,33 @@ def test_from_function_validation(halfplane):
     with pytest.raises(ValidationError):
         SampledField.from_function(
             plugin, [(0.0, 1.0), (0.0, 1.0)], (4, 4), lambda p: p[:, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fields_reject_non_finite_cells(halfplane, bad):
+    box = [(0.0, 1.0), (0.0, 1.0)]
+
+    def fn(p):
+        out = p[:, 0] + p[:, 1]
+        out[5] = bad
+        return out
+
+    with pytest.raises(ValidationError):
+        SampledField.from_function(halfplane, box, (4, 4), fn)
+    good = SampledField.from_function(halfplane, box, (4, 4),
+                                      lambda p: p[:, 0] + p[:, 1])
+    values = good.values.copy()
+    values[1, 2] = bad
+    with pytest.raises(ValidationError):
+        dataclasses.replace(good, values=values)
+    measures = good.cell_measures.copy()
+    measures[2, 1] = math.nan
+    with pytest.raises(ValidationError):
+        dataclasses.replace(good, cell_measures=measures)
+    text = good.to_csv().splitlines()
+    text[3] = text[3].rsplit(",", 1)[0] + f",{bad!r}"
+    with pytest.raises(ValidationError):
+        SampledField.from_csv("\n".join(text))
 
 
 def test_affine_field_has_exact_gradient(halfplane):

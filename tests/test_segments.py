@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cone_sobolev import (DivergentIntegralError, LorentzParams,
-                          NumericalError, ValidationError, builtin_cone,
-                          lorentz_norm_distributional, quotient)
+                          NumericalError, StepFunction1D, ValidationError,
+                          builtin_cone, lorentz_norm_distributional,
+                          quotient)
 from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
 from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
                                    clip_pieces, moment_integral,
                                    piece_moment, pieces_value,
-                                   power_primitive)
+                                   power_primitive, power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
 from level_set_reference import Stratum, qth_power, rows_of, sweep
 
@@ -162,6 +163,26 @@ def test_power_primitive_divergences():
         power_primitive(0.0, math.inf, -0.5)
     assert power_primitive(1.0, math.inf, -2.0) == pytest.approx(1.0)
     assert power_primitive(0.0, 2.0, -0.5) == pytest.approx(2.0 * math.sqrt(2))
+
+
+@pytest.mark.parametrize("r1", [0.01, 0.05, 0.3, 1.0, 1.5, 2.5, 4.0])
+def test_power_primitives_against_mpmath(r1):
+    # one array form for every segment: t0 = 0, ratios t1/t0 down to
+    # 1 + 1e-15 and up to 1e300 and past the double range, and random
+    # segments between
+    rng = np.random.default_rng(int(100 * r1))
+    t1 = 10.0 ** rng.uniform(-20.0, 20.0, 400)
+    ratio = np.concatenate((
+        [math.inf, 1.0 + 1e-15, 1.0 + 4e-15, 1e300],
+        1.0 + 10.0 ** rng.uniform(-15.0, 2.0, 200),
+        10.0 ** rng.uniform(2.0, 300.0, 196)))
+    t0, t1 = np.append(t1 / ratio, 5e-324), np.append(t1, 1.0)
+    got = power_primitives(t0, t1, r1)
+    with mpmath.workdps(40):
+        want = [(mpmath.mpf(b) ** r1 - mpmath.mpf(a) ** r1) / r1
+                for a, b in zip(t0.tolist(), t1.tolist())]
+        worst = max(abs(g - w) / w for g, w in zip(got.tolist(), want))
+    assert worst <= 1e-15
 
 
 def test_power_primitive_validation():
@@ -312,6 +333,25 @@ def test_level_set_strata_tile_the_range():
     assert math.isinf(level.lam_max)  # the head arc is unbounded at 0+
     bounded = LevelSet.from_pieces([Piece(1.0, 2.0, Law(1.0, -0.5))])
     assert bounded.lam_max == 1.0
+
+
+def test_plateaus_give_the_strata_of_their_pieces():
+    # constant laws as arrays take the builder's path for pieces, so the
+    # strata of a step are those of its Piece list, value for value
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 40):
+        bps = np.cumsum(rng.uniform(0.01, 2.0, n))
+        vals = rng.choice([0.0, 0.5, 1.0, 3.0], n) * rng.uniform(1, 2, n)
+        step = StepFunction1D(bps, vals)
+        got = LevelSet.from_plateaus(*step.plateaus(), step.value_array)
+        want = LevelSet.from_pieces(step.as_pieces())
+        assert len(got.table.rows.a) == 0
+        for x, y in zip(got.table.flat, want.table.flat):
+            assert x.tolist() == y.tolist()
+        assert got.lam_max == want.lam_max
+        assert got.strata == want.strata
+    with pytest.raises(ValidationError):
+        LevelSet.from_plateaus(np.zeros(2), np.ones(2), np.array([1.0, -1.0]))
 
 
 def test_level_set_rejects_negative_functions():
