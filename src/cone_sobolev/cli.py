@@ -23,7 +23,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import acceptance
-from .bernstein import certify_span, construct_system, verify_system
+from .bernstein import (_CERT_SLACK, certify_span, construct_system,
+                        verify_system)
 from .cones import BUILTIN_CONE_NAMES, WeightedCone, builtin_cone
 from .errors import ConeSobolevError, DomainError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
@@ -429,7 +430,7 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
                    for s in system.shells],
         "verification": _jsonable(verification),
     }
-    tolerances = {"certificate_slack": 1e-9}
+    tolerances = {"certificate_slack": _CERT_SLACK}
     verdicts = {
         "certificates": sweep.super_failures == 0
         and sweep.grad_failures == 0,

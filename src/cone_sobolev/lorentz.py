@@ -116,17 +116,25 @@ def _pieces_of(f) -> list[Piece]:
         "expected a step function, profile, gradient density, or pieces")
 
 
+def _rises(before, after):
+    """Whether ``after`` exceeds ``before`` beyond roundoff (1e-9
+    relative, 1e-300 absolute): the rearranged route's nonincreasing rule,
+    elementwise on arrays."""
+    return after > before * (1.0 + 1e-9) + 1e-300
+
+
 def _check_nonincreasing(pieces: Sequence[Piece]) -> None:
+    """A rearrangement's pieces tile (0, support end) without gaps, each
+    nonincreasing and none starting above where the one before ends."""
     prev_end_val = math.inf
     prev_t1 = 0.0
     for p in sorted(pieces, key=lambda x: x.t0):
-        if p.t0 < prev_t1 - 1e-15 * max(1.0, prev_t1):
-            raise ValidationError("pieces overlap")
-        v0, v1 = p.endpoint_values()
-        if v1 > v0 + 1e-12 * max(abs(v0), 1.0):
+        if abs(p.t0 - prev_t1) > 1e-15 * max(1.0, prev_t1):
             raise ValidationError(
-                "rearranged-route input must be nonincreasing")
-        if v0 > prev_end_val * (1.0 + 1e-9) + 1e-300:
+                "pieces overlap" if p.t0 < prev_t1 else
+                "rearranged-route pieces must tile (0, t_max) from t = 0")
+        v0, v1 = p.endpoint_values()
+        if v1 > v0 + 1e-12 * max(abs(v0), 1.0) or _rises(prev_end_val, v0):
             raise ValidationError(
                 "rearranged-route input must be nonincreasing")
         prev_end_val, prev_t1 = v1, p.t1
@@ -145,7 +153,7 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
     """
     if isinstance(f_star, StepFunction1D):
         vals = f_star.value_array
-        if (vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300).any():
+        if _rises(vals[:-1], vals[1:]).any():
             raise ValidationError(
                 "rearranged-route input must be nonincreasing")
         return f_star.moment(params.q / params.p, params.q) ** (
@@ -233,7 +241,7 @@ def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
 
     # F is bounded at the origin (local order 0)
     f, a, b = substitute_origin(lambda t: big_f(t) ** q, gamma, lo, hi, 0.0)
-    return integrate_adaptive(f, a, b, rel_tol=1e-11)
+    return integrate_adaptive(f, a, b)
 
 
 def hardy_check(f, params: LorentzParams) -> tuple[float, float]:

@@ -42,6 +42,9 @@ import numpy as np
 from .errors import DivergentIntegralError, NumericalError
 
 _MAX_PANELS = 8192
+# the relative tolerance of every integral: a fixed accuracy contract, not
+# a setting (the lambda route's rule in ``tanhsinh`` states the same)
+_REL_TOL = 1e-12
 
 # QUADPACK qk31: Kronrod abscissae on [0, 1) descending, their weights, and
 # the weights of the Gauss nodes among them (every second abscissa, from
@@ -129,9 +132,9 @@ def _rule_panels(f: Callable[[np.ndarray], np.ndarray],
             for h, (k, g) in zip(half, sums.tolist())]
 
 
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       rel_tol: float = 1e-12) -> float:
-    """Integrate f over [a, b] to a relative tolerance.
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
+                       b: float) -> float:
+    """Integrate f over [a, b] to the relative tolerance _REL_TOL.
 
     f must accept a 1-d numpy array and return values of the same shape.
     Panels are ruled by the nested G15/K31 pair; f is called once on 31
@@ -148,7 +151,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     if not (b > a):
         return 0.0
     [(coarse, err)] = _rule_panels(f, (a, b))
-    if err <= max(rel_tol * abs(coarse), 1e-300):
+    if err <= max(_REL_TOL * abs(coarse), 1e-300):
         return coarse
     # live panels (lo, hi, value, err, depth) keyed by insertion number;
     # the dict keeps insertion order, so exact sums run over the panels in
@@ -177,14 +180,14 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
     peak_err = err          # largest running error since the last resync
     stuck = ""
     for _ in range(_MAX_PANELS):
-        if (run_err <= max(rel_tol * abs(run_total), 1e-300)
+        if (run_err <= max(_REL_TOL * abs(run_total), 1e-300)
                 or run_err < 1e-3 * peak_err):
             # running sums drift by rounding relative to their past size:
             # recompute them before a verdict and after every thousandfold
             # drop, so the drift never reaches the tolerance
             run_total, run_err = exact_sums()
             peak_err = run_err
-            if run_err <= max(rel_tol * abs(run_total), 1e-300):
+            if run_err <= max(_REL_TOL * abs(run_total), 1e-300):
                 return run_total
         peak_err = max(peak_err, run_err)
         # split the worst panel; geometric split keeps scale equivariance
@@ -209,7 +212,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float
         add(lo, mid, left, left_err, depth + 1)
         add(mid, hi, right, right_err, depth + 1)
     total, total_err = exact_sums()
-    if total_err <= max(10.0 * rel_tol * abs(total), 1e-300):
+    if total_err <= max(10.0 * _REL_TOL * abs(total), 1e-300):
         return total
     raise NumericalError(
         f"adaptive quadrature did not converge on [{a}, {b}]: "

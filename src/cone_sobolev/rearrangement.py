@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cones import WeightedCone, weight_eval
+from .cones import WeightedCone
 from .errors import (DivergentIntegralError, DomainError,
                      NumericalError, ValidationError)
 from .profiles import RadialProfile, from_knots

@@ -66,11 +66,6 @@ __all__ = [
     "level_set_qth_powers",
 ]
 
-# relative tolerance of every segment moment without a closed form (a fixed
-# accuracy contract, not a setting; the lambda route's rule in ``tanhsinh``
-# states the same contract)
-_REL_TOL = 1e-12
-
 
 # -- the law ---------------------------------------------------------------
 
@@ -302,11 +297,11 @@ def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float
                     * (law.coef * u ** law.expo + law.shift) ** q)
 
         f, a, b = substitute_origin(h, 1.0, 0.0, t1 - mid, q * law.expo)
-        right = integrate_adaptive(f, a, b, rel_tol=_REL_TOL)
+        right = integrate_adaptive(f, a, b)
         t1 = mid
     f, a, b = substitute_origin(lambda t: np.asarray(law.value(t)) ** q,
                                 gamma, t0, t1, _origin_order(law, q))
-    return integrate_adaptive(f, a, b, rel_tol=_REL_TOL) + right
+    return integrate_adaptive(f, a, b) + right
 
 
 def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
@@ -498,9 +493,11 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     ``coef``, ``shift`` and the end values ``va``, ``vb`` (limits at t0+
     and t1-) are (count, n) arrays, row d giving f_d the n pieces (t0, t1)
     with laws coef * (orient (t - base))**expo + shift; ``expo``, ``base``
-    and ``orient`` are (n,) arrays, and t0, t1 either.  Values must be
-    nonnegative up to roundoff.  A constant law has equal end values, so
-    it never straddles a level; an empty piece (t0 == t1) has no length.
+    and ``orient`` are (n,) arrays, and t0, t1 either.  Pieces may be
+    signed: every value-range end is clamped at 0, so a piece counts only
+    where it lies above a level lam >= 0, and f stacked with -f gives the
+    level sets of |f|.  A constant law has equal end values, so it never
+    straddles a level; an empty piece (t0 == t1) has no length.
 
     The cuts of a level set are 0 and its pieces' value-range ends, sorted
     per level set; on the stratum between consecutive distinct cuts a

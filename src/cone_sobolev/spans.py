@@ -18,15 +18,20 @@ are alpha_j u + lift_(j-1), from each piece's unscaled end values u
 (``_shell_end_values``), the same rounded expression as the cumulative
 lifts: a shell's head value, the lift it carries into the next shell and
 the next arc's end value are one float, so the builder merges their cuts
-instead of leaving ulp-wide strata between them.  The function span is
-signed, so its pieces are first cut at their sign roots and flipped where
-negative (``_signed_halves``, the steps of ``segments.abs_pieces``); the
-gradient span is nonnegative for every alpha.  The strata of each pass of
-directions come from ``segments.level_set_strata``, the builder
-``LevelSet.from_pieces`` uses too, and go in one call to
-``segments.level_set_qth_powers``.  Every step is per direction, and each
-direction's parts are added by math.fsum, so a norm is bit-identical
-whether its direction is evaluated alone or in any batch.
+instead of leaving ulp-wide strata between them.  Both spans take their
+sign the same way: each template holds every piece as itself and negated,
+scaled by alpha_j, not |alpha_j|, and the function span's pieces lifted
+by the lift times the same sign.  The builder counts a piece only where
+it lies above a level lam >= 0, and |f| > lam exactly where f > lam or
+-f > lam; the gradient densities are nonnegative on disjoint annuli, so
+the gradient span's alpha_j psi_j and -alpha_j psi_j give sum |alpha_j|
+psi_j.  No piece is cut at a root, and neither span has a path of its
+own.  The strata of each pass of directions come from
+``segments.level_set_strata``, the builder ``LevelSet.from_pieces`` uses
+too, and go in one call to ``segments.level_set_qth_powers``.  Every step
+is per direction, and each direction's parts are added by math.fsum, so a
+norm is bit-identical whether its direction is evaluated alone or in any
+batch.
 """
 
 from __future__ import annotations
@@ -49,19 +54,22 @@ _SPAN_CHUNK = 8  # directions per engine pass; bounds its stratum arrays
 
 
 class _Template(NamedTuple):
-    """The n pieces of one span for alphas of one length, as arrays.
+    """The n pieces of one span for alphas of one length, each held twice.
 
-    Per piece: its alpha entry ``shell`` (the lift's is -1), (t0, t1), the
-    unscaled law coef * (orient (t - base))**expo + shift, 1/expo, and
-    the unscaled end values (u0, u1) that alpha_j scales (and the lift
-    shifts on the signed span, see ``_shell_end_values``).  A signed
-    span's pieces are cut in two at their sign roots, giving 2n halves
-    (all first parts, then all second parts); expo, base and orient per
-    half, or per piece of an unsigned span, are in expo_h, base_h and
-    orient_h.
+    Entry 2i is piece i as itself and entry 2i + 1 the piece negated
+    (``sign`` +1, -1), so a scaled template is f and -f side by side: the
+    builder measures a piece only where it lies above a level lam >= 0,
+    and |f| > lam exactly where f > lam or -f > lam.  Per entry: its
+    alpha entry ``shell`` (the lift's is -1), (t0, t1), the unscaled law
+    coef * (orient (t - base))**expo + shift, and the unscaled end values
+    (u0, u1) that alpha_j scales and the lift shifts.  ``heights`` are the
+    lifts the shells add to later ones: max u_j on the function span, 0
+    on the gradient span.
     """
 
     params: LorentzParams  # of the span's norm
+    heights: np.ndarray
+    sign: np.ndarray
     shell: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
@@ -70,29 +78,20 @@ class _Template(NamedTuple):
     expo: np.ndarray
     base: np.ndarray
     orient: np.ndarray
-    inv_expo: np.ndarray
     u0: np.ndarray
     u1: np.ndarray
-    expo_h: np.ndarray
-    base_h: np.ndarray
-    orient_h: np.ndarray
 
     @staticmethod
-    def of(pieces: Sequence[tuple[int, Piece]], signed: bool,
-           params: LorentzParams) -> "_Template":
-        t0, t1, coef, shift, expo, base, orient = np.array(
-            [(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo, p.law.base,
-              p.law.orient) for _, p in pieces], dtype=float).reshape(-1, 7).T
-        with np.errstate(divide="ignore"):
-            inv_expo = 1.0 / expo
-        u0, u1 = map(np.array, _shell_end_values(pieces) if signed else
-                     zip(*(p.endpoint_values() for _, p in pieces)))
-        return _Template(params,
-                         np.array([j for j, _ in pieces], dtype=int),
-                         t0, t1, coef, shift, expo, base, orient, inv_expo,
-                         u0, u1,
-                         *(np.tile(x, 2 if signed else 1)
-                           for x in (expo, base, orient)))
+    def of(pieces: Sequence[tuple[int, Piece]],
+           ends: tuple[Sequence[float], Sequence[float]],
+           heights: np.ndarray, params: LorentzParams) -> "_Template":
+        table = np.repeat(np.array(
+            [(j, p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo,
+              p.law.base, p.law.orient, u0, u1)
+             for (j, p), u0, u1 in zip(pieces, *ends)], dtype=float
+        ).reshape(-1, 10), 2, axis=0).T
+        return _Template(params, heights, np.tile([1.0, -1.0], len(pieces)),
+                         table[0].astype(int), *table[1:])
 
 
 def _shell_end_values(pieces: Sequence[tuple[int, Piece]]
@@ -145,44 +144,25 @@ class SpanTables(NamedTuple):
             tuple(s.cutoff_measure for s in shells), {})
 
     def template(self, gradient: bool, k: int) -> _Template:
-        """The pieces of the first k shells.  The function span is signed
-        and ends with the lift of all k shells, a constant on (0,
-        delta_{k+1}); the gradient span is nonnegative for every alpha."""
+        """The pieces of the first k shells.  The function span ends with
+        the lift of all k shells, a constant on (0, delta_{k+1}), and takes
+        its end values from ``_shell_end_values``; the gradient span lifts
+        nothing and takes each piece's own end values."""
         if (gradient, k) not in self.templates:
             per_shell = self.gradient if gradient else self.function
             pieces = [(j, pc) for j in range(k) for pc in per_shell[j]]
-            if not gradient:
+            if gradient:
+                tpl = _Template.of(pieces, tuple(zip(*(
+                    pc.endpoint_values() for _, pc in pieces))),
+                    np.zeros(k), self.params)
+            else:
                 pieces.append((-1, Piece(0.0, self.cutoffs[k - 1],
                                          Law.constant(0.0))))
-            self.templates[gradient, k] = _Template.of(
-                pieces, not gradient,
-                self.params if gradient else self.params.star_params())
+                tpl = _Template.of(pieces, _shell_end_values(pieces),
+                                   self.heights[:k],
+                                   self.params.star_params())
+            self.templates[gradient, k] = tpl
         return self.templates[gradient, k]
-
-
-def _signed_halves(tpl: _Template, coef, shift, v0, v1):
-    """|f| on the halves of each piece: (t0, root) and (root, t1) with the
-    law's root in closed form, as ``abs_pieces`` takes it (the second half
-    is empty, (t1, t1) with end values 0, without a root inside), each
-    flipped where negative.  The law is 0 at its root, and monotone, so a
-    half's sign is that of the sum of its end values.  Returns (t0, t1),
-    coef, shift and the end values per half."""
-    n = coef.shape[1]
-    ratio = -shift / coef
-    root = tpl.base + tpl.orient * ratio ** tpl.inv_expo
-    split = ((coef != 0.0) & (tpl.expo != 0.0) & (ratio > 0.0)
-             & (tpl.t0 < root) & (root < tpl.t1))
-    cut = np.where(split, root, tpl.t1)
-    v_cut = np.where(split, 0.0, v1)
-    lo_t, hi_t = np.concatenate((cut, cut), axis=1), np.concatenate(
-        (cut, cut), axis=1)
-    lo_t[:, :n], hi_t[:, n:] = tpl.t0, tpl.t1
-    va = np.concatenate((v0, np.zeros_like(v0)), axis=1)
-    vb = np.concatenate((v_cut, np.where(split, v1, 0.0)), axis=1)
-    sign = np.where(va + vb < 0.0, -1.0, 1.0)
-    return (lo_t, hi_t, np.concatenate((coef, coef), axis=1) * sign,
-            np.concatenate((shift, shift), axis=1) * sign, va * sign,
-            vb * sign)
 
 
 def span_norms(tables: SpanTables, alphas: np.ndarray,
@@ -199,24 +179,17 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
     powers: list[float] = []
     for i in range(0, len(alphas), _SPAN_CHUNK):
         a = alphas[i:i + _SPAN_CHUNK]
-        t0, t1 = tpl.t0, tpl.t1
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if gradient:
-                scale = np.abs(a)[:, tpl.shell]
-                coef, shift = scale * tpl.coef, scale * tpl.shift
-                va, vb = scale * tpl.u0, scale * tpl.u1
-            else:
-                # below[:, j] is the lift of the shells before j, and
-                # below[:, -1] (the lift piece's) that of all k
-                below = np.zeros((len(a), k + 1))
-                np.cumsum(a * tables.heights[:k], axis=1, out=below[:, 1:])
-                scale, lift = a[:, tpl.shell], below[:, tpl.shell]
-                coef, shift = scale * tpl.coef, scale * tpl.shift + lift
-                va, vb = (scale * u + lift for u in (tpl.u0, tpl.u1))
-                t0, t1, coef, shift, va, vb = _signed_halves(
-                    tpl, coef, shift, va, vb)
+        # below[:, j] is the lift of the shells before j, and below[:, -1]
+        # (the lift piece's) that of all k
+        below = np.zeros((len(a), k + 1))
+        np.cumsum(a * tpl.heights, axis=1, out=below[:, 1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = a[:, tpl.shell] * tpl.sign
+            lift = below[:, tpl.shell] * tpl.sign
+            coef, shift = scale * tpl.coef, scale * tpl.shift + lift
+            va, vb = (scale * u + lift for u in (tpl.u0, tpl.u1))
         powers += level_set_qth_powers(
-            level_set_strata(t0, t1, coef, shift, tpl.expo_h, tpl.base_h,
-                             tpl.orient_h, va, vb),
+            level_set_strata(tpl.t0, tpl.t1, coef, shift, tpl.expo, tpl.base,
+                             tpl.orient, va, vb),
             tpl.params.p, tpl.params.q)
     return [power ** (1.0 / tpl.params.q) for power in powers]

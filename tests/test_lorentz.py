@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cone_sobolev import (DomainError, LorentzParams, NumericalError,
-                          SampledField, StepFunction1D,
+                          RadialProfile, SampledField, StepFunction1D,
                           ValidationError, alvino_profile,
                           bump_superposition_field, ell_q_norm,
                           from_knots, gradient_density, hardy_check,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged, rearrangement,
                           restricted_norm)
-from cone_sobolev.segments import LevelSet
+from cone_sobolev.segments import Law, LevelSet, Piece
 
 PAIRS = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (2.5, 1.4), (4.0, 3.0)]
 
@@ -423,18 +423,44 @@ def test_restricted_norm_validation(halfplane):
 
 
 def test_restricted_norm_of_gradient_density(halfplane):
-    # alvino gradient densities are a single decreasing arc
-    psi = gradient_density(alvino_profile(halfplane, 3.0, 1.0, 8.0))
+    # the gradient density of 1 - t^0.2 on (0, 1) is one decreasing arc
+    # from t = 0, so it is its own rearrangement
+    phi = RadialProfile(halfplane, (Piece(0.0, 1.0, Law(-1.0, 0.2,
+                                                         shift=1.0)),))
+    psi = gradient_density(phi)
     params = LorentzParams(2.0, 1.0)
     full = lorentz_norm_rearranged(psi, params)
-    tail_only = restricted_norm(psi, params, t_cut=4.0)
-    assert 0 < tail_only < full
-    assert restricted_norm(psi, params, t_cut=8.0) == pytest.approx(
+    assert full == pytest.approx(lorentz_norm_distributional(psi, params),
+                                 rel=1e-12)
+    head = restricted_norm(psi, params, t_cut=0.5)
+    assert 0 < head < full
+    assert restricted_norm(psi, params, t_cut=1.0) == pytest.approx(
         full, rel=1e-12)
     # the radius form takes the cone from the density's profile
-    r = halfplane.radius_of_measure(4.0)
+    r = halfplane.radius_of_measure(0.5)
     assert restricted_norm(psi, params, radius=r) == pytest.approx(
-        tail_only, rel=1e-12)
+        head, rel=1e-12)
+
+
+def test_rearranged_route_rejects_non_rearrangements(halfplane):
+    # pieces that do not tile (0, t_max) from t = 0 are no rearrangement;
+    # the lambda-route measures them, the t-route must refuse them rather
+    # than integrate them as if they started at the origin
+    params = LorentzParams(2.0, 1.0)
+    # an alvino gradient density is zero on (0, 1)
+    psi = gradient_density(alvino_profile(halfplane, 3.0, 1.0, 8.0))
+    assert lorentz_norm_distributional(psi, params) == pytest.approx(
+        2.6236849515771583, rel=1e-12)
+    # 2 on (0, 1) and 1 on (2, 3): its rearrangement gives 2 + 2 sqrt 2
+    gapped = [Piece(0.0, 1.0, Law.constant(2.0)),
+              Piece(2.0, 3.0, Law.constant(1.0))]
+    assert lorentz_norm_distributional(gapped, params) == pytest.approx(
+        2.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
+    for f in (psi, gapped):
+        with pytest.raises(ValidationError):
+            lorentz_norm_rearranged(f, params)
+    with pytest.raises(ValidationError):
+        restricted_norm(psi, params, t_cut=4.0)
 
 
 # -- sequence norms -----------------------------------------------------------------

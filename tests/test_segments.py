@@ -19,10 +19,11 @@ from scipy.integrate import quad
 from cone_sobolev import (DivergentIntegralError, LorentzParams,
                           NumericalError, StepFunction1D, ValidationError,
                           builtin_cone, lorentz_norm_distributional,
-                          quotient)
+                          lorentz_norm_rearranged, quotient)
 from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
 from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
-                                   clip_pieces, moment_integral,
+                                   clip_pieces, level_set_qth_powers,
+                                   level_set_strata, moment_integral,
                                    piece_moment, pieces_value,
                                    power_primitive, power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
@@ -357,6 +358,38 @@ def test_plateaus_give_the_strata_of_their_pieces():
 def test_level_set_rejects_negative_functions():
     with pytest.raises(ValidationError):
         LevelSet.from_pieces([Piece(0.0, 1.0, Law.constant(-0.5))])
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 1.0), (2.5, 1.4),
+                                  (4.0, 3.0)])
+def test_builder_counts_signed_pieces_above_zero_only(p, q):
+    # the builder measures a piece only where it lies above a level
+    # lam >= 0, so a sign-changing piece stacked with its negation is |f|
+    piece = Piece(1.0, 3.0, Law(1.5, 1.0, shift=-2.5))  # root at t = 5/3
+    both = [piece, Piece(1.0, 3.0, piece.law.scaled(-1.0))]
+    t0, t1, coef, shift, expo, base, orient = np.array(
+        [(pc.t0, pc.t1, pc.law.coef, pc.law.shift, pc.law.expo,
+          pc.law.base, pc.law.orient) for pc in both]).T
+    va, vb = np.array([pc.endpoint_values() for pc in both]).T
+    (got,) = level_set_qth_powers(
+        level_set_strata(t0, t1, coef[None], shift[None], expo, base,
+                         orient, va[None], vb[None]), p, q)
+    want = LevelSet.from_pieces(abs_pieces([piece])).lorentz_qth_power(p, q)
+    assert abs(got - want) <= 1e-15 * want
+
+
+def test_unbounded_pure_power_has_an_exact_tail():
+    # t^-0.2 on (0, 1) is unbounded at 0+: its last lambda stratum is
+    # (1, inf) with m = lam^-5, whose tail is the exact power rule
+    params = LorentzParams(4.0, 2.0)
+    arc = [Piece(0.0, 1.0, Law(1.0, -0.2))]
+    assert lorentz_norm_distributional(arc, params) == math.sqrt(10.0)
+    assert lorentz_norm_rearranged(arc, params) == math.sqrt(10.0)
+    # shifted down by 1, the arc's inverse law is based at lam = -1: no
+    # exact tail exists, and the lambda route refuses it
+    with pytest.raises(NumericalError):
+        lorentz_norm_distributional(
+            [Piece(0.0, 1.0, Law(1.0, -0.2, shift=-1.0))], params)
 
 
 def deep_transient_pieces():
