@@ -22,11 +22,12 @@ from .bernstein import (absolute_continuity_witness, bernstein_lower_bound,
                         certify_span, construct_system, verify_system)
 from .cones import QuadratureConfig, WeightedCone, ball_measure
 from .errors import InternalConsistencyError
-from .lorentz import (LorentzParams, hardy_check, lorentz_norm_distributional,
-                      lorentz_norm_rearranged)
+from .lorentz import (_HARDY_SLACK, LorentzParams, hardy_check,
+                      lorentz_norm_distributional, lorentz_norm_rearranged)
 from .profiles import alvino_profile, from_knots, scale
 from .rearrangement import (SampledField, StepFunction1D, rearrangement)
-from .sobolev import (alvino_search, bump_superposition_field, embedding_norm,
+from .sobolev import (_PS_TOL_FACTOR, _UPPER_SLACK, alvino_search,
+                      bump_superposition_field, embedding_norm,
                       polya_szego_check, quotient)
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria", "result_line"]
@@ -141,7 +142,7 @@ def criterion_3() -> CriterionResult:
         for name, p, q in cases:
             cone = _product_cone(name)
             params = LorentzParams(p, q, cone)
-            bound = embedding_norm(cone, params) * (1.0 + 1e-9)
+            bound = embedding_norm(cone, params) * (1.0 + _UPPER_SLACK)
             worst, passes = 0.0, 0
             for _ in range(500):
                 prof = _random_affine_profile(cone, rng)
@@ -263,8 +264,9 @@ def criterion_7() -> CriterionResult:
         equality_gap = abs(lhs_eq - rhs_eq) / rhs_eq
         # mutation: an ascending rearrangement must break the inequality
         rhs_mut = _ascending_gradient_norm(radial, params)
-        mutation_fails = not (lhs_eq <= rhs_mut * (1.0 + 5.0 * h))
-        ok = fails == 0 and equality_gap <= 5.0 * h and mutation_fails
+        mutation_fails = not (lhs_eq <= rhs_mut * (1.0 + _PS_TOL_FACTOR * h))
+        ok = (fails == 0 and equality_gap <= _PS_TOL_FACTOR * h
+              and mutation_fails)
         return ok, {
             "random_fields": 100, "failures": fails,
             "worst_lhs_over_rhs": worst,
@@ -295,7 +297,7 @@ def criterion_8() -> CriterionResult:
             f = StepFunction1D(tuple(bps), tuple(vals))
             l, r = hardy_check(f, params if k % 2 else params2)
             worst = max(worst, l / r)
-        return oracle_ok and worst <= 1.0 + 1e-9, {
+        return oracle_ok and worst <= 1.0 + _HARDY_SLACK, {
             "indicator_lhs": lhs, "indicator_rhs": rhs,
             "random_trials": 100, "worst_lhs_over_rhs": worst,
         }

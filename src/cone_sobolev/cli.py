@@ -30,7 +30,8 @@ from .errors import ConeSobolevError, DomainError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
                       lorentz_norm_rearranged)
 from .profiles import RadialProfile, from_knots
-from .sobolev import (alvino_search, bump_superposition_field, embedding_norm,
+from .sobolev import (_PS_TOL_FACTOR, _UPPER_SLACK, alvino_search,
+                      bump_superposition_field, embedding_norm,
                       polya_szego_check, quotient)
 
 EXIT_PASS = 0
@@ -38,7 +39,6 @@ EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_QUOTIENT_SLACK = 1e-9
 _ROUTE_RTOL = 1e-10
 
 # defaults for every option that may come from a config file; None marks
@@ -330,9 +330,9 @@ def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
         "embedding_norm": report.embedding_norm,
         "ratio": report.ratio,
     }
-    tolerances = {"upper_bound_rel": _QUOTIENT_SLACK}
+    tolerances = {"upper_bound_rel": _UPPER_SLACK}
     verdicts = {"upper_bound": report.quotient
-                <= report.embedding_norm * (1.0 + _QUOTIENT_SLACK)}
+                <= report.embedding_norm * (1.0 + _UPPER_SLACK)}
     return outputs, tolerances, verdicts
 
 
@@ -344,8 +344,6 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
     box = _parse_box(config["box"], cone)
     config["box"] = [list(pair) for pair in box]
     grid = _number(config, "grid", int)
-    if grid < 2:
-        raise ValidationError("grid must have at least 2 cells per axis")
     field = bump_superposition_field(cone, box, (grid,) * cone.d,
                                      _number(config, "bumps", int),
                                      _number(config, "seed", int))
@@ -357,7 +355,7 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
         "grid_h": h,
         "box": [list(pair) for pair in box],
     }
-    tolerances = {"grid_rel": 5.0 * h}
+    tolerances = {"grid_rel": _PS_TOL_FACTOR * h}
     verdicts = {"rearrangement_contracts_gradient": ok}
     return outputs, tolerances, verdicts
 
@@ -378,15 +376,15 @@ def _cmd_alvino(config: dict) -> tuple[dict, dict, dict]:
                   for r, rep in zip(ratios, reports)],
     }
     quotients = [rep.quotient for rep in reports]
-    tolerances = {"upper_bound_rel": _QUOTIENT_SLACK,
-                  "monotone_rel": _QUOTIENT_SLACK}
+    tolerances = {"upper_bound_rel": _UPPER_SLACK,
+                  "monotone_rel": _UPPER_SLACK}
     # at p = 1 the sweep is exactly flat, so allow roundoff in the
     # monotonicity verdict
     verdicts = {
-        "nondecreasing": all(b >= a * (1.0 - _QUOTIENT_SLACK)
+        "nondecreasing": all(b >= a * (1.0 - _UPPER_SLACK)
                              for a, b in zip(quotients, quotients[1:])),
         "below_embedding_norm": all(
-            value <= norm_value * (1.0 + _QUOTIENT_SLACK)
+            value <= norm_value * (1.0 + _UPPER_SLACK)
             for value in quotients),
     }
     return outputs, tolerances, verdicts

@@ -52,6 +52,10 @@ __all__ = [
     "ell_q_norm",
 ]
 
+# relative slack of the Hardy inequality check: lhs beyond rhs * (1 + it)
+# is an integration bug
+_HARDY_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class LorentzParams:
@@ -252,7 +256,7 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
 
     Returns (lhs, rhs); lhs <= rhs always (equality when q = 1, where both
     sides reduce to the same double integral by Fubini).  A violation
-    beyond 1e-9 indicates an integration bug and raises.
+    beyond _HARDY_SLACK (1e-9) indicates an integration bug and raises.
     """
     pieces = _pieces_of(f)
     p_star, q = params.p_star, params.q
@@ -276,7 +280,7 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
         _interval_tail_moment(lo, hi, f_law, piece, tail, gamma, q)
         for lo, hi, f_law, piece, tail in intervals)
     lhs = lhs_power ** (1.0 / q)
-    if lhs > rhs * (1.0 + 1e-9):
+    if lhs > rhs * (1.0 + _HARDY_SLACK):
         raise InternalConsistencyError(
             f"Hardy inequality violated: lhs {lhs} > rhs {rhs}")
     return lhs, rhs

@@ -78,18 +78,6 @@ _K31_WEIGHTS = np.zeros((31, 2))
 _K31_WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
 _K31_WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached by order."""
-    got = _NODE_CACHE.get(order)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(order)
-        _NODE_CACHE[order] = got
-    return got
-
-
 def substitute_origin(h: Callable[[np.ndarray], np.ndarray], gamma: float,
                       t0: float, t1: float, order: float
                       ) -> tuple[Callable[[np.ndarray], np.ndarray],

@@ -17,6 +17,7 @@ a piecewise-affine interpolant for gradient purposes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -29,7 +30,6 @@ from .cones import WeightedCone
 from .errors import (DivergentIntegralError, DomainError,
                      NumericalError, ValidationError)
 from .profiles import RadialProfile, from_knots
-from .quadrature import gauss_nodes
 from .segments import Law, Piece, power_primitives
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "rearrangement",
     "radial_rearrangement",
 ]
-
-# Gauss points per axis and cell for the cell measures
-_CELL_ORDER = 4
 
 
 class StepFunction1D:
@@ -168,10 +165,12 @@ class StepFunction1D:
 class SampledField:
     """Grid samples of a function on a box inside the cone closure.
 
-    Cell values are center samples; cell measures are per-cell integrals
-    of the weight (separable per-axis Gauss panels of ``_CELL_ORDER``
-    points), so the weight's zero set is integrated accurately.  Gradients
-    use central differences inside, one-sided at the box faces.
+    Cell values are center samples; cell measures are the exact per-cell
+    integrals of the monomial weight, products of per-axis power-rule
+    factors (``_cell_measures``), so cells on the weight's zero set are
+    measured exactly too.  Gradients use central differences inside,
+    one-sided at the box faces.  ``from_function`` and ``from_csv`` build
+    every field through one constructor on a validated grid.
     """
 
     cone: WeightedCone
@@ -182,16 +181,22 @@ class SampledField:
     gradient_magnitude: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.box) != self.cone.d or len(self.shape) != self.cone.d:
-            raise ValidationError("box and shape must match the dimension")
-        if any(n < 2 for n in self.shape):
-            raise ValidationError("grid needs at least 2 cells per axis")
+        _validate_box(self.cone, self.box, self.shape)
         if self.values.shape != self.shape:
             raise ValidationError("value array does not match the grid shape")
         if not (self.cell_measures >= 0.0).all():   # NaN fails as well
             raise ValidationError("cell measures must be nonnegative")
         if not np.isfinite(self.values).all():
             raise ValidationError("cell values must be finite")
+
+    @staticmethod
+    def _on_grid(cone: WeightedCone, box, shape,
+                 values: np.ndarray) -> "SampledField":
+        """The field of cell values on a validated grid, with its exact
+        cell measures and gradient magnitudes."""
+        return SampledField(cone, box, shape, values,
+                            _cell_measures(cone, box, shape),
+                            _gradient_magnitude(values, box, shape))
 
     @staticmethod
     def from_function(cone: WeightedCone,
@@ -203,14 +208,8 @@ class SampledField:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         shape = tuple(int(n) for n in shape)
         _validate_box(cone, box, shape)
-        axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, shape)]
-        centers = [0.5 * (a[1:] + a[:-1]) for a in axes]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = np.asarray(fn(pts), dtype=float).reshape(shape)
-        measures = _cell_measures(cone, axes)
-        return SampledField(cone, box, shape, values, measures,
-                            _gradient_magnitude(values, box, shape))
+        values = np.asarray(fn(_cell_centers(box, shape)), dtype=float)
+        return SampledField._on_grid(cone, box, shape, values.reshape(shape))
 
     @property
     def max_cell_diameter(self) -> float:
@@ -228,7 +227,8 @@ class SampledField:
     # -- CSV interchange ------------------------------------------------
 
     def to_csv(self) -> str:
-        """Header line with JSON metadata, then x..., value rows."""
+        """Header line with JSON metadata, then x..., value rows; the x
+        columns are the cell centers that ``from_function`` samples."""
         meta = {"cone": self.cone.to_json_dict(),
                 "box": [list(b) for b in self.box],
                 "shape": list(self.shape)}
@@ -236,12 +236,8 @@ class SampledField:
         buf.write(f"# {json.dumps(meta, sort_keys=True)}\n")
         writer = csv.writer(buf)
         writer.writerow([f"x{i}" for i in range(self.cone.d)] + ["value"])
-        centers = [np.linspace(lo, hi, n, endpoint=False)
-                   + 0.5 * (hi - lo) / n
-                   for (lo, hi), n in zip(self.box, self.shape)]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        for row, v in zip(pts, self.values.ravel()):
+        for row, v in zip(_cell_centers(self.box, self.shape),
+                          self.values.ravel()):
             writer.writerow([repr(float(c)) for c in row]
                             + [repr(float(v))])
         return buf.getvalue()
@@ -259,6 +255,7 @@ class SampledField:
             shape = tuple(int(n) for n in meta["shape"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ValidationError(f"malformed field metadata: {exc}") from exc
+        _validate_box(cone, box, shape)
         reader = csv.reader(lines[1:])
         header = next(reader)
         if header[-1] != "value":
@@ -268,13 +265,8 @@ class SampledField:
         if len(vals) != n_cells:
             raise ValidationError(
                 f"expected {n_cells} rows of cell values, got {len(vals)}")
-        values = np.asarray(vals).reshape(shape)
-        _validate_box(cone, box, shape)
-        edges = [np.linspace(lo, hi, n + 1)
-                 for (lo, hi), n in zip(box, shape)]
-        measures = _cell_measures(cone, edges)
-        return SampledField(cone, box, shape, values, measures,
-                            _gradient_magnitude(values, box, shape))
+        return SampledField._on_grid(cone, box, shape,
+                                     np.asarray(vals).reshape(shape))
 
 
 def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:
@@ -286,6 +278,8 @@ def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:
 
 
 def _validate_box(cone: WeightedCone, box, shape) -> None:
+    if len(box) != cone.d or len(shape) != cone.d:
+        raise ValidationError("box and shape must match the dimension")
     for (lo, hi) in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError("box intervals must be finite and ordered")
@@ -297,28 +291,32 @@ def _validate_box(cone: WeightedCone, box, shape) -> None:
         raise ValidationError("grid needs at least 2 cells per axis")
 
 
-def _cell_measures(cone: WeightedCone, axes: list[np.ndarray]
-                   ) -> np.ndarray:
-    """Per-cell mu measures via separable per-axis panel quadrature."""
+def _cell_edges(box, shape) -> list[np.ndarray]:
+    return [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, shape)]
+
+
+def _cell_centers(box, shape) -> np.ndarray:
+    """The (cells, d) array of cell centers, in the order of the cells."""
+    centers = [0.5 * (e[1:] + e[:-1]) for e in _cell_edges(box, shape)]
+    mesh = np.meshgrid(*centers, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _cell_measures(cone: WeightedCone, box, shape) -> np.ndarray:
+    """Per-cell mu measures, exact: the outer product of the per-axis
+    integrals of x^A over each cell, (hi^(A+1) - lo^(A+1)) / (A+1) by the
+    power rule that also measures plateaus and constant strata
+    (``power_primitives``; a wall cell is its lo = 0 case), and hi - lo on
+    an unweighted axis."""
     if cone.plugin_weight is not None:
         raise ValidationError("sampled fields require a monomial weight")
-    x, w = gauss_nodes(_CELL_ORDER)
-    per_axis = []
-    for a, edges in enumerate(axes):
+    factors = []
+    for a, edges in enumerate(_cell_edges(box, shape)):
         power = cone.power_of(a)
         lo, hi = edges[:-1], edges[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        if power == 0.0:
-            per_axis.append(hi - lo)
-            continue
-        pts = mid[:, None] + half[:, None] * x[None, :]
-        vals = np.power(np.maximum(pts, 0.0), power)
-        per_axis.append(half * (vals @ w))
-    measure = per_axis[0]
-    for arr in per_axis[1:]:
-        measure = np.multiply.outer(measure, arr)
-    return measure
+        factors.append(hi - lo if power == 0.0
+                       else power_primitives(lo, hi, power + 1.0))
+    return functools.reduce(np.multiply.outer, factors)
 
 
 # -- the operators ---------------------------------------------------------

@@ -714,12 +714,13 @@ def level_set_qth_powers(strata: Strata, p: float, q: float) -> list[float]:
     rows, qq = strata.rows, q / p
     parts: list[list[float]] = [[] for _ in strata.top]
     flat, a, b, c = strata.flat
-    for d, lam1, v in zip(flat.tolist(), b.tolist(),
-                          (c ** qq * power_primitives(a, b, q)).tolist()):
-        if lam1 == math.inf:
-            raise DivergentIntegralError(
-                "level set has positive measure at every level")
-        parts[d].append(v)
+    if flat.size:   # span and profile level sets often have none
+        for d, lam1, v in zip(flat.tolist(), b.tolist(),
+                              (c ** qq * power_primitives(a, b, q)).tolist()):
+            if lam1 == math.inf:
+                raise DivergentIntegralError(
+                    "level set has positive measure at every level")
+            parts[d].append(v)
     values, _ = row_integrals(rows, q, qq, strata.owner)
     for r, (d, b, v) in enumerate(zip(strata.owner.tolist(), rows.b.tolist(),
                                       values.tolist())):

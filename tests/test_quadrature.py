@@ -12,6 +12,7 @@ from cone_sobolev import (LorentzParams, alvino_profile, builtin_cone,
                           lorentz_norm_rearranged)
 from cone_sobolev import quadrature
 from cone_sobolev.errors import DivergentIntegralError, NumericalError
+from cone_sobolev.segments import Law, Piece
 from cone_sobolev.quadrature import (_K31_NODES, _K31_WEIGHTS,
                                      integrate_adaptive, substitute_origin)
 
@@ -180,4 +181,22 @@ def test_alvino_arc_over_300_decades():
     want = lorentz_norm_distributional(prof, star)
     assert want == pytest.approx(381.10, rel=1e-5)
     assert lorentz_norm_rearranged(prof, star) == pytest.approx(
+        want, rel=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError,
+                   reason="the t-route cannot split its way toward the "
+                   "origin of an off-origin law over 57 decades")
+def test_off_origin_arc_over_57_decades():
+    # the gradient density of the halfplane-x1 alvino profile at (2, 1),
+    # rearranged: c (t + 1)^(-1/2) on (0, T), whose norm at q = 1 is
+    # c * integral t^(-1/2) (t + 1)^(-1/2) = c * 2 asinh(sqrt(T))
+    c, big_t = 0.43679023236814946, 6.2771017353866083e57 - 1.0
+    pieces = [Piece(0.0, big_t, Law(c, -0.5, base=-1.0))]
+    params = LorentzParams(2.0, 1.0)
+    want = c * 2.0 * math.asinh(math.sqrt(big_t))
+    assert want == pytest.approx(58.73542410404859, rel=1e-15)
+    assert lorentz_norm_distributional(pieces, params) == pytest.approx(
+        want, rel=1e-12)
+    assert lorentz_norm_rearranged(pieces, params) == pytest.approx(
         want, rel=1e-10)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,7 +150,41 @@ def test_cell_measures_match_monomial_integrals(halfplane):
     frac = WeightedCone.create(2, [(0, 0.5)])
     h = SampledField.from_function(
         frac, [(0.0, 1.0), (0.0, 1.0)], (16, 2), lambda p: p[:, 0])
-    assert h.total_measure() == pytest.approx(2.0 / 3.0, rel=1e-3)
+    assert h.total_measure() == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("power", [0.3, 0.5, 2.5])
+def test_cell_measures_match_40_digit_integrals(power):
+    # 8 cells on [0, 1] along the weighted axis, the wall cell (0, 1/8)
+    # included, times 3 cells on [0, 3]: every edge is exact
+    cone = WeightedCone.create(2, [(0, power)])
+    f = SampledField.from_function(
+        cone, [(0.0, 1.0), (0.0, 3.0)], (8, 3), lambda p: p[:, 0])
+    with mpmath.workdps(40):
+        a1 = mpmath.mpf(power) + 1
+        for i in range(8):
+            lo, hi = mpmath.mpf(i) / 8, mpmath.mpf(i + 1) / 8
+            want = (hi ** a1 - lo ** a1) / a1
+            for j in range(3):
+                got = f.cell_measures[i, j]
+                assert abs(got - want) <= 1e-15 * want, (i, j)
+
+
+def test_csv_coordinates_are_the_sampled_points():
+    cone = builtin_cone("quadrant-x1x2")
+    sampled = []
+
+    def fn(p):
+        sampled.append(p.copy())
+        return p[:, 0] * p[:, 1]
+
+    f = SampledField.from_function(cone, [(0.0, 3.0), (0.0, 3.0)],
+                                   (97, 97), fn)
+    rows = f.to_csv().splitlines()[2:]
+    written = np.array([[float(x) for x in row.split(",")[:-1]]
+                        for row in rows])
+    assert written.shape == sampled[0].shape
+    assert np.array_equal(written, sampled[0])
 
 
 def test_from_function_validation(halfplane):
