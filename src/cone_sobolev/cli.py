@@ -443,6 +443,8 @@ def _cmd_selftest(config: dict) -> tuple[dict, dict, dict]:
     numbers = None
     if config["criteria"] is not None:
         numbers = _parse_floats(config["criteria"], "criteria")
+        if not numbers:
+            raise ValidationError("at least one criterion is required")
         if not all(v in acceptance.CRITERIA for v in numbers):  # 2.0 matches 2
             raise ValidationError(f"criteria must be among "
                                   f"{sorted(acceptance.CRITERIA)}: {numbers}")

@@ -23,17 +23,14 @@ Two modes compute c_d:
 
 Setting ``extension_unweighted`` produces the unweighted extension
 (no listed axes, w == 1, S = R^d, D = d); reports must flag this mode.
-An opaque plugin weight may replace the monomial sampler for adversarial
-probes (e.g. failing the concavity check); plugin cones integrate through
-monte-carlo only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,8 +87,6 @@ class WeightedCone:
     c_d: float
     c_d_error: float
     extension_unweighted: bool = False
-    plugin_weight: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
 
     # -- construction -------------------------------------------------
 
@@ -111,33 +106,6 @@ class WeightedCone:
         return WeightedCone(d, exps, alpha, big_d, c_d, err,
                             extension_unweighted)
 
-    @staticmethod
-    def create_plugin(d: int,
-                      constrained_axes: Sequence[int],
-                      alpha: float,
-                      weight_fn: Callable[[np.ndarray], np.ndarray],
-                      quad: QuadratureConfig | None = None) -> "WeightedCone":
-        """Cone with an opaque weight sampler (adversarial probes).
-
-        ``alpha`` is the caller-declared homogeneity degree; the measure
-        constant is estimated by monte-carlo since no product structure is
-        available.
-        """
-        if d < 2:
-            raise ValidationError("cone dimension d must be >= 2")
-        axes = tuple(sorted(int(a) for a in constrained_axes))
-        if any(a < 0 or a >= d for a in axes) or len(set(axes)) != len(axes):
-            raise ValidationError("constrained axes must be distinct and in range")
-        exps = tuple((a, 0.0) for a in axes)  # axes listed, powers opaque
-        cfg = quad or QuadratureConfig(mode="monte-carlo", samples=200_000)
-        if cfg.mode != "monte-carlo":
-            raise DomainError("plugin weights integrate via monte-carlo only")
-        pre = WeightedCone(d, exps, float(alpha), d + float(alpha), math.nan,
-                           math.nan, False, weight_fn)
-        c_d, err = unit_ball_measure(pre, cfg)
-        return WeightedCone(d, exps, float(alpha), d + float(alpha), c_d, err,
-                            False, weight_fn)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -150,15 +118,6 @@ class WeightedCone:
                 return p
         return 0.0
 
-    def contains(self, x: np.ndarray, strict: bool = False) -> bool:
-        x = np.asarray(x, dtype=float)
-        for a in self.constrained_axes:
-            if strict and not x[..., a] > 0:
-                return False
-            if not strict and x[..., a] < 0:
-                return False
-        return True
-
     def radius_of_measure(self, t: float) -> float:
         """Inverse of r -> mu(B_r), for t >= 0."""
         if t < 0:
@@ -168,8 +127,6 @@ class WeightedCone:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.plugin_weight is not None:
-            raise ValidationError("plugin-weight cones are not serializable")
         return {
             "d": self.d,
             "exponents": [{"axis": a, "power": p} for a, p in self.exponents],
@@ -238,19 +195,14 @@ def weight_eval(cone: WeightedCone, x: Sequence[float] | np.ndarray) -> float | 
 
 
 def _weight_values(cone: WeightedCone, pts: np.ndarray) -> np.ndarray:
-    """Weight on a batch of points, zero outside the (closed) cone."""
-    if cone.plugin_weight is not None:
-        vals = np.asarray(cone.plugin_weight(pts), dtype=float)
-    elif cone.extension_unweighted:
-        vals = np.ones(pts.shape[0])
-    else:
-        vals = np.ones(pts.shape[0])
-        for a, p in cone.exponents:
-            vals = vals * np.power(np.maximum(pts[:, a], 0.0), p)
+    """Weight on a batch of points, zero outside the (closed) cone; the
+    unweighted extension lists no axis, so its weight is 1 everywhere."""
+    vals = np.ones(pts.shape[0])
     mask = np.ones(pts.shape[0], dtype=bool)
-    for a in cone.constrained_axes:
+    for a, p in cone.exponents:
+        vals = vals * np.power(np.maximum(pts[:, a], 0.0), p)
         mask &= pts[:, a] > 0
-    return np.where(mask | (len(cone.constrained_axes) == 0), vals, 0.0)
+    return np.where(mask, vals, 0.0)
 
 
 # -- unit ball measure: Gamma product ---------------------------------------
@@ -266,8 +218,6 @@ def _gamma_product(cone: WeightedCone) -> tuple[float, float]:
     n (1 + x |log x|) >= n |x psi(x)| for the n roundings that formed x;
     2 more cover exp, and ulp(0) a c_d that underflows.
     """
-    if cone.plugin_weight is not None:
-        raise DomainError("plugin weights integrate via monte-carlo only")
     k = len(cone.exponents)
     # (argument, roundings that formed it, sign) of each lgamma term
     terms = [((cone.power_of(i) + 1.0) / 2.0, 1, 1.0) for i in range(cone.d)]

@@ -129,10 +129,6 @@ class StepFunction1D:
         out[ok] = self.value_array[idx[ok]]
         return out if t.shape else float(out[0])
 
-    def is_nonincreasing(self) -> bool:
-        vals = self.value_array
-        return bool((vals[:-1] >= vals[1:]).all())
-
     def distribution_function(self, tau: float) -> float:
         if tau <= 0:
             raise DomainError("distribution threshold must be positive")
@@ -308,8 +304,6 @@ def _cell_measures(cone: WeightedCone, box, shape) -> np.ndarray:
     power rule that also measures plateaus and constant strata
     (``power_primitives``; a wall cell is its lo = 0 case), and hi - lo on
     an unweighted axis."""
-    if cone.plugin_weight is not None:
-        raise ValidationError("sampled fields require a monomial weight")
     factors = []
     for a, edges in enumerate(_cell_edges(box, shape)):
         power = cone.power_of(a)

@@ -33,8 +33,8 @@ from .errors import DomainError, InternalConsistencyError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
                       lorentz_norm_rearranged)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .rearrangement import (SampledField, radial_rearrangement,
-                            rearrangement)
+from .rearrangement import (SampledField, _validate_box,
+                            radial_rearrangement, rearrangement)
 
 __all__ = [
     "QuotientReport",
@@ -161,8 +161,9 @@ def bump_superposition_field(cone: WeightedCone,
     """
     if n_bumps < 1:
         raise ValidationError("at least one bump is required")
-    rng = np.random.default_rng(seed)
     box = [(float(lo), float(hi)) for lo, hi in box]
+    _validate_box(cone, box, shape)   # the draws below crash on a bad box
+    rng = np.random.default_rng(seed)
     extents = np.array([hi - lo for lo, hi in box])
     centers = np.array([[rng.uniform(lo, hi) for lo, hi in box]
                         for _ in range(n_bumps)])

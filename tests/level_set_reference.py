@@ -5,6 +5,15 @@
 constants and term coefficients in running Shewchuk expansions.  It
 shares no strata code with ``segments.level_set_strata``, which the tests
 check against it; ``rows_of`` turns its strata into the rule's table.
+
+The object algebra the sweep and the tests' oracles use, which the
+library's array paths do without, lives here too:
+
+* ``inverse(law)``, the law lam -> t of a monotone law, and
+  ``monotone_direction(law)``;
+* ``abs_pieces``, the pieces of |f| split at each law's closed-form root
+  (``_law_root``), the reference for the span engine's f and -f;
+* ``distribution(level, lam)``, m(lam) read off ``LevelSet.strata``.
 """
 
 from __future__ import annotations
@@ -15,9 +24,88 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cone_sobolev import ValidationError
-from cone_sobolev.segments import (Law, Strata, level_set_qth_powers)
+from cone_sobolev import InternalConsistencyError, ValidationError
+from cone_sobolev.segments import (Law, LevelSet, Piece, Strata,
+                                   level_set_qth_powers)
 from cone_sobolev.tanhsinh import Rows
+
+
+# -- the object algebra -----------------------------------------------------
+
+def monotone_direction(law: Law) -> int:
+    """+1 increasing, -1 decreasing, 0 constant, on its valid domain."""
+    if law.is_constant:
+        return 0
+    return int(math.copysign(1.0, law.coef * law.expo * law.orient))
+
+
+def inverse(law: Law) -> Law:
+    """The law lam -> t with law(t) = lam, on a monotone branch.
+
+    Solving coef * (orient (t - base))**expo = lam - shift gives
+    t = base + orient * ((lam - shift)/coef)**(1/expo), which is again
+    a law in lam: the lambda-space segment algebra is closed.
+    """
+    if law.is_constant:
+        raise InternalConsistencyError("constant law has no inverse")
+    e = 1.0 / law.expo
+    if law.coef > 0:
+        return Law(law.orient * law.coef ** (-e), e,
+                   base=law.shift, orient=1.0, shift=law.base)
+    return Law(law.orient * (-law.coef) ** (-e), e,
+               base=law.shift, orient=-1.0, shift=law.base)
+
+
+def _law_root(law: Law) -> float | None:
+    """The t with law(t) = 0 on the valid branch, if one exists."""
+    if law.is_constant:
+        return None
+    ratio = -law.shift / law.coef
+    if ratio <= 0.0:
+        return None
+    return law.base + law.orient * ratio ** (1.0 / law.expo)
+
+
+def abs_pieces(pieces) -> list[Piece]:
+    """Pieces of |f| for a signed piece list: split at roots, flip negatives.
+
+    Roots of each law are available in closed form, so the absolute value
+    stays inside the segment class exactly.
+    """
+    out: list[Piece] = []
+    for p in pieces:
+        root = _law_root(p.law)
+        if root is not None and p.t0 < root < p.t1:
+            segs = [(p.t0, root), (root, p.t1)]
+        else:
+            segs = [(p.t0, p.t1)]
+        for a, b in segs:
+            mid_val = p.law.value(0.5 * (a + b) if not math.isinf(b)
+                                  else a + 1.0)
+            law = p.law if mid_val >= 0 else p.law.scaled(-1.0)
+            out.append(Piece(a, b, law))
+    return out
+
+
+def distribution(level: LevelSet, lam):
+    """m(lam) = measure of {f > lam} for lam >= 0, vectorized, from the
+    level set's strata.  Values at breakpoints use the stratum above
+    (right continuity)."""
+    lam = np.asarray(lam, dtype=float)
+    flat = np.atleast_1d(lam).astype(float)
+    if np.any(flat < 0):
+        raise ValidationError(
+            "distribution function is defined for lam >= 0")
+    out = np.zeros_like(flat)
+    for s in level.strata:
+        mask = (flat >= s.lam0) & (flat < s.lam1)
+        if np.any(mask):
+            out[mask] = sum((t.value(flat[mask]) for t in s.terms),
+                            np.full(np.count_nonzero(mask), s.const))
+    return out if lam.shape else float(out[0])
+
+
+# -- the sweep ----------------------------------------------------------------
 
 
 class _Accumulator:
@@ -110,16 +198,16 @@ def sweep(pieces) -> tuple[list[Stratum], float]:
         lo = max(lo, 0.0)
         cuts.add(lo)
         lows.append(lo)
-        lengths.append(p.length)
+        lengths.append(p.t1 - p.t0)
         if math.isinf(hi):
             has_inf = True
         else:
             cuts.add(hi)
         if p.law.is_constant:
             continue
-        inv = p.law.inverse()
+        inv = inverse(p.law)
         key = (inv.expo, inv.base, inv.orient)
-        if p.law.monotone_direction() < 0:
+        if monotone_direction(p.law) < 0:
             straddle, d_coef = inv.shift - p.t0, inv.coef
         else:
             straddle, d_coef = p.t1 - inv.shift, -inv.coef

@@ -18,7 +18,7 @@ from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
                           gradient_upper_certificate, quotient,
                           superadditivity_certificate, verify_system)
 from cone_sobolev.profiles import gradient_density
-from cone_sobolev.segments import Law, Piece, abs_pieces, clip_pieces
+from cone_sobolev.segments import Law, Piece, clip_pieces
 
 import level_set_reference
 
@@ -461,13 +461,14 @@ def _reference_norms(system, alpha):
     for a, shell in zip(alpha, system.shells):
         for pc in clip_pieces(shell.profile.pieces, shell.cutoff_measure,
                               shell.profile.t_max):
-            pieces.append(Piece(pc.t0, pc.t1,
-                                pc.law.scaled(a).shifted(lift)))
+            law = dataclasses.replace(pc.law, coef=a * pc.law.coef,
+                                      shift=a * pc.law.shift + lift)
+            pieces.append(Piece(pc.t0, pc.t1, law))
         lift += a * shell.profile.max_value
     if lift != 0.0:
         pieces.append(Piece(0.0, system.shells[len(alpha) - 1].cutoff_measure,
                             Law.constant(lift)))
-    signed = abs_pieces(pieces)
+    signed = level_set_reference.abs_pieces(pieces)
     function = level_set_reference.norm(signed, system.params.star_params())
     gradient = level_set_reference.norm(
         [Piece(p.t0, p.t1, p.law.scaled(abs(a)))

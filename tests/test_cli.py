@@ -256,6 +256,9 @@ def test_report_does_not_depend_on_thread_env(capsys, monkeypatch):
      "--eps2", "5.0"],                       # certified bound below 0
     ["selftest", "--criteria", "99"],        # no such criterion
     ["selftest", "--criteria", "2.7"],       # not a criterion number
+    ["polya-szego", "--box", "1:0,0:1", "--grid", "8"],  # reversed box
+    ["polya-szego", "--box", "0:nan,0:1"],   # non-finite box
+    ["selftest", "--criteria", ","],         # no criterion
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, report, err = run_json(capsys, argv)
@@ -279,6 +282,16 @@ def test_malformed_config_values_exit_2(capsys, tmp_path, command, data):
     assert report is None
     assert "configuration error:" in err
     assert repr(next(iter(data))) in err
+
+
+def test_empty_criteria_config_exits_2(capsys, tmp_path):
+    """A selftest that would run no criterion cannot pass."""
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({"criteria": []}))
+    code, report, err = run_json(capsys, ["selftest", "--config", str(path)])
+    assert code == 2
+    assert report is None
+    assert "at least one criterion" in err
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):

@@ -157,13 +157,6 @@ def test_weight_eval_rejects_points_outside_the_closure(halfplane):
         weight_eval(halfplane, [1.0, 2.0, 3.0])
 
 
-def test_contains(quadrant):
-    assert quadrant.contains(np.array([1.0, 2.0]))
-    assert quadrant.contains(np.array([0.0, 2.0]))
-    assert not quadrant.contains(np.array([0.0, 2.0]), strict=True)
-    assert not quadrant.contains(np.array([-1e-9, 2.0]))
-
-
 @pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
 def test_concavity_probe_accepts_monomial_weights(name):
     report = concavity_probe(builtin_cone(name), trials=500, seed=1)
@@ -177,22 +170,18 @@ def test_concavity_probe_accepts_fractional_powers():
     assert report.passed
 
 
-def test_concavity_probe_rejects_non_concave_plugin_weight():
-    # w^(1/alpha) = |x| is convex, not concave: an inadmissible weight
-    cone = WeightedCone.create_plugin(
-        2, [0, 1], alpha=2.0,
-        weight_fn=lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2)
+def test_concavity_probe_rejects_non_concave_weight():
+    # w = x1^2 / x2 has alpha = 1 and is convex on the quadrant, not
+    # concave: an inadmissible weight, which ``create`` refuses, so the
+    # cone is built field by field
+    with pytest.raises(ValidationError):
+        WeightedCone.create(2, [(0, 2.0), (1, -1.0)])
+    cone = WeightedCone(2, ((0, 2.0), (1, -1.0)), 1.0, 3.0, math.nan,
+                        math.nan)
     report = concavity_probe(cone, trials=500, seed=3)
     assert not report.passed
     assert report.violations > 0
     assert report.worst_margin < -1e-6
-
-
-def test_plugin_cone_is_not_serializable():
-    cone = WeightedCone.create_plugin(
-        2, [0], alpha=1.0, weight_fn=lambda pts: np.abs(pts[:, 0]))
-    with pytest.raises(ValidationError):
-        cone.to_json_dict()
 
 
 def test_serialization_roundtrip(quadrant):

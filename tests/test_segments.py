@@ -8,6 +8,7 @@ leave residue far above the surviving mass).
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,13 +22,14 @@ from cone_sobolev import (DivergentIntegralError, LorentzParams,
                           builtin_cone, lorentz_norm_distributional,
                           lorentz_norm_rearranged, quotient)
 from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
-from cone_sobolev.segments import (Law, LevelSet, Piece, abs_pieces,
-                                   clip_pieces, level_set_qth_powers,
-                                   level_set_strata, moment_integral,
-                                   piece_moment, pieces_value,
+from cone_sobolev.segments import (Law, LevelSet, Piece, clip_pieces,
+                                   level_set_qth_powers, level_set_strata,
+                                   moment_integral, pieces_value,
                                    power_primitive, power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
-from level_set_reference import Stratum, qth_power, rows_of, sweep
+from level_set_reference import (Stratum, abs_pieces, distribution, inverse,
+                                 monotone_direction, qth_power, rows_of,
+                                 sweep)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -46,7 +48,7 @@ def test_constant_law():
     assert law.constant_value() == 2.5
     assert law.value(17.0) == 2.5
     assert law.derivative().constant_value() == 0.0
-    assert law.monotone_direction() == 0
+    assert monotone_direction(law) == 0
 
 
 @given(coef=st.floats(min_value=-4, max_value=4).filter(lambda c: abs(c) > 1e-3),
@@ -97,13 +99,14 @@ def test_inverse_round_trip(coef, expo, shift, orient, t):
     law = Law(coef, expo, base=base, orient=orient, shift=shift)
     lam = law.value(t)
     assume(abs(lam - shift) > 1e-6)  # stay off the branch point
-    assert law.inverse().value(lam) == pytest.approx(t, rel=1e-9)
+    assert inverse(law).value(lam) == pytest.approx(t, rel=1e-9)
 
 
 def test_scaled_and_shifted():
     law = Law(2.0, 1.5, shift=1.0)
     assert law.scaled(3.0).value(2.0) == pytest.approx(3.0 * law.value(2.0))
-    assert law.shifted(-1.0).value(2.0) == pytest.approx(law.value(2.0) - 1.0)
+    assert replace(law, shift=law.shift - 1.0).value(2.0) == pytest.approx(
+        law.value(2.0) - 1.0)
 
 
 def test_orientation_validation():
@@ -261,7 +264,7 @@ def test_abs_pieces_splits_at_roots():
 def test_piece_moment_additivity():
     pieces = [Piece(0.0, 1.0, Law.constant(1.0)),
               Piece(1.0, 2.0, Law.constant(0.5))]
-    total = piece_moment(pieces, 1.0, 1.0)
+    total = math.fsum(p.moment(1.0, 1.0) for p in pieces)
     assert total == pytest.approx(1.0 + 0.5, rel=1e-14)
 
 
@@ -275,10 +278,10 @@ def brute_distribution(pieces, lam: float) -> float:
         if lam >= hi:
             continue
         if lam < lo or p.law.is_constant:
-            total += p.length
+            total += p.t1 - p.t0
             continue
-        t_at = p.law.inverse().value(lam)
-        if p.law.monotone_direction() < 0:
+        t_at = inverse(p.law).value(lam)
+        if monotone_direction(p.law) < 0:
             total += t_at - p.t0
         else:
             total += p.t1 - t_at
@@ -319,7 +322,7 @@ def test_level_set_matches_brute_force(pieces):
     for lam in sample_levels(level.strata):
         if lam is None:
             continue
-        got = level.distribution(lam)
+        got = distribution(level, lam)
         want = brute_distribution(pieces, lam)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -421,7 +424,7 @@ def test_deep_span_strata_survive_huge_transients():
         if lam is None:
             continue
         want = brute_distribution(pieces, lam)
-        got = level.distribution(lam)
+        got = distribution(level, lam)
         assert got == pytest.approx(want, rel=1e-9), (lam, got, want)
         assert got >= 0.0
 
@@ -444,14 +447,15 @@ def test_extreme_ratio_routes_agree(halfplane):
     for p_exp in (3.0, 2.0, 4.0):
         level = LevelSet.from_pieces(list(profile.pieces))
         lam_route = level.lorentz_qth_power(p_exp, 1.0)
-        t_route = piece_moment(profile.pieces, 1.0 / p_exp, 1.0)
+        t_route = math.fsum(p.moment(1.0 / p_exp, 1.0)
+                            for p in profile.pieces)
         gaps.append(abs(lam_route - t_route) / t_route)
     moderate = alvino_profile(halfplane, 3.0, 1.0, 1e8)
     for p_exp, q_exp in [(3.0, 1.5), (4.0, 2.0)]:
         level = LevelSet.from_pieces(list(moderate.pieces))
         lam_route = level.lorentz_qth_power(p_exp, q_exp) ** (1.0 / q_exp)
-        t_route = piece_moment(moderate.pieces, q_exp / p_exp,
-                               q_exp) ** (1.0 / q_exp)
+        t_route = math.fsum(p.moment(q_exp / p_exp, q_exp)
+                            for p in moderate.pieces) ** (1.0 / q_exp)
         gaps.append(abs(lam_route - t_route) / t_route)
     assert max(gaps) <= 1e-10
 
@@ -461,7 +465,7 @@ def test_extreme_ratio_routes_agree(halfplane):
         if lam is None:
             continue
         want = brute_distribution(psi.pieces, lam)
-        assert level.distribution(lam) == pytest.approx(want, rel=1e-10)
+        assert distribution(level, lam) == pytest.approx(want, rel=1e-10)
 
 
 # -- many strata ----------------------------------------------------------------
@@ -518,7 +522,7 @@ def assert_matches_reference(pieces, pairs=((1.2, 1.0), (1.4, 1.2))):
         if lam is not None:
             lams.append(lam)
             want.append(stratum.distribution(lam))
-    assert list(level.distribution(np.array(lams))) == pytest.approx(
+    assert list(distribution(level, np.array(lams))) == pytest.approx(
         want, rel=1e-12)
     for p, q in pairs:
         try:
