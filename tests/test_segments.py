@@ -746,6 +746,51 @@ def test_alvino_gradient_with_a_sliver_graded_panel():
     assert report.denominator == pytest.approx(float(want), rel=1e-10)
 
 
+@pytest.mark.parametrize("q, qq", [(1.0, 0.5), (1.6, 0.8)])
+def test_rule_rows_do_not_depend_on_their_batch(q, qq):
+    """Each kind of row gives, in a mixed batch, what it gives alone."""
+    a, b = 0.5, 1.5
+    gap = 1e-13 * (b - a)
+    plain = Stratum(0.2, 2.0, 0.3, (Law(1.5, -0.7),
+                                    Law(0.4, 2.0, base=2.5, orient=-1.0)))
+    sliver = Stratum(3.0, 3.0 + 4.0 * 2.0 ** -51, 0.0,
+                     (Law(1.0, 0.5, base=3.5, orient=-1.0),))
+    graded = Stratum(a, b, 0.2, (Law(1.0, -1.6, base=a - gap),))
+    singular = Stratum(0.3, 1.7, 0.1, (Law(2.0, -0.5 / qq, base=1.7,
+                                           orient=-1.0),))
+    batch = [plain, sliver, graded, singular, plain]
+    values, errors = stratum_integrals(batch, q, qq)
+    alone = [stratum_integrals([s], q, qq) for s in batch]
+    assert values.tolist() == [float(v[0]) for v, _ in alone]
+    assert errors.tolist() == [float(e[0]) for _, e in alone]
+    assert errors[1] > 0.0   # the sliver took its bracket, in both
+    assert min(values) > 0.0
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (3.0, 2.0), (1.5, 1.2)])
+def test_stacked_level_sets_match_their_single_rows(halfplane, p, q):
+    """An affine profile's gradient density at several amplitudes, as
+    rows of one builder call, gives each amplitude's ``from_pieces``
+    q-th power bit for bit."""
+    prof = from_knots(halfplane, [(0.2, 2.0), (0.9, 1.3), (1.7, 0.4),
+                                  (2.6, 0.0)])
+    pieces = gradient_density(prof).pieces
+    amps = np.array([1.0, 0.37, 3.0, 1e3, 2.0 ** -20])
+    levels = [LevelSet.from_pieces([replace(pc, law=pc.law.scaled(k))
+                                    for pc in pieces]) for k in amps]
+    t0, t1, coef, shift, expo, base, orient = np.array(
+        [(pc.t0, pc.t1, pc.law.coef, pc.law.shift, pc.law.expo,
+          pc.law.base, pc.law.orient) for pc in pieces]).T
+    coefs, shifts = amps[:, None] * coef, amps[:, None] * shift
+    ends = [np.maximum(orient * (t - base), 0.0) ** expo for t in (t0, t1)]
+    va, vb = (np.where(coefs == 0.0, shifts, coefs * e + shifts)
+              for e in ends)
+    stacked = level_set_qth_powers(level_set_strata(
+        t0, t1, coefs, shifts, expo, base, orient, va, vb), p, q)
+    assert stacked == [lv.lorentz_qth_power(p, q) for lv in levels]
+    assert len(set(stacked)) == len(amps)
+
+
 def test_stratum_rule_raises_when_it_cannot_converge():
     # order -0.999 at the left end: integrable, but its tail outruns every
     # node reach, so the truncation term never meets the contract
