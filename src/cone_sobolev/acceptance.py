@@ -95,27 +95,24 @@ def criterion_1() -> CriterionResult:
     def body():
         details, ok = {}, True
         for name, (spec, oracle) in _CONE_ORACLES.items():
-            t0 = time.perf_counter()
             cone = WeightedCone.create(**spec)
             err = abs(cone.c_d - oracle)
             mc = WeightedCone.create(**spec, quad=QuadratureConfig(
                 mode="monte-carlo", samples=10 ** 6, seed=0))
             dev = abs(mc.c_d - oracle)
             within = dev <= 3.0 * mc.c_d_error or dev == 0.0
-            dt = time.perf_counter() - t0
             details[name] = {
                 "oracle": oracle, "product": cone.c_d,
                 "product_rel_err": err / oracle, "monte_carlo": mc.c_d,
                 "product_error_bound": cone.c_d_error,
                 "monte_carlo_std_err": mc.c_d_error,
-                "seconds": dt,
             }
             ok = (ok and err <= cone.c_d_error <= 1e-13 * oracle
-                  and within and dt < 5.0)
+                  and within)
         return ok, details
 
     return _timed(1, "sector measure oracles (product rule and Monte Carlo)",
-                  None, body)
+                  15.0, body)
 
 
 def criterion_2() -> CriterionResult:

@@ -175,6 +175,15 @@ def test_selftest_subset(capsys):
     assert "[PASS]" in err
 
 
+def test_selftest_report_is_identical_across_reruns(capsys):
+    texts = []
+    for _ in range(2):
+        assert cli.run(["selftest", "--criteria", "1,2"]) == 0
+        texts.append(strip_timestamp(capsys.readouterr().out))
+    assert texts[0] == texts[1]
+    assert '"monte_carlo"' in texts[0]
+
+
 # -- configuration plumbing ----------------------------------------------------------
 
 def test_config_file_and_flags_agree(capsys, tmp_path):
