@@ -452,75 +452,85 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     the other rows.
     """
     count, n = coef.shape
+    m = 2 * n + 1
     # entry 0 of a level set is the cut at 0, entries 1..n its pieces'
     # lower values, the rest their upper values; lengths sit at the lower
-    entries, lengths = np.zeros((2, count, 2 * n + 1))
+    entries, lengths = np.zeros((2, count, m))
     np.minimum(va, vb, out=entries[:, 1:n + 1])
     np.maximum(va, vb, out=entries[:, n + 1:])
     np.maximum(entries, 0.0, out=entries)
     np.subtract(t1, t0, out=lengths[:, 1:n + 1])
+    # each piece's inverse law, a stratum's term where the piece straddles
+    # it: rows 0-2 its law key orient = sign(coef), base = shift and
+    # expo = 1/expo, row 5 its coefficient |coef|^(-1/expo) with the sign
+    # of -coef*expo, and row 4 the constant that comes with it (the piece
+    # is (t0, inverse) while falling, (inverse, t1) else); row 3 takes
+    # each (stratum, piece) pair's stratum below
+    laws = np.empty((6, count, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the inverse law of each piece, and the constant that comes with
-        # it: the piece is (t0, inverse) while falling, (inverse, t1)
-        # else, and the inverse's coefficient has the sign of -coef*expo
-        inv_expo = 1.0 / expo
+        np.sign(coef, out=laws[0])
+        laws[1] = shift
+        np.divide(1.0, expo, out=laws[2])
         slope = coef * expo
-        inv_coef = np.copysign(np.abs(coef) ** -inv_expo, -slope).ravel()
-        straddle = np.where(np.signbit(slope * orient), base - t0,
-                            t1 - base).ravel()
+        np.copysign(np.abs(coef) ** -laws[2], -slope, out=laws[5])
+        np.subtract(t1, base, out=laws[4])
+        np.subtract(base, t0, out=laws[4], where=np.signbit(slope * orient))
     # sort each level set's entries; positions below are flat, row d's
     # sorted position p at d * m + p
-    m = 2 * n + 1
     by = entries.argsort(axis=1, kind="stable")
     by += np.arange(0, count * m, m)[:, None]
-    cuts = entries.ravel()[by]
-    suffix = lengths.ravel()[by][:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
+    cuts = entries.take(by)
+    # the length above each position, summed from the top down
+    above = lengths.take(by[:, ::-1])
+    np.add.accumulate(above, axis=1, out=above)
     # a stratum ends at each position where the cut rises from the one
     # before; the pieces fully above it have their lower value there or
     # later
     rises = np.zeros((count, m), dtype=bool)
     np.not_equal(cuts[:, 1:], cuts[:, :-1], out=rises[:, 1:])
-    cuts = cuts.ravel()
     at = rises.ravel().nonzero()[0]
     owner = at // m
-    lam0, lam1, above = cuts[at - 1], cuts[at], suffix[at]
+    bounds = cuts.take(at[:, None] + _BEFORE)
+    above = above[:, ::-1].take(at)
     # piece i straddles the strata that end after its lower value's
     # position and up to its upper value's; ``before`` counts the strata
     # that end at or before each entry's position
-    before = np.empty((count, m), dtype=int)
-    before.ravel()[by] = rises.cumsum().reshape(count, m)
+    before = np.empty((count, m), dtype=np.intp)
+    before.put(by, np.add.accumulate(rises.ravel(), dtype=np.intp))
     first = before[:, 1:n + 1].ravel()
     span = before[:, n + 1:].ravel() - first
     strad = span.nonzero()[0]
     span = span[strad]
-    pieces = np.repeat(strad, span)
-    stratum = (np.repeat(first[strad] - span.cumsum() + span, span)
-               + np.arange(len(pieces)))
+    pair = laws.reshape(6, -1).take(strad.repeat(span), axis=1)
+    pair[3] = (np.arange(pair.shape[1])
+               + (first[strad] - np.add.accumulate(span) + span).repeat(span))
     # a stratum's straddle constants, and the coefficients of its terms
     # that share a law key (expo, base, orient), are added by math.fsum
-    key = (np.sign(coef.ravel()[pieces]), shift.ravel()[pieces],
-           inv_expo[pieces % n])
-    order = np.lexsort((*key, stratum))
-    pieces, stratum = pieces[order], stratum[order]
-    key = [x[order] for x in key]
-    const = above + _group_fsums(straddle[pieces], stratum, len(lam0))
-    head = np.ones(len(pieces), dtype=bool)
-    head[1:] = stratum[1:] != stratum[:-1]
-    for x in key:
-        head[1:] |= x[1:] != x[:-1]
-    terms = head.nonzero()[0]
-    coefs = _group_fsums(inv_coef[pieces], head.cumsum() - 1, len(terms))
+    pair = pair.take(np.lexsort(pair[:4]), axis=1)
+    stratum = pair[3].astype(np.intp)
+    head = np.empty(len(stratum), dtype=bool)
+    head[:1] = True
+    np.logical_or.reduce(pair[:4, 1:] != pair[:4, :-1], axis=0,
+                         out=head[1:])
+    terms, size = head.nonzero()[0], len(at)
+    sums = _group_fsums(pair[4:].ravel(), np.concatenate(
+        (stratum, np.add.accumulate(head, dtype=np.intp) + (size - 1))),
+        size + len(terms))
+    const, coefs = above + sums[:size], sums[size:]
     nonzero = coefs != 0.0
-    terms, coefs = terms[nonzero], coefs[nonzero]
-    counts = np.bincount(stratum[terms], minlength=len(lam0))
+    terms = terms[nonzero]
+    counts = np.bincount(stratum[terms], minlength=size)
     ruled = counts > 0
-    flat = ~ruled & (const > 0.0)
-    orient_t, base_t, expo_t = (x[terms] for x in key)
+    flat = (const > 0.0) > ruled
+    orient_t, base_t, expo_t = pair[:3].take(terms, axis=1)
     return Strata(
-        Rows(lam0[ruled], lam1[ruled], const[ruled], counts[ruled], coefs,
-             expo_t, base_t, orient_t),
-        owner[ruled], (owner[flat], lam0[flat], lam1[flat], const[flat]),
-        cuts[m - 1::m])
+        Rows.of(bounds[ruled], const[ruled], counts[ruled], coefs[nonzero],
+                expo_t, base_t, orient_t),
+        owner[ruled], (owner[flat], *bounds[flat].T, const[flat]),
+        cuts[:, -1])
+
+
+_BEFORE = np.array([-1, 0])  # a stratum's (lam0, lam1): the cut before its end
 
 
 def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
@@ -528,13 +538,13 @@ def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
     """math.fsum of the values of each of ``size`` groups; ``group`` is
     nondecreasing.  A group of one keeps its value, an empty one is 0."""
     members = np.bincount(group, minlength=size)
-    out = np.bincount(group, weights=values, minlength=size)
-    multi = (members > 1).nonzero()[0].tolist()
-    if multi:
-        ends = members.cumsum().tolist()
-        count, vals = members.tolist(), values.tolist()
-        for g in multi:
-            out[g] = math.fsum(vals[ends[g] - count[g]:ends[g]])
+    out = np.bincount(group, values, size)
+    multi = (members > 1).nonzero()[0]
+    if multi.size:
+        ends = np.add.accumulate(members)
+        vals = values.tolist()
+        out[multi] = [math.fsum(vals[a:b]) for a, b in zip(
+            (ends - members)[multi].tolist(), ends[multi].tolist())]
     return out
 
 

@@ -60,9 +60,11 @@ class _Template(NamedTuple):
     (``sign`` +1, -1), so a scaled template is f and -f side by side: the
     builder measures a piece only where it lies above a level lam >= 0,
     and |f| > lam exactly where f > lam or -f > lam.  Per entry: its
-    alpha entry ``shell`` (the lift's is -1), (t0, t1), the unscaled law
-    coef * (orient (t - base))**expo + shift, and the unscaled end values
-    (u0, u1) that alpha_j scales and the lift shifts.  ``heights`` are the
+    alpha entry ``shell`` (the lift's is -1), (t0, t1), the law
+    coef * (orient (t - base))**expo + shift, and the rows of ``laws``:
+    coef, shift and the end values (u0, u1), each times the entry's sign,
+    which alpha_j scales and the lift shifts.  Scaling a signed entry is
+    bit for bit the negated scaling of the piece.  ``heights`` are the
     lifts the shells add to later ones: max u_j on the function span, 0
     on the gradient span.
     """
@@ -73,25 +75,23 @@ class _Template(NamedTuple):
     shell: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
-    coef: np.ndarray
-    shift: np.ndarray
     expo: np.ndarray
     base: np.ndarray
     orient: np.ndarray
-    u0: np.ndarray
-    u1: np.ndarray
+    laws: np.ndarray
 
     @staticmethod
     def of(pieces: Sequence[tuple[int, Piece]],
            ends: tuple[Sequence[float], Sequence[float]],
            heights: np.ndarray, params: LorentzParams) -> "_Template":
         table = np.repeat(np.array(
-            [(j, p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo,
-              p.law.base, p.law.orient, u0, u1)
+            [(j, p.t0, p.t1, p.law.expo, p.law.base, p.law.orient,
+              p.law.coef, p.law.shift, u0, u1)
              for (j, p), u0, u1 in zip(pieces, *ends)], dtype=float
         ).reshape(-1, 10), 2, axis=0).T
-        return _Template(params, heights, np.tile([1.0, -1.0], len(pieces)),
-                         table[0].astype(int), *table[1:])
+        sign = np.tile([1.0, -1.0], len(pieces))
+        return _Template(params, heights, sign, table[0].astype(int),
+                         *table[1:6], table[6:] * sign)
 
 
 def _shell_end_values(pieces: Sequence[tuple[int, Piece]]
@@ -182,12 +182,13 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
         # below[:, j] is the lift of the shells before j, and below[:, -1]
         # (the lift piece's) that of all k
         below = np.zeros((len(a), k + 1))
-        np.cumsum(a * tpl.heights, axis=1, out=below[:, 1:])
+        np.add.accumulate(a * tpl.heights, axis=1, out=below[:, 1:])
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = a[:, tpl.shell] * tpl.sign
-            lift = below[:, tpl.shell] * tpl.sign
-            coef, shift = scale * tpl.coef, scale * tpl.shift + lift
-            va, vb = (scale * u + lift for u in (tpl.u0, tpl.u1))
+            # rows coef, shift, u0, u1 of every entry, scaled by its signed
+            # alpha entry; the lift shifts all but the first
+            laws = a.take(tpl.shell, axis=1)[:, None] * tpl.laws
+            laws[:, 1:] += (below.take(tpl.shell, axis=1) * tpl.sign)[:, None]
+        coef, shift, va, vb = laws.transpose(1, 0, 2)
         powers += level_set_qth_powers(
             level_set_strata(tpl.t0, tpl.t1, coef, shift, tpl.expo, tpl.base,
                              tpl.orient, va, vb),

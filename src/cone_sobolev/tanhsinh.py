@@ -62,10 +62,10 @@ _EPS = float(np.finfo(float).eps)
 def _ts_nodes(span: float, level: int) -> tuple[np.ndarray, ...]:
     """Nodes first used at ``level`` (all of them at level 2), |t| <= span.
 
-    Returns (left, sc, w): ``left`` marks t < 0, whose nodes are measured
-    from the panel's left end; ``sc`` is the complement 1 - |x|, exact to
-    underflow, signed + on the left and - on the right; ``w`` is the
-    weight (pi/2) cosh t (1 - x^2).
+    Returns (side, sc, w): ``side`` is 0 where t < 0, whose nodes are
+    measured from the panel's left end, and 1 elsewhere; ``sc`` is the
+    complement 1 - |x|, exact to underflow, signed + on the left and - on
+    the right; ``w`` is the weight (pi/2) cosh t (1 - x^2).
     """
     k = int(round(span * 2 ** level))
     j = np.arange(-k, k + 1)
@@ -76,12 +76,14 @@ def _ts_nodes(span: float, level: int) -> tuple[np.ndarray, ...]:
         c = 2.0 / (np.exp(np.pi * np.sinh(np.abs(t))) + 1.0)
     left = t < 0.0
     w = 0.5 * np.pi * np.cosh(t) * c * (2.0 - c)
-    return left, np.where(left, c, -c), w
+    return (~left).astype(np.intp), np.where(left, c, -c), w
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """All nodes of levels 2 to _TS_FIRST, in blocks, and the block ends.
+def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray,
+                                    np.ndarray]:
+    """All nodes of levels 2 to _TS_FIRST, in blocks, the block starts and
+    the step 2^-L of each level L >= 3.
 
     The blocks are the two outermost nodes (the ends of level 2), the
     rest of level 2, then each finer level's new nodes, so one evaluation
@@ -91,86 +93,111 @@ def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     n2 = len(levels[0][0])
     order = np.concatenate(([0, n2 - 1], np.arange(1, n2 - 1)))
     levels[0] = tuple(part[order] for part in levels[0])
-    blocks = np.cumsum([2, n2 - 2] + [len(v[0]) for v in levels[1:]])
-    return tuple(np.concatenate(parts) for parts in zip(*levels)), blocks
+    starts = np.cumsum([0, 2, n2 - 2] + [len(v[0]) for v in levels[1:-1]])
+    return (tuple(np.concatenate(parts) for parts in zip(*levels)), starts,
+            2.0 ** -np.arange(2.0, _TS_FIRST + 1))
 
 
 class Rows:
     """Struct-of-arrays table of stratum panels for the tanh-sinh rule.
 
-    Row i is the panel (a[i], b[i]) with m = const[i] plus the terms
-    first[i]:first[i+1]; ``row`` maps each term to its row.  A term keeps
-    its argument orient*(lam - base) at both panel ends, clamped at 0, in
-    ``arg_a`` and ``arg_b`` (``take`` passes them in ``args``, since a row
-    keeps its ends).
+    Row i is the panel ``ends[i]`` = (a[i], b[i]) with m = const[i] plus
+    the terms first[i]:first[i+1]; ``row`` maps each term to its row.  A
+    term keeps its argument orient*(lam - base) at both panel ends,
+    clamped at 0, as the two columns of ``args``.  ``Rows.of`` derives
+    first, row and args; a sub-table keeps them.
     """
 
-    __slots__ = ("a", "b", "const", "first", "row", "coef", "expo",
-                 "orient", "base", "arg_a", "arg_b")
+    __slots__ = ("ends", "const", "first", "row", "coef", "expo", "base",
+                 "orient", "args")
 
-    def __init__(self, a, b, const, counts, coef, expo, base, orient,
-                 args=None):
-        self.a, self.b, self.const = a, b, const
-        self.first = np.concatenate(([0], np.cumsum(counts)))
-        self.row = np.repeat(np.arange(len(a)), counts)
+    def __init__(self, ends, const, first, row, coef, expo, base, orient,
+                 args):
+        self.ends, self.const, self.first, self.row = ends, const, first, row
         self.coef, self.expo, self.base, self.orient = coef, expo, base, orient
-        self.arg_a, self.arg_b = args if args is not None else (
-            np.maximum(orient * (a[self.row] - base), 0.0),
-            np.maximum(orient * (b[self.row] - base), 0.0))
+        self.args = args
+
+    @staticmethod
+    def of(ends, const, counts, coef, expo, base, orient) -> "Rows":
+        """The table of panels ``ends`` (rows of (a, b)) with counts[i]
+        terms each."""
+        first = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.add.accumulate(counts, out=first[1:])
+        row = np.arange(len(counts)).repeat(counts)
+        args = ends[row]
+        args -= base[:, None]
+        args *= orient[:, None]
+        return Rows(ends, const, first, row, coef, expo, base, orient,
+                    np.maximum(args, 0.0, out=args))
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.ends[:, 0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.ends[:, 1]
 
     def take(self, sel: np.ndarray) -> "Rows":
         """The sub-table of rows ``sel`` (increasing indices)."""
-        if len(sel) == len(self.a):
+        if len(sel) == len(self.const):
             return self
-        keep = np.zeros(len(self.a), dtype=bool)
+        keep = np.zeros(len(self.const), dtype=bool)
         keep[sel] = True
         terms = keep[self.row]
-        return Rows(self.a[sel], self.b[sel], self.const[sel],
-                    (self.first[1:] - self.first[:-1])[sel], self.coef[terms],
+        counts = (self.first[1:] - self.first[:-1])[sel]
+        first = np.zeros(len(sel) + 1, dtype=np.intp)
+        np.add.accumulate(counts, out=first[1:])
+        return Rows(self.ends[sel], self.const[sel], first,
+                    np.arange(len(sel)).repeat(counts), self.coef[terms],
                     self.expo[terms], self.base[terms], self.orient[terms],
-                    (self.arg_a[terms], self.arg_b[terms]))
+                    self.args[terms])
 
-    def graded(self) -> tuple["Rows", np.ndarray]:
-        """The rows cut into graded panels, and each panel's row.
+    def _slice(self, lo: int, hi: int) -> "Rows":
+        """The rows lo:hi, as views."""
+        if lo == 0 and hi == len(self.const):
+            return self
+        f0, f1 = self.first[lo], self.first[hi]
+        return Rows(self.ends[lo:hi], self.const[lo:hi],
+                    self.first[lo:hi + 1] - f0, self.row[f0:f1] - lo,
+                    self.coef[f0:f1], self.expo[f0:f1], self.base[f0:f1],
+                    self.orient[f0:f1], self.args[f0:f1])
+
+    def graded(self, width: np.ndarray) -> tuple["Rows", np.ndarray | None]:
+        """The rows cut into graded panels, and each panel's row (None
+        when no row is cut).
 
         The distance of the nearest term base outside each end is the
         smallest positive argument there (see ``_grade_cuts``).
         """
-        near = [np.minimum.reduceat(np.where(arg > 0.0, arg, math.inf),
-                                    self.first[:-1])
-                for arg in (self.arg_a, self.arg_b)]
-        width = self.b - self.a
-        todo = (np.minimum(near[0], near[1]) < width / _GRADE).nonzero()[0]
-        owner = np.arange(len(self.a))
+        near = np.minimum.reduceat(np.where(self.args > 0.0, self.args,
+                                            math.inf), self.first[:-1])
+        todo = (np.minimum(near[:, 0], near[:, 1]) < width / _GRADE
+                ).nonzero()[0]
         if not todo.size:
-            return self, owner
-        cuts = [[lo, hi] for lo, hi in zip(self.a.tolist(), self.b.tolist())]
+            return self, None
+        cuts = self.ends.tolist()
         for i in todo.tolist():
-            cuts[i] = _grade_cuts(cuts[i][0], cuts[i][1], float(near[0][i]),
-                                  float(near[1][i]))
-        owner = np.repeat(owner, [len(c) - 1 for c in cuts])
+            cuts[i] = _grade_cuts(*cuts[i], *near[i].tolist())
+        owner = np.arange(len(cuts)).repeat([len(c) - 1 for c in cuts])
         pick = np.concatenate([np.arange(self.first[i], self.first[i + 1])
                                for i in owner.tolist()])
-        return Rows(np.array([x for c in cuts for x in c[:-1]]),
-                    np.array([x for c in cuts for x in c[1:]]),
-                    self.const[owner],
-                    (self.first[1:] - self.first[:-1])[owner],
-                    self.coef[pick], self.expo[pick], self.base[pick],
-                    self.orient[pick]), owner
+        return Rows.of(np.array([(x, y) for c in cuts
+                                 for x, y in zip(c[:-1], c[1:])]),
+                       self.const[owner],
+                       (self.first[1:] - self.first[:-1])[owner],
+                       self.coef[pick], self.expo[pick], self.base[pick],
+                       self.orient[pick]), owner
 
-    def args(self, left: np.ndarray, sc: np.ndarray) -> np.ndarray:
-        """Every term's argument at every node, from the nearer end."""
-        half = 0.5 * (self.b - self.a)
-        arg = np.where(left, self.arg_a[:, None], self.arg_b[:, None])
+    def m_power(self, side: np.ndarray, sc: np.ndarray, qq: float,
+                half: np.ndarray) -> np.ndarray:
+        """m^qq at every node of every row, one numpy expression; ``half``
+        is each row's half width."""
+        # every term's argument at every node, from the nearer end
+        arg = self.args.take(side, axis=1)
         arg += (self.orient * half[self.row])[:, None] * sc
-        return np.maximum(arg, 0.0, out=arg)
-
-    def m_power(self, left: np.ndarray, sc: np.ndarray, qq: float
-                ) -> np.ndarray:
-        """m^qq at every node of every row, one numpy expression."""
-        arg = self.args(left, sc)
-        with np.errstate(divide="ignore", over="ignore"):
-            term = np.power(arg, self.expo[:, None])
+        np.maximum(arg, 0.0, out=arg)
+        term = np.power(arg, self.expo[:, None])
         term *= self.coef[:, None]
         m = np.add.reduceat(term, self.first[:-1], axis=0)
         m += self.const[:, None]
@@ -181,7 +208,7 @@ class Rows:
             return m
         huge = np.isinf(m)
         np.power(m, qq, out=m)
-        if huge.any() and qq < 1.0:
+        if qq < 1.0 and np.count_nonzero(huge):
             # a term overflowed where m^qq need not: redo those nodes
             m[huge] = self._log_m_power(arg, qq)[huge]
         return m
@@ -193,46 +220,42 @@ class Rows:
         serves nodes where a term overflows.
         """
         first = self.first[:-1]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_t = (np.log(np.abs(self.coef))[:, None]
-                     + self.expo[:, None] * np.log(arg))
-            top = np.maximum(np.maximum.reduceat(log_t, first, axis=0), 0.0)
-            scaled = np.add.reduceat(np.sign(self.coef)[:, None]
-                                     * np.exp(log_t - top[self.row]),
-                                     first, axis=0)
-            scaled += self.const[:, None] * np.exp(-top)
-            out = np.exp(qq * (top + np.log(np.maximum(scaled, 0.0))))
+        log_t = (np.log(np.abs(self.coef))[:, None]
+                 + self.expo[:, None] * np.log(arg))
+        top = np.maximum(np.maximum.reduceat(log_t, first, axis=0), 0.0)
+        scaled = np.add.reduceat(np.sign(self.coef)[:, None]
+                                 * np.exp(log_t - top[self.row]),
+                                 first, axis=0)
+        scaled += self.const[:, None] * np.exp(-top)
+        out = np.exp(qq * (top + np.log(np.maximum(scaled, 0.0))))
         # an argument that is exactly 0 under a negative power is a true pole
         return np.where(np.isinf(top), np.inf, out)
 
-    def integrand(self, left: np.ndarray, sc: np.ndarray, q: float,
-                  qq: float) -> np.ndarray:
-        """lam^(q-1) m^qq at every node of every row."""
-        f = self.m_power(left, sc, qq)
-        if q != 1.0:
-            lam = np.where(left, self.a[:, None], self.b[:, None])
-            lam += (0.5 * (self.b - self.a))[:, None] * sc
-            f *= lam ** (q - 1.0)
-        return f
-
     def weighted_sums(self, nodes: tuple[np.ndarray, ...], q: float,
-                      qq: float, blocks: Sequence[int]) -> np.ndarray:
-        """Sums of w f over each block of node columns, per row.
+                      qq: float, starts: np.ndarray, half: np.ndarray
+                      ) -> np.ndarray:
+        """Sums of w lam^(q-1) m^qq over each block of node columns (the
+        blocks begin at ``starts``), one row per row.
 
         Rows are evaluated in chunks of at most _CHUNK term-by-node
         elements, so memory does not grow with the level set.
         """
-        left, sc, w = nodes
-        out = np.empty((len(blocks), len(self.a)))
+        side, sc, w = nodes
+        out = np.empty((len(self.const), len(starts)))
         ends = self.first[1:]
         budget = max(_CHUNK // len(w), 1)
         lo = 0
-        while lo < len(self.a):
-            start = ends[lo - 1] if lo else 0
-            hi = max(int(np.searchsorted(ends, start + budget, "right")),
+        while lo < len(self.const):
+            hi = max(int(ends.searchsorted(self.first[lo] + budget, "right")),
                      lo + 1)
-            f = self.take(np.arange(lo, hi)).integrand(left, sc, q, qq) * w
-            out[:, lo:hi] = np.add.reduceat(f, [0, *blocks[:-1]], axis=1).T
+            rows, h = self._slice(lo, hi), half[lo:hi]
+            f = rows.m_power(side, sc, qq, h)
+            if q != 1.0:
+                lam = rows.ends.take(side, axis=1)
+                lam += h[:, None] * sc
+                f *= lam ** (q - 1.0)
+            f *= w
+            np.add.reduceat(f, starts, axis=1, out=out[lo:hi])
             lo = hi
         return out
 
@@ -268,25 +291,34 @@ def _grade_cuts(a: float, b: float, da: float, db: float) -> list[float]:
     return [a] + [c for c in inner if a < c < b] + [b]
 
 
-def _singular_ends(rows: Rows, q: float, qq: float) -> np.ndarray:
-    """Rows with a negative-order term whose argument vanishes at an end.
+def _reaches(rows: Rows, q: float, qq: float
+             ) -> list[tuple[float, np.ndarray | None]]:
+    """Each node reach and its rows (None: all rows): the wider reach
+    for rows with a negative-order term whose argument vanishes at an end.
 
     Raises DivergentIntegralError when the order there, with lam^(q-1) at
     lam = 0, is -1 or below.
     """
-    singular = np.zeros(len(rows.a), dtype=bool)
-    for args, ends in ((rows.arg_a, rows.a), (rows.arg_b, rows.b)):
-        hit = (args == 0.0) & (rows.expo < 0.0)
-        if not hit.any():
+    hit = (rows.args == 0.0) & (rows.expo < 0.0)[:, None]
+    if not np.count_nonzero(hit):
+        return [(_TS_SPAN, None)]
+    singular = np.zeros(len(rows.const), dtype=bool)
+    for end in (0, 1):
+        at = hit[:, end]
+        if not np.count_nonzero(at):
             continue
-        order = np.full(len(rows.a), math.inf)
-        np.minimum.at(order, rows.row[hit], qq * rows.expo[hit])
-        order += np.where(ends == 0.0, q - 1.0, 0.0)
+        order = np.full(len(rows.const), math.inf)
+        np.minimum.at(order, rows.row[at], qq * rows.expo[at])
+        order += np.where(rows.ends[:, end] == 0.0, q - 1.0, 0.0)
         if (order <= -1.0).any():
             raise DivergentIntegralError(
                 "level-set integral diverges at a stratum end")
         singular |= np.isfinite(order)
-    return singular
+    return [(_TS_SPAN, (~singular).nonzero()[0]),
+            (_TS_SPAN_SINGULAR, singular.nonzero()[0])]
+
+
+_ONE_BLOCK = np.zeros(1, dtype=np.intp)
 
 
 def _rule(rows: Rows, q: float, qq: float, span: float
@@ -303,18 +335,19 @@ def _rule(rows: Rows, q: float, qq: float, span: float
       * the truncation, 1/4 of |w f| at the two outermost nodes;
       * the summation roundoff n eps sum |w f| of the level's n nodes.
     """
-    half = 0.5 * (rows.b - rows.a)
-    nodes, blocks = _ts_first(span)
-    sums = np.cumsum(rows.weighted_sums(nodes, q, qq, blocks), axis=0)
-    tail = 0.25 * half * sums[0]
-    levels = [half * sums[i] * 2.0 ** -(i + 1)
-              for i in range(1, len(blocks))]
-    n_nodes = int(blocks[-1])
-    value, err = _level_error(*levels, tail, n_nodes)
+    a, b = rows.ends.T
+    half = 0.5 * (b - a)
+    nodes, starts, steps = _ts_first(span)
+    sums = np.add.accumulate(rows.weighted_sums(nodes, q, qq, starts, half),
+                             axis=1)
+    tail = 0.25 * half * sums[:, 0]
+    levels = half[:, None] * sums[:, 1:] * steps
+    n_nodes = len(nodes[0])
+    value, err = _level_error(*levels.T, tail, n_nodes)
     # a non-finite value or bound is never within the contract
     todo = (~(err <= np.maximum(_REL_TOL * value, 1e-300))).nonzero()[0]
-    total = sums[-1][todo]
-    older, prev = levels[-2][todo], levels[-1][todo]
+    if todo.size:
+        total, older, prev = sums[todo, -1], levels[todo, -2], levels[todo, -1]
     level = _TS_FIRST
     while todo.size:
         if level == _TS_LAST:
@@ -327,7 +360,7 @@ def _rule(rows: Rows, q: float, qq: float, span: float
         extra = _ts_nodes(span, level)
         n_nodes += len(extra[0])
         total = total + rows.take(todo).weighted_sums(
-            extra, q, qq, [len(extra[0])])[0]
+            extra, q, qq, _ONE_BLOCK, half[todo])[:, 0]
         cur = half[todo] * total * 2.0 ** -level
         v, e = _level_error(older, prev, cur, tail[todo], n_nodes)
         value[todo], err[todo] = v, e
@@ -341,9 +374,8 @@ def _level_error(older: np.ndarray, prev: np.ndarray, cur: np.ndarray,
                  tail: np.ndarray, n_nodes: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The finest level's value and its error bound (see ``_rule``)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.abs(cur - prev)
-        guard = np.where(cur > 0.0, (prev - older) ** 2 / cur, step)
+    step = np.abs(cur - prev)
+    guard = np.where(cur > 0.0, (prev - older) ** 2 / cur, step)
     return cur, np.maximum(np.maximum(step, guard),
                            np.maximum(tail, n_nodes * _EPS * cur))
 
@@ -363,35 +395,43 @@ def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
     of that level set's total.  A sliver whose bracket is unbounded (a
     singular term at its end) is ruled.  Other strata are graded into
     panels and ruled, with the wider node reach for panels that have a
-    singular end.
+    singular end; a stratum's panels are added in that order.  One
+    ``np.errstate`` covers the whole call: overflow, a zero argument
+    under a negative power and inf - inf are what the rule expects.
     """
-    values, errors = np.zeros(len(rows.a)), np.zeros(len(rows.a))
-    live = np.isfinite(rows.b)
-    width = rows.b - rows.a
-    sliver = (live & (width <= _SLIVER * rows.b)).nonzero()[0]
+    n = len(rows.const)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b = rows.ends.T
+        width = b - a
+        live = np.isfinite(b)
+        sliver = (live & (width <= _SLIVER * b)).nonzero()[0]
+        if sliver.size:
+            sub = rows.take(sliver)
+            ends = sub.m_power(np.arange(2), np.zeros(2), qq,
+                               0.5 * width[sliver])
+            lo = width[sliver] * sub.a ** (q - 1.0) * ends[:, 1]
+            hi = width[sliver] * sub.b ** (q - 1.0) * ends[:, 0]
+            bounded = np.isfinite(hi)
+            sliver = sliver[bounded]
+            lo, hi = lo[bounded], hi[bounded]
+            live[sliver] = False
+        ruled = live.nonzero()[0]
+        if ruled.size:
+            panels, pick = rows.take(ruled).graded(width[ruled])
+            stratum = ruled if pick is None else ruled[pick]
+            parts = [(stratum, *_rule(panels, q, qq, span)) if sel is None
+                     else (stratum[sel], *_rule(panels.take(sel), q, qq, span))
+                     for span, sel in _reaches(panels, q, qq)
+                     if sel is None or sel.size]
+            at, v, e = parts[0] if len(parts) == 1 else (
+                np.concatenate(x) for x in zip(*parts))
+            values = np.bincount(at, v, n)
+            errors = np.bincount(at, e, n)
+        else:
+            values, errors = np.zeros(n), np.zeros(n)
     if sliver.size:
-        sub = rows.take(sliver)
-        ends = sub.m_power(np.array([True, False]), np.zeros(2), qq)
-        lo = width[sliver] * sub.a ** (q - 1.0) * ends[:, 1]
-        hi = width[sliver] * sub.b ** (q - 1.0) * ends[:, 0]
-        bounded = np.isfinite(hi)
-        sliver = sliver[bounded]
-        values[sliver] = 0.5 * (lo + hi)[bounded]
-        errors[sliver] = 0.5 * np.abs(hi - lo)[bounded]
-    live[sliver] = False
-    ruled = live.nonzero()[0]
-    if ruled.size:
-        panels, stratum = rows.take(ruled).graded()
-        stratum = ruled[stratum]
-        singular = _singular_ends(panels, q, qq)
-        for span, pick in ((_TS_SPAN, ~singular),
-                           (_TS_SPAN_SINGULAR, singular)):
-            sel = pick.nonzero()[0]
-            if sel.size:
-                v, e = _rule(panels.take(sel), q, qq, span)
-                np.add.at(values, stratum[sel], v)
-                np.add.at(errors, stratum[sel], e)
-    if sliver.size:
+        values[sliver] = 0.5 * (lo + hi)
+        errors[sliver] = 0.5 * np.abs(hi - lo)
         for level_set in set(owner[sliver].tolist()):
             mine = owner == level_set
             bound = math.fsum(errors[sliver[mine[sliver]]])

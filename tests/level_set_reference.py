@@ -260,14 +260,14 @@ def sweep(pieces) -> tuple[list[Stratum], float]:
 def rows_of(strata) -> Rows:
     """The rule's table of strata with terms."""
     terms = [t for s in strata for t in s.terms]
-    return Rows(np.array([s.lam0 for s in strata], dtype=float),
-                np.array([s.lam1 for s in strata], dtype=float),
-                np.array([s.const for s in strata], dtype=float),
-                np.array([len(s.terms) for s in strata], dtype=int),
-                np.array([t.coef for t in terms], dtype=float),
-                np.array([t.expo for t in terms], dtype=float),
-                np.array([t.base for t in terms], dtype=float),
-                np.array([t.orient for t in terms], dtype=float))
+    return Rows.of(np.array([(s.lam0, s.lam1) for s in strata],
+                            dtype=float).reshape(-1, 2),
+                   np.array([s.const for s in strata], dtype=float),
+                   np.array([len(s.terms) for s in strata], dtype=int),
+                   np.array([t.coef for t in terms], dtype=float),
+                   np.array([t.expo for t in terms], dtype=float),
+                   np.array([t.base for t in terms], dtype=float),
+                   np.array([t.orient for t in terms], dtype=float))
 
 
 def qth_power(pieces, p: float, q: float) -> float:
