@@ -473,8 +473,7 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
         np.divide(1.0, expo, out=laws[2])
         slope = coef * expo
         np.copysign(np.abs(coef) ** -laws[2], -slope, out=laws[5])
-        np.subtract(t1, base, out=laws[4])
-        np.subtract(base, t0, out=laws[4], where=np.signbit(slope * orient))
+        laws[4] = np.where(np.signbit(slope * orient), base - t0, t1 - base)
     # sort each level set's entries; positions below are flat, row d's
     # sorted position p at d * m + p
     by = entries.argsort(axis=1, kind="stable")
@@ -541,10 +540,10 @@ def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
     out = np.bincount(group, values, size)
     multi = (members > 1).nonzero()[0]
     if multi.size:
-        ends = np.add.accumulate(members)
+        ends = np.add.accumulate(members)[multi].tolist()
         vals = values.tolist()
-        out[multi] = [math.fsum(vals[a:b]) for a, b in zip(
-            (ends - members)[multi].tolist(), ends[multi].tolist())]
+        out[multi] = [math.fsum(vals[b - k:b]) for k, b in zip(
+            members[multi].tolist(), ends)]
     return out
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +54,7 @@ _TS_SPAN_SINGULAR = 6.0
 _SLIVER = 1e-9    # relative width up to which a stratum takes its bracket
 _GRADE = 64.0     # panel ratio toward an end with a nearby outside base
 _CHUNK = 1 << 16  # term-by-node elements evaluated at once
+_ONE_BLOCK = np.zeros(1, dtype=np.intp)  # a finer level's nodes: one block
 _EPS = float(np.finfo(float).eps)
 
 
@@ -172,8 +172,7 @@ class Rows:
         """
         near = np.minimum.reduceat(np.where(self.args > 0.0, self.args,
                                             math.inf), self.first[:-1])
-        todo = (np.minimum(near[:, 0], near[:, 1]) < width / _GRADE
-                ).nonzero()[0]
+        todo = (np.minimum.reduce(near, axis=1) < width / _GRADE).nonzero()[0]
         if not todo.size:
             return self, None
         cuts = self.ends.tolist()
@@ -316,9 +315,6 @@ def _reaches(rows: Rows, q: float, qq: float
         singular |= np.isfinite(order)
     return [(_TS_SPAN, (~singular).nonzero()[0]),
             (_TS_SPAN_SINGULAR, singular.nonzero()[0])]
-
-
-_ONE_BLOCK = np.zeros(1, dtype=np.intp)
 
 
 def _rule(rows: Rows, q: float, qq: float, span: float
