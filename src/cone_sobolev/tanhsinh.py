@@ -175,17 +175,19 @@ class Rows:
         todo = (np.minimum.reduce(near, axis=1) < width / _GRADE).nonzero()[0]
         if not todo.size:
             return self, None
-        cuts = self.ends.tolist()
+        cuts, near = self.ends.tolist(), near.tolist()
         for i in todo.tolist():
-            cuts[i] = _grade_cuts(*cuts[i], *near[i].tolist())
+            cuts[i] = _grade_cuts(*cuts[i], *near[i])
         owner = np.arange(len(cuts)).repeat([len(c) - 1 for c in cuts])
-        pick = np.concatenate([np.arange(self.first[i], self.first[i + 1])
-                               for i in owner.tolist()])
-        return Rows.of(np.array([(x, y) for c in cuts
-                                 for x, y in zip(c[:-1], c[1:])]),
-                       self.const[owner],
-                       (self.first[1:] - self.first[:-1])[owner],
-                       self.coef[pick], self.expo[pick], self.base[pick],
+        # each panel's terms are its row's, first[i]:first[i+1]
+        counts = (self.first[1:] - self.first[:-1])[owner]
+        ends = np.add.accumulate(counts)
+        pick = (np.arange(ends[-1])
+                + (self.first[owner] - ends + counts).repeat(counts))
+        return Rows.of(np.column_stack(([x for c in cuts for x in c[:-1]],
+                                        [x for c in cuts for x in c[1:]])),
+                       self.const[owner], counts, self.coef[pick],
+                       self.expo[pick], self.base[pick],
                        self.orient[pick]), owner
 
     def m_power(self, side: np.ndarray, sc: np.ndarray, qq: float,
