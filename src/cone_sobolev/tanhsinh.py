@@ -24,6 +24,19 @@ them as this table.  A row's value and bound depend on that row alone,
 so they are bit-identical however the rows are batched; only the sliver
 check reads a whole level set.
 
+One call, under one ``np.errstate``: the sliver test on the panel ends,
+the grade and singular-end tests on the stacked end arguments (a
+(terms, 2) array), and one ``_rule`` call per node reach, usually one.
+``_rule`` evaluates levels 2 to 4 in one pass over terms x nodes (the
+node arguments taken from the nearer end's column, the powers, one
+``reduceat`` over terms and one over node blocks) and reads every
+level's value and bound from the (rows, blocks) sums.  Rows that miss
+the contract alone go on to finer levels.  On a 2-vCPU VM (numpy
+2.4.6), for a single-direction function-span level set of a 6-shell
+system (6 rows, 30 terms), a call takes about 63 us in a tight loop,
+against 80 us when each end was its own array and the rule took a
+sub-table, a transposed copy and an errstate of its own per step.
+
 The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two
 independent integrators.  It meets the same fixed relative tolerance of
