@@ -65,6 +65,8 @@ __all__ = [
     "level_set_qth_powers",
 ]
 
+_BEFORE = np.array([-1, 0])  # a stratum's (lam0, lam1): the cut before its end
+
 
 # -- the law ---------------------------------------------------------------
 
@@ -449,15 +451,8 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     coefficients of its terms that share a law key (expo, base, orient),
     are added by math.fsum, so each sum is correctly rounded however its
     parts cancel.  Every step is per level set, so no stratum depends on
-    the other rows.
-
-    One call is about 100 array operations whatever the size: each
-    piece's inverse law goes into one table, one gather makes the
-    (stratum, piece) pairs, one lexsort orders them by stratum and law
-    key, and one fsum pass adds the constants and the coefficients; the
-    rows are built by ``tanhsinh.Rows.of``.  For a single-direction span
-    of a 6-shell system that is about 60 us on a 2-vCPU VM (numpy 2.4.6),
-    as before: fewer gathers, but the table costs what they did.
+    the other rows.  A call is about 100 array operations whatever the
+    size: 55-60 us for a 6-shell span on a 2-vCPU VM (numpy 2.4.6).
     """
     count, n = coef.shape
     m = 2 * n + 1
@@ -468,12 +463,9 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     np.maximum(va, vb, out=entries[:, n + 1:])
     np.maximum(entries, 0.0, out=entries)
     np.subtract(t1, t0, out=lengths[:, 1:n + 1])
-    # each piece's inverse law, a stratum's term where the piece straddles
-    # it: rows 0-2 its law key orient = sign(coef), base = shift and
-    # expo = 1/expo, row 5 its coefficient |coef|^(-1/expo) with the sign
-    # of -coef*expo, and row 4 the constant that comes with it (the piece
-    # is (t0, inverse) while falling, (inverse, t1) else); row 3 takes
-    # each (stratum, piece) pair's stratum below
+    # each piece's inverse law: its key (orient, base, expo), row 3 for a
+    # pair's stratum, the constant (the piece is (t0, inverse) while
+    # falling, (inverse, t1) else) and the coefficient, signed as -slope
     laws = np.empty((6, count, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.sign(coef, out=laws[0])
@@ -515,15 +507,12 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     # that share a law key (expo, base, orient), are added by math.fsum
     pair = pair.take(np.lexsort(pair[:4]), axis=1)
     stratum = pair[3].astype(np.intp)
-    head = np.empty(len(stratum), dtype=bool)
-    head[:1] = True
+    head = np.ones(len(stratum), dtype=bool)
     np.logical_or.reduce(pair[:4, 1:] != pair[:4, :-1], axis=0,
                          out=head[1:])
     terms, size = head.nonzero()[0], len(at)
-    sums = _group_fsums(pair[4:].ravel(), np.concatenate(
-        (stratum, np.add.accumulate(head, dtype=np.intp) + (size - 1))),
-        size + len(terms))
-    const, coefs = above + sums[:size], sums[size:]
+    const = above + _group_fsums(pair[4], stratum, size)
+    coefs = _group_fsums(pair[5], head.cumsum() - 1, len(terms))
     nonzero = coefs != 0.0
     terms = terms[nonzero]
     counts = np.bincount(stratum[terms], minlength=size)
@@ -535,9 +524,6 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
                 expo_t, base_t, orient_t),
         owner[ruled], (owner[flat], *bounds[flat].T, const[flat]),
         cuts[:, -1])
-
-
-_BEFORE = np.array([-1, 0])  # a stratum's (lam0, lam1): the cut before its end
 
 
 def _group_fsums(values: np.ndarray, group: np.ndarray, size: int

@@ -60,11 +60,9 @@ class _Template(NamedTuple):
     (``sign`` +1, -1), so a scaled template is f and -f side by side: the
     builder measures a piece only where it lies above a level lam >= 0,
     and |f| > lam exactly where f > lam or -f > lam.  Per entry: its
-    alpha entry ``shell`` (the lift's is -1), (t0, t1), the law
-    coef * (orient (t - base))**expo + shift, and the rows of ``laws``:
-    coef, shift and the end values (u0, u1), each times the entry's sign,
-    which alpha_j scales and the lift shifts.  Scaling a signed entry is
-    bit for bit the negated scaling of the piece.  ``heights`` are the
+    alpha entry ``shell`` (the lift's is -1), (t0, t1), and in ``laws``
+    the law's coef and shift and the end values (u0, u1), signed, that
+    alpha_j scales and the lift shifts.  ``heights`` are the
     lifts the shells add to later ones: max u_j on the function span, 0
     on the gradient span.
     """
@@ -184,8 +182,7 @@ def span_norms(tables: SpanTables, alphas: np.ndarray,
         below = np.zeros((len(a), k + 1))
         np.add.accumulate(a * tpl.heights, axis=1, out=below[:, 1:])
         with np.errstate(over="ignore", invalid="ignore"):
-            # rows coef, shift, u0, u1 of every entry, scaled by its signed
-            # alpha entry; the lift shifts all but the first
+            # a signed entry scales to the scaled piece negated, bit for bit
             laws = a.take(tpl.shell, axis=1)[:, None] * tpl.laws
             laws[:, 1:] += (below.take(tpl.shell, axis=1) * tpl.sign)[:, None]
         coef, shift, va, vb = laws.transpose(1, 0, 2)

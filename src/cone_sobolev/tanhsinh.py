@@ -22,20 +22,11 @@ distance instead of losing it to rounding.
 each row's level set in ``owner``; ``segments.level_set_strata`` builds
 them as this table.  A row's value and bound depend on that row alone,
 so they are bit-identical however the rows are batched; only the sliver
-check reads a whole level set.
-
-One call, under one ``np.errstate``: the sliver test on the panel ends,
-the grade and singular-end tests on the stacked end arguments (a
-(terms, 2) array), and one ``_rule`` call per node reach, usually one.
-``_rule`` evaluates levels 2 to 4 in one pass over terms x nodes (the
-node arguments taken from the nearer end's column, the powers, one
-``reduceat`` over terms and one over node blocks) and reads every
-level's value and bound from the (rows, blocks) sums.  Rows that miss
-the contract alone go on to finer levels.  On a 2-vCPU VM (numpy
-2.4.6), for a single-direction function-span level set of a 6-shell
-system (6 rows, 30 terms), a call takes about 63 us in a tight loop,
-against 80 us when each end was its own array and the rule took a
-sub-table, a transposed copy and an errstate of its own per step.
+check reads a whole level set.  One call tests slivers, grading and
+singular ends on the (terms, 2) end arguments and evaluates levels 2 to 4
+in one pass over terms x nodes, under one ``np.errstate``: for a 6-shell
+span (6 rows, 30 terms) about 63 us on a 2-vCPU VM (numpy 2.4.6), against
+80 us before.
 
 The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two
@@ -47,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -67,7 +59,7 @@ _TS_SPAN_SINGULAR = 6.0
 _SLIVER = 1e-9    # relative width up to which a stratum takes its bracket
 _GRADE = 64.0     # panel ratio toward an end with a nearby outside base
 _CHUNK = 1 << 16  # term-by-node elements evaluated at once
-_ONE_BLOCK = np.zeros(1, dtype=np.intp)  # a finer level's nodes: one block
+_STEPS = 2.0 ** -np.arange(2.0, _TS_FIRST + 1)  # h of levels 2 to _TS_FIRST
 _EPS = float(np.finfo(float).eps)
 
 
@@ -93,10 +85,8 @@ def _ts_nodes(span: float, level: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray,
-                                    np.ndarray]:
-    """All nodes of levels 2 to _TS_FIRST, in blocks, the block starts and
-    the step 2^-L of each level L >= 3.
+def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """All nodes of levels 2 to _TS_FIRST, in blocks, and the block starts.
 
     The blocks are the two outermost nodes (the ends of level 2), the
     rest of level 2, then each finer level's new nodes, so one evaluation
@@ -107,49 +97,34 @@ def _ts_first(span: float) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     order = np.concatenate(([0, n2 - 1], np.arange(1, n2 - 1)))
     levels[0] = tuple(part[order] for part in levels[0])
     starts = np.cumsum([0, 2, n2 - 2] + [len(v[0]) for v in levels[1:-1]])
-    return (tuple(np.concatenate(parts) for parts in zip(*levels)), starts,
-            2.0 ** -np.arange(2.0, _TS_FIRST + 1))
+    return tuple(np.concatenate(parts) for parts in zip(*levels)), starts
 
 
-class Rows:
+class Rows(namedtuple("Rows",
+                       "ends const first row coef expo base orient args")):
     """Struct-of-arrays table of stratum panels for the tanh-sinh rule.
 
     Row i is the panel ``ends[i]`` = (a[i], b[i]) with m = const[i] plus
     the terms first[i]:first[i+1]; ``row`` maps each term to its row.  A
     term keeps its argument orient*(lam - base) at both panel ends,
-    clamped at 0, as the two columns of ``args``.  ``Rows.of`` derives
-    first, row and args; a sub-table keeps them.
+    clamped at 0, as the two columns of ``args``; ``Rows.of`` derives
+    first, row and args.
     """
 
-    __slots__ = ("ends", "const", "first", "row", "coef", "expo", "base",
-                 "orient", "args")
-
-    def __init__(self, ends, const, first, row, coef, expo, base, orient,
-                 args):
-        self.ends, self.const, self.first, self.row = ends, const, first, row
-        self.coef, self.expo, self.base, self.orient = coef, expo, base, orient
-        self.args = args
+    __slots__ = ()
 
     @staticmethod
     def of(ends, const, counts, coef, expo, base, orient) -> "Rows":
-        """The table of panels ``ends`` (rows of (a, b)) with counts[i]
-        terms each."""
+        """The panels ``ends`` (rows (a, b)) with counts[i] terms each."""
         first = np.zeros(len(counts) + 1, dtype=np.intp)
         np.add.accumulate(counts, out=first[1:])
         row = np.arange(len(counts)).repeat(counts)
-        args = ends[row]
-        args -= base[:, None]
-        args *= orient[:, None]
         return Rows(ends, const, first, row, coef, expo, base, orient,
-                    np.maximum(args, 0.0, out=args))
+                    np.maximum(orient[:, None] * (ends[row] - base[:, None]),
+                               0.0))
 
-    @property
-    def a(self) -> np.ndarray:
-        return self.ends[:, 0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.ends[:, 1]
+    a = property(lambda self: self.ends[:, 0])
+    b = property(lambda self: self.ends[:, 1])
 
     def take(self, sel: np.ndarray) -> "Rows":
         """The sub-table of rows ``sel`` (increasing indices)."""
@@ -158,27 +133,13 @@ class Rows:
         keep = np.zeros(len(self.const), dtype=bool)
         keep[sel] = True
         terms = keep[self.row]
-        counts = (self.first[1:] - self.first[:-1])[sel]
-        first = np.zeros(len(sel) + 1, dtype=np.intp)
-        np.add.accumulate(counts, out=first[1:])
-        return Rows(self.ends[sel], self.const[sel], first,
-                    np.arange(len(sel)).repeat(counts), self.coef[terms],
-                    self.expo[terms], self.base[terms], self.orient[terms],
-                    self.args[terms])
-
-    def _slice(self, lo: int, hi: int) -> "Rows":
-        """The rows lo:hi, as views."""
-        if lo == 0 and hi == len(self.const):
-            return self
-        f0, f1 = self.first[lo], self.first[hi]
-        return Rows(self.ends[lo:hi], self.const[lo:hi],
-                    self.first[lo:hi + 1] - f0, self.row[f0:f1] - lo,
-                    self.coef[f0:f1], self.expo[f0:f1], self.base[f0:f1],
-                    self.orient[f0:f1], self.args[f0:f1])
+        return Rows.of(self.ends[sel], self.const[sel],
+                       (self.first[1:] - self.first[:-1])[sel],
+                       self.coef[terms], self.expo[terms], self.base[terms],
+                       self.orient[terms])
 
     def graded(self, width: np.ndarray) -> tuple["Rows", np.ndarray | None]:
-        """The rows cut into graded panels, and each panel's row (None
-        when no row is cut).
+        """The rows cut into graded panels and each panel's row, or None.
 
         The distance of the nearest term base outside each end is the
         smallest positive argument there (see ``_grade_cuts``).
@@ -192,8 +153,7 @@ class Rows:
         for i in todo.tolist():
             cuts[i] = _grade_cuts(*cuts[i], *near[i])
         owner = np.arange(len(cuts)).repeat([len(c) - 1 for c in cuts])
-        # each panel's terms are its row's, first[i]:first[i+1]
-        counts = (self.first[1:] - self.first[:-1])[owner]
+        counts = (self.first[1:] - self.first[:-1])[owner]  # row's terms
         ends = np.add.accumulate(counts)
         pick = (np.arange(ends[-1])
                 + (self.first[owner] - ends + counts).repeat(counts))
@@ -205,8 +165,7 @@ class Rows:
 
     def m_power(self, side: np.ndarray, sc: np.ndarray, qq: float,
                 half: np.ndarray) -> np.ndarray:
-        """m^qq at every node of every row, one numpy expression; ``half``
-        is each row's half width."""
+        """m^qq at every node of every row, given each row's half width."""
         # every term's argument at every node, from the nearer end
         arg = self.args.take(side, axis=1)
         arg += (self.orient * half[self.row])[:, None] * sc
@@ -262,7 +221,7 @@ class Rows:
         while lo < len(self.const):
             hi = max(int(ends.searchsorted(self.first[lo] + budget, "right")),
                      lo + 1)
-            rows, h = self._slice(lo, hi), half[lo:hi]
+            rows, h = self.take(np.arange(lo, hi)), half[lo:hi]
             f = rows.m_power(side, sc, qq, h)
             if q != 1.0:
                 lam = rows.ends.take(side, axis=1)
@@ -313,21 +272,16 @@ def _reaches(rows: Rows, q: float, qq: float
     Raises DivergentIntegralError when the order there, with lam^(q-1) at
     lam = 0, is -1 or below.
     """
-    hit = (rows.args == 0.0) & (rows.expo < 0.0)[:, None]
-    if not np.count_nonzero(hit):
+    term, end = ((rows.args == 0.0) & (rows.expo < 0.0)[:, None]).nonzero()
+    if not term.size:
         return [(_TS_SPAN, None)]
-    singular = np.zeros(len(rows.const), dtype=bool)
-    for end in (0, 1):
-        at = hit[:, end]
-        if not np.count_nonzero(at):
-            continue
-        order = np.full(len(rows.const), math.inf)
-        np.minimum.at(order, rows.row[at], qq * rows.expo[at])
-        order += np.where(rows.ends[:, end] == 0.0, q - 1.0, 0.0)
-        if (order <= -1.0).any():
-            raise DivergentIntegralError(
-                "level-set integral diverges at a stratum end")
-        singular |= np.isfinite(order)
+    order = np.full((2, len(rows.const)), math.inf)
+    np.minimum.at(order, (end, rows.row[term]), qq * rows.expo[term])
+    order += np.where(rows.ends.T == 0.0, q - 1.0, 0.0)
+    if (order <= -1.0).any():
+        raise DivergentIntegralError(
+            "level-set integral diverges at a stratum end")
+    singular = np.isfinite(order).any(axis=0)
     return [(_TS_SPAN, (~singular).nonzero()[0]),
             (_TS_SPAN_SINGULAR, singular.nonzero()[0])]
 
@@ -346,13 +300,11 @@ def _rule(rows: Rows, q: float, qq: float, span: float
       * the truncation, 1/4 of |w f| at the two outermost nodes;
       * the summation roundoff n eps sum |w f| of the level's n nodes.
     """
-    a, b = rows.ends.T
-    half = 0.5 * (b - a)
-    nodes, starts, steps = _ts_first(span)
-    sums = np.add.accumulate(rows.weighted_sums(nodes, q, qq, starts, half),
-                             axis=1)
+    half = 0.5 * (rows.b - rows.a)
+    nodes, starts = _ts_first(span)
+    sums = np.add.accumulate(rows.weighted_sums(nodes, q, qq, starts, half), 1)
     tail = 0.25 * half * sums[:, 0]
-    levels = half[:, None] * sums[:, 1:] * steps
+    levels = half[:, None] * sums[:, 1:] * _STEPS
     n_nodes = len(nodes[0])
     value, err = _level_error(*levels.T, tail, n_nodes)
     # a non-finite value or bound is never within the contract
@@ -371,7 +323,7 @@ def _rule(rows: Rows, q: float, qq: float, span: float
         extra = _ts_nodes(span, level)
         n_nodes += len(extra[0])
         total = total + rows.take(todo).weighted_sums(
-            extra, q, qq, _ONE_BLOCK, half[todo])[:, 0]
+            extra, q, qq, [0], half[todo])[:, 0]
         cur = half[todo] * total * 2.0 ** -level
         v, e = _level_error(older, prev, cur, tail[todo], n_nodes)
         value[todo], err[todo] = v, e
@@ -406,16 +358,13 @@ def row_integrals(rows: Rows, q: float, qq: float, owner: np.ndarray
     of that level set's total.  A sliver whose bracket is unbounded (a
     singular term at its end) is ruled.  Other strata are graded into
     panels and ruled, with the wider node reach for panels that have a
-    singular end; a stratum's panels are added in that order.  One
-    ``np.errstate`` covers the whole call: overflow, a zero argument
-    under a negative power and inf - inf are what the rule expects.
+    singular end; a stratum's panels are added in that order.
     """
     n = len(rows.const)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, b = rows.ends.T
-        width = b - a
-        live = np.isfinite(b)
-        sliver = (live & (width <= _SLIVER * b)).nonzero()[0]
+        width = rows.b - rows.a
+        live = np.isfinite(rows.b)
+        sliver = (live & (width <= _SLIVER * rows.b)).nonzero()[0]
         if sliver.size:
             sub = rows.take(sliver)
             ends = sub.m_power(np.arange(2), np.zeros(2), qq,
