@@ -452,7 +452,7 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     are added by math.fsum, so each sum is correctly rounded however its
     parts cancel.  Every step is per level set, so no stratum depends on
     the other rows.  A call is about 100 array operations whatever the
-    size: 55-60 us for a 6-shell span on a 2-vCPU VM (numpy 2.4.6), as
+    size: 60-70 us for a 6-shell span on a 2-vCPU VM (numpy 2.4.6), as
     before the inverse laws went into one table; the rule saves the time.
     """
     count, n = coef.shape

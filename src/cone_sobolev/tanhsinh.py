@@ -25,8 +25,8 @@ so they are bit-identical however the rows are batched; only the sliver
 check reads a whole level set.  One call tests slivers, grading and
 singular ends on the (terms, 2) end arguments and evaluates levels 2 to 4
 in one pass over terms x nodes, under one ``np.errstate``: for a 6-shell
-span (6 rows, 30 terms) about 63 us on a 2-vCPU VM (numpy 2.4.6), against
-80 us before.
+span (6 rows, 30 terms) 63-69 us on a 2-vCPU VM (numpy 2.4.6), against
+80-86 us before.
 
 The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two
