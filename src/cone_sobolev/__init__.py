@@ -12,10 +12,9 @@ from .bernstein import (AlmostExtremalSystem, BernsteinBound, ShellSpec,
                         construct_system, gamma_sequence,
                         gradient_upper_certificate,
                         superadditivity_certificate, verify_system)
-from .cones import (BUILTIN_CONE_NAMES, ConcavityReport, QuadratureConfig,
-                    WeightedCone, ball_measure, builtin_cone,
-                    concavity_probe, unit_ball_measure,
-                    weight_eval)
+from .cones import (BUILTIN_CONE_NAMES, ConcavityReport, WeightedCone,
+                    ball_measure, builtin_cone, concavity_probe,
+                    unit_ball_measure, weight_eval)
 from .errors import (ConeSobolevError, DivergentIntegralError, DomainError,
                      InfeasibleError, InternalConsistencyError,
                      NumericalError, ResourceError, ValidationError)
@@ -40,8 +39,7 @@ __all__ = [
     "gamma_sequence",
     "gradient_upper_certificate", "superadditivity_certificate",
     "verify_system",
-    "BUILTIN_CONE_NAMES", "ConcavityReport", "QuadratureConfig",
-    "WeightedCone", "ball_measure", "builtin_cone", "concavity_probe",
+    "BUILTIN_CONE_NAMES", "ConcavityReport", "WeightedCone", "ball_measure", "builtin_cone", "concavity_probe",
     "unit_ball_measure", "weight_eval",
     "ConeSobolevError", "DivergentIntegralError", "DomainError",
     "InfeasibleError", "InternalConsistencyError", "NumericalError",

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bernstein import (absolute_continuity_witness, bernstein_lower_bound,
                         certify_span, construct_system, verify_system)
-from .cones import QuadratureConfig, WeightedCone, ball_measure
+from .cones import (WeightedCone, ball_measure, builtin_cone,
+                    unit_ball_measure)
 from .errors import InternalConsistencyError
 from .lorentz import (_HARDY_SLACK, LorentzParams, hardy_check,
                       lorentz_norm_distributional, lorentz_norm_rearranged)
@@ -55,23 +56,17 @@ def _timed(number: int, title: str, budget: float | None, fn) -> CriterionResult
 
 # -- shared fixtures ---------------------------------------------------------
 
+# each builtin cone's c_d by hand; criterion 3 draws its cases in this order
 _CONE_ORACLES = {
-    "halfplane-x1": (dict(d=2, exponents=((0, 1.0),)), 2.0 / 3.0),
-    "quadrant-x1x2": (dict(d=2, exponents=((0, 1.0), (1, 1.0))), 1.0 / 8.0),
-    "disc-unweighted": (dict(d=2, exponents=(), extension_unweighted=True),
-                        math.pi),
+    "halfplane-x1": 2.0 / 3.0,
+    "quadrant-x1x2": 1.0 / 8.0,
+    "disc-unweighted": math.pi,
 }
 
 
 @lru_cache(maxsize=None)
-def _product_cone(name: str) -> WeightedCone:
-    spec, _ = _CONE_ORACLES[name]
-    return WeightedCone.create(**spec)
-
-
-@lru_cache(maxsize=None)
 def _shell_system(m: int, lam_frac: float):
-    cone = _product_cone("halfplane-x1")
+    cone = builtin_cone("halfplane-x1")
     params = LorentzParams(2.0, 1.0, cone)
     lam = lam_frac * embedding_norm(cone, params)
     return construct_system(cone, params, m, lam, 0.05, 0.05)
@@ -94,18 +89,17 @@ def criterion_1() -> CriterionResult:
 
     def body():
         details, ok = {}, True
-        for name, (spec, oracle) in _CONE_ORACLES.items():
-            cone = WeightedCone.create(**spec)
+        for name, oracle in _CONE_ORACLES.items():
+            cone = builtin_cone(name)
             err = abs(cone.c_d - oracle)
-            mc = WeightedCone.create(**spec, quad=QuadratureConfig(
-                mode="monte-carlo", samples=10 ** 6, seed=0))
-            dev = abs(mc.c_d - oracle)
-            within = dev <= 3.0 * mc.c_d_error or dev == 0.0
+            mc, mc_err = unit_ball_measure(cone, 10 ** 6, 0)
+            dev = abs(mc - oracle)
+            within = dev <= 3.0 * mc_err or dev == 0.0
             details[name] = {
                 "oracle": oracle, "product": cone.c_d,
-                "product_rel_err": err / oracle, "monte_carlo": mc.c_d,
+                "product_rel_err": err / oracle, "monte_carlo": mc,
                 "product_error_bound": cone.c_d_error,
-                "monte_carlo_std_err": mc.c_d_error,
+                "monte_carlo_std_err": mc_err,
             }
             ok = (ok and err <= cone.c_d_error <= 1e-13 * oracle
                   and within)
@@ -119,7 +113,7 @@ def criterion_2() -> CriterionResult:
     """Sharp constant arithmetic on the half-plane at p = q = 1."""
 
     def body():
-        cone = _product_cone("halfplane-x1")
+        cone = builtin_cone("halfplane-x1")
         got = embedding_norm(cone, LorentzParams(1.0, 1.0, cone))
         want = 0.5 * 1.5 ** (1.0 / 3.0)
         rel = abs(got - want) / want
@@ -137,7 +131,7 @@ def criterion_3() -> CriterionResult:
         cases.append(("quadrant-x1x2", 2.0, 1.0))
         details, ok = {}, True
         for name, p, q in cases:
-            cone = _product_cone(name)
+            cone = builtin_cone(name)
             params = LorentzParams(p, q, cone)
             bound = embedding_norm(cone, params) * (1.0 + _UPPER_SLACK)
             worst, passes = 0.0, 0
@@ -161,7 +155,7 @@ def criterion_4() -> CriterionResult:
     """The truncated power family climbs toward the constant."""
 
     def body():
-        cone = _product_cone("halfplane-x1")
+        cone = builtin_cone("halfplane-x1")
         params = LorentzParams(1.5, 1.0, cone)
         ratios = [1e2, 1e4, 1e8, 1e40]
         reports = alvino_search(cone, params, ratios)
@@ -205,7 +199,7 @@ def criterion_6() -> CriterionResult:
     """Quotients are invariant under the scaling family."""
 
     def body():
-        cone = _product_cone("halfplane-x1")
+        cone = builtin_cone("halfplane-x1")
         params = LorentzParams(1.5, 1.0, cone)
         rng = np.random.default_rng(2)
         worst = 0.0
@@ -238,7 +232,7 @@ def criterion_7() -> CriterionResult:
     """Rearrangement does not increase gradient norms, on sampled grids."""
 
     def body():
-        cone = _product_cone("halfplane-x1")
+        cone = builtin_cone("halfplane-x1")
         params = LorentzParams(2.0, 1.0, cone)
         box = [(0.0, 3.0), (-1.5, 1.5)]
         shape = (64, 64)
@@ -279,7 +273,7 @@ def criterion_8() -> CriterionResult:
     """Hardy inequality: exact indicator oracle and random steps."""
 
     def body():
-        cone = _product_cone("halfplane-x1")
+        cone = builtin_cone("halfplane-x1")
         params = LorentzParams(1.0, 1.0, cone)  # p* = 3/2, q = 1
         indicator = StepFunction1D((1.0,), (1.0,))
         lhs, rhs = hardy_check(indicator, params)

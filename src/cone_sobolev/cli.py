@@ -41,71 +41,59 @@ EXIT_NUMERICAL = 3
 
 _ROUTE_RTOL = 1e-10
 
-# defaults for every option that may come from a config file; None marks
-# options with no usable default (must be supplied for commands needing them)
-_DEFAULTS: dict[str, Any] = {
-    "cone": "halfplane-x1",
-    "p": 1.0,
-    "q": 1.0,
-    "seed": 0,
-    "out": None,
-    "profile": None,
-    "grid": 64,
-    "bumps": 3,
-    "box": None,
-    "ratios": "1e2,1e4,1e8,1e40",
-    "m": 6,
-    "lambda_frac": 0.9,
-    "eps1": 0.05,
-    "eps2": 0.05,
-    "alpha_trials": 1000,
-    "directions": 5000,
-    "criteria": None,
+# every option that may come from a config file: its default (None marks
+# an option with no usable default, which a command needing it must be
+# given) and the argparse keywords of its flag --<option with "-" for "_">
+_OPTIONS: dict[str, tuple[Any, dict[str, Any]]] = {
+    "cone": ("halfplane-x1",
+             dict(type=str,
+                  help="builtin cone name or path to a cone JSON file")),
+    "p": (1.0, dict(type=float)),
+    "q": (1.0, dict(type=float)),
+    "seed": (0, dict(type=int)),
+    "out": (None, dict(type=str,
+                       help="also write the JSON report to this path")),
+    "profile": (None, dict(type=str, help="path to a profile JSON file")),
+    "grid": (64, dict(type=int, help="cells per axis")),
+    "bumps": (3, dict(type=int, help="number of random bumps")),
+    "box": (None, dict(type=str, help="sampling box as lo:hi,lo:hi,... "
+                                      "(default derived from the cone)")),
+    "ratios": ("1e2,1e4,1e8,1e40",
+               dict(type=str, help="comma separated head-to-support ratios")),
+    "m": (6, dict(type=int, help="number of shells")),
+    "lambda_frac": (0.9, dict(type=float,
+                              help="target norm as a fraction of the "
+                                   "embedding norm, in (0, 1)")),
+    "eps1": (0.05, dict(type=float)),
+    "eps2": (0.05, dict(type=float)),
+    "alpha_trials": (1000, dict(type=int, help="random coefficient vectors "
+                                               "per certificate")),
+    "directions": (5000, dict(type=int,
+                              help="directions for the empirical minimum")),
+    "criteria": (None, dict(type=str, help="comma separated criterion "
+                                           "numbers (default: all)")),
 }
 
-# per-command default overrides: shell systems need p > q, so the
-# bernstein command defaults to the gradient exponent 2
-_COMMAND_DEFAULTS: dict[str, dict[str, Any]] = {
-    "bernstein": {"p": 2.0},
-}
 
-_COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
-    "constant": ("cone", "p", "q", "out"),
-    "norm": ("cone", "p", "q", "out", "profile"),
-    "quotient": ("cone", "p", "q", "out", "profile"),
-    "polya-szego": ("cone", "p", "q", "seed", "out", "grid", "bumps", "box"),
-    "alvino": ("cone", "p", "q", "out", "ratios"),
-    "bernstein": ("cone", "p", "q", "seed", "out", "m", "lambda_frac",
-                  "eps1", "eps2", "alpha_trials", "directions"),
-    "selftest": ("out", "criteria"),
-}
+def _defaults(*options: str, **overrides: Any) -> dict[str, Any]:
+    """Each option mapped to its default, unless a command overrides it."""
+    return {key: overrides.get(key, _OPTIONS[key][0]) for key in options}
 
-# argparse keywords of each option's flag --<option with "-" for "_">
-_FLAGS: dict[str, dict[str, Any]] = {
-    "cone": dict(type=str,
-                 help="builtin cone name or path to a cone JSON file"),
-    "p": dict(type=float),
-    "q": dict(type=float),
-    "seed": dict(type=int),
-    "out": dict(type=str, help="also write the JSON report to this path"),
-    "profile": dict(type=str, help="path to a profile JSON file"),
-    "grid": dict(type=int, help="cells per axis"),
-    "bumps": dict(type=int, help="number of random bumps"),
-    "box": dict(type=str, help="sampling box as lo:hi,lo:hi,... "
-                               "(default derived from the cone)"),
-    "ratios": dict(type=str, help="comma separated head-to-support ratios"),
-    "m": dict(type=int, help="number of shells"),
-    "lambda_frac": dict(type=float,
-                        help="target norm as a fraction of the embedding "
-                             "norm, in (0, 1)"),
-    "eps1": dict(type=float),
-    "eps2": dict(type=float),
-    "alpha_trials": dict(type=int,
-                         help="random coefficient vectors per certificate"),
-    "directions": dict(type=int,
-                       help="directions for the empirical minimum"),
-    "criteria": dict(type=str,
-                     help="comma separated criterion numbers (default: all)"),
+
+# the options of each command with their defaults
+_COMMAND_OPTIONS: dict[str, dict[str, Any]] = {
+    "constant": _defaults("cone", "p", "q", "out"),
+    "norm": _defaults("cone", "p", "q", "out", "profile"),
+    "quotient": _defaults("cone", "p", "q", "out", "profile"),
+    "polya-szego": _defaults("cone", "p", "q", "seed", "out", "grid",
+                             "bumps", "box"),
+    "alvino": _defaults("cone", "p", "q", "out", "ratios"),
+    # shell systems need p > q, so bernstein defaults to the gradient
+    # exponent 2
+    "bernstein": _defaults("cone", "p", "q", "seed", "out", "m",
+                           "lambda_frac", "eps1", "eps2", "alpha_trials",
+                           "directions", p=2.0),
+    "selftest": _defaults("out", "criteria"),
 }
 
 
@@ -125,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "override")
         for key in options:
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                             default=None, **_FLAGS[key])
+                             default=None, **_OPTIONS[key][1])
     return parser
 
 
@@ -144,8 +132,7 @@ def _load_config_file(path: str) -> dict:
 def _effective_config(args: argparse.Namespace) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
     allowed = _COMMAND_OPTIONS[args.command]
-    config = {key: _DEFAULTS[key] for key in allowed}
-    config.update(_COMMAND_DEFAULTS.get(args.command, {}))
+    config = dict(allowed)
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
             norm_key = key.replace("-", "_")
@@ -225,23 +212,26 @@ def _parse_box(value: Any, cone: WeightedCone) -> list[tuple[float, float]]:
         constrained = set(cone.constrained_axes)
         return [(0.0, 3.0) if axis in constrained else (-1.5, 1.5)
                 for axis in range(cone.d)]
-    if isinstance(value, str):
-        pairs = []
-        for part in value.split(","):
-            lo, _, hi = part.partition(":")
-            pairs.append((lo, hi))
-    elif isinstance(value, Sequence):
-        pairs = [(pair[0], pair[1]) for pair in value]
-    else:
-        raise ValidationError("box must be lo:hi,lo:hi,... or an array")
+    pairs = ([part.partition(":")[::2] for part in value.split(",")]
+             if isinstance(value, str) else value)
     try:
         box = [(float(lo), float(hi)) for lo, hi in pairs]
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed box: {exc}") from exc
+        raise ValidationError(
+            f"option 'box' must be lo:hi,lo:hi,... or an array of "
+            f"[lo, hi] pairs, got {value!r} ({exc})") from exc
     if len(box) != cone.d:
         raise ValidationError(
             f"box has {len(box)} axes but the cone has {cone.d}")
     return box
+
+
+def _path(config: dict, key: str) -> str | None:
+    """config[key], which must be a path string or None."""
+    value = config[key]
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"option {key!r} must be a path, got {value!r}")
+    return value
 
 
 def _number(config: dict, key: str, kind: type) -> Any:
@@ -298,7 +288,7 @@ def _cmd_norm(config: dict) -> tuple[dict, dict, dict]:
     """Lorentz norm of a profile by both routes."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
-    profile = _load_profile(config["profile"], fallback)
+    profile = _load_profile(_path(config, "profile"), fallback)
     config["cone"] = profile.cone.to_json_dict()
     params = _params(config)
     rearranged = lorentz_norm_rearranged(profile, params)
@@ -319,7 +309,7 @@ def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
     """Sobolev quotient report for a profile."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
-    profile = _load_profile(config["profile"], fallback)
+    profile = _load_profile(_path(config, "profile"), fallback)
     config["cone"] = profile.cone.to_json_dict()
     params = _params(config, profile.cone)
     report = quotient(profile, params)
@@ -478,6 +468,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _effective_config(args)
+        out = _path(config, "out")
         outputs, tolerances, verdicts = _COMMANDS[args.command](config)
     except (ValidationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -499,9 +490,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if config.get("out"):
+    if out:
         try:
-            Path(config["out"]).write_text(text)
+            Path(out).write_text(text)
         except OSError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -13,13 +13,15 @@ the measure scales with the effective dimension
 
 where c_d = mu(B_1 cap S) is the weighted measure of the unit ball sector.
 
-Two modes compute c_d:
+A cone takes c_d from one source, the closed form of this Dirichlet
+integral,
 
-* product rule: the closed form of this Dirichlet integral,
-  c_d = prod_i Gamma((A_i + 1) / 2) / (2^k Gamma(D/2 + 1)) over all d axes
-  (A_i = 0 off the k weighted ones), with a rounding-error bound.
-* monte-carlo: uniform samples in the unit ball, averaging w * chi_S,
-  with a standard-error estimate; deterministic for a fixed seed.
+    c_d = prod_i Gamma((A_i + 1) / 2) / (2^k Gamma(D/2 + 1))
+
+over all d axes (A_i = 0 off the k weighted ones), and ``c_d_error`` is
+always a bound on its rounding error.  ``unit_ball_measure`` samples
+w * chi_S uniformly in the unit ball and returns an estimate with its
+standard error; it only cross-checks c_d, and no cone holds its value.
 
 Setting ``extension_unweighted`` produces the unweighted extension
 (no listed axes, w == 1, S = R^d, D = d); reports must flag this mode.
@@ -38,7 +40,6 @@ from .errors import DomainError, NumericalError, ValidationError
 
 __all__ = [
     "WeightedCone",
-    "QuadratureConfig",
     "ConcavityReport",
     "weight_eval",
     "unit_ball_measure",
@@ -50,34 +51,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """How to integrate over the cone.
-
-    mode is "product-rule" or "monte-carlo".  The product rule is the
-    closed-form Gamma product and ignores the other fields; ``samples`` is
-    the total draw count for monte-carlo, drawn from one stream fixed by
-    ``seed``.
-    """
-
-    mode: str = "product-rule"
-    samples: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("product-rule", "monte-carlo"):
-            raise ValidationError(f"unknown quadrature mode {self.mode!r}")
-        if self.samples < 1:
-            raise ValidationError("monte-carlo sample count must be >= 1")
-
-
-@dataclass(frozen=True)
 class WeightedCone:
     """A cone with a monomial weight; carries its measured constants.
 
     Fields mirror the data contract: dimension ``d``; ``exponents`` as
     (axis, power) pairs with 0-based axis indices; ``alpha`` the exponent
     sum; ``big_d`` the effective dimension d + alpha; ``c_d`` the weighted
-    unit-ball sector measure (computed at construction).
+    unit-ball sector measure, by its closed form at construction, and
+    ``c_d_error`` a bound on that closed form's rounding error.
     """
 
     d: int
@@ -93,18 +74,12 @@ class WeightedCone:
     @staticmethod
     def create(d: int,
                exponents: Sequence[tuple[int, float]] = (),
-               extension_unweighted: bool = False,
-               quad: QuadratureConfig | None = None) -> "WeightedCone":
+               extension_unweighted: bool = False) -> "WeightedCone":
         _validate_cone_spec(d, exponents, extension_unweighted)
         exps = tuple((int(a), float(p)) for a, p in exponents)
         alpha = float(sum(p for _, p in exps))
-        big_d = d + alpha
-        cfg = quad or QuadratureConfig()
-        pre = WeightedCone(d, exps, alpha, big_d, math.nan, math.nan,
-                           extension_unweighted)
-        c_d, err = unit_ball_measure(pre, cfg)
-        return WeightedCone(d, exps, alpha, big_d, c_d, err,
-                            extension_unweighted)
+        return WeightedCone(d, exps, alpha, d + alpha,
+                            *_gamma_product(d, exps), extension_unweighted)
 
     # -- basic queries ------------------------------------------------
 
@@ -134,8 +109,7 @@ class WeightedCone:
         }
 
     @staticmethod
-    def from_json_dict(data: Mapping, quad: QuadratureConfig | None = None
-                       ) -> "WeightedCone":
+    def from_json_dict(data: Mapping) -> "WeightedCone":
         try:
             d = int(data["d"])
             exps = [(int(e["axis"]), float(e["power"]))
@@ -143,12 +117,11 @@ class WeightedCone:
             ext = bool(data.get("extension_unweighted", False))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed cone spec: {exc}") from exc
-        return WeightedCone.create(d, exps, ext, quad)
+        return WeightedCone.create(d, exps, ext)
 
     @staticmethod
-    def from_json(text: str, quad: QuadratureConfig | None = None
-                  ) -> "WeightedCone":
-        return WeightedCone.from_json_dict(json.loads(text), quad)
+    def from_json(text: str) -> "WeightedCone":
+        return WeightedCone.from_json_dict(json.loads(text))
 
 
 def _validate_cone_spec(d: int, exponents: Sequence[tuple[int, float]],
@@ -205,9 +178,10 @@ def _weight_values(cone: WeightedCone, pts: np.ndarray) -> np.ndarray:
     return np.where(mask, vals, 0.0)
 
 
-# -- unit ball measure: Gamma product ---------------------------------------
+# -- unit ball measure ------------------------------------------------------
 
-def _gamma_product(cone: WeightedCone) -> tuple[float, float]:
+def _gamma_product(d: int, exponents: tuple[tuple[int, float], ...]
+                   ) -> tuple[float, float]:
     """c_d by the module docstring's Gamma product, with a rounding bound.
 
     Log space (``math.fsum`` of ``lgamma`` terms), because one Gamma factor
@@ -218,10 +192,11 @@ def _gamma_product(cone: WeightedCone) -> tuple[float, float]:
     n (1 + x |log x|) >= n |x psi(x)| for the n roundings that formed x;
     2 more cover exp, and ulp(0) a c_d that underflows.
     """
-    k = len(cone.exponents)
+    powers = dict(exponents)
+    k = len(powers)
     # (argument, roundings that formed it, sign) of each lgamma term
-    terms = [((cone.power_of(i) + 1.0) / 2.0, 1, 1.0) for i in range(cone.d)]
-    terms.append((cone.big_d / 2.0 + 1.0, k + 1, -1.0))
+    terms = [((powers.get(i, 0.0) + 1.0) / 2.0, 1, 1.0) for i in range(d)]
+    terms.append(((d + sum(powers.values())) / 2.0 + 1.0, k + 1, -1.0))
     logs = [sign * math.lgamma(x) for x, _, sign in terms]
     value = math.ldexp(math.exp(math.fsum(logs)), -k)
     eps_units = 2.0 + sum(8.0 * (1.0 + abs(t))
@@ -230,18 +205,21 @@ def _gamma_product(cone: WeightedCone) -> tuple[float, float]:
     return value, value * eps_units * math.ulp(1.0) + math.ulp(0.0)
 
 
-# -- unit ball measure: monte-carlo ----------------------------------------
+def unit_ball_measure(cone: WeightedCone, samples: int, seed: int
+                      ) -> tuple[float, float]:
+    """Monte Carlo estimate of c_d = mu(B_1 cap S) with one standard error.
 
-def _lebesgue_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def _unit_ball_mc(cone: WeightedCone, cfg: QuadratureConfig
-                  ) -> tuple[float, float]:
+    A cross-check of the closed form ``cone.c_d``: the mean of w * chi_S
+    over ``samples`` uniform points of the unit ball, drawn from one stream
+    fixed by ``seed``.  Raises NumericalError when the standard error
+    exceeds 10% of the value.
+    """
+    if samples < 1:
+        raise ValidationError("monte-carlo sample count must be >= 1")
     # the seed's first spawned child, not default_rng(seed): another
     # stream would change every seeded estimate
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    n = cfg.samples
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    n = samples
     normals = rng.standard_normal((n, cone.d))
     radii = rng.random(n) ** (1.0 / cone.d)
     norms = np.linalg.norm(normals, axis=1)
@@ -249,7 +227,7 @@ def _unit_ball_mc(cone: WeightedCone, cfg: QuadratureConfig
     pts = normals * (radii / norms)[:, None]
     vals = _weight_values(cone, pts)
     total, total_sq = float(np.sum(vals)), float(np.sum(vals * vals))
-    vol = _lebesgue_ball_volume(cone.d)
+    vol = math.pi ** (cone.d / 2.0) / math.gamma(cone.d / 2.0 + 1.0)
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
     se = vol * math.sqrt(var / n)
@@ -259,20 +237,6 @@ def _unit_ball_mc(cone: WeightedCone, cfg: QuadratureConfig
             f"monte-carlo estimate did not converge: value {value:.3e}, "
             f"standard error {se:.3e} exceeds 10% of the value")
     return value, se
-
-
-def unit_ball_measure(cone: WeightedCone, config: QuadratureConfig | None = None
-                      ) -> tuple[float, float]:
-    """Weighted measure of B_1 cap S with an error estimate.
-
-    Product rule returns a bound on the closed form's rounding error;
-    monte-carlo returns one standard error, and raises NumericalError when
-    that exceeds 10% of the value.
-    """
-    cfg = config or QuadratureConfig()
-    if cfg.mode == "product-rule":
-        return _gamma_product(cone)
-    return _unit_ball_mc(cone, cfg)
 
 
 def ball_measure(cone: WeightedCone, r: float) -> float:

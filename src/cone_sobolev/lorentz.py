@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import WeightedCone, ball_measure
+from .cones import WeightedCone
 from .errors import (DomainError, DivergentIntegralError,
                      InternalConsistencyError, ValidationError)
 from .profiles import GradientDensity, RadialProfile
@@ -288,28 +288,12 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
 
 # -- restricted norms and sequence norms --------------------------------------
 
-def restricted_norm(f, params: LorentzParams, t_cut: float | None = None,
-                    radius: float | None = None) -> float:
+def restricted_norm(f, params: LorentzParams, t_cut: float) -> float:
     """Lorentz norm of f restricted to (0, t_cut) in measure coordinates.
 
-    ``radius`` restricts to the ball B_R instead, using t_cut = mu(B_R);
-    exactly one of the two must be given.  Restriction of a nonincreasing
-    f is again nonincreasing, so the rearranged route applies directly.
+    Restriction of a nonincreasing f is again nonincreasing, so the
+    rearranged route applies directly.
     """
-    if (t_cut is None) == (radius is None):
-        raise ValidationError("give exactly one of t_cut or radius")
-    if radius is not None:
-        if isinstance(f, RadialProfile):
-            cone = f.cone
-        elif isinstance(f, GradientDensity):
-            cone = f.profile.cone
-        else:
-            cone = params.cone
-        if cone is None:
-            raise ValidationError(
-                "radius restriction needs a cone (bind params or pass a "
-                "profile)")
-        t_cut = ball_measure(cone, radius)
     if t_cut < 0:
         raise DomainError("measure cutoff must be nonnegative")
     if t_cut == 0.0:

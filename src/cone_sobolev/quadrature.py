@@ -125,6 +125,11 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     """Integrate f over [a, b] to the relative tolerance _REL_TOL.
 
     f must accept a 1-d numpy array and return values of the same shape.
+    Precondition: f is smooth on the open interval (a, b), which the
+    t-route's integrands are once ``substitute_origin`` has been applied.
+    An interior kink can make a panel's |K31 - G15| vanish and a wrong
+    value pass as converged; the strict xfail
+    ``test_kinks_meet_the_tolerance`` pins this with |sin t| on [0, 300].
     Panels are ruled by the nested G15/K31 pair; f is called once on 31
     nodes for [a, b] and once on 62 nodes per split, at most
     _MAX_PANELS + 1 times in all.

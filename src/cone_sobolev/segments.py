@@ -532,7 +532,8 @@ def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
     """math.fsum of the values of each of ``size`` groups; ``group`` is
     nondecreasing.  A group of one keeps its value, an empty one is 0."""
     members = np.bincount(group, minlength=size)
-    out = np.bincount(group, values, size)
+    # bincount of no values is int64; the cast copies nothing otherwise
+    out = np.bincount(group, values, size).astype(float, copy=False)
     multi = (members > 1).nonzero()[0]
     if multi.size:
         ends = np.add.accumulate(members)[multi].tolist()

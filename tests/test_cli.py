@@ -281,9 +281,14 @@ def test_configuration_errors_exit_2(capsys, argv):
     ("polya-szego", {"grid": "x"}),
     ("constant", {"p": "two"}),
     ("bernstein", {"eps1": [0.05]}),
+    ("polya-szego", {"box": [[0]]}),
+    ("polya-szego", {"box": [5, 6]}),
+    ("norm", {"profile": 5}),
+    ("constant", {"out": 5}),              # refused before the report
 ])
 def test_malformed_config_values_exit_2(capsys, tmp_path, command, data):
-    """A config value that does not cast is a configuration error."""
+    """A config value of the wrong type or shape is a configuration
+    error."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, report, err = run_json(capsys, [command, "--config", str(path)])

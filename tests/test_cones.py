@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone_sobolev import (BUILTIN_CONE_NAMES, DomainError,
-                          QuadratureConfig,
                           ValidationError, WeightedCone, ball_measure,
                           builtin_cone, concavity_probe,
                           unit_ball_measure, weight_eval)
@@ -114,16 +113,14 @@ def test_library_imports_without_scipy():
 @pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
 def test_monte_carlo_within_three_standard_errors(name):
     cone = builtin_cone(name)
-    cfg = QuadratureConfig(mode="monte-carlo", samples=200_000, seed=7)
-    value, err = unit_ball_measure(cone, cfg)
+    value, err = unit_ball_measure(cone, 200_000, 7)
     deviation = abs(value - ORACLES[name])
     assert deviation <= 3.0 * err or deviation == 0.0
 
 
 def test_monte_carlo_partitioning_is_reproducible(halfplane):
-    cfg = QuadratureConfig(mode="monte-carlo", samples=50_000, seed=11)
-    assert unit_ball_measure(halfplane, cfg) == unit_ball_measure(
-        halfplane, cfg)
+    assert unit_ball_measure(halfplane, 50_000, 11) == unit_ball_measure(
+        halfplane, 50_000, 11)
 
 
 def test_effective_dimension_bookkeeping(halfplane, quadrant, disc):
@@ -209,14 +206,10 @@ def test_unweighted_cone_requires_extension_flag():
     assert WeightedCone.create(2, [], extension_unweighted=True).alpha == 0.0
 
 
-@pytest.mark.parametrize("cfg", [
-    dict(mode="trapezoid"),
-    dict(mode="monte-carlo", samples=-1),
-    dict(samples=0),
-])
-def test_quadrature_config_validation(cfg):
+@pytest.mark.parametrize("samples", [-1, 0])
+def test_monte_carlo_sample_count_validation(halfplane, samples):
     with pytest.raises(ValidationError):
-        QuadratureConfig(**cfg)
+        unit_ball_measure(halfplane, samples, 0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -225,6 +218,5 @@ def test_quadrature_config_validation(cfg):
 def test_random_weighted_halfspace_routes_agree(power, seed):
     """Product rule and Monte Carlo agree on arbitrary single-axis powers."""
     cone = WeightedCone.create(2, [(0, power)])
-    cfg = QuadratureConfig(mode="monte-carlo", samples=40_000, seed=seed)
-    mc, err = unit_ball_measure(cone, cfg)
+    mc, err = unit_ball_measure(cone, 40_000, seed)
     assert abs(mc - cone.c_d) <= 4.0 * err

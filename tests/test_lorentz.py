@@ -394,31 +394,11 @@ def test_restricted_norm_nested_and_saturating(halfplane):
     assert cuts[-2] == pytest.approx(full, rel=1e-12)
 
 
-def test_restricted_norm_radius_form(halfplane):
-    prof = from_knots(halfplane, [(1.0, 1.0), (2.0, 0.0)])
-    params = LorentzParams(2.0, 1.0)
-    radius = 1.1
-    t_cut = halfplane.c_d * radius ** halfplane.big_d
-    assert restricted_norm(prof, params, radius=radius) == pytest.approx(
-        restricted_norm(prof, params, t_cut=t_cut), rel=1e-13)
-    # unbound params need the profile's cone; plain steps need bound params
-    step = StepFunction1D((1.0,), (1.0,))
-    bound = LorentzParams(2.0, 1.0, halfplane)
-    assert restricted_norm(step, bound, radius=radius) == pytest.approx(
-        restricted_norm(step, bound, t_cut=t_cut), rel=1e-13)
-    with pytest.raises(ValidationError):
-        restricted_norm(step, params, radius=radius)
-
-
 def test_restricted_norm_validation(halfplane):
     prof = from_knots(halfplane, [(1.0, 1.0), (2.0, 0.0)])
     params = LorentzParams(2.0, 1.0)
-    with pytest.raises(ValidationError):
-        restricted_norm(prof, params)
-    with pytest.raises(ValidationError):
-        restricted_norm(prof, params, t_cut=1.0, radius=1.0)
     with pytest.raises(DomainError):
-        restricted_norm(prof, params, radius=-1.0)
+        restricted_norm(prof, params, t_cut=-1.0)
     assert restricted_norm(prof, params, t_cut=0.0) == 0.0
 
 
@@ -436,10 +416,6 @@ def test_restricted_norm_of_gradient_density(halfplane):
     assert 0 < head < full
     assert restricted_norm(psi, params, t_cut=1.0) == pytest.approx(
         full, rel=1e-12)
-    # the radius form takes the cone from the density's profile
-    r = halfplane.radius_of_measure(0.5)
-    assert restricted_norm(psi, params, radius=r) == pytest.approx(
-        head, rel=1e-12)
 
 
 def test_rearranged_route_rejects_non_rearrangements(halfplane):

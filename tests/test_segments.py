@@ -22,10 +22,11 @@ from cone_sobolev import (DivergentIntegralError, LorentzParams,
                           builtin_cone, lorentz_norm_distributional,
                           lorentz_norm_rearranged, quotient)
 from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
-from cone_sobolev.segments import (Law, LevelSet, Piece, clip_pieces,
-                                   level_set_qth_powers, level_set_strata,
-                                   moment_integral, pieces_value,
-                                   power_primitive, power_primitives)
+from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
+                                   clip_pieces, level_set_qth_powers,
+                                   level_set_strata, moment_integral,
+                                   pieces_value, power_primitive,
+                                   power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
 from level_set_reference import (Stratum, abs_pieces, distribution, inverse,
                                  monotone_direction, qth_power, rows_of,
@@ -356,6 +357,18 @@ def test_plateaus_give_the_strata_of_their_pieces():
         assert got.strata == want.strata
     with pytest.raises(ValidationError):
         LevelSet.from_plateaus(np.zeros(2), np.ones(2), np.array([1.0, -1.0]))
+
+
+def test_group_fsums_of_no_values_are_float_zeros():
+    # bincount of no values is int64, on which a float add in place fails
+    out = _group_fsums(np.empty(0), np.empty(0, dtype=np.intp), 3)
+    assert out.dtype == np.float64
+    out += 0.5
+    assert out.tolist() == [0.5, 0.5, 0.5]
+    # a plateau level set has no straddling pair, so it sums no values
+    level = LevelSet.from_plateaus(np.zeros(2), np.ones(2),
+                                   np.array([1.0, 2.0]))
+    assert level.table.rows.coef.dtype == np.float64
 
 
 def test_level_set_rejects_negative_functions():
