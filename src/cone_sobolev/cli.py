@@ -234,15 +234,20 @@ def _path(config: dict, key: str) -> str | None:
     return value
 
 
-def _number(config: dict, key: str, kind: type) -> Any:
-    """config[key] cast to int or float; a value that does not cast is a
-    configuration error, not a crash."""
+def _number(config: dict, key: str, kind: type,
+            least: float | None = None) -> Any:
+    """config[key] cast to int or float, at least ``least`` if given; any
+    other value is a configuration error, not a crash."""
     try:
-        return kind(config[key])
+        value = kind(config[key])
     except (TypeError, ValueError) as exc:
         what = "an integer" if kind is int else "a number"
         raise ValidationError(
             f"option {key!r} must be {what}, got {config[key]!r}") from exc
+    if least is not None and value < least:
+        raise ValidationError(f"option {key!r} must be at least {least}, "
+                              f"got {value!r}")
+    return value
 
 
 def _params(config: dict, cone: WeightedCone | None = None) -> LorentzParams:
@@ -336,7 +341,7 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
     grid = _number(config, "grid", int)
     field = bump_superposition_field(cone, box, (grid,) * cone.d,
                                      _number(config, "bumps", int),
-                                     _number(config, "seed", int))
+                                     _number(config, "seed", int, 0))
     lhs, rhs, ok = polya_szego_check(field, params)
     h = field.max_cell_diameter
     outputs = {
@@ -388,17 +393,15 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     frac = _number(config, "lambda_frac", float)
     if not 0.0 < frac < 1.0:
         raise ValidationError("lambda_frac must lie strictly in (0, 1)")
-    trials = _number(config, "alpha_trials", int)
-    directions = _number(config, "directions", int)
-    if trials < 1 or directions < 1:
-        raise ValidationError("alpha_trials and directions must be at least 1")
+    trials = _number(config, "alpha_trials", int, 1)
+    directions = _number(config, "directions", int, 1)
+    seed = _number(config, "seed", int, 0)     # numpy takes seeds >= 0
     lam = frac * embedding_norm(cone, params)
     system = construct_system(cone, params, _number(config, "m", int), lam,
                               _number(config, "eps1", float),
                               _number(config, "eps2", float))
     verification = verify_system(system)
-    sweep = certify_span(system, trials, directions,
-                         _number(config, "seed", int))
+    sweep = certify_span(system, trials, directions, seed)
     bound = sweep.bound
     outputs = {
         "lambda": lam,

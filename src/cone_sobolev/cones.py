@@ -76,6 +76,7 @@ class WeightedCone:
                exponents: Sequence[tuple[int, float]] = (),
                extension_unweighted: bool = False) -> "WeightedCone":
         _validate_cone_spec(d, exponents, extension_unweighted)
+        d = int(d)      # an integral float d passes validation
         exps = tuple((int(a), float(p)) for a, p in exponents)
         alpha = float(sum(p for _, p in exps))
         return WeightedCone(d, exps, alpha, d + alpha,

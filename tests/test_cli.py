@@ -268,6 +268,9 @@ def test_report_does_not_depend_on_thread_env(capsys, monkeypatch):
     ["polya-szego", "--box", "1:0,0:1", "--grid", "8"],  # reversed box
     ["polya-szego", "--box", "0:nan,0:1"],   # non-finite box
     ["selftest", "--criteria", ","],         # no criterion
+    ["polya-szego", "--seed", "-1", "--grid", "8"],
+    ["bernstein", "--seed", "-1", "--m", "2", "--alpha-trials", "3",
+     "--directions", "3"],                   # numpy takes seeds >= 0
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, report, err = run_json(capsys, argv)

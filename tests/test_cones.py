@@ -200,6 +200,12 @@ def test_invalid_cone_specs_are_rejected(spec):
         WeightedCone.create(**spec)
 
 
+def test_integral_float_dimension_is_an_int():
+    cone = WeightedCone.create(2.0, [(0, 1.0)])
+    assert cone == WeightedCone.create(2, [(0, 1.0)])
+    assert type(cone.d) is int
+
+
 def test_unweighted_cone_requires_extension_flag():
     with pytest.raises(ValidationError):
         WeightedCone.create(2, [])

@@ -400,3 +400,19 @@ def test_polya_szego_avoids_per_cell_objects(halfplane, monkeypatch):
         halfplane, [(0.0, 3.0), (-1.5, 1.5)], (256, 256), 3, seed=0)
     lhs, rhs, ok = polya_szego_check(field, LorentzParams(2.0, 1.0))
     assert ok and 0.0 < lhs <= rhs
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.5, 1.2)])
+def test_polya_szego_never_reaches_the_adaptive_rule(halfplane, monkeypatch,
+                                                     p, q):
+    # the adaptive rule is quadratic at its split budget; grid checks
+    # must stay on exact moments and the lambda route's own rule
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive quadrature used")
+
+    monkeypatch.setattr(segments, "integrate_adaptive", forbidden)
+    monkeypatch.setattr(lorentz, "integrate_adaptive", forbidden)
+    field = bump_superposition_field(
+        halfplane, [(0.0, 3.0), (-1.5, 1.5)], (64, 64), 3, seed=0)
+    lhs, rhs, ok = polya_szego_check(field, LorentzParams(p, q))
+    assert ok and 0.0 < lhs <= rhs
