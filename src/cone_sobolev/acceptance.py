@@ -22,7 +22,7 @@ from .bernstein import (absolute_continuity_witness, bernstein_lower_bound,
                         certify_span, construct_system, verify_system)
 from .cones import (WeightedCone, ball_measure, builtin_cone,
                     unit_ball_measure)
-from .errors import InternalConsistencyError
+from .errors import ValidationError
 from .lorentz import (_HARDY_SLACK, LorentzParams, hardy_check,
                       lorentz_norm_distributional, lorentz_norm_rearranged)
 from .profiles import alvino_profile, from_knots, scale
@@ -385,15 +385,14 @@ CRITERIA = {
 
 
 def run_criteria(numbers=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), in order."""
+    """Run the selected criteria (all by default), in order.  Raises
+    ValidationError, before any criterion runs, if a number names none."""
     if numbers is None:
         numbers = sorted(CRITERIA)
-    results = []
-    for n in numbers:
-        if n not in CRITERIA:
-            raise InternalConsistencyError(f"unknown criterion {n}")
-        results.append(CRITERIA[n]())
-    return results
+    if not all(n in CRITERIA for n in numbers):
+        raise ValidationError(
+            f"criteria must be among {sorted(CRITERIA)}: {list(numbers)}")
+    return [CRITERIA[n]() for n in numbers]
 
 
 def result_line(result: CriterionResult) -> str:

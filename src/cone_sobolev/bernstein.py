@@ -377,7 +377,6 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
     """
     q = bound.q
     gamma = q / bound.p_star
-    delta = profile.t_max
     total = 0.0
     for piece in profile.pieces:
         lo = max(piece.t0 - tau, tau)
@@ -385,7 +384,7 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
         if lo >= hi:
             continue
         shifted = piece.law.with_argument_shifted(tau)
-        total += moment_integral(lo, min(hi, delta), shifted, gamma, q)
+        total += moment_integral(lo, hi, shifted, gamma, q)
     return total
 
 
@@ -426,9 +425,9 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     Both cutoff conditions are conditions on tau/delta_j, since every
     shell is shell 1 dilated in measure.  So the window cutoff is bisected
     once, on shell 1, and the tail cutoff once per distinct gamma_j (once
-    at q = 1), then dilated; every shell checks both conditions at its own
-    cutoff.  Raises ResourceError once a shell's delta or cutoff measure
-    is below the normal double range.
+    at q = 1), then dilated; ``verify_system`` checks both conditions at
+    every shell's own cutoff.  Raises ResourceError once a shell's delta
+    or cutoff measure is below the normal double range.
     """
     if int(m) != m or m < 1:
         raise ValidationError("shell count m must be a positive integer")
@@ -474,9 +473,6 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
         tau, at = window_cut
         tau_window = tau * (delta / at)
         tau_feasible = 0.5 * min(tau_tail, tau_window, 0.75 * head)
-        if not (tail_ok(tau_feasible) and window_ok(tau_feasible)):
-            raise InternalConsistencyError(
-                f"shell {j}: cutoff bisection produced an infeasible radius")
         cutoff_measure = min(0.5 * tau_feasible,
                              delta / (2.0 * j))
         _check_representable(j, "cutoff measure", cutoff_measure)

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,37 +41,93 @@ EXIT_NUMERICAL = 3
 
 _ROUTE_RTOL = 1e-10
 
-# every option that may come from a config file: its default (None marks
-# an option with no usable default, which a command needing it must be
-# given) and the argparse keywords of its flag --<option with "-" for "_">
-_OPTIONS: dict[str, tuple[Any, dict[str, Any]]] = {
-    "cone": ("halfplane-x1",
-             dict(type=str,
-                  help="builtin cone name or path to a cone JSON file")),
-    "p": (1.0, dict(type=float)),
-    "q": (1.0, dict(type=float)),
-    "seed": (0, dict(type=int)),
-    "out": (None, dict(type=str,
-                       help="also write the JSON report to this path")),
-    "profile": (None, dict(type=str, help="path to a profile JSON file")),
-    "grid": (64, dict(type=int, help="cells per axis")),
-    "bumps": (3, dict(type=int, help="number of random bumps")),
-    "box": (None, dict(type=str, help="sampling box as lo:hi,lo:hi,... "
-                                      "(default derived from the cone)")),
-    "ratios": ("1e2,1e4,1e8,1e40",
-               dict(type=str, help="comma separated head-to-support ratios")),
-    "m": (6, dict(type=int, help="number of shells")),
-    "lambda_frac": (0.9, dict(type=float,
-                              help="target norm as a fraction of the "
-                                   "embedding norm, in (0, 1)")),
-    "eps1": (0.05, dict(type=float)),
-    "eps2": (0.05, dict(type=float)),
-    "alpha_trials": (1000, dict(type=int, help="random coefficient vectors "
-                                               "per certificate")),
-    "directions": (5000, dict(type=int,
-                              help="directions for the empirical minimum")),
-    "criteria": (None, dict(type=str, help="comma separated criterion "
-                                           "numbers (default: all)")),
+Converter = Callable[[Any, str], Any]
+
+
+def _number(kind: type, least: float | None = None) -> Converter:
+    """Converter of a flag's string or a JSON number (never a bool) to int
+    or float, at least ``least`` if given.  An integer option takes only
+    integral values: 8.0 is 8, 8.7 is refused."""
+    def convert(value: Any, key: str) -> Any:
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a bool is not a number")
+            number = float(value)
+            if kind is int:
+                if not number.is_integer():
+                    raise ValueError("not integral")
+                number = value if isinstance(value, int) else int(number)
+        except (TypeError, ValueError, OverflowError) as exc:
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(
+                f"option {key!r} must be {what}, got {value!r}") from exc
+        if least is not None and number < least:
+            raise ValidationError(f"option {key!r} must be at least {least}, "
+                                  f"got {number!r}")
+        return number
+    return convert
+
+
+def _path(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"option {key!r} must be a path, got {value!r}")
+    return value
+
+
+def _list_of(kind: type) -> Converter:
+    """Converter of a comma string or an array to a list of numbers."""
+    number = _number(kind)
+
+    def convert(value: Any, key: str) -> list:
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        elif not isinstance(value, Sequence):
+            raise ValidationError(
+                f"option {key!r} must be a comma list or an array")
+        return [number(part, key) for part in value]
+    return convert
+
+
+def _box(value: Any, key: str) -> list[list[float]]:
+    pairs = ([part.partition(":")[::2] for part in value.split(",")]
+             if isinstance(value, str) else value)
+    try:
+        return [[float(lo), float(hi)] for lo, hi in pairs]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"option {key!r} must be lo:hi,lo:hi,... or an array of "
+            f"[lo, hi] pairs, got {value!r} ({exc})") from exc
+
+
+# every option that may come from a config file or a flag --<option with
+# "-" for "_">: its default (None marks an option with no usable default,
+# which a command needing it must be given), the converter of every value
+# it takes (the default too; the commands resolve the cone) and its help
+_OPTIONS: dict[str, tuple[Any, Converter | None, str | None]] = {
+    "cone": ("halfplane-x1", None,
+             "builtin cone name or path to a cone JSON file"),
+    "p": (1.0, _number(float), None),
+    "q": (1.0, _number(float), None),
+    "seed": (0, _number(int, 0), None),     # numpy takes seeds >= 0
+    "out": (None, _path, "also write the JSON report to this path"),
+    "profile": (None, _path, "path to a profile JSON file"),
+    "grid": (64, _number(int), "cells per axis"),
+    "bumps": (3, _number(int), "number of random bumps"),
+    "box": (None, _box, "sampling box as lo:hi,lo:hi,... "
+                        "(default derived from the cone)"),
+    "ratios": ("1e2,1e4,1e8,1e40", _list_of(float),
+               "comma separated head-to-support ratios"),
+    "m": (6, _number(int), "number of shells"),
+    "lambda_frac": (0.9, _number(float), "target norm as a fraction of the "
+                                         "embedding norm, in (0, 1)"),
+    "eps1": (0.05, _number(float), None),
+    "eps2": (0.05, _number(float), None),
+    "alpha_trials": (1000, _number(int, 1),
+                     "random coefficient vectors per certificate"),
+    "directions": (5000, _number(int, 1),
+                   "directions for the empirical minimum"),
+    "criteria": (None, _list_of(int),
+                 "comma separated criterion numbers (default: all)"),
 }
 
 
@@ -113,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "override")
         for key in options:
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                             default=None, **_OPTIONS[key][1])
+                             default=None, help=_OPTIONS[key][2])
     return parser
 
 
@@ -130,7 +186,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags,
+    each value converted by its option's converter (None passes where the
+    default is None)."""
     allowed = _COMMAND_OPTIONS[args.command]
     config = dict(allowed)
     if args.config is not None:
@@ -147,6 +205,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    for key, value in config.items():
+        default, convert, _ = _OPTIONS[key]
+        if convert is not None and not (value is None and default is None):
+            config[key] = convert(value, key)
     return config
 
 
@@ -194,67 +256,6 @@ def _load_profile(path: str | None,
     raise ValidationError("profile file needs a 'knots' or 'segments' entry")
 
 
-def _parse_floats(value: Any, what: str) -> list[float]:
-    if isinstance(value, str):
-        parts = [s for s in value.split(",") if s.strip()]
-    elif isinstance(value, Sequence):
-        parts = list(value)
-    else:
-        raise ValidationError(f"{what} must be a comma list or an array")
-    try:
-        return [float(s) for s in parts]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {what}: {exc}") from exc
-
-
-def _parse_box(value: Any, cone: WeightedCone) -> list[tuple[float, float]]:
-    if value is None:
-        constrained = set(cone.constrained_axes)
-        return [(0.0, 3.0) if axis in constrained else (-1.5, 1.5)
-                for axis in range(cone.d)]
-    pairs = ([part.partition(":")[::2] for part in value.split(",")]
-             if isinstance(value, str) else value)
-    try:
-        box = [(float(lo), float(hi)) for lo, hi in pairs]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"option 'box' must be lo:hi,lo:hi,... or an array of "
-            f"[lo, hi] pairs, got {value!r} ({exc})") from exc
-    if len(box) != cone.d:
-        raise ValidationError(
-            f"box has {len(box)} axes but the cone has {cone.d}")
-    return box
-
-
-def _path(config: dict, key: str) -> str | None:
-    """config[key], which must be a path string or None."""
-    value = config[key]
-    if value is not None and not isinstance(value, str):
-        raise ValidationError(f"option {key!r} must be a path, got {value!r}")
-    return value
-
-
-def _number(config: dict, key: str, kind: type,
-            least: float | None = None) -> Any:
-    """config[key] cast to int or float, at least ``least`` if given; any
-    other value is a configuration error, not a crash."""
-    try:
-        value = kind(config[key])
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(
-            f"option {key!r} must be {what}, got {config[key]!r}") from exc
-    if least is not None and value < least:
-        raise ValidationError(f"option {key!r} must be at least {least}, "
-                              f"got {value!r}")
-    return value
-
-
-def _params(config: dict, cone: WeightedCone | None = None) -> LorentzParams:
-    return LorentzParams(_number(config, "p", float),
-                         _number(config, "q", float), cone)
-
-
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -277,7 +278,7 @@ def _cmd_constant(config: dict) -> tuple[dict, dict, dict]:
     """Sharp embedding constant for a cone and exponents."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = _params(config, cone)
+    params = LorentzParams(config["p"], config["q"], cone)
     value = embedding_norm(cone, params)
     outputs = {
         "embedding_norm": value,
@@ -293,9 +294,9 @@ def _cmd_norm(config: dict) -> tuple[dict, dict, dict]:
     """Lorentz norm of a profile by both routes."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
-    profile = _load_profile(_path(config, "profile"), fallback)
+    profile = _load_profile(config["profile"], fallback)
     config["cone"] = profile.cone.to_json_dict()
-    params = _params(config)
+    params = LorentzParams(config["p"], config["q"])
     rearranged = lorentz_norm_rearranged(profile, params)
     distributional = lorentz_norm_distributional(profile, params)
     scale = max(rearranged, distributional, 1.0)
@@ -314,9 +315,9 @@ def _cmd_quotient(config: dict) -> tuple[dict, dict, dict]:
     """Sobolev quotient report for a profile."""
     fallback = (_resolve_cone(config["cone"])
                 if config["cone"] is not None else None)
-    profile = _load_profile(_path(config, "profile"), fallback)
+    profile = _load_profile(config["profile"], fallback)
     config["cone"] = profile.cone.to_json_dict()
-    params = _params(config, profile.cone)
+    params = LorentzParams(config["p"], config["q"], profile.cone)
     report = quotient(profile, params)
     outputs = {
         "numerator": report.numerator,
@@ -335,20 +336,24 @@ def _cmd_polya_szego(config: dict) -> tuple[dict, dict, dict]:
     """Rearrangement gradient-contraction check on a sampled bump field."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = _params(config, cone)
-    box = _parse_box(config["box"], cone)
-    config["box"] = [list(pair) for pair in box]
-    grid = _number(config, "grid", int)
-    field = bump_superposition_field(cone, box, (grid,) * cone.d,
-                                     _number(config, "bumps", int),
-                                     _number(config, "seed", int, 0))
+    params = LorentzParams(config["p"], config["q"], cone)
+    box = config["box"]
+    if box is None:
+        constrained = set(cone.constrained_axes)
+        box = config["box"] = [[0.0, 3.0] if axis in constrained
+                               else [-1.5, 1.5] for axis in range(cone.d)]
+    if len(box) != cone.d:
+        raise ValidationError(
+            f"box has {len(box)} axes but the cone has {cone.d}")
+    field = bump_superposition_field(cone, box, (config["grid"],) * cone.d,
+                                     config["bumps"], config["seed"])
     lhs, rhs, ok = polya_szego_check(field, params)
     h = field.max_cell_diameter
     outputs = {
         "lhs_profile_gradient_norm": lhs,
         "rhs_rearranged_gradient_norm": rhs,
         "grid_h": h,
-        "box": [list(pair) for pair in box],
+        "box": box,
     }
     tolerances = {"grid_rel": _PS_TOL_FACTOR * h}
     verdicts = {"rearrangement_contracts_gradient": ok}
@@ -359,9 +364,8 @@ def _cmd_alvino(config: dict) -> tuple[dict, dict, dict]:
     """Maximizing-family quotient sweep."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = _params(config, cone)
-    ratios = _parse_floats(config["ratios"], "ratios")
-    config["ratios"] = ratios
+    params = LorentzParams(config["p"], config["q"], cone)
+    ratios = config["ratios"]
     reports = alvino_search(cone, params, ratios)
     norm_value = embedding_norm(cone, params)
     outputs = {
@@ -389,19 +393,15 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
     """Almost-extremal shell system with certificates and the lower bound."""
     cone = _resolve_cone(config["cone"])
     config["cone"] = cone.to_json_dict()
-    params = _params(config, cone)
-    frac = _number(config, "lambda_frac", float)
-    if not 0.0 < frac < 1.0:
+    params = LorentzParams(config["p"], config["q"], cone)
+    if not 0.0 < config["lambda_frac"] < 1.0:
         raise ValidationError("lambda_frac must lie strictly in (0, 1)")
-    trials = _number(config, "alpha_trials", int, 1)
-    directions = _number(config, "directions", int, 1)
-    seed = _number(config, "seed", int, 0)     # numpy takes seeds >= 0
-    lam = frac * embedding_norm(cone, params)
-    system = construct_system(cone, params, _number(config, "m", int), lam,
-                              _number(config, "eps1", float),
-                              _number(config, "eps2", float))
+    lam = config["lambda_frac"] * embedding_norm(cone, params)
+    system = construct_system(cone, params, config["m"], lam,
+                              config["eps1"], config["eps2"])
     verification = verify_system(system)
-    sweep = certify_span(system, trials, directions, seed)
+    sweep = certify_span(system, config["alpha_trials"],
+                         config["directions"], config["seed"])
     bound = sweep.bound
     outputs = {
         "lambda": lam,
@@ -411,7 +411,7 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
         "gradient_upper_failures": sweep.grad_failures,
         "superadditivity_margin": sweep.super_margin,
         "gradient_upper_margin": sweep.grad_margin,
-        "alpha_trials": trials,
+        "alpha_trials": config["alpha_trials"],
         "shells": [{"index": s.index,
                     "outer_radius": s.outer_radius,
                     "inner_radius": s.inner_radius,
@@ -433,16 +433,9 @@ def _cmd_bernstein(config: dict) -> tuple[dict, dict, dict]:
 
 def _cmd_selftest(config: dict) -> tuple[dict, dict, dict]:
     """Run the acceptance criteria."""
-    numbers = None
-    if config["criteria"] is not None:
-        numbers = _parse_floats(config["criteria"], "criteria")
-        if not numbers:
-            raise ValidationError("at least one criterion is required")
-        if not all(v in acceptance.CRITERIA for v in numbers):  # 2.0 matches 2
-            raise ValidationError(f"criteria must be among "
-                                  f"{sorted(acceptance.CRITERIA)}: {numbers}")
-        numbers = config["criteria"] = [int(v) for v in numbers]
-    results = acceptance.run_criteria(numbers)
+    if config["criteria"] == []:
+        raise ValidationError("at least one criterion is required")
+    results = acceptance.run_criteria(config["criteria"])
     for result in results:
         print(acceptance.result_line(result), file=sys.stderr)
     outputs = {
@@ -471,7 +464,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _effective_config(args)
-        out = _path(config, "out")
         outputs, tolerances, verdicts = _COMMANDS[args.command](config)
     except (ValidationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -493,9 +485,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
-    if out:
+    if config["out"]:
         try:
-            Path(out).write_text(text)
+            Path(config["out"]).write_text(text)
         except OSError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

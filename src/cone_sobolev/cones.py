@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import (DomainError, NumericalError, ResourceError,
+                     ValidationError)
 
 __all__ = [
     "WeightedCone",
@@ -79,8 +81,13 @@ class WeightedCone:
         d = int(d)      # an integral float d passes validation
         exps = tuple((int(a), float(p)) for a, p in exponents)
         alpha = float(sum(p for _, p in exps))
-        return WeightedCone(d, exps, alpha, d + alpha,
-                            *_gamma_product(d, exps), extension_unweighted)
+        c_d, c_d_error = _gamma_product(d, exps)
+        if not c_d >= sys.float_info.min:
+            raise ResourceError(
+                f"the unit-ball measure c_d = {c_d!r} of this cone is below "
+                f"the smallest normal double")
+        return WeightedCone(d, exps, alpha, d + alpha, c_d, c_d_error,
+                            extension_unweighted)
 
     # -- basic queries ------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cone_sobolev import ValidationError
 from cone_sobolev.acceptance import CRITERIA, result_line, run_criteria
 
 
@@ -21,3 +22,11 @@ def test_run_criteria_subset_order():
     results = run_criteria([2, 1])
     assert [r.number for r in results] == [2, 1]
     assert all(r.passed for r in results)
+
+
+def test_unknown_criterion_is_refused_before_any_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(CRITERIA, 1, lambda: ran.append(1))
+    with pytest.raises(ValidationError, match="criteria must be among"):
+        run_criteria([1, 99])
+    assert ran == []

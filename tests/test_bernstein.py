@@ -181,8 +181,8 @@ def test_head_ratio_needs_few_quotients(halfplane, monkeypatch, p, q, frac):
 
 def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
                                                        monkeypatch):
-    # beyond the first, a shell costs one feasibility check at its cutoff
-    # in construct_system and one in verify_system: no bisection
+    # beyond the first, a shell costs one check of each cutoff condition
+    # at its cutoff, in verify_system: no bisection
     lam = 0.5 * embedding_norm(halfplane, PARAMS)
     calls = {"_window_energy": 0, "restricted_norm": 0}
     for name in calls:
@@ -199,7 +199,7 @@ def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
         construct_system(halfplane, PARAMS, m, lam, 0.05, 0.05)
         counts.append(dict(calls))
     for name in calls:
-        assert counts[1][name] - counts[0][name] <= 2 * 5
+        assert counts[1][name] - counts[0][name] <= 5
 
 
 def _per_shell_cutoffs(system):
@@ -291,6 +291,16 @@ def test_verify_system_detects_tampering(system):
         + system.shells[1:])
     with pytest.raises(InternalConsistencyError):
         verify_system(starved)
+
+
+def test_infeasible_cutoff_search_is_caught(halfplane, monkeypatch):
+    # a bisection that returns its upper end gives cutoffs where neither
+    # condition holds; verify_system refuses the system
+    monkeypatch.setattr(bernstein, "_bisect_threshold",
+                        lambda predicate, lo, hi: hi)
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    with pytest.raises(InternalConsistencyError):
+        construct_system(halfplane, PARAMS, 2, lam, 0.05, 0.05)
 
 
 def test_verify_system_runs_once_per_object(halfplane, monkeypatch):

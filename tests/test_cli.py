@@ -2,6 +2,8 @@
 
 import datetime
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +203,49 @@ def test_config_file_and_flags_agree(capsys, tmp_path):
     assert strip_timestamp(text_a) == strip_timestamp(text_b)
 
 
+# every option of each command, with integral floats as JSON integers
+ALL_OPTIONS = {
+    "constant": {"cone": "quadrant-x1x2", "p": 1.5, "q": 1},
+    "norm": {"cone": "halfplane-x1", "p": 2, "q": 1, "profile": "tent.json"},
+    "quotient": {"cone": "halfplane-x1", "p": 1, "q": 1,
+                 "profile": "tent.json"},
+    "polya-szego": {"cone": "halfplane-x1", "p": 2, "q": 1, "seed": 1,
+                    "grid": 8, "bumps": 2, "box": [[0, 3], [-2, 2]]},
+    "alvino": {"cone": "halfplane-x1", "p": 1.5, "q": 1,
+               "ratios": [100, 10000]},
+    "bernstein": {"cone": "halfplane-x1", "p": 2, "q": 1, "seed": 1, "m": 2,
+                  "lambda_frac": 0.5, "eps1": 0.05, "eps2": 0.05,
+                  "alpha_trials": 3, "directions": 3},
+    "selftest": {"criteria": [2]},
+}
+
+
+def _flag_value(value):
+    if isinstance(value, list):
+        return ",".join(":".join(map(str, v)) if isinstance(v, list)
+                        else str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("command", sorted(ALL_OPTIONS))
+def test_config_file_and_flags_give_one_report(capsys, tmp_path,
+                                               monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tent.json").write_text(json.dumps(TENT))
+    options = ALL_OPTIONS[command]
+    assert set(options) | {"out"} == set(cli._COMMAND_OPTIONS[command])
+    (tmp_path / "c.json").write_text(json.dumps({**options, "out": "a"}))
+    assert cli.run([command, "--config", "c.json"]) == 0
+    from_file = capsys.readouterr().out
+    flags = [command, "--out", "b"]
+    for key, value in options.items():
+        flags += ["--" + key.replace("_", "-"), _flag_value(value)]
+    assert cli.run(flags) == 0
+    from_flags = capsys.readouterr().out
+    assert strip_timestamp(from_file) == strip_timestamp(from_flags)
+    assert (tmp_path / "a").read_text() == from_file
+
+
 def test_flags_override_config_file(capsys, tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"p": 1.5}))
@@ -271,6 +316,8 @@ def test_report_does_not_depend_on_thread_env(capsys, monkeypatch):
     ["polya-szego", "--seed", "-1", "--grid", "8"],
     ["bernstein", "--seed", "-1", "--m", "2", "--alpha-trials", "3",
      "--directions", "3"],                   # numpy takes seeds >= 0
+    ["polya-szego", "--grid", "abc"],
+    ["polya-szego", "--grid", "8.7"],        # not an integer
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, report, err = run_json(capsys, argv)
@@ -288,6 +335,10 @@ def test_configuration_errors_exit_2(capsys, argv):
     ("polya-szego", {"box": [5, 6]}),
     ("norm", {"profile": 5}),
     ("constant", {"out": 5}),              # refused before the report
+    ("constant", {"p": True}),
+    ("polya-szego", {"bumps": True}),
+    ("bernstein", {"m": 2.5}),
+    ("polya-szego", {"grid": 8.7}),
 ])
 def test_malformed_config_values_exit_2(capsys, tmp_path, command, data):
     """A config value of the wrong type or shape is a configuration
@@ -349,6 +400,16 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     assert "numerical failure:" in err
 
 
+def test_cone_whose_measure_underflows_exits_3(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"d": 1200, "exponents": [{"axis": 0, "power": 1.0}]}))
+    code, report, err = run_json(capsys, ["constant", "--cone", str(path)])
+    assert code == 3
+    assert report is None
+    assert "numerical failure:" in err and "Traceback" not in err
+
+
 def test_bernstein_beyond_the_double_range_exits_3(capsys):
     # at lambda 0.9 on halfplane-x1 shell 23's cutoff measure is subnormal
     code, report, err = run_json(capsys, ["bernstein", "--m", "23"])
@@ -364,3 +425,23 @@ def test_failed_verdict_exits_1(capsys, monkeypatch):
     assert code == 1
     assert report["passed"] is False
     assert report["verdicts"] == {"always": False}
+
+
+def _readme_commands():
+    """The argument lists of the sh block in README's "Command line"."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines()
+            if line.startswith("cone-sobolev ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tent.json").write_text(json.dumps(TENT))
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_sobolev import (BUILTIN_CONE_NAMES, DomainError,
+from cone_sobolev import (BUILTIN_CONE_NAMES, DomainError, ResourceError,
                           ValidationError, WeightedCone, ball_measure,
                           builtin_cone, concavity_probe,
                           unit_ball_measure, weight_eval)
@@ -82,21 +82,24 @@ def _gamma_product_40(d, exps):
 
 def test_error_bound_covers_the_closed_form_on_random_cones():
     rng = random.Random(20261018)
-    specs = [(2, [(0, 400.0)])]
+    specs = [(2, [(0, 400.0)]), (800, [(0, 1.0)])]   # the second underflows
     for _ in range(1200):
         d = rng.randint(2, 8)
         axes = rng.sample(range(d), rng.randint(0, d))
         specs.append((d, [(a, 10.0 ** rng.uniform(-3.0, 2.0))
                           for a in axes]))
-    checked = 0
+    checked = refused = 0
     for d, exps in specs:
+        exact = _gamma_product_40(d, exps)
+        if exact < sys.float_info.min:
+            with pytest.raises(ResourceError):   # underflowed: refused
+                WeightedCone.create(d, exps, extension_unweighted=not exps)
+            refused += 1
+            continue
         cone = WeightedCone.create(d, exps, extension_unweighted=not exps)
-        if cone.c_d < sys.float_info.min:
-            continue  # underflowed: no relative accuracy to check
         checked += 1
-        assert abs(cone.c_d - _gamma_product_40(d, exps)) <= cone.c_d_error, \
-            (d, exps)
-    assert checked >= 1000
+        assert abs(cone.c_d - exact) <= cone.c_d_error, (d, exps)
+    assert checked >= 1000 and refused >= 1
 
 
 def test_library_imports_without_scipy():
@@ -204,6 +207,14 @@ def test_integral_float_dimension_is_an_int():
     cone = WeightedCone.create(2.0, [(0, 1.0)])
     assert cone == WeightedCone.create(2, [(0, 1.0)])
     assert type(cone.d) is int
+
+
+@pytest.mark.parametrize("d", [436, 1200])
+def test_cone_whose_unit_ball_measure_underflows_is_refused(d):
+    # c_d is 4.6e-307 at d = 432, subnormal at 436 and 0.0 from 452 on
+    assert WeightedCone.create(432, [(0, 1.0)]).c_d > 0.0
+    with pytest.raises(ResourceError, match="smallest normal double"):
+        WeightedCone.create(d, [(0, 1.0)])
 
 
 def test_unweighted_cone_requires_extension_flag():
