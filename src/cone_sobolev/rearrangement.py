@@ -266,11 +266,16 @@ class SampledField:
 
 
 def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:
+    """|grad u| from np.gradient, with the squared components added in
+    axis order in place (the order of a sum over a stacked axis 0)."""
     spacings = [(hi - lo) / n for (lo, hi), n in zip(box, shape)]
     grads = np.gradient(values, *spacings, edge_order=1)
     if isinstance(grads, np.ndarray):
         grads = [grads]
-    return np.sqrt(np.sum([g * g for g in grads], axis=0))
+    out = np.multiply(grads[0], grads[0], out=grads[0])
+    for g in grads[1:]:
+        out += np.multiply(g, g, out=g)
+    return np.sqrt(out, out=out)
 
 
 def _validate_box(cone: WeightedCone, box, shape) -> None:
@@ -291,10 +296,15 @@ def _cell_edges(box, shape) -> list[np.ndarray]:
     return [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, shape)]
 
 
+def _axis_centers(box, shape) -> list[np.ndarray]:
+    """Each axis's cell-center coordinates, the one place they are
+    written: sampled points, CSV x columns and bump fields share them."""
+    return [0.5 * (e[1:] + e[:-1]) for e in _cell_edges(box, shape)]
+
+
 def _cell_centers(box, shape) -> np.ndarray:
     """The (cells, d) array of cell centers, in the order of the cells."""
-    centers = [0.5 * (e[1:] + e[:-1]) for e in _cell_edges(box, shape)]
-    mesh = np.meshgrid(*centers, indexing="ij")
+    mesh = np.meshgrid(*_axis_centers(box, shape), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -327,19 +337,28 @@ def _canonical_step(measures: np.ndarray, values: np.ndarray
                     ) -> StepFunction1D:
     """Sort (measure, value) cells into the canonical nonincreasing step.
 
-    Stable descending sort on value with ties broken by original cell
-    index; cells with a value or measure <= 0 drop (zero values are the
-    implicit tail), and each run of equal values becomes one plateau
+    Cells with a value or measure <= 0 drop first (zero values are the
+    implicit tail).  The rest are sorted by descending value with
+    numpy's default sort, and each run of equal values is then put in
+    cell-index order by one lexsort over the tied cells only, which is
+    exactly the order of a stable sort.  Each run becomes one plateau
     ending at the run's last cumulative measure.  np.cumsum adds in
     order, so every breakpoint is the same float a running sum gives.
     This canonical form makes rearrangement exactly idempotent.
     """
-    order = np.argsort(-values, kind="stable")
-    vals, meas = values[order], measures[order]
-    keep = ~((vals <= 0.0) | (meas <= 0.0))   # NaN stays, and is rejected
-    vals, ends = vals[keep], np.cumsum(meas[keep])
+    keep = ~((values <= 0.0) | (measures <= 0.0))  # NaN stays, is rejected
+    vals, meas = values[keep], measures[keep]
+    order = np.argsort(-vals)
+    vals = vals[order]
+    same = vals[1:] == vals[:-1]
+    tied = np.zeros(vals.size, dtype=bool)
+    tied[:-1] = same
+    tied[1:] |= same
+    cells = order[tied]
+    order[tied] = cells[np.lexsort((cells, -vals[tied]))]
+    ends = np.cumsum(meas[order])
     last = np.ones(vals.size, dtype=bool)
-    last[:-1] = vals[1:] != vals[:-1]
+    last[:-1] = ~same
     return StepFunction1D(ends[last], vals[last])
 
 

@@ -33,7 +33,7 @@ from .errors import DomainError, InternalConsistencyError, ValidationError
 from .lorentz import (LorentzParams, lorentz_norm_distributional,
                       lorentz_norm_rearranged)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .rearrangement import (SampledField, _validate_box,
+from .rearrangement import (SampledField, _axis_centers, _validate_box,
                             radial_rearrangement, rearrangement)
 
 __all__ = [
@@ -158,10 +158,17 @@ def bump_superposition_field(cone: WeightedCone,
     cannot see).  A face lying on a cone wall (lower bound 0 on a
     constrained axis, where the weight vanishes) is left untouched: fields
     on the cone need not vanish there.
+
+    Each bump's squared offsets and each ramp are computed on the per-axis
+    cell centers (``_axis_centers``, the points ``from_function`` samples)
+    and broadcast onto the grid, the squares added in axis order, so every
+    cell gets the float operations of a point-by-point evaluation and only
+    the exp runs once per cell and bump.
     """
     if n_bumps < 1:
         raise ValidationError("at least one bump is required")
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    shape = tuple(int(n) for n in shape)
     _validate_box(cone, box, shape)   # the draws below crash on a bad box
     rng = np.random.default_rng(seed)
     extents = np.array([hi - lo for lo, hi in box])
@@ -170,21 +177,21 @@ def bump_superposition_field(cone: WeightedCone,
     widths = rng.uniform(0.08, 0.25, n_bumps)[:, None] * extents[None, :]
     amps = rng.uniform(0.5, 1.5, n_bumps)
     walls = {a for a in cone.constrained_axes if box[a][0] == 0.0}
+    # each axis's cell centers, shaped to broadcast along that axis
+    axes = [x.reshape([-1 if a == axis else 1 for a in range(len(shape))])
+            for axis, x in enumerate(_axis_centers(box, shape))]
 
     def smooth_ramp(s: np.ndarray) -> np.ndarray:
         s = np.clip(s, 0.0, 1.0)
         return s * s * (3.0 - 2.0 * s)
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros(pts.shape[0])
-        for c, w, a in zip(centers, widths, amps):
-            z = (pts - c[None, :]) / w[None, :]
-            out += a * np.exp(-0.5 * np.sum(z * z, axis=1))
-        for axis, (lo, hi) in enumerate(box):
-            margin = 0.15 * extents[axis]
-            if axis not in walls:
-                out *= smooth_ramp((pts[:, axis] - lo) / margin)
-            out *= smooth_ramp((hi - pts[:, axis]) / margin)
-        return out
-
-    return SampledField.from_function(cone, box, shape, fn)
+    out = np.zeros(shape)
+    for c, w, a in zip(centers, widths, amps):
+        z = [(x - ci) / wi for x, ci, wi in zip(axes, c, w)]
+        out += a * np.exp(-0.5 * sum(zi * zi for zi in z))
+    for axis, ((lo, hi), x) in enumerate(zip(box, axes)):
+        margin = 0.15 * extents[axis]
+        if axis not in walls:
+            out *= smooth_ramp((x - lo) / margin)
+        out *= smooth_ramp((hi - x) / margin)
+    return SampledField._on_grid(cone, box, shape, out)

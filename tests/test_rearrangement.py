@@ -16,7 +16,8 @@ from cone_sobolev import (DomainError, LorentzParams, SampledField,
                           builtin_cone, bump_superposition_field,
                           distribution_function, polya_szego_check,
                           radial_rearrangement, rearrangement)
-from cone_sobolev.rearrangement import _canonical_step, _pooled_knots
+from cone_sobolev.rearrangement import (_canonical_step, _gradient_magnitude,
+                                        _pooled_knots)
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
@@ -365,6 +366,93 @@ def test_canonical_step_matches_cell_loop(cells):
     assert got.breakpoints == want.breakpoints
     assert got.values == want.values
     assert rearrangement(got) is got
+
+
+def stable_canonical_step(measures, values):
+    """The sort as one stable argsort over every cell, the order that the
+    default sort with ties put in cell-index order must reproduce."""
+    order = np.argsort(-values, kind="stable")
+    vals, meas = values[order], measures[order]
+    keep = ~((vals <= 0.0) | (meas <= 0.0))
+    vals, ends = vals[keep], np.cumsum(meas[keep])
+    last = np.ones(vals.size, dtype=bool)
+    last[:-1] = vals[1:] != vals[:-1]
+    return StepFunction1D(ends[last], vals[last])
+
+
+def assert_same_step_bits(got, want):
+    assert [b.hex() for b in got.breakpoints] == \
+        [b.hex() for b in want.breakpoints]
+    assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+
+
+@st.composite
+def tied_cells(draw):
+    """Cells whose values come from a pool of 3-4 floats holding 0 and a
+    negative value, with some zero measures; long enough lists go past
+    the insertion-sort cutoff of numpy's default sort."""
+    pool = [0.0, -draw(st.floats(0.1, 3.0))] + draw(
+        st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=2))
+    n = draw(st.integers(0, 200))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    meas = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+                         min_size=n, max_size=n))
+    return np.array(meas, dtype=float), np.array(vals, dtype=float)
+
+
+@given(cells=tied_cells())
+def test_canonical_step_keeps_the_stable_tie_order(cells):
+    meas, vals = cells
+    got = _canonical_step(meas, vals)
+    assert_same_step_bits(got, stable_canonical_step(meas, vals))
+    assert rearrangement(got) is got
+
+
+def test_canonical_step_tie_order_on_many_cells():
+    rng = np.random.default_rng(3)
+    vals = rng.choice([0.0, -0.5, 0.25, 1.5], 20000)
+    meas = rng.choice([0.0, 0.1, 0.3, 1.7, 2.9e-3], 20000)
+    meas = meas * rng.uniform(0.5, 2.0, meas.size)
+    assert_same_step_bits(_canonical_step(meas, vals),
+                          stable_canonical_step(meas, vals))
+
+
+def test_canonical_step_ties_on_a_mirror_symmetric_field(disc):
+    # v + mirror(v) is exactly symmetric, and so is its central-difference
+    # gradient, so every cell ties with its mirror image
+    field = bump_superposition_field(disc, BOX, (40, 30), 3, seed=4)
+    sym = field.values + field.values[::-1, :]
+    mirrored = SampledField._on_grid(disc, field.box, field.shape, sym)
+    for data in (mirrored.values, mirrored.gradient_magnitude):
+        assert np.array_equal(data, data[::-1, :])
+        meas, vals = mirrored.cell_measures.ravel(), np.abs(data.ravel())
+        step = _canonical_step(meas, vals)
+        assert step.value_array.size <= vals.size // 2
+        assert_same_step_bits(step, stable_canonical_step(meas, vals))
+        assert rearrangement(step) is step
+    assert_same_step_bits(
+        rearrangement(mirrored, use_gradient=True),
+        stable_canonical_step(mirrored.cell_measures.ravel(),
+                              mirrored.gradient_magnitude.ravel()))
+
+
+def test_canonical_step_rejects_nan_cells():
+    with pytest.raises(ValidationError):
+        _canonical_step(np.ones(3), np.array([1.0, math.nan, 2.0]))
+    with pytest.raises(ValidationError):
+        _canonical_step(np.array([1.0, math.nan, 1.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(17, 23), (6, 9, 5)])
+def test_gradient_magnitude_matches_the_stacked_sum(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape)
+    box = tuple((-1.0, 0.5 + a) for a in range(len(shape)))
+    spacings = [(hi - lo) / n for (lo, hi), n in zip(box, shape)]
+    grads = np.gradient(values, *spacings, edge_order=1)
+    want = np.sqrt(np.sum([g * g for g in grads], axis=0))
+    got = _gradient_magnitude(values, box, shape)
+    assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
 @given(cells=CELLS.filter(lambda c: any(m > 0 and v > 0 for m, v in c)),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cone_sobolev import (DomainError, LorentzParams, RadialProfile,
-                          SampledField, ValidationError, alvino_search,
+                          SampledField, ValidationError, WeightedCone,
+                          alvino_search, builtin_cone,
                           bump_superposition_field, embedding_norm,
                           from_knots, quotient, polya_szego_check, scale)
 from cone_sobolev.segments import Law, Piece
@@ -172,6 +173,65 @@ def test_bump_field_deterministic_in_seed(halfplane):
     c = bump_superposition_field(halfplane, BOX, (16, 16), 2, seed=6)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def point_array_bump_field(cone, box, shape, n_bumps, seed):
+    """Bumps and face ramps evaluated over the (cells, d) point array and
+    sampled by ``from_function``: the per-axis code must match it bit for
+    bit."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    rng = np.random.default_rng(seed)
+    extents = np.array([hi - lo for lo, hi in box])
+    centers = np.array([[rng.uniform(lo, hi) for lo, hi in box]
+                        for _ in range(n_bumps)])
+    widths = rng.uniform(0.08, 0.25, n_bumps)[:, None] * extents[None, :]
+    amps = rng.uniform(0.5, 1.5, n_bumps)
+    walls = {a for a in cone.constrained_axes if box[a][0] == 0.0}
+
+    def smooth_ramp(s):
+        s = np.clip(s, 0.0, 1.0)
+        return s * s * (3.0 - 2.0 * s)
+
+    def fn(pts):
+        out = np.zeros(pts.shape[0])
+        for c, w, a in zip(centers, widths, amps):
+            z = (pts - c[None, :]) / w[None, :]
+            out += a * np.exp(-0.5 * np.sum(z * z, axis=1))
+        for axis, (lo, hi) in enumerate(box):
+            margin = 0.15 * extents[axis]
+            if axis not in walls:
+                out *= smooth_ramp((pts[:, axis] - lo) / margin)
+            out *= smooth_ramp((hi - pts[:, axis]) / margin)
+        return out
+
+    return SampledField.from_function(cone, box, shape, fn)
+
+
+@pytest.mark.parametrize("name, box, shape", [
+    ("halfplane-x1", BOX, (40, 40)),                   # a wall face
+    ("disc-unweighted", [(-1.5, 1.5)] * 2, (32, 32)),  # no wall
+    ("halfspace3-x1", [(0.0, 3.0), (-1.5, 1.5), (-1.5, 1.5)], (12, 12, 12)),
+    ("quadrant-x1x2", [(0.0, 2.0), (0.0, 3.0)], (17, 45)),
+])
+@pytest.mark.parametrize("n_bumps, seed", [(1, 0), (4, 11)])
+def test_bump_field_matches_point_array_sampling(name, box, shape, n_bumps,
+                                                 seed):
+    cone = (WeightedCone.create(3, [(0, 1.0)], False)
+            if name == "halfspace3-x1" else builtin_cone(name))
+    got = bump_superposition_field(cone, box, shape, n_bumps, seed)
+    want = point_array_bump_field(cone, box, shape, n_bumps, seed)
+    assert (got.box, got.shape) == (want.box, want.shape)
+    for a, b in [(got.values, want.values),
+                 (got.cell_measures, want.cell_measures),
+                 (got.gradient_magnitude, want.gradient_magnitude)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_bump_field_takes_integral_shapes(halfplane):
+    a = bump_superposition_field(halfplane, BOX, (16.0, 20), 2, seed=5)
+    b = bump_superposition_field(halfplane, BOX, (16, 20), 2, seed=5)
+    assert a.shape == (16, 20) and type(a.shape[0]) is int
+    assert np.array_equal(a.values, b.values)
 
 
 def test_bump_field_validation(halfplane):
