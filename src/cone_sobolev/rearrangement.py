@@ -60,6 +60,21 @@ class StepFunction1D:
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"step data must be numeric sequences: {exc}") from exc
+        self._own(bps, vals)
+
+    @classmethod
+    def _owning(cls, bps: np.ndarray, vals: np.ndarray) -> "StepFunction1D":
+        """The step on two fresh arrays that no one else holds, taken over
+        without a copy when they are float64 (``_canonical_step`` hands
+        over its own); a caller's data goes through ``__init__``, which
+        copies."""
+        step = object.__new__(cls)
+        step._own(bps.astype(float, copy=False),
+                  vals.astype(float, copy=False))
+        return step
+
+    def _own(self, bps: np.ndarray, vals: np.ndarray) -> None:
+        """Validate the two arrays, make them read-only and keep them."""
         if bps.ndim != 1 or vals.ndim != 1:
             raise ValidationError("step data must be one-dimensional")
         if bps.size != vals.size:
@@ -139,22 +154,58 @@ class StepFunction1D:
 
         Plateau k contributes v_k^q times the integral of t^(gamma-1) over
         it, all plateaus in one array expression (``power_primitives``, in
-        full precision for t1/t0 huge or close to 1), summed by math.fsum.
+        full precision for t1/t0 huge or close to 1), and the terms are
+        added exactly and rounded once (``_exact_sum``), so the moment is
+        the correctly rounded sum of its terms.
         """
         if not gamma > 0.0:
             raise DivergentIntegralError(
                 f"integral of t^{gamma - 1.0} diverges at the origin")
         live = self.value_array > 0.0
-        if not live.any():
-            return 0.0
         prim = power_primitives(*self.plateaus(), gamma)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.value_array[live] ** q * prim[live]
-        total = math.fsum(terms)
-        if not math.isfinite(total):
-            raise NumericalError(
-                "step moment overflows double precision")
-        return total
+        return _exact_sum(terms)
+
+
+# terms per bincount pass: a pass adds at most 2^26 halves below 2^27 in
+# magnitude, so every bucket sum is an integer below 2^53, exact in float64
+_SUM_CHUNK = 1 << 26
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The sum of a float64 array rounded once, half to even: the float
+    ``math.fsum`` gives, from a few array passes.
+
+    ``np.frexp`` writes each term as m 2^e with |m| < 1 and 53 bits; the
+    whole and fractional parts of m 2^27, its top 27 and bottom 26 bits,
+    are summed per exponent e by ``np.bincount``, exactly, in passes of
+    at most ``_SUM_CHUNK`` terms.  The buckets then make one Python int,
+    and its true division by a power of two rounds correctly, subnormals
+    included.  A non-finite term or an overflowing total raises
+    NumericalError.
+    """
+    if not terms.size:
+        return 0.0
+    mant, expo = np.frexp(terms)
+    frac, whole = np.modf(mant * 134217728.0)        # 2^27
+    low = int(expo.min())
+    expo -= low
+    total = 0
+    try:
+        for start in range(0, terms.size, _SUM_CHUNK):
+            part = slice(start, start + _SUM_CHUNK)
+            wholes = np.bincount(expo[part], whole[part]).tolist()
+            fracs = np.bincount(expo[part], frac[part]).tolist()
+            acc = 0     # Horner over exponents, from the top bucket down
+            for w, f in zip(reversed(wholes), reversed(fracs)):
+                acc = (acc << 1) + (int(w) << 26) + int(f * 67108864.0)
+            total += acc
+        # total counts units of 2^(low - 53)
+        return (total << max(low - 53, 0)) / (1 << max(53 - low, 0))
+    except (OverflowError, ValueError):     # inf or nan buckets, or total
+        raise NumericalError(
+            "step moment overflows double precision") from None
 
 
 @dataclass(frozen=True)
@@ -359,7 +410,7 @@ def _canonical_step(measures: np.ndarray, values: np.ndarray
     ends = np.cumsum(meas[order])
     last = np.ones(vals.size, dtype=bool)
     last[:-1] = ~same
-    return StepFunction1D(ends[last], vals[last])
+    return StepFunction1D._owning(ends[last], vals[last])
 
 
 def rearrangement(obj, use_gradient: bool = False) -> StepFunction1D:
@@ -388,28 +439,29 @@ def _pooled_knots(step: StepFunction1D, ring: float, expo: float
 
     A group starting at measure ``start`` closes at the first plateau
     where its mass M satisfies M >= ring * (start + M/2)^expo.  The test
-    runs on cumulative sums over a window of plateaus that doubles until
-    some plateau passes it, so the work is per group, not per plateau.
-    Masses and moments are summed in plateau order from the group's
-    start, as a running sum would.  An unclosed remainder is folded into
-    the last group.
+    runs over a window of plateaus that doubles until some plateau passes
+    it, so the work is per group, not per plateau.  The (2, n) array of
+    widths and width * value is built once, and one accumulate along a
+    window gives the group's running masses and moments together, summed
+    in plateau order from the group's start as a running sum would.  An
+    unclosed remainder is folded into the last group.
     """
-    widths, vals = step.widths(), step.value_array
+    widths = step.widths()
+    pairs = np.stack((widths, widths * step.value_array))
     n = widths.size
     knots: list[tuple[float, float]] = []
     start, lo, window = 0.0, 0, 16
     while lo < n:
         hi = min(n, lo + window)
-        mass = np.cumsum(widths[lo:hi])
+        mass, moments = np.cumsum(pairs[:, lo:hi], axis=1)
         closes = mass >= ring * (start + 0.5 * mass) ** expo
-        closed = bool(closes.any())
+        first = int(closes.argmax())
+        closed = bool(closes[first])
         if not closed and hi < n:
             window *= 2
             continue
-        end = int(np.argmax(closes)) + 1 if closed else hi - lo
-        m = float(mass[end - 1])
-        moment = float(np.cumsum(widths[lo:lo + end]
-                                 * vals[lo:lo + end])[-1])
+        end = first + 1 if closed else hi - lo
+        m, moment = float(mass[end - 1]), float(moments[end - 1])
         if closed or not knots:
             knots.append((start + 0.5 * m, moment / m))
         else:

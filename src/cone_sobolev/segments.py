@@ -151,9 +151,9 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
 
     ``power_primitives`` is the same rule for arrays.  The scalar copy
     stays because the t-route calls it one segment at a time, about 4000
-    times per profile-batch round of the benchmark: on a 2-vCPU machine
-    a call takes 0.7 us here and 12-14 us through a one-element array,
-    which would add about 50 ms (+15%) to a 0.31 s round.
+    times per profile-batch round of the benchmark, and a call here is a
+    few float operations where a one-element array call pays numpy's
+    fixed cost for each of its array operations.
     """
     if not 0.0 <= t0 <= t1:
         raise ValidationError(f"bad integration segment ({t0}, {t1})")
@@ -452,8 +452,7 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
     are added by math.fsum, so each sum is correctly rounded however its
     parts cancel.  Every step is per level set, so no stratum depends on
     the other rows.  A call is about 100 array operations whatever the
-    size: 60-70 us for a 6-shell span on a 2-vCPU VM (numpy 2.4.6), as
-    before the inverse laws went into one table; the rule saves the time.
+    size, so its fixed cost is per call, not per piece.
     """
     count, n = coef.shape
     m = 2 * n + 1

@@ -1,6 +1,8 @@
 """Rearrangement operators: steps, sampled fields, radial interpolants."""
 
 import dataclasses
+import fractions
+import importlib
 import math
 
 import mpmath
@@ -11,13 +13,16 @@ from hypothesis import strategies as st
 
 import cone_sobolev.lorentz as lorentz
 import cone_sobolev.segments as segments
-from cone_sobolev import (DomainError, LorentzParams, SampledField,
-                          StepFunction1D, ValidationError, WeightedCone,
-                          builtin_cone, bump_superposition_field,
+from cone_sobolev import (DomainError, LorentzParams, NumericalError,
+                          SampledField, StepFunction1D, ValidationError,
+                          WeightedCone, builtin_cone, bump_superposition_field,
                           distribution_function, polya_szego_check,
                           radial_rearrangement, rearrangement)
-from cone_sobolev.rearrangement import (_canonical_step, _gradient_magnitude,
-                                        _pooled_knots)
+from cone_sobolev.rearrangement import (_canonical_step, _exact_sum,
+                                        _gradient_magnitude, _pooled_knots)
+
+# the package exports a function of the same name as the module
+rearrangement_module = importlib.import_module("cone_sobolev.rearrangement")
 
 BOX = ((-1.2, 1.2), (-1.2, 1.2))
 
@@ -504,3 +509,266 @@ def test_polya_szego_never_reaches_the_adaptive_rule(halfplane, monkeypatch,
         halfplane, [(0.0, 3.0), (-1.5, 1.5)], (64, 64), 3, seed=0)
     lhs, rhs, ok = polya_szego_check(field, LorentzParams(p, q))
     assert ok and 0.0 < lhs <= rhs
+
+
+# -- exact step moments: the kernel against math.fsum -------------------------
+
+def assert_fsum_bits(terms):
+    terms = np.asarray(terms, dtype=float)
+    assert _exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+
+SMALLEST_NORMAL = 2.0 ** -1022
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@given(st.lists(st.one_of(
+    st.just(0.0), st.just(5e-324),
+    st.floats(0.0, SMALLEST_NORMAL, exclude_max=True),  # subnormals
+    st.floats(0.0, 1e300)), max_size=60))
+def test_exact_sum_matches_fsum_with_zeros_and_subnormals(terms):
+    assert_fsum_bits(terms)
+
+
+@given(st.lists(st.tuples(st.floats(1.0, 10.0, exclude_max=True),
+                          st.integers(-300, 299)), min_size=1, max_size=60))
+def test_exact_sum_matches_fsum_across_600_decades(pairs):
+    assert_fsum_bits([m * 10.0 ** k for m, k in pairs])
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [0.0],
+    [5e-324],
+    [2.5],
+    [1.0, 2.0 ** -53],                  # a tie, to even: 1
+    [1.0, 2.0 ** -53, 5e-324],          # just above the tie: up
+    [1.0 + 2.0 ** -52, 2.0 ** -53],     # a tie, to even: up
+    [SMALLEST_NORMAL, -5e-324, 5e-324, 3 * 5e-324],
+    [1e300, 1e-300, 1e300, -1e300],
+    [1e308, 7.976931348623157e307, 1e-300],         # near overflow
+    [8.98846567431158e307, 8.98846567431157e307, 2.0 ** 969],
+    [MAX_FLOAT, 2.0 ** 970 - 2.0 ** 918],   # just below the halfway
+    [0.1] * 10 + [1e16, -1e16],
+    list(np.geomspace(1e-300, 1e300, 4001)),
+])
+def test_exact_sum_matches_fsum_on_hard_cases(terms):
+    assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [MAX_FLOAT, 1e292, -1e292],
+    [MAX_FLOAT, MAX_FLOAT, -MAX_FLOAT, 5e-324],
+])
+def test_exact_sum_near_overflow_where_fsum_overflows(terms):
+    # fsum's float partials overflow here, so the exact rational sum,
+    # rounded once, is the oracle
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    want = float(sum(map(fractions.Fraction, terms)))
+    assert _exact_sum(np.array(terms)).hex() == want.hex() == MAX_FLOAT.hex()
+
+
+def test_exact_sum_matches_fsum_on_a_grid_moment(halfplane):
+    field = bump_superposition_field(
+        halfplane, [(0.0, 3.0), (-1.5, 1.5)], (160, 160), 3, seed=7)
+    step = rearrangement(field, use_gradient=True)
+    assert step.value_array.size == 25600
+    for gamma, q in [(0.5, 1.0), (0.75, 1.5), (1.0 / 3.0, 2.2)]:
+        prim = segments.power_primitives(*step.plateaus(), gamma)
+        terms = step.value_array ** q * prim
+        assert_fsum_bits(terms)
+        assert step.moment(gamma, q).hex() == \
+            math.fsum(terms.tolist()).hex()
+
+
+def test_exact_sum_passes_keep_buckets_exact(monkeypatch):
+    # whole parts below 2^27, so a pass of _SUM_CHUNK terms stays below
+    # 2^53; with 5-term passes, terms whose 53 mantissa bits are all set
+    # bring every bucket to that pass's bound
+    assert rearrangement_module._SUM_CHUNK * 2 ** 27 <= 2 ** 53
+    monkeypatch.setattr(rearrangement_module, "_SUM_CHUNK", 5)
+    full = (2.0 ** 53 - 1.0) * 2.0 ** -53
+    for terms in ([full] * 23,
+                  [math.ldexp(full, k % 7) for k in range(41)],
+                  [math.ldexp(full, -1040 - k % 40) for k in range(33)],
+                  list(np.geomspace(1e-30, 1e30, 101))):
+        assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [1.0, math.inf], [math.nan, 2.0], [math.inf, math.nan],
+    [MAX_FLOAT, MAX_FLOAT],
+    [MAX_FLOAT, 1e292],                 # rounds up past the largest float
+    [MAX_FLOAT, 2.0 ** 970],            # the halfway: to even, past it
+])
+def test_exact_sum_raises_on_non_finite_totals(terms):
+    with pytest.raises(NumericalError, match="overflows"):
+        _exact_sum(np.array(terms))
+
+
+@pytest.mark.parametrize("bps, vals, gamma, q", [
+    ([1.0, 2.0], [1e300, 1e300], 1.0, 2.0),         # inf terms
+    ([1.0, 2.0], [1.7e308, 1.7e308], 1.0, 1.0),     # finite terms
+])
+def test_step_moment_overflow_raises(bps, vals, gamma, q):
+    with pytest.raises(NumericalError, match="overflows"):
+        StepFunction1D(bps, vals).moment(gamma, q)
+
+
+# -- pooled knots against the two-cumsum loop ---------------------------------
+
+def two_cumsum_pooled_knots(step, ring, expo):
+    """The windowed loop with one cumsum for the masses and one for the
+    moments per group, whose floats the one-accumulate loop must give."""
+    widths, vals = step.widths(), step.value_array
+    n = widths.size
+    knots = []
+    start, lo, window = 0.0, 0, 16
+    while lo < n:
+        hi = min(n, lo + window)
+        mass = np.cumsum(widths[lo:hi])
+        closes = mass >= ring * (start + 0.5 * mass) ** expo
+        closed = bool(closes.any())
+        if not closed and hi < n:
+            window *= 2
+            continue
+        end = int(np.argmax(closes)) + 1 if closed else hi - lo
+        m = float(mass[end - 1])
+        moment = float(np.cumsum(widths[lo:lo + end]
+                                 * vals[lo:lo + end])[-1])
+        if closed or not knots:
+            knots.append((start + 0.5 * m, moment / m))
+        else:
+            t_last, v_last = knots[-1]
+            prev_mass = 2.0 * (start - t_last)
+            total = prev_mass + m
+            knots[-1] = (t_last - 0.5 * prev_mass + 0.5 * total,
+                         (v_last * prev_mass + moment) / total)
+        start += m
+        lo += end
+        window = 2 * end
+    return knots
+
+
+def knot_bits(knots):
+    return [(t.hex(), v.hex()) for t, v in knots]
+
+
+def group_sizes(step, ring, expo):
+    """Plateaus per closed group, and whether a remainder is folded."""
+    sizes, start, mass, count = [], 0.0, 0.0, 0
+    prev = 0.0
+    for b in step.breakpoints:
+        mass += b - prev
+        prev, count = b, count + 1
+        if mass >= ring * (start + 0.5 * mass) ** expo:
+            sizes.append(count)
+            start, mass, count = start + mass, 0.0, 0
+    return sizes, count > 0
+
+
+@st.composite
+def long_steps(draw):
+    """Steps of up to 400 plateaus with rings that make groups of tens to
+    hundreds of plateaus (so windows double) and often leave a remainder."""
+    n = draw(st.integers(1, 400))
+    widths = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    vals = sorted(set(draw(st.lists(st.floats(1e-3, 10.0), min_size=n,
+                                    max_size=n))), reverse=True)
+    widths = widths[:len(vals)]
+    return StepFunction1D(np.cumsum(widths), vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=long_steps(), ring=st.floats(0.05, 200.0),
+       dim=st.floats(1.0, 6.0))
+def test_pooled_knots_match_the_two_cumsum_loop(step, ring, dim):
+    expo = 1.0 - 1.0 / dim
+    assert knot_bits(_pooled_knots(step, ring, expo)) == knot_bits(
+        two_cumsum_pooled_knots(step, ring, expo))
+
+
+def test_pooled_knots_double_windows_and_fold_remainders():
+    # 600 unit plateaus: groups of hundreds at this ring, so the first
+    # windows double, and the last 600 - 494 plateaus do not close
+    step = StepFunction1D(np.arange(1.0, 601.0), np.linspace(9.0, 1.0, 600))
+    ring, expo = 28.0, 0.5
+    sizes, folded = group_sizes(step, ring, expo)
+    assert sizes[0] > 16 and folded
+    got = _pooled_knots(step, ring, expo)
+    assert len(got) == len(sizes)
+    assert knot_bits(got) == knot_bits(
+        two_cumsum_pooled_knots(step, ring, expo))
+    assert knot_bits(got) == knot_bits(reference_pooled_knots(step, ring,
+                                                              expo))
+
+
+FOUR_CONES = [
+    ("halfplane-x1", [(0.0, 3.0), (-1.5, 1.5)], (96, 80)),
+    ("quadrant-x1x2", [(0.0, 2.0), (0.0, 3.0)], (64, 72)),
+    ("disc-unweighted", [(-1.5, 1.5)] * 2, (90, 90)),
+    ("halfspace3-x1", [(0.0, 3.0), (-1.5, 1.5), (-1.5, 1.5)], (18, 20, 16)),
+]
+
+
+@pytest.mark.parametrize("name, box, shape", FOUR_CONES)
+@pytest.mark.parametrize("n_bumps, seed", [(1, 2), (3, 7), (4, 11)])
+def test_grid_steps_and_knots_match_the_previous_path(name, box, shape,
+                                                      n_bumps, seed):
+    cone = (WeightedCone.create(3, [(0, 1.0)], False)
+            if name == "halfspace3-x1" else builtin_cone(name))
+    field = bump_superposition_field(cone, box, shape, n_bumps, seed)
+    meas = field.cell_measures.ravel()
+    for use_gradient in (False, True):
+        data = field.gradient_magnitude if use_gradient else field.values
+        step = rearrangement(field, use_gradient=use_gradient)
+        assert_same_step_bits(step, stable_canonical_step(
+            meas, np.abs(data.ravel())))
+        assert rearrangement(step) is step
+    ring = cone.big_d * cone.c_d ** (1.0 / cone.big_d) \
+        * field.max_cell_diameter
+    expo = 1.0 - 1.0 / cone.big_d
+    step = rearrangement(field)
+    assert knot_bits(_pooled_knots(step, ring, expo)) == knot_bits(
+        two_cumsum_pooled_knots(step, ring, expo))
+
+
+# -- steps own their arrays ---------------------------------------------------
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_step_copies_caller_data(kind):
+    bps, vals = kind([1.0, 2.5, 4.0]), kind([3.0, 2.0, 0.5])
+    f = StepFunction1D(bps, vals)
+    for given_data, kept in ((bps, f.breakpoint_array),
+                             (vals, f.value_array)):
+        assert not kept.flags.writeable
+        if isinstance(given_data, np.ndarray):
+            assert given_data.flags.writeable
+            assert not np.shares_memory(given_data, kept)
+    if kind is not tuple:
+        bps[0], vals[0] = 0.5, 9.0      # the caller's data stays its own
+    assert f.breakpoints == (1.0, 2.5, 4.0) and f.values == (3.0, 2.0, 0.5)
+
+
+def test_canonical_step_hands_over_its_arrays(monkeypatch):
+    def copying_constructor(*args, **kwargs):
+        raise AssertionError("the sorted arrays were copied")
+
+    meas = np.array([1.0, 2.0, 0.5, 3.0])
+    vals = np.array([2.0, 1.0, 2.0, 0.0])
+    monkeypatch.setattr(StepFunction1D, "__init__", copying_constructor)
+    step = _canonical_step(meas, vals)
+    assert step.breakpoints == (1.5, 3.5) and step.values == (2.0, 1.0)
+    for kept in (step.breakpoint_array, step.value_array):
+        assert kept.flags.owndata and not kept.flags.writeable
+        assert not np.shares_memory(kept, meas)
+        assert not np.shares_memory(kept, vals)
+    assert meas.flags.writeable and vals.flags.writeable
+
+
+def test_canonical_step_keeps_the_step_validation():
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        _canonical_step(np.ones(2), np.array([1.0, math.inf]))
+    with pytest.raises(ValidationError, match="increasing"):
+        _canonical_step(np.array([1.0, math.inf]), np.ones(2))

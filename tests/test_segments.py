@@ -554,6 +554,25 @@ def test_builder_matches_reference_sweep(pieces):
     assert_matches_reference(pieces)
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalError,
+                   reason="the lambda route's rule does not converge on a "
+                   "stratum of near-coincident values, (5.8124998, 5.8125)")
+def test_builder_on_near_coincident_affine_values():
+    # a draw of test_builder_matches_reference_sweep's strategy: three
+    # affine pieces of one slope that each fall from 5.8125 to 2.0, so
+    # their ends nearly coincide; on the stratum (5.812499772757292,
+    # 5.8125) the rule's estimate is 5.3e-13 against a bound of 1.6e-23
+    tiny = 2.0 ** -23
+    pieces = [Piece(2.0, 4.0, Law(-1.90625, 1.0, shift=9.625)),
+              Piece(0.125, 2.125, Law(-1.90625, 1.0, shift=6.05078125)),
+              Piece(tiny, tiny + 2.0,
+                    Law(-1.90625, 1.0, shift=5.812500227242708))]
+    want = qth_power(pieces, 1.2, 1.0)
+    assert abs(want - 21.789757541205365) <= 1e-12 * want
+    got = LevelSet.from_pieces(pieces).lorentz_qth_power(1.2, 1.0)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_builder_matches_reference_across_40_decades(halfplane):
     assert_matches_reference(deep_transient_pieces())
     profile = alvino_profile(halfplane, 3.0, 1.0, 1e40)
