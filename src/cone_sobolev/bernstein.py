@@ -237,7 +237,7 @@ def gamma_sequence(params: LorentzParams, eps2: float,
     a geometric sequence a^j is used with a chosen so the full series
     stays within budget.
     """
-    if eps2 <= 0:
+    if not eps2 > 0.0:   # NaN too
         raise ValidationError("eps2 must be positive")
     if count < 1:
         raise ValidationError("at least one budget term is required")

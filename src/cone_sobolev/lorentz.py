@@ -311,7 +311,7 @@ def ell_q_norm(alpha: Sequence[float], q: float) -> float:
         return 0.0
     if math.isinf(q):
         return float(np.max(arr))
-    if q < 1.0:
+    if not q >= 1.0:   # NaN too
         raise ValidationError("sequence exponent must be >= 1 (or inf)")
     if q == 1.0:
         return float(np.sum(arr))

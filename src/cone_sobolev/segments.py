@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _BEFORE = np.array([-1, 0])  # a stratum's (lam0, lam1): the cut before its end
+_JOIN_EPS = 8.0 * 2.0 ** -52  # a junction's rounding, per law magnitude
 
 
 # -- the law ---------------------------------------------------------------
@@ -568,14 +569,37 @@ class LevelSet:
     @staticmethod
     def from_pieces(pieces: Sequence[Piece]) -> "LevelSet":
         """The level set of a nonnegative piece list: its laws as one row
-        of arrays, through ``level_set_strata``."""
+        of arrays, through ``level_set_strata``.
+
+        A continuous junction is one cut, not an ulp-wide stratum: where
+        piece i + 1 starts at the t where piece i ends and their end
+        values there differ by less than 8 eps (|vb_i| + |shift_i| +
+        |shift_(i+1)|), which bounds the roundoff of two laws that agree
+        there, both ends take one value, a constant side's if there is
+        one, else the left end's.  So a constant piece keeps equal ends.
+        Two constants and infinite ends (poles) are never joined.
+        """
         table = np.array([(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo,
                            p.law.base, p.law.orient) for p in pieces],
                          dtype=float).reshape(-1, 7).T
         t0, t1, coef, shift, expo, base, orient = table
+        flat = coef == 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ends = np.maximum(orient * (table[:2] - base), 0.0) ** expo
-            va, vb = np.where(coef == 0.0, shift, coef * ends + shift)
+            va, vb = np.where(flat, shift, coef * ends + shift)
+            # a strict test, so an infinite end (nan or inf < inf) fails it
+            tol = np.abs(shift)
+            tol = tol[1:] + tol[:-1]
+            tol += np.abs(vb[:-1])
+            tol *= _JOIN_EPS
+            gap = va[1:] - vb[:-1]
+            join = np.abs(gap, out=gap) < tol
+        join &= t1[:-1] == t0[1:]
+        if np.count_nonzero(join):
+            # a constant side keeps its value; two constants never join
+            flat |= expo == 0.0
+            np.copyto(vb[:-1], va[1:], where=(join & flat[1:]) > flat[:-1])
+            np.copyto(va[1:], vb[:-1], where=join > flat[1:])
         low = np.minimum(va, vb)
         for i in (low < 0.0).nonzero()[0].tolist():
             # negativity slack scales with the law's own evaluation

@@ -73,6 +73,11 @@ def test_gamma_sequence_validation():
         gamma_sequence(PARAMS, 0.05, 0)
 
 
+def test_gamma_sequence_refuses_a_nan_budget():
+    with pytest.raises(ValidationError):
+        gamma_sequence(LorentzParams(2.0, 1.5), math.nan, 3)
+
+
 # -- single shells -----------------------------------------------------------------
 
 def test_shell_function_hits_its_targets(halfplane):

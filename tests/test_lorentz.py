@@ -459,3 +459,9 @@ def test_ell_q_norm_values():
 def test_ell_q_norm_validation():
     with pytest.raises(ValidationError):
         ell_q_norm([1.0], 0.5)
+
+
+def test_ell_q_norm_refuses_a_nan_exponent():
+    # 1**nan is 1, so an unchecked NaN would return a plausible norm
+    with pytest.raises(ValidationError):
+        ell_q_norm([1.0], math.nan)

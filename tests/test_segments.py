@@ -17,11 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cone_sobolev import (DivergentIntegralError, LorentzParams,
-                          NumericalError, StepFunction1D, ValidationError,
-                          builtin_cone, lorentz_norm_distributional,
-                          lorentz_norm_rearranged, quotient)
-from cone_sobolev.profiles import alvino_profile, from_knots, gradient_density
+from cone_sobolev import (BUILTIN_CONE_NAMES, DivergentIntegralError,
+                          LorentzParams, NumericalError, StepFunction1D,
+                          ValidationError, acceptance, builtin_cone,
+                          lorentz_norm_distributional,
+                          lorentz_norm_rearranged, quotient, segments)
+from cone_sobolev.profiles import (alvino_profile, from_knots,
+                                   gradient_density, head_cutoff, scale)
 from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
                                    clip_pieces, level_set_qth_powers,
                                    level_set_strata, moment_integral,
@@ -571,6 +573,94 @@ def test_builder_on_near_coincident_affine_values():
     assert abs(want - 21.789757541205365) <= 1e-12 * want
     got = LevelSet.from_pieces(pieces).lorentz_qth_power(1.2, 1.0)
     assert abs(got - want) <= 1e-12 * want
+
+
+# -- one cut per continuous junction --------------------------------------------
+
+def test_junctions_with_a_constant_take_its_value():
+    # an affine piece falling from 2 to 1/3 on (0.1, 0.7), a constant 1/3
+    # on (0.7, 1.3), then an affine piece down to 0 on (1.3, 2.0); the
+    # affine ends evaluate 1/3 a few ulps off the constant
+    third = 1.0 / 3.0
+    pieces = [Piece(0.1, 0.7, Law(-(2.0 - third) / 0.6, 1.0,
+                                  shift=2.0 + (2.0 - third) / 0.6 * 0.1)),
+              Piece(0.7, 1.3, Law.constant(third)),
+              Piece(1.3, 2.0, Law(-third / 0.7, 1.0,
+                                  shift=third / 0.7 * 2.0))]
+    ends = [p.endpoint_values() for p in pieces]
+    assert ends[0][1] != ends[1][0] != ends[2][0]   # ulps apart
+    level = LevelSet.from_pieces(pieces)
+    rows = level.table.rows
+    # one cut at 1/3: no sliver rows, no extra flat stratum
+    assert len(rows.a) == 2 and not level.table.flat[0].size
+    assert rows.b[0] == rows.a[1] == third
+    assert_matches_reference(pieces, ((1.2, 1.0), (2.0, 1.5)))
+    assert level.lorentz_qth_power(1.2, 1.0) == pytest.approx(
+        1.2883562093593086, rel=1e-14)
+    assert level.lorentz_qth_power(2.0, 1.5) == pytest.approx(
+        1.5712393044537676, rel=1e-14)
+
+
+def test_a_pole_at_a_junction_is_not_joined():
+    level = LevelSet.from_pieces([Piece(0.0, 1.0, Law.constant(5.0)),
+                                  Piece(1.0, 2.0, Law(1.0, -0.5, base=1.0))])
+    assert level.lam_max == math.inf
+    # the pole on the left of the junction: inf - 5 is within inf * eps
+    level = LevelSet.from_pieces([
+        Piece(0.0, 1.0, Law(1.0, -0.5, base=1.0, orient=-1.0)),
+        Piece(1.0, 2.0, Law.constant(5.0))])
+    assert level.lam_max == math.inf
+
+
+def test_a_jump_beyond_rounding_stays_two_cuts():
+    # two affine pieces meeting at t = 1 with values 1.0 and 1.0 + 1e-12
+    h = 1.0 + 1e-12
+    pieces = [Piece(0.0, 1.0, Law(-1.0, 1.0, shift=2.0)),
+              Piece(1.0, 2.0, Law(-h, 1.0, shift=2.0 * h))]
+    assert pieces[0].endpoint_values()[1] == 1.0
+    assert pieces[1].endpoint_values()[0] == pytest.approx(h, rel=1e-15)
+    level = LevelSet.from_pieces(pieces)
+    assert sorted(level.table.rows.b.tolist())[:2] == [
+        1.0, pieces[1].endpoint_values()[0]]
+    assert_matches_reference(pieces)
+
+
+def profile_zoo(cone, rng):
+    """Criterion 3's affine draws (no knot gap), an Alvino profile, and
+    head cutoffs and dilations of both."""
+    alvino = alvino_profile(cone, 3.0, 0.05, 2.0)
+    for _ in range(12):
+        knotted = acceptance._random_affine_profile(cone, rng)
+        yield knotted
+        yield head_cutoff(knotted, 3)
+        yield scale(knotted, 1.7)
+    yield alvino
+    yield head_cutoff(alvino, 4)
+    yield scale(alvino, 0.6)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
+def test_profile_level_sets_have_no_sliver_strata(name, monkeypatch):
+    # each junction of a continuous profile is one cut, so no stratum is
+    # the ulp-wide gap between two evaluations of one knot value
+    rows = []
+
+    def spy(table, q, qq, owner):
+        rows.append(table)
+        return row_integrals(table, q, qq, owner)
+
+    monkeypatch.setattr(segments, "row_integrals", spy)
+    cone = builtin_cone(name)
+    for profile in profile_zoo(cone, np.random.default_rng(23)):
+        for p, q in ((3.0, 1.5), (1.5, 1.0)):
+            params = LorentzParams(p, q)
+            a = lorentz_norm_rearranged(profile, params)
+            b = lorentz_norm_distributional(profile, params)
+            assert abs(a - b) <= 1e-10 * max(a, b)
+    assert rows
+    for r in rows:
+        finite = np.isfinite(r.b)
+        assert not (finite & (r.b - r.a <= 1e-9 * r.b)).any()
 
 
 def test_builder_matches_reference_across_40_decades(halfplane):
