@@ -8,13 +8,11 @@ Bernstein-number lower bounds for the embedding's maximal non-compactness.
 
 from .bernstein import (AlmostExtremalSystem, BernsteinBound, ShellSpec,
                         absolute_continuity_witness, bernstein_lower_bound,
-                        build_shell_function, certify_span,
-                        construct_system, gamma_sequence,
+                        certify_span, construct_system, gamma_sequence,
                         gradient_upper_certificate,
                         superadditivity_certificate, verify_system)
-from .cones import (BUILTIN_CONE_NAMES, ConcavityReport, WeightedCone,
-                    ball_measure, builtin_cone, concavity_probe,
-                    unit_ball_measure, weight_eval)
+from .cones import (BUILTIN_CONE_NAMES, WeightedCone, ball_measure,
+                    builtin_cone, unit_ball_measure)
 from .errors import (ConeSobolevError, DivergentIntegralError, DomainError,
                      InfeasibleError, InternalConsistencyError,
                      NumericalError, ResourceError, ValidationError)
@@ -22,7 +20,7 @@ from .lorentz import (LorentzParams, ell_q_norm, hardy_check,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import (GradientDensity, RadialProfile, alvino_profile,
-                       from_knots, gradient_density, head_cutoff, scale)
+                       from_knots, gradient_density, scale)
 from .rearrangement import (SampledField, StepFunction1D,
                             distribution_function, radial_rearrangement,
                             rearrangement)
@@ -35,12 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmostExtremalSystem", "BernsteinBound", "ShellSpec",
     "absolute_continuity_witness", "bernstein_lower_bound",
-    "build_shell_function", "certify_span", "construct_system",
-    "gamma_sequence",
+    "certify_span", "construct_system", "gamma_sequence",
     "gradient_upper_certificate", "superadditivity_certificate",
     "verify_system",
-    "BUILTIN_CONE_NAMES", "ConcavityReport", "WeightedCone", "ball_measure", "builtin_cone", "concavity_probe",
-    "unit_ball_measure", "weight_eval",
+    "BUILTIN_CONE_NAMES", "WeightedCone", "ball_measure", "builtin_cone",
+    "unit_ball_measure",
     "ConeSobolevError", "DivergentIntegralError", "DomainError",
     "InfeasibleError", "InternalConsistencyError", "NumericalError",
     "ResourceError", "ValidationError",
@@ -48,7 +45,7 @@ __all__ = [
     "lorentz_norm_distributional", "lorentz_norm_rearranged",
     "restricted_norm",
     "GradientDensity", "RadialProfile", "alvino_profile", "from_knots",
-    "gradient_density", "head_cutoff", "scale",
+    "gradient_density", "scale",
     "SampledField", "StepFunction1D", "distribution_function",
     "radial_rearrangement", "rearrangement",
     "QuotientReport", "alvino_search", "bump_superposition_field",

@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +66,6 @@ __all__ = [
     "ShellSpec",
     "AlmostExtremalSystem",
     "gamma_sequence",
-    "build_shell_function",
     "construct_system",
     "superadditivity_certificate",
     "gradient_upper_certificate",
@@ -129,7 +127,8 @@ class AlmostExtremalSystem:
     """The full shell system with its defining scalars.
 
     Its certified bound lambda/(1+eps1) - eps2 is positive on every
-    construction (``construct_system``, ``from_json``, ``prefix``).
+    construction (``construct_system``, ``prefix``,
+    ``dataclasses.replace``).
     """
 
     cone: WeightedCone
@@ -164,61 +163,6 @@ class AlmostExtremalSystem:
         return AlmostExtremalSystem(self.cone, self.params, self.lam,
                                     self.eps1, self.eps2,
                                     self.geometric_ratio, self.shells[:k])
-
-    # -- serialization --------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cone": self.cone.to_json_dict(),
-            "params": {"p": self.params.p, "q": self.params.q},
-            "lambda": self.lam,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "geometric_ratio": self.geometric_ratio,
-            "shells": [{
-                "index": s.index,
-                "outer_radius": s.outer_radius,
-                "inner_radius": s.inner_radius,
-                "cutoff_radius": s.cutoff_radius,
-                "delta": s.delta,
-                "cutoff_measure": s.cutoff_measure,
-                "gamma": s.gamma,
-                "profile": {"segments": s.profile.to_json_dict()["segments"]},
-            } for s in self.shells],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "AlmostExtremalSystem":
-        try:
-            cone = WeightedCone.from_json_dict(data["cone"])
-            params = LorentzParams(float(data["params"]["p"]),
-                                   float(data["params"]["q"]), cone)
-            shells = tuple(
-                ShellSpec(
-                    index=int(s["index"]),
-                    outer_radius=float(s["outer_radius"]),
-                    inner_radius=float(s["inner_radius"]),
-                    cutoff_radius=float(s["cutoff_radius"]),
-                    delta=float(s["delta"]),
-                    cutoff_measure=float(s["cutoff_measure"]),
-                    gamma=float(s["gamma"]),
-                    profile=RadialProfile.from_json_dict(
-                        {"segments": s["profile"]["segments"]}, cone),
-                ) for s in data["shells"])
-            ratio = data.get("geometric_ratio")
-            return AlmostExtremalSystem(
-                cone, params, float(data["lambda"]), float(data["eps1"]),
-                float(data["eps2"]),
-                None if ratio is None else float(ratio), shells)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed system spec: {exc}") from exc
-
-    @staticmethod
-    def from_json(text: str) -> "AlmostExtremalSystem":
-        return AlmostExtremalSystem.from_json_dict(json.loads(text))
 
 
 # -- tail budgets ------------------------------------------------------------
@@ -349,20 +293,6 @@ def _shell_at(cone: WeightedCone, bound: LorentzParams, lam: float,
     profile = raw.scaled_amplitude(1.0 / report.denominator)
     inner_radius = cone.radius_of_measure(t_outer / ratio)
     return profile, inner_radius
-
-
-def build_shell_function(cone: WeightedCone, params: LorentzParams,
-                         lam: float, outer_radius: float
-                         ) -> tuple[RadialProfile, float]:
-    """A radial function with quotient lambda, unit gradient norm, flat head.
-
-    The head-to-support ratio of a truncated power profile is found by
-    ``_head_ratio``; the amplitude is then set so ||grad u|| = 1, which
-    makes ||u|| = lambda.  Returns the profile and the flat-head radius r.
-    """
-    bound = LorentzParams(params.p, params.q, cone)
-    return _shell_at(cone, bound, lam, _head_ratio(cone, bound, lam),
-                     outer_radius)
 
 
 # -- windowed energy ----------------------------------------------------------
@@ -501,8 +431,8 @@ def verify_system(system: AlmostExtremalSystem) -> dict:
     Returns a report dict with the measured values for each shell.  The
     checks run once per system object, whose report is kept (a failed
     check keeps nothing and raises again); every call returns a copy of
-    it.  ``from_json``, ``prefix`` and ``dataclasses.replace`` make new
-    objects, so their systems are checked on their first call.
+    it.  ``prefix`` and ``dataclasses.replace`` make new objects, so their
+    systems are checked on their first call.
     """
     return copy.deepcopy(system._verification)
 

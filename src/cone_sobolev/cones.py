@@ -42,11 +42,8 @@ from .errors import (DomainError, NumericalError, ResourceError,
 
 __all__ = [
     "WeightedCone",
-    "ConcavityReport",
-    "weight_eval",
     "unit_ball_measure",
     "ball_measure",
-    "concavity_probe",
     "builtin_cone",
     "BUILTIN_CONE_NAMES",
 ]
@@ -155,26 +152,6 @@ def _validate_cone_spec(d: int, exponents: Sequence[tuple[int, float]],
 
 # -- weight evaluation ----------------------------------------------------
 
-def weight_eval(cone: WeightedCone, x: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """Evaluate w at a point (shape (d,)) or batch (shape (n, d)).
-
-    Points must lie in the closure of the cone; a strictly negative
-    constrained coordinate is a domain error.  On the boundary w vanishes.
-    """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[-1] != cone.d:
-        raise ValidationError(f"points must have {cone.d} coordinates")
-    for a in cone.constrained_axes:
-        if np.any(pts[:, a] < 0):
-            raise DomainError(
-                f"coordinate on axis {a} is negative: outside the cone closure")
-    vals = _weight_values(cone, pts)
-    return float(vals[0]) if single else vals
-
-
 def _weight_values(cone: WeightedCone, pts: np.ndarray) -> np.ndarray:
     """Weight on a batch of points, zero outside the (closed) cone; the
     unweighted extension lists no axis, so its weight is 1 everywhere."""
@@ -254,57 +231,6 @@ def ball_measure(cone: WeightedCone, r: float) -> float:
     if r == 0:
         return 0.0
     return cone.c_d * r ** cone.big_d
-
-
-# -- concavity probe -------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    trials: int
-    violations: int
-    worst_margin: float
-    passed: bool
-
-
-def concavity_probe(cone: WeightedCone, trials: int = 1000, seed: int = 0
-                    ) -> ConcavityReport:
-    """Sample midpoint concavity of w^(1/alpha) on segments inside the cone.
-
-    For each random pair x, y in S the probe checks
-
-        w^(1/alpha)((x+y)/2) >= (w^(1/alpha)(x) + w^(1/alpha)(y)) / 2
-
-    up to a 1e-12 relative slack.  Monomial weights satisfy this for every
-    pair; a violation count > 0 flags a weight outside the admissible class.
-    """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if cone.alpha == 0.0:
-        # unweighted extension: w == 1 and the inequality is an identity
-        return ConcavityReport(trials, 0, 0.0, True)
-    rng = np.random.default_rng(seed)
-    constrained = cone.constrained_axes
-    free = [a for a in range(cone.d) if a not in constrained]
-
-    def sample(n: int) -> np.ndarray:
-        pts = np.empty((n, cone.d))
-        for a in constrained:
-            pts[:, a] = np.exp(rng.uniform(math.log(0.05), math.log(2.0), n))
-        for a in free:
-            pts[:, a] = rng.uniform(-2.0, 2.0, n)
-        return pts
-
-    xs, ys = sample(trials), sample(trials)
-    inv_alpha = 1.0 / cone.alpha
-    fx = _weight_values(cone, xs) ** inv_alpha
-    fy = _weight_values(cone, ys) ** inv_alpha
-    fm = _weight_values(cone, 0.5 * (xs + ys)) ** inv_alpha
-    avg = 0.5 * (fx + fy)
-    scale = np.maximum(np.maximum(fm, avg), 1e-300)
-    margins = (fm - avg) / scale
-    bad = margins < -1e-12
-    worst = float(np.min(margins)) if trials else 0.0
-    return ConcavityReport(trials, int(np.sum(bad)), worst, not bool(np.any(bad)))
 
 
 # -- built-in cones --------------------------------------------------------

@@ -306,13 +306,13 @@ def restricted_norm(f, params: LorentzParams, t_cut: float) -> float:
 
 def ell_q_norm(alpha: Sequence[float], q: float) -> float:
     """The ell_q norm of a finite sequence; q = inf gives the max."""
+    if not q >= 1.0:   # NaN and -inf too
+        raise ValidationError("sequence exponent must be >= 1 (or inf)")
     arr = np.abs(np.asarray(alpha, dtype=float))
     if arr.size == 0:
         return 0.0
     if math.isinf(q):
         return float(np.max(arr))
-    if not q >= 1.0:   # NaN too
-        raise ValidationError("sequence exponent must be >= 1 (or inf)")
     if q == 1.0:
         return float(np.sum(arr))
     m = float(np.max(arr))

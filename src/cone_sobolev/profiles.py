@@ -23,7 +23,6 @@ the head-to-support ratio grows; closed-form segments let that ratio reach
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .cones import WeightedCone
 from .errors import DomainError, ValidationError
-from .segments import Law, Piece, pieces_value, power_primitive
+from .segments import Law, Piece, pieces_value
 
 __all__ = [
     "RadialProfile",
@@ -41,7 +40,6 @@ __all__ = [
     "alvino_profile",
     "gradient_density",
     "scale",
-    "head_cutoff",
 ]
 
 _JUNCTION_RTOL = 1e-9
@@ -124,30 +122,10 @@ class RadialProfile:
                              tuple(Piece(p.t0, p.t1, p.law.scaled(k))
                                    for p in self.pieces))
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        segs = []
-        for p in self.pieces:
-            law = p.law
-            if law.is_constant:
-                entry = {"law": "affine",
-                         "params": [law.constant_value(), 0.0]}
-            elif law.expo == 1.0:
-                entry = {"law": "affine", "params": [law.shift, law.coef]}
-            elif law.shift == 0.0:
-                entry = {"law": "power", "params": [law.coef, law.expo]}
-            else:
-                entry = {"law": "power",
-                         "params": [law.coef, law.expo, law.shift]}
-            segs.append({"t0": p.t0, "t1": p.t1, **entry})
-        return {"segments": segs, "cone": self.cone.to_json_dict()}
+    # -- profile files ----------------------------------------------------
 
     @staticmethod
-    def from_json_dict(data: Mapping,
-                       cone: WeightedCone | None = None) -> "RadialProfile":
-        if cone is None:
-            cone = WeightedCone.from_json_dict(data["cone"])
+    def from_json_dict(data: Mapping, cone: WeightedCone) -> "RadialProfile":
         pieces = []
         try:
             for seg in data["segments"]:
@@ -165,11 +143,6 @@ class RadialProfile:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile spec: {exc}") from exc
         return RadialProfile(cone, tuple(pieces))
-
-    @staticmethod
-    def from_json(text: str, cone: WeightedCone | None = None
-                  ) -> "RadialProfile":
-        return RadialProfile.from_json_dict(json.loads(text), cone)
 
 
 @dataclass(frozen=True)
@@ -251,7 +224,7 @@ def gradient_density(profile: RadialProfile) -> GradientDensity:
     if profile.is_unbounded:
         raise DomainError(
             "profile has an unbounded head; truncate it (e.g. with a flat "
-            "head or head_cutoff) before gradient operations")
+            "head) before gradient operations")
     cone = profile.cone
     front = cone.big_d * cone.c_d ** (1.0 / cone.big_d)
     out = []
@@ -278,80 +251,3 @@ def scale(profile: RadialProfile, kappa: float) -> RadialProfile:
     pieces = tuple(Piece(p.t0 / k, p.t1 / k, p.law.with_argument_scaled(k))
                    for p in profile.pieces)
     return RadialProfile(profile.cone, pieces)
-
-
-def _exact_ramp_increment(profile: RadialProfile, a: float, b: float,
-                          s0: float, s1: float) -> float:
-    """integral over (s0, s1) of (-phi'(t)) * (t - a)/(b - a) dt, exact.
-
-    Splitting (-phi') piece-wise gives integrands c * t^e * (t - a), whose
-    primitives are elementary powers.
-    """
-    total = 0.0
-    inv_w = 1.0 / (b - a)
-    for p in profile.pieces:
-        lo, hi = max(p.t0, s0), min(p.t1, s1)
-        if lo >= hi:
-            continue
-        dlaw = p.law.derivative()
-        if dlaw.is_constant and dlaw.constant_value() == 0.0:
-            continue
-        c, e = -dlaw.coef, dlaw.expo
-        total += c * inv_w * (power_primitive(lo, hi, e + 1.0)
-                              - a * power_primitive(lo, hi, e))
-    return total
-
-
-def head_cutoff(profile: RadialProfile, n: int) -> RadialProfile:
-    """Flatten the profile head by the gradient cutoff
-
-        u_n(t) = integral_t^inf (-phi'(sigma)) eta_n(sigma) d sigma,
-
-    with eta_n = 0 on (0, 1/(n+1)], affine on [1/(n+1), 1/n], 1 after.
-    The result is constant on (0, 1/(n+1)] (its gradient density vanishes
-    there exactly) and agrees with the profile beyond 1/n.  On the ramp
-    the exact integral is sampled at law-boundary and subdivision knots
-    and affine-interpolated, staying within the segment class.
-    """
-    if int(n) != n or n < 1:
-        raise ValidationError("cutoff index n must be a positive integer")
-    if profile.is_unbounded:
-        raise DomainError(
-            "profile has an unbounded head; truncate it before applying "
-            "a gradient cutoff")
-    a, b = 1.0 / (n + 1.0), 1.0 / float(n)
-    if all(p.law.derivative().is_constant
-           and p.law.derivative().constant_value() == 0.0
-           for p in profile.pieces if p.t0 < b):
-        return profile  # no gradient below 1/n: the cutoff acts trivially
-    if profile.t_max <= a:
-        # all gradient mass sits where eta_n vanishes
-        return RadialProfile(profile.cone,
-                             (Piece(0.0, profile.t_max, Law.constant(0.0)),))
-
-    # exact tail values: u_n(t) = phi(t) for t >= b
-    tail_pieces = [Piece(max(p.t0, b), p.t1, p.law)
-                   for p in profile.pieces if p.t1 > b]
-
-    # ramp knots: subdivisions plus any profile piece boundary inside
-    knots = set(np.linspace(a, min(b, profile.t_max), 9).tolist())
-    for p in profile.pieces:
-        for t in (p.t0, p.t1):
-            if a < t < b:
-                knots.add(t)
-    ts = sorted(knots)
-    phi_b = float(profile.value(b)) if profile.t_max > b else 0.0
-    # integrate the ramp from the right: u_n(ts[k]) by accumulation
-    values = [phi_b]
-    for t1, t0 in zip(ts[::-1], ts[::-1][1:]):
-        values.append(values[-1]
-                      + _exact_ramp_increment(profile, a, b, t0, t1))
-    values = values[::-1]
-
-    pieces = [Piece(0.0, ts[0], Law.constant(values[0]))]
-    for (t0, v0), (t1, v1) in zip(zip(ts, values), zip(ts[1:], values[1:])):
-        slope = (v1 - v0) / (t1 - t0)
-        pieces.append(Piece(t0, t1, Law(slope, 1.0, shift=v0 - slope * t0)))
-    if not tail_pieces and pieces[-1].t1 < profile.t_max:
-        pieces.append(Piece(pieces[-1].t1, profile.t_max, Law.constant(0.0)))
-    return RadialProfile(profile.cone, tuple(pieces + tail_pieces))

@@ -16,10 +16,7 @@ a piecewise-affine interpolant for gradient purposes.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -216,8 +213,8 @@ class SampledField:
     integrals of the monomial weight, products of per-axis power-rule
     factors (``_cell_measures``), so cells on the weight's zero set are
     measured exactly too.  Gradients use central differences inside,
-    one-sided at the box faces.  ``from_function`` and ``from_csv`` build
-    every field through one constructor on a validated grid.
+    one-sided at the box faces.  ``from_function`` and the bump field
+    build every field through one constructor on a validated grid.
     """
 
     cone: WeightedCone
@@ -270,50 +267,6 @@ class SampledField:
         if tau <= 0:
             raise DomainError("distribution threshold must be positive")
         return float(np.sum(self.cell_measures[np.abs(self.values) > tau]))
-
-    # -- CSV interchange ------------------------------------------------
-
-    def to_csv(self) -> str:
-        """Header line with JSON metadata, then x..., value rows; the x
-        columns are the cell centers that ``from_function`` samples."""
-        meta = {"cone": self.cone.to_json_dict(),
-                "box": [list(b) for b in self.box],
-                "shape": list(self.shape)}
-        buf = io.StringIO()
-        buf.write(f"# {json.dumps(meta, sort_keys=True)}\n")
-        writer = csv.writer(buf)
-        writer.writerow([f"x{i}" for i in range(self.cone.d)] + ["value"])
-        for row, v in zip(_cell_centers(self.box, self.shape),
-                          self.values.ravel()):
-            writer.writerow([repr(float(c)) for c in row]
-                            + [repr(float(v))])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "SampledField":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValidationError("field CSV must start with a '# {json}' "
-                                  "metadata line")
-        try:
-            meta = json.loads(lines[0][1:].strip())
-            cone = WeightedCone.from_json_dict(meta["cone"])
-            box = tuple((float(lo), float(hi)) for lo, hi in meta["box"])
-            shape = tuple(int(n) for n in meta["shape"])
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"malformed field metadata: {exc}") from exc
-        _validate_box(cone, box, shape)
-        reader = csv.reader(lines[1:])
-        header = next(reader)
-        if header[-1] != "value":
-            raise ValidationError("field CSV needs a trailing value column")
-        vals = [float(row[-1]) for row in reader if row]
-        n_cells = int(np.prod(shape))
-        if len(vals) != n_cells:
-            raise ValidationError(
-                f"expected {n_cells} rows of cell values, got {len(vals)}")
-        return SampledField._on_grid(cone, box, shape,
-                                     np.asarray(vals).reshape(shape))
 
 
 def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shell systems: construction invariants, certificates, serialization."""
+"""Shell systems: construction invariants and certificates."""
 
 import dataclasses
 import math
@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from cone_sobolev import bernstein, spans
-from cone_sobolev import (AlmostExtremalSystem, DomainError, InfeasibleError,
+from cone_sobolev import (DomainError, InfeasibleError,
                           InternalConsistencyError, LorentzParams,
                           ResourceError, ValidationError,
                           absolute_continuity_witness, bernstein_lower_bound,
-                          build_shell_function, certify_span,
-                          construct_system, ell_q_norm,
+                          certify_span, construct_system, ell_q_norm,
                           embedding_norm, from_knots, gamma_sequence,
                           gradient_upper_certificate, quotient,
                           superadditivity_certificate, verify_system)
@@ -80,10 +79,18 @@ def test_gamma_sequence_refuses_a_nan_budget():
 
 # -- single shells -----------------------------------------------------------------
 
+def _shell(cone, params, lam, outer_radius):
+    """The shell profile and flat-head radius, as ``construct_system``
+    builds them: one head-ratio search, then the shell at its radius."""
+    bound = LorentzParams(params.p, params.q, cone)
+    ratio = bernstein._head_ratio(cone, bound, lam)
+    return bernstein._shell_at(cone, bound, lam, ratio, outer_radius)
+
+
 def test_shell_function_hits_its_targets(halfplane):
     e_norm = embedding_norm(halfplane, PARAMS)
     lam = 0.5 * e_norm
-    profile, inner = build_shell_function(halfplane, PARAMS, lam, 1.0)
+    profile, inner = _shell(halfplane, PARAMS, lam, 1.0)
     rep = quotient(profile, PARAMS)
     assert rep.denominator == pytest.approx(1.0, rel=1e-10)
     assert rep.numerator == pytest.approx(lam, rel=1e-10)
@@ -96,27 +103,26 @@ def test_shell_function_hits_its_targets(halfplane):
 def test_shell_function_infeasible_exponents(halfplane):
     e_norm = embedding_norm(halfplane, LorentzParams(1.0, 1.0))
     with pytest.raises(InfeasibleError):
-        build_shell_function(halfplane, LorentzParams(1.0, 1.0),
-                             0.5 * e_norm, 1.0)
+        _shell(halfplane, LorentzParams(1.0, 1.0), 0.5 * e_norm, 1.0)
 
 
 @pytest.mark.parametrize("lam_factor", [0.0, 1.0, 1.5, -0.2])
 def test_shell_function_needs_subcritical_lambda(halfplane, lam_factor):
     e_norm = embedding_norm(halfplane, PARAMS)
     with pytest.raises(InfeasibleError):
-        build_shell_function(halfplane, PARAMS, lam_factor * e_norm, 1.0)
+        _shell(halfplane, PARAMS, lam_factor * e_norm, 1.0)
 
 
 def test_shell_function_validation(halfplane):
     e_norm = embedding_norm(halfplane, PARAMS)
     with pytest.raises(DomainError):
-        build_shell_function(halfplane, PARAMS, 0.5 * e_norm, 0.0)
+        _shell(halfplane, PARAMS, 0.5 * e_norm, 0.0)
 
 
 def test_shell_function_near_critical_lambda_is_resource_bounded(halfplane):
     e_norm = embedding_norm(halfplane, PARAMS)
     with pytest.raises(ResourceError):
-        build_shell_function(halfplane, PARAMS, 0.9999 * e_norm, 1.0)
+        _shell(halfplane, PARAMS, 0.9999 * e_norm, 1.0)
 
 
 # -- system construction -------------------------------------------------------------
@@ -323,9 +329,9 @@ def test_verify_system_runs_once_per_object(halfplane, monkeypatch):
     assert not calls
     report["shells"].clear()  # a copy: the kept report is untouched
     assert len(verify_system(built)["shells"]) == 2
-    loaded = AlmostExtremalSystem.from_json(built.to_json())
-    assert verify_system(loaded) == verify_system(built)
-    assert len(calls) == 2  # the loaded system is checked on its own
+    fresh = dataclasses.replace(built)
+    assert verify_system(fresh) == verify_system(built)
+    assert len(calls) == 2  # the fresh system is checked on its own
 
 
 def test_prefix_systems_stand_alone(system):
@@ -389,27 +395,6 @@ def test_absolute_continuity_witness_vanishes(system, halfplane):
     assert len(wit) == system.m
     assert all(a > b > 0 for a, b in zip(wit, wit[1:]))
     assert wit[-1] < 0.01 * wit[0]
-
-
-# -- serialization ------------------------------------------------------------------------
-
-def test_system_json_roundtrip(system):
-    clone = AlmostExtremalSystem.from_json(system.to_json())
-    assert clone.m == system.m
-    assert clone.lam == system.lam
-    assert (clone.eps1, clone.eps2) == (system.eps1, system.eps2)
-    verify_system(clone)
-    for a, b in zip(clone.shells, system.shells):
-        assert a.outer_radius == b.outer_radius
-        assert a.cutoff_measure == b.cutoff_measure
-        assert a.gamma == b.gamma
-
-
-def test_system_json_rejects_malformed(system):
-    data = system.to_json_dict()
-    del data["shells"][0]["profile"]
-    with pytest.raises(ValidationError):
-        AlmostExtremalSystem.from_json_dict(data)
 
 
 def _explicit_sweep(system, trials, directions, seed):
@@ -546,12 +531,11 @@ def test_function_span_has_no_sliver_strata(halfplane, monkeypatch, frac):
         assert not (finite & (r.b - r.a <= 1e-9 * r.b)).any()
 
 
-@pytest.mark.parametrize("which", ["q=1", "q=2", "quadrant-x1x2", "json"])
+@pytest.mark.parametrize("which", ["q=1", "q=2", "quadrant-x1x2"])
 def test_span_engine_matches_the_piece_path(which, system, q_two_system,
                                             quadrant_system):
     sys_ = {"q=1": system, "q=2": q_two_system,
-            "quadrant-x1x2": quadrant_system,
-            "json": AlmostExtremalSystem.from_json(system.to_json())}[which]
+            "quadrant-x1x2": quadrant_system}[which]
     splits = 0
     for alpha in _awkward_alphas(sys_, np.random.default_rng(17)):
         function, gradient, split = _reference_norms(sys_, alpha)
@@ -607,8 +591,4 @@ def test_systems_reject_a_certified_bound_that_is_not_positive(
     for eps2 in (edge, 2.0 * edge):
         with pytest.raises(ValidationError, match="must be positive"):
             dataclasses.replace(system, eps2=eps2)
-        spec = system.to_json_dict()
-        spec["eps2"] = eps2
-        with pytest.raises(ValidationError, match="must be positive"):
-            AlmostExtremalSystem.from_json_dict(spec)
 

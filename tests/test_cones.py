@@ -1,4 +1,4 @@
-"""Weighted cone measures: oracles, homogeneity, admissibility probes."""
+"""Weighted cone measures: oracles, homogeneity, admissible specs."""
 
 import math
 import os
@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_sobolev import (BUILTIN_CONE_NAMES, DomainError, ResourceError,
+from cone_sobolev import (BUILTIN_CONE_NAMES, ResourceError,
                           ValidationError, WeightedCone, ball_measure,
-                          builtin_cone, concavity_probe,
-                          unit_ball_measure, weight_eval)
+                          builtin_cone, unit_ball_measure)
+from cone_sobolev.cones import _weight_values
 
 # closed forms: integrate the monomial over the unit sector
 ORACLES = {
@@ -143,45 +143,10 @@ def test_ball_measure_homogeneity(r):
 
 
 def test_weight_eval_monomial_and_boundary(halfplane):
-    assert weight_eval(halfplane, [2.0, -1.0]) == 2.0
-    assert weight_eval(halfplane, [0.0, 1.0]) == 0.0
-    vals = weight_eval(halfplane, np.array([[1.0, 0.0], [0.0, 0.0],
-                                            [0.25, 3.0]]))
-    assert np.allclose(vals, [1.0, 0.0, 0.25])
-
-
-def test_weight_eval_rejects_points_outside_the_closure(halfplane):
-    with pytest.raises(DomainError):
-        weight_eval(halfplane, [-0.5, 1.0])
-    with pytest.raises(ValidationError):
-        weight_eval(halfplane, [1.0, 2.0, 3.0])
-
-
-@pytest.mark.parametrize("name", BUILTIN_CONE_NAMES)
-def test_concavity_probe_accepts_monomial_weights(name):
-    report = concavity_probe(builtin_cone(name), trials=500, seed=1)
-    assert report.passed
-    assert report.violations == 0
-
-
-def test_concavity_probe_accepts_fractional_powers():
-    cone = WeightedCone.create(3, [(0, 0.5), (2, 1.5)])
-    report = concavity_probe(cone, trials=500, seed=2)
-    assert report.passed
-
-
-def test_concavity_probe_rejects_non_concave_weight():
-    # w = x1^2 / x2 has alpha = 1 and is convex on the quadrant, not
-    # concave: an inadmissible weight, which ``create`` refuses, so the
-    # cone is built field by field
-    with pytest.raises(ValidationError):
-        WeightedCone.create(2, [(0, 2.0), (1, -1.0)])
-    cone = WeightedCone(2, ((0, 2.0), (1, -1.0)), 1.0, 3.0, math.nan,
-                        math.nan)
-    report = concavity_probe(cone, trials=500, seed=3)
-    assert not report.passed
-    assert report.violations > 0
-    assert report.worst_margin < -1e-6
+    vals = _weight_values(halfplane, np.array([[2.0, -1.0], [0.0, 1.0],
+                                               [1.0, 0.0], [0.0, 0.0],
+                                               [0.25, 3.0], [-0.5, 1.0]]))
+    assert np.array_equal(vals, [2.0, 0.0, 1.0, 0.0, 0.25, 0.0])
 
 
 def test_serialization_roundtrip(quadrant):
@@ -197,6 +162,7 @@ def test_serialization_roundtrip(quadrant):
     dict(d=2, exponents=[(2, 1.0)]),
     dict(d=2, exponents=[(0, 0.0)]),
     dict(d=2, exponents=[(0, -1.0)]),
+    dict(d=2, exponents=[(0, 2.0), (1, -1.0)]),   # x1^2 / x2: not concave
 ])
 def test_invalid_cone_specs_are_rejected(spec):
     with pytest.raises(ValidationError):

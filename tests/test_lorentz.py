@@ -241,12 +241,13 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     and the adaptive rule disabled, and still give the values the shared
     adaptive fallback gave (frozen below, computed with it).
     """
-    from cone_sobolev import (build_shell_function, embedding_norm,
-                              quadrature, segments)
+    from cone_sobolev import bernstein, embedding_norm, quadrature, segments
     from cone_sobolev.segments import Piece
-    params = LorentzParams(2.0, 1.0)
-    shell, _ = build_shell_function(
-        halfplane, params, 0.5 * embedding_norm(halfplane, params), 1.0)
+    params = LorentzParams(2.0, 1.0, halfplane)
+    lam = 0.5 * embedding_norm(halfplane, params)
+    shell, _ = bernstein._shell_at(
+        halfplane, params, lam, bernstein._head_ratio(halfplane, params, lam),
+        1.0)
     shell_psi = list(gradient_density(shell).pieces)
     affine_psi = list(gradient_density(from_knots(
         halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).pieces)
@@ -465,3 +466,11 @@ def test_ell_q_norm_refuses_a_nan_exponent():
     # 1**nan is 1, so an unchecked NaN would return a plausible norm
     with pytest.raises(ValidationError):
         ell_q_norm([1.0], math.nan)
+
+
+def test_ell_q_norm_checks_the_exponent_first():
+    # the exponent is checked before the q = inf and empty-sequence
+    # branches, so neither can answer for an invalid q
+    for alpha, q in (([1.0, 2.0], -math.inf), ([], math.nan), ([], 0.5)):
+        with pytest.raises(ValidationError):
+            ell_q_norm(alpha, q)

@@ -1,4 +1,4 @@
-"""Radial profiles: construction, gradient densities, scaling, cutoffs."""
+"""Radial profiles: construction, gradient densities, scaling, files."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cone_sobolev import (DomainError, RadialProfile, ValidationError,
                           alvino_profile, from_knots, gradient_density,
-                          head_cutoff, scale)
+                          scale)
 from cone_sobolev.segments import Law, Piece
 
 
@@ -143,46 +143,29 @@ def test_scale_validation(halfplane):
         scale(tent(halfplane), 0.0)
 
 
-# -- head cutoff -------------------------------------------------------------------
+# -- profile files ------------------------------------------------------------------
 
-def test_head_cutoff_flattens_the_head(halfplane):
-    prof = from_knots(halfplane, [(0.05, 3.0), (0.5, 1.0), (2.0, 0.0)])
-    cut = head_cutoff(prof, 4)  # ramp on (1/5, 1/4)
-    a, b = 0.2, 0.25
-    # constant below the ramp: gradient density vanishes there
-    psi = gradient_density(cut)
-    assert float(psi.value(0.5 * a)) == 0.0
-    v_lo = float(cut.value(1e-6))
-    assert float(cut.value(0.5 * a)) == pytest.approx(v_lo, rel=1e-12)
-    # unchanged beyond the ramp
-    for t in (0.3, 0.7, 1.5):
-        assert float(cut.value(t)) == pytest.approx(
-            float(prof.value(t)), rel=1e-9)
-    # dominated by the original profile
-    ts = np.linspace(0.01, 2.2, 50)
-    assert np.all(np.asarray(cut.value(ts))
-                  <= np.asarray(prof.value(ts)) + 1e-9)
-
-
-def test_head_cutoff_trivial_when_head_is_flat(halfplane):
-    prof = tent(halfplane)  # no gradient below t = 1
-    assert head_cutoff(prof, 2) is prof
-
-
-def test_head_cutoff_validation(halfplane):
-    with pytest.raises(ValidationError):
-        head_cutoff(tent(halfplane), 0)
-
-
-# -- serialization ------------------------------------------------------------------
-
-def test_profile_json_roundtrip(halfplane):
-    for prof in (tent(halfplane), alvino_profile(halfplane, 1.5, 0.5, 8.0)):
-        clone = RadialProfile.from_json_dict(prof.to_json_dict())
-        ts = np.linspace(0.01, prof.t_max * 1.1, 60)
-        assert np.allclose(np.asarray(clone.value(ts)),
-                           np.asarray(prof.value(ts)), rtol=1e-13, atol=0)
-        assert clone.cone.c_d == pytest.approx(halfplane.c_d, rel=1e-12)
+def test_profile_json_reads_every_law_kind(halfplane):
+    # 3 - t/2, then 2.5 t^(-1/2), then 5 t^(-1/2) - 1.25: continuous,
+    # nonincreasing, and zero at t = 16
+    data = {"segments": [
+        {"t0": 0.0, "t1": 1.0, "law": "affine", "params": [3.0, -0.5]},
+        {"t0": 1.0, "t1": 4.0, "law": "power", "params": [2.5, -0.5]},
+        {"t0": 4.0, "t1": 16.0, "law": "power",
+         "params": [5.0, -0.5, -1.25]}]}
+    expected = [Piece(0.0, 1.0, Law(-0.5, 1.0, shift=3.0)),
+                Piece(1.0, 4.0, Law(2.5, -0.5)),
+                Piece(4.0, 16.0, Law(5.0, -0.5, shift=-1.25))]
+    prof = RadialProfile.from_json_dict(data, halfplane)
+    assert prof.cone is halfplane
+    assert prof.pieces == tuple(expected)
+    for got, want in zip(prof.pieces, expected):
+        ts = np.linspace(want.t0, want.t1, 9)[1:]
+        assert np.array_equal(np.asarray(got.value(ts)),
+                              np.asarray(want.law.value(ts)))
+    assert prof.value(0.5) == 2.75
+    assert prof.value(4.0) == pytest.approx(1.25, rel=1e-15)
+    assert prof.value(16.0) == 0.0
 
 
 def test_profile_json_rejects_unknown_laws(halfplane):

@@ -175,23 +175,6 @@ def test_cell_measures_match_40_digit_integrals(power):
                 assert abs(got - want) <= 1e-15 * want, (i, j)
 
 
-def test_csv_coordinates_are_the_sampled_points():
-    cone = builtin_cone("quadrant-x1x2")
-    sampled = []
-
-    def fn(p):
-        sampled.append(p.copy())
-        return p[:, 0] * p[:, 1]
-
-    f = SampledField.from_function(cone, [(0.0, 3.0), (0.0, 3.0)],
-                                   (97, 97), fn)
-    rows = f.to_csv().splitlines()[2:]
-    written = np.array([[float(x) for x in row.split(",")[:-1]]
-                        for row in rows])
-    assert written.shape == sampled[0].shape
-    assert np.array_equal(written, sampled[0])
-
-
 def test_from_function_validation(halfplane):
     with pytest.raises(ValidationError):
         SampledField.from_function(
@@ -222,10 +205,6 @@ def test_fields_reject_non_finite_cells(halfplane, bad):
     measures[2, 1] = math.nan
     with pytest.raises(ValidationError):
         dataclasses.replace(good, cell_measures=measures)
-    text = good.to_csv().splitlines()
-    text[3] = text[3].rsplit(",", 1)[0] + f",{bad!r}"
-    with pytest.raises(ValidationError):
-        SampledField.from_csv("\n".join(text))
 
 
 def test_affine_field_has_exact_gradient(halfplane):
@@ -260,26 +239,6 @@ def test_rearrangement_translation_invariant():
     for tau in (0.02, 0.05, 0.1, 0.2, 0.3):
         assert f1.distribution_function(tau) == pytest.approx(
             f0.distribution_function(tau), rel=1e-12)
-
-
-def test_field_csv_roundtrip():
-    f = bump_field((0.1, -0.3), grid=12)
-    clone = SampledField.from_csv(f.to_csv())
-    assert np.array_equal(clone.values, f.values)
-    assert np.allclose(clone.cell_measures, f.cell_measures, rtol=1e-15)
-    assert rearrangement(clone) == rearrangement(f)
-    assert clone.cone.c_d == pytest.approx(math.pi, rel=1e-12)
-
-
-@pytest.mark.parametrize("mangle", [
-    lambda text: text.splitlines()[1] + "\n" + text,       # no metadata line
-    lambda text: text.replace('"shape": [12, 12]', '"shape": [12, 13]'),
-    lambda text: "\n".join(text.splitlines()[:-3]),        # truncated rows
-])
-def test_field_csv_rejects_malformed(mangle):
-    text = bump_field((0.0, 0.0), grid=12).to_csv()
-    with pytest.raises(ValidationError):
-        SampledField.from_csv(mangle(text))
 
 
 # -- radial rearrangement -------------------------------------------------------

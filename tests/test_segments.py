@@ -23,7 +23,7 @@ from cone_sobolev import (BUILTIN_CONE_NAMES, DivergentIntegralError,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged, quotient, segments)
 from cone_sobolev.profiles import (alvino_profile, from_knots,
-                                   gradient_density, head_cutoff, scale)
+                                   gradient_density, scale)
 from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
                                    clip_pieces, level_set_qth_powers,
                                    level_set_strata, moment_integral,
@@ -627,15 +627,13 @@ def test_a_jump_beyond_rounding_stays_two_cuts():
 
 def profile_zoo(cone, rng):
     """Criterion 3's affine draws (no knot gap), an Alvino profile, and
-    head cutoffs and dilations of both."""
+    dilations of both."""
     alvino = alvino_profile(cone, 3.0, 0.05, 2.0)
     for _ in range(12):
         knotted = acceptance._random_affine_profile(cone, rng)
         yield knotted
-        yield head_cutoff(knotted, 3)
         yield scale(knotted, 1.7)
     yield alvino
-    yield head_cutoff(alvino, 4)
     yield scale(alvino, 0.6)
 
 
