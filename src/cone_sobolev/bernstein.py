@@ -58,7 +58,7 @@ from .lorentz import (LorentzParams, ell_q_norm,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .segments import moment_integral
+from .segments import _moment_integrals
 from .sobolev import embedding_norm, quotient
 from .spans import SpanTables, span_norms
 
@@ -303,19 +303,17 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
 
     u* restricted outside measure tau has rearrangement u*(. + tau), a
     shifted-argument law on each overlapping segment; the flat head
-    contributes an exact power moment, the arcs integrate adaptively.
+    contributes an exact power moment, each arc a sum of incomplete beta
+    integrals, all in one ``_moment_integrals`` call.
     """
     q = bound.q
-    gamma = q / bound.p_star
-    total = 0.0
+    windows = []
     for piece in profile.pieces:
         lo = max(piece.t0 - tau, tau)
         hi = piece.t1 - tau
-        if lo >= hi:
-            continue
-        shifted = piece.law.with_argument_shifted(tau)
-        total += moment_integral(lo, hi, shifted, gamma, q)
-    return total
+        if lo < hi:
+            windows.append((lo, hi, piece.law.with_argument_shifted(tau)))
+    return sum(_moment_integrals(windows, q / bound.p_star, q))
 
 
 # -- the inductive construction ----------------------------------------------

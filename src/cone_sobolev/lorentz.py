@@ -12,9 +12,11 @@ strata) and cross-checking them is the main guard against integration
 bugs, since no external numeric tables exist for these norms.
 
 Both routes are exact on steps and on elementary moments, and share no
-integration code otherwise.  The t route falls back to ``quadrature``'s
-deterministic adaptive rule (relative 1e-12) on non-elementary segment
-moments; the lambda route integrates its strata with its own batched
+integration code otherwise.  The t route sums its non-elementary segment
+moments as incomplete beta series with a certified bound (relative
+1e-12), one array kernel per norm (``segments._moment_integrals``), and
+leaves only Appell F1 moments to ``quadrature``'s deterministic adaptive
+rule; the lambda route integrates its strata with its own batched
 tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance.  Steps
 and sampled fields stay arrays on both routes, and the lambda route takes
 their plateaus to the one strata builder (``LevelSet.from_plateaus``).
@@ -41,7 +43,8 @@ from .errors import (DomainError, DivergentIntegralError,
 from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
-from .segments import Law, LevelSet, Piece, clip_pieces, moment_integral
+from .segments import (Law, LevelSet, Piece, _moment_integrals, clip_pieces,
+                       moment_integral)
 
 __all__ = [
     "LorentzParams",
@@ -152,8 +155,10 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
     Evaluates ( sum of segment moments of t^(q/p-1) f*(t)^q )^(1/q); each
     step contributes c^q (p/q) (t1^(q/p) - t0^(q/p)) in closed form, power
     arcs integrate analytically, with log/expm1 evaluation guarding nearly
-    cancelling exponents.  Step functions take the array route
-    (``StepFunction1D.moment``), one numpy expression over all plateaus.
+    cancelling exponents, and the other segments are incomplete beta
+    series, all in one ``_moment_integrals`` call.  Step functions take the
+    array route (``StepFunction1D.moment``), one numpy expression over all
+    plateaus.
     """
     if isinstance(f_star, StepFunction1D):
         vals = f_star.value_array
@@ -167,7 +172,8 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
         return 0.0
     _check_nonincreasing(pieces)
     p, q = params.p, params.q
-    total = math.fsum(pc.moment(q / p, q) for pc in pieces)
+    total = math.fsum(_moment_integrals(
+        [(pc.t0, pc.t1, pc.law) for pc in pieces], q / p, q))
     return total ** (1.0 / q)
 
 

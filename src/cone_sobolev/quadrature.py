@@ -1,10 +1,13 @@
 """Deterministic adaptive Gauss-Kronrod integration.
 
 The adaptive integrator below is the t-route's numeric fallback, used
-whenever a segment moment (or a Hardy tail) has no closed form; the
-lambda route has its own tanh-sinh rule in ``tanhsinh`` and never calls
-it.  Its callers build their integrands with ``substitute_origin``, the
-one place the origin-regularizing substitution t = u^(1/m) is written.
+for the segment moments that are Appell F1 integrals (a law off the
+origin at non-integer q and gamma), for a moment whose incomplete beta
+series cannot certify its bound, and for a Hardy tail without a closed
+form; the lambda route has its own tanh-sinh rule in ``tanhsinh`` and
+never calls it.  Its callers build their integrands with
+``substitute_origin``, the one place the origin-regularizing
+substitution t = u^(1/m) is written.
 Design constraints:
 
 * deterministic: no randomness, panel decisions depend only on relative
@@ -24,9 +27,9 @@ call on 62 nodes, until the exact sums over the live panels (taken in the
 order the panels were made, after every split) meet the relative
 tolerance, within a budget of 8192 splits (``_MAX_PANELS``).  A split
 scans the panel list, so only an integral that spends the budget is
-quadratic: no grid check reaches this rule, and no profile or shell
-workload has needed over 99 splits.  Every fallback integral carries
-this error estimate; there is no fixed-rule path.
+quadratic: no grid check, affine profile, alvino sweep or integer-q shell
+system reaches this rule.  Every fallback integral carries this error
+estimate; there is no fixed-rule path.
 """
 
 from __future__ import annotations

@@ -97,6 +97,18 @@ def test_alvino_command_frozen_fractions(capsys):
                                   "below_embedding_norm": True}
 
 
+def test_alvino_command_over_300_decades(capsys):
+    # the t-route's incomplete beta series spans the 1e300 arc at q > 1
+    code, report, _ = run_json(
+        capsys, ["alvino", "--cone", "halfplane-x1", "--p", "1.2",
+                 "--q", "1.1", "--ratios", "1e2,1e300"])
+    assert code == 0
+    quotients = [row["quotient"] for row in report["outputs"]["sweep"]]
+    assert quotients[0] <= quotients[1] < report["outputs"]["embedding_norm"]
+    assert report["verdicts"] == {"nondecreasing": True,
+                                  "below_embedding_norm": True}
+
+
 def test_polya_szego_command(capsys):
     code, report, _ = run_json(
         capsys, ["polya-szego", "--grid", "12", "--bumps", "2",

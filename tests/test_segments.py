@@ -8,6 +8,7 @@ leave residue far above the surviving mass).
 """
 
 import math
+import time
 from dataclasses import replace
 
 import mpmath
@@ -19,9 +20,11 @@ from scipy.integrate import quad
 
 from cone_sobolev import (BUILTIN_CONE_NAMES, DivergentIntegralError,
                           LorentzParams, NumericalError, StepFunction1D,
-                          ValidationError, acceptance, builtin_cone,
-                          lorentz_norm_distributional,
-                          lorentz_norm_rearranged, quotient, segments)
+                          ValidationError, acceptance, alvino_search,
+                          builtin_cone, construct_system, embedding_norm,
+                          lorentz, lorentz_norm_distributional,
+                          lorentz_norm_rearranged, quotient, segments,
+                          verify_system)
 from cone_sobolev.profiles import (alvino_profile, from_knots,
                                    gradient_density, scale)
 from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
@@ -231,6 +234,266 @@ def test_moment_integral_constant_law_closed_form():
 def test_moment_integral_divergence_is_reported():
     with pytest.raises(DivergentIntegralError):
         moment_integral(0.0, 1.0, Law(1.0, -2.0), 0.5, 1.0)
+
+
+# -- the incomplete beta series of the t-route ----------------------------------
+
+def beta_parts(x0, x1, a, b):
+    """The series parts of the integral over (x0, x1) of
+    x^(a-1) (1-x)^(b-1): the law's zero at xs = 1, with d = 1 - x (exact
+    wherever the parts use it, at x >= 1/2)."""
+    parts = []
+    segments._beta_parts(parts, 1.0, (), 0.0, x0, x1, x1 - x0, 1.0 - x0,
+                         1.0 - x1, 1.0, a, b, a + b - 1.0, False)
+    return parts
+
+
+def summed(parts, rest=0.0):
+    """A moment's value and error bound from its series parts and its
+    elementary rest, as ``_moment_integrals`` forms them."""
+    values, bounds = segments._part_sums(parts)
+    return (math.fsum([rest, *values]),
+            sum(bounds) + 8.0 * 2.0 ** -52 * abs(rest))
+
+
+def beta_oracle(x0, x1, a, b):
+    with mpmath.workdps(40):
+        if a > 0:
+            return mpmath.betainc(a, b, x0, x1)
+        # a <= 0 keeps off x = 0: integrate in s = log x
+        return mpmath.quad(lambda s: mpmath.exp(a * s)
+                           * (1 - mpmath.exp(s)) ** (b - 1),
+                           [mpmath.log(x0), mpmath.log(x1)])
+
+
+@pytest.mark.parametrize("x0, x1, a, b", [
+    (1e-300, 0.3, 0.5, 2.1),             # a segment ratio of 1e300
+    (1e-300, 0.3, 0.0, 2.1),             # the log case a = 0
+    (1e-300, 0.9, 0.0, 2.1),             # ... cut at 1/2
+    (1e-10, 0.4, -1.0, 1.5),             # negative integers
+    (1e-3, 0.45, -2.0, 0.5),
+    (0.2, 0.9, 1.5, 0.0),                # b = 0 short of the zero
+    (0.2, 1.0 - 2.0 ** -50, 2.5, -1.0),  # b = -1, 2^-50 from it
+    (0.6, 1.0 - 2.0 ** -40, 0.7, -2.0),
+    (0.3, 0.7, 2.0, 3.0),
+    (0.5, 1.0, 1e-3, 0.3),
+    (0.0, 1.0, 0.25, 0.75),              # B(1/4, 3/4) = pi sqrt 2
+    (0.0, 0.5, 3.0, -4.5),
+    (0.6666, 0.666601, 1.2, 2.2),        # 1e-6 wide
+    (0.4999995, 0.5000005, 1.7, 2.3),    # 1e-6 wide across the cut
+    (1e-7, 1e-7 + 1e-13, 0.3, 1.4),
+])
+def test_beta_series_matches_betainc(x0, x1, a, b):
+    value, bound = summed(beta_parts(x0, x1, a, b))
+    want = beta_oracle(x0, x1, a, b)
+    assert abs(value - want) <= bound
+    assert bound <= 1e-12 * abs(value)
+
+
+def test_beta_series_full_integral():
+    value, _ = summed(beta_parts(0.0, 1.0, 0.25, 0.75))
+    assert value == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15)
+
+
+def moment_oracle(t0, t1, law, gamma, q, dps=50):
+    with mpmath.workdps(dps):
+        c, e, s, base, orient = (mpmath.mpf(v) for v in (
+            law.coef, law.expo, law.shift, law.base, law.orient))
+        return mpmath.quad(
+            lambda t: t ** (gamma - 1) * (c * (orient * (t - base)) ** e
+                                          + s) ** q,
+            [mpmath.mpf(t0), mpmath.mpf(t1)])
+
+
+@pytest.mark.parametrize("t0, t1, law, gamma, q", [
+    # 1e-6 wide at t = 2: falling to a zero at 3, at the zero itself, a
+    # power arc and an off-origin arc with integer q
+    (2.0, 2.000001, Law(-1.0, 1.0, shift=3.0), 0.6, 1.2),
+    (2.0, 2.000001, Law(-1.0, 1.0, shift=2.000001), 0.6, 1.2),
+    (2.0, 2.000001, Law(1.0, -0.5, shift=-0.25), 1.3, 2.5),
+    (2.0, 2.000001, Law(1.0, -0.5, base=-0.5, shift=-0.25), 1.3, 2.0),
+    # ... and one with integer gamma: u = t + 0.5 is rounded, the width
+    # comes from t
+    (1.5, 1.500001, Law(-1.0, 1.0, base=-0.5, shift=5.0), 2.0, 1.25),
+    # same sign, through the Pfaff transform
+    (0.3, 2.1, Law(1.3, 0.7, shift=0.4), 0.8, 1.5),
+    (0.3, 2.1, Law(1.3, -0.7, shift=0.4), 0.8, 1.5),
+    # off the origin: a pure power, an integer gamma, an integer q
+    (0.5, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0), 1.4, 1.2),
+    (0.5, 3.0, Law(-0.5, 1.5, base=-1.0, shift=4.0), 2.0, 1.3),
+    (0.5, 2.0, Law(1.0, -0.5, base=0.25, shift=-0.1), 1.4, 2.0),
+    # the series variable base/t underflows to 0 but is no end of the law
+    (1e30, 2e30, Law(1.0, -0.5, base=1e-300), 0.5, 1.2),
+    (1e30, 2e30, Law(1.0, -0.5, base=1e-300, shift=-1e-16), 0.5, 1.0),
+])
+def test_moment_series_within_their_bounds(t0, t1, law, gamma, q):
+    parts = []
+    rest = segments._moment_parts(parts, t0, t1, law, gamma, q)
+    value, bound = summed(parts, rest)
+    assert value == moment_integral(t0, t1, law, gamma, q)
+    assert abs(value - moment_oracle(t0, t1, law, gamma, q)) <= bound
+    assert bound <= 1e-12 * value
+
+
+@pytest.mark.parametrize("t0, t1, law, gamma, q", [
+    # 1e-6 wide, ending at the zero of a law whose x = t^expo (or u^expo,
+    # u = t + 1/2) is rounded: d at the far end is off by ulp(x), some
+    # 1e-10 of it; each law is nonnegative up to t1
+    (2.0, 2.000001, Law(-1.0, 0.5, shift=2.000001 ** 0.5), 1.3, 1.5),
+    (2.0, 2.000001, Law(-1.0, 1.5, shift=2.000001 ** 1.5), 0.6, 2.5),
+    (2.0, 2.000001, Law(1.0, -0.5, shift=-(2.000001 ** -0.5)), 1.3, 1.5),
+    (2.0, 2.000001, Law(-1.0, 1.5, base=-0.5, shift=(2.000001 + 0.5) ** 1.5),
+     2.0, 1.5),
+])
+def test_rounded_ends_at_a_law_zero_are_in_the_bound(t0, t1, law, gamma, q):
+    parts = []
+    rest = segments._moment_parts(parts, t0, t1, law, gamma, q)
+    value, bound = summed(parts, rest)
+    assert abs(value - moment_oracle(t0, t1, law, gamma, q)) <= bound
+    # beyond 1e-12, so the moment leaves the series for the adaptive rule
+    assert bound > 1e-12 * value
+
+
+def test_segment_at_the_law_zero_within_rounding():
+    # the law is 0 at both ends as computed: with x = t exact it is 0
+    # between, with a rounded t^expo its size there is unknown
+    t1 = math.nextafter(2.0, 3.0)
+    assert moment_integral(2.0, t1, Law(-1.0, 1.0, shift=2.0), 1.3, 1.5) == 0
+    with pytest.raises(NumericalError):
+        moment_integral(2.0, t1, Law(-1.0, 0.5, shift=math.sqrt(2.0)), 1.3,
+                        1.5)
+
+
+def test_same_sign_moment_matches_hyp2f1():
+    # integral over (0, X) of t^(gamma-1) (1 + t)^q is
+    # X^gamma / gamma 2F1(-q, gamma; gamma + 1; -X)
+    gamma, q = 0.5, -1.7
+    for x in (1e-3, 2.0, 1e8, 1e300):
+        got = moment_integral(0.0, x, Law(1.0, 1.0, shift=1.0), gamma, q)
+        with mpmath.workdps(40):
+            want = (mpmath.mpf(x) ** gamma / gamma
+                    * mpmath.hyp2f1(-q, gamma, gamma + 1, -mpmath.mpf(x)))
+        assert got == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("t0, t1, law, gamma, q", [
+    # the binomial of (4 - t)^q cancels to 1e-6 of its terms near t = 4
+    (3.999999, 4.0, Law(-1.0, 1.0, shift=4.0), 0.5, 1.0),
+    (3.9999, 4.0, Law(-1.0, 1.0, shift=4.0), 2.0 / 3.0, 2.0),
+    # off the origin at q = 1 and integer gamma: u = t + 1, zero at u = 5
+    (3.999999, 4.0, Law(-1.0, 1.0, base=-1.0, shift=5.0), 2.0, 1.0),
+    (3.99, 4.0, Law(-1.0, 1.0, base=-1.0, shift=5.0), 1.0, 1.0),
+])
+def test_binomial_near_the_law_zero_meets_the_contract(t0, t1, law, gamma,
+                                                       q):
+    # the moments are about 1e-13: a relative check, no absolute floor
+    want = moment_oracle(t0, t1, law, gamma, q)
+    assert abs(moment_integral(t0, t1, law, gamma, q) - want) <= 1e-12 * want
+
+
+def test_divergent_series_part_is_reported():
+    with pytest.raises(DivergentIntegralError):
+        moment_integral(0.0, 1.0, Law(1.0, -1.0, shift=1.0), 0.5, 1.5)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_near_coincident_last_knot_on_the_t_route(halfplane, gap):
+    star = LorentzParams(1.5, 1.2, halfplane).star_params()
+    prof = from_knots(halfplane, [(0.5, 1.0), (1.0, 0.7), (2.0, 0.3),
+                                  (2.0 + gap, 0.0)])
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = lorentz_norm_rearranged(prof, star)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.01
+    assert got == pytest.approx(lorentz_norm_distributional(prof, star),
+                                rel=1e-10)
+
+
+# -- what still reaches the adaptive rule ----------------------------------------
+
+def is_appell(law, gamma, q):
+    """An off-origin moment with non-integer q and gamma: an Appell F1
+    integral, the one class the incomplete beta series leaves to the rule."""
+    return ((law.base != 0.0 or law.orient != 1.0) and law.shift != 0.0
+            and q != int(q) and gamma != int(gamma))
+
+
+def record_the_rule(monkeypatch):
+    """Each call of the t-route's rule, as the moment it serves; the Hardy
+    tail's rule must not run."""
+    arrived, serving = [], []
+    moment, rule = segments._moment_adaptive, segments.integrate_adaptive
+
+    def recorded_moment(t0, t1, law, gamma, q):
+        serving.append((law, gamma, q))
+        try:
+            return moment(t0, t1, law, gamma, q)
+        finally:
+            serving.pop()
+
+    def recorded_rule(*args):
+        arrived.append(serving[-1] if serving else None)
+        return rule(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Hardy tail rule used")
+
+    monkeypatch.setattr(segments, "_moment_adaptive", recorded_moment)
+    monkeypatch.setattr(segments, "integrate_adaptive", recorded_rule)
+    monkeypatch.setattr(lorentz, "integrate_adaptive", forbidden)
+    return arrived
+
+
+def affine_profiles():
+    # profile-batch's affine items: criterion 3's law at its four (p, q)
+    rng = np.random.default_rng(5)
+    for name in ("halfplane-x1", "quadrant-x1x2", "disc-unweighted"):
+        cone = builtin_cone(name)
+        for p, q in ((1.5, 1.0), (2.0, 1.0), (1.0, 1.0), (1.5, 1.25)):
+            if p >= cone.big_d:
+                continue
+            params = LorentzParams(p, q, cone)
+            for _ in range(4):
+                ts = np.sort(rng.uniform(0.05, 4.0, int(rng.integers(2, 8))))
+                drops = rng.uniform(0.05, 1.0, len(ts) - 1)
+                vals = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+                prof = from_knots(cone, list(zip(ts.tolist(), vals.tolist())))
+                quotient(prof, params)
+                lorentz_norm_rearranged(prof, params.star_params())
+
+
+def alvino_sweeps():
+    for name in ("halfplane-x1", "quadrant-x1x2", "disc-unweighted"):
+        alvino_search(builtin_cone(name), LorentzParams(1.5, 1.25),
+                      [1e2, 1e4, 1e8, 1e40])
+
+
+def shell_system(p=2.0, q=1.0):
+    cone, params = builtin_cone("halfplane-x1"), LorentzParams(p, q)
+    verify_system(construct_system(cone, params, 3,
+                                   0.5 * embedding_norm(cone, params),
+                                   0.05, 0.05))
+
+
+def criteria_3_and_5():
+    assert all(r.passed for r in acceptance.run_criteria([3, 5]))
+
+
+@pytest.mark.parametrize("run", [affine_profiles, alvino_sweeps, shell_system,
+                                 criteria_3_and_5])
+def test_only_appell_moments_reach_the_rule(monkeypatch, run):
+    arrived = record_the_rule(monkeypatch)
+    run()
+    assert all(m is not None and is_appell(*m) for m in arrived)
+
+
+def test_appell_moments_still_take_the_rule(monkeypatch):
+    # at non-integer q the shells' windows are Appell F1 integrals
+    arrived = record_the_rule(monkeypatch)
+    shell_system(1.5, 1.3)
+    assert arrived and all(m is not None and is_appell(*m) for m in arrived)
 
 
 # -- pieces ---------------------------------------------------------------------
