@@ -22,8 +22,7 @@ from .lorentz import (LorentzParams, ell_q_norm, hardy_check,
 from .profiles import (GradientDensity, RadialProfile, alvino_profile,
                        from_knots, gradient_density, scale)
 from .rearrangement import (SampledField, StepFunction1D,
-                            distribution_function, radial_rearrangement,
-                            rearrangement)
+                            radial_rearrangement, rearrangement)
 from .sobolev import (QuotientReport, alvino_search,
                       bump_superposition_field, embedding_norm,
                       polya_szego_check, quotient)
@@ -46,8 +45,8 @@ __all__ = [
     "restricted_norm",
     "GradientDensity", "RadialProfile", "alvino_profile", "from_knots",
     "gradient_density", "scale",
-    "SampledField", "StepFunction1D", "distribution_function",
-    "radial_rearrangement", "rearrangement",
+    "SampledField", "StepFunction1D", "radial_rearrangement",
+    "rearrangement",
     "QuotientReport", "alvino_search", "bump_superposition_field",
     "embedding_norm", "polya_szego_check", "quotient",
     "__version__",

@@ -105,7 +105,7 @@ class ShellSpec:
     @property
     def head_measure(self) -> float:
         """mu(B_{r_j}), the flat-head extent in measure units."""
-        return self.profile.pieces[0].t1
+        return self.profile.table.t1[0].tolist()
 
 
 def _certified_floor(lam: float, eps1: float, eps2: float) -> float:
@@ -380,7 +380,7 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
         delta = ball_measure(cone, outer)
         _check_representable(j, "delta", delta)
         profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
-        head = profile.pieces[0].t1  # mu(B_{r_j})
+        head = profile.table.t1[0].tolist()  # mu(B_{r_j})
         gamma = gammas[j - 1]
 
         def tail_ok(tau: float) -> bool:

@@ -111,9 +111,7 @@ class LorentzParams:
 def _pieces_of(f) -> list[Piece]:
     if isinstance(f, StepFunction1D):
         return f.as_pieces()
-    if isinstance(f, RadialProfile):
-        return list(f.pieces)
-    if isinstance(f, GradientDensity):
+    if isinstance(f, (RadialProfile, GradientDensity)):
         return list(f.pieces)
     if isinstance(f, Piece):
         return [f]
@@ -182,14 +180,16 @@ def lorentz_norm_distributional(f, params: LorentzParams) -> float:
 
     ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), stratum by stratum,
     from a step's plateaus, a sampled field's cells as the plateaus
-    (0, cell measure) of their |value|, or pieces.  Must agree with the
-    rearranged route; the tests enforce 1e-10 relative agreement.
+    (0, cell measure) of their |value|, or pieces (a profile's as its
+    table).  Must agree with the rearranged route, to 1e-10 in the tests.
     """
     if isinstance(f, SampledField):
         level = LevelSet.from_plateaus(0.0, f.cell_measures.ravel(),
                                        np.abs(f.values.ravel()))
     elif isinstance(f, StepFunction1D):
         level = LevelSet.from_plateaus(*f.plateaus(), f.value_array)
+    elif isinstance(f, (RadialProfile, GradientDensity)):
+        level = LevelSet.from_table(f.table)
     else:
         level = LevelSet.from_pieces(_pieces_of(f))
     return level.lorentz_qth_power(params.p, params.q) ** (1.0 / params.q)

@@ -7,7 +7,9 @@ its profile phi in the measure coordinate t = c_d |x|^D:
 
 Profiles here are piecewise laws anchored at the origin (base 0), which
 keeps every operation exact: values, gradient densities, scalings, and the
-norm integrals downstream.  The gradient density
+norm integrals downstream.  Each profile or gradient density is one
+``segments.PieceTable``, made and checked by column expressions, with
+``pieces`` as row views for the t-route.  The gradient density
 
     psi(t) = D * c_d^(1/D) * t^((D-1)/D) * (-phi'(t))
 
@@ -23,15 +25,16 @@ the head-to-support ratio grows; closed-form segments let that ratio reach
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cones import WeightedCone
 from .errors import DomainError, ValidationError
-from .segments import Law, Piece, pieces_value
+from .segments import Law, Piece, PieceTable, pieces_value
 
 __all__ = [
     "RadialProfile",
@@ -43,9 +46,23 @@ __all__ = [
 ]
 
 _JUNCTION_RTOL = 1e-9
+_RTOLS = np.array([[1e-15], [_JUNCTION_RTOL]])   # tiling, junctions
+_KNOT_ERRORS = ("knot positions must be positive measure values",
+                "knot positions must be strictly increasing",
+                "knot values must be finite",
+                "knot values must be nonincreasing",
+                "knot values must be nonnegative",
+                "the last knot value must be zero")
+# a profile's checks per piece, in the order they are reported
+_PROFILE_ERRORS = ("piece endpoints must satisfy 0 <= t0 < t1, got ({t0}, "
+                   "{t1})", "profile laws must be anchored at the origin",
+                   "profile pieces must tile (0, t_max); gap at {t0}",
+                   "profile must be nonincreasing",
+                   "profile discontinuity at t = {t0}")
+_row_views = functools.cached_property(lambda self: self.table.pieces())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Profile phi of a radially nonincreasing function, in measure units.
 
@@ -54,56 +71,63 @@ class RadialProfile:
     class.  phi is nonincreasing and continuous on (0, inf) with
     phi(t_max) = 0; it may diverge as t -> 0+ only through a leading power
     piece with negative exponent, in which case gradient operations are
-    refused until the head is truncated.
+    refused until the head is truncated.  Profiles compare by identity.
     """
 
     cone: WeightedCone
-    pieces: tuple[Piece, ...]
+    table: PieceTable
+    max_value: float = field(init=False, repr=False)   # phi(0+), maybe inf
 
     def __post_init__(self) -> None:
-        if not self.pieces:
+        t0, t1, coef, shift, expo, base, orient = table = self.table
+        if not t0.size:
             raise ValidationError("profile needs at least one piece")
-        prev_end = 0.0
-        prev_val = math.inf
-        for p in self.pieces:
-            if not p.law.is_constant and (p.law.base != 0.0
-                                          or p.law.orient != 1.0):
-                raise ValidationError(
-                    "profile laws must be anchored at the origin")
-            if abs(p.t0 - prev_end) > 1e-15 * max(1.0, abs(prev_end)):
-                raise ValidationError(
-                    f"profile pieces must tile (0, t_max); gap at {p.t0}")
-            v0, v1 = p.endpoint_values()
-            if v1 > v0:
-                raise ValidationError("profile must be nonincreasing")
-            if not math.isinf(prev_val):
-                tol = _JUNCTION_RTOL * max(abs(prev_val), abs(v0), 1.0)
-                if abs(v0 - prev_val) > tol:
-                    raise ValidationError(
-                        f"profile discontinuity at t = {p.t0}")
-            prev_end, prev_val = p.t1, v1
-        if math.isinf(prev_end):
+        # each piece's values at t0 and t1, by Python's pow where expo is
+        # not 0 or 1: numpy's can miss by an ulp (an arc and its tail
+        # t_max ** e cancel exactly at t_max)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v0, v1 = values = coef * np.maximum(orient * (
+                np.array((t0, t1)) - base), 0.0) ** expo + shift
+            for i in np.flatnonzero((expo != 0.0) & (expo != 1.0)).tolist():
+                values[:, i] = self.pieces[i].endpoint_values()
+            # a piece's start (t, value) against the end of the one before
+            before = np.array((t1[:-1], v1[:-1]))
+            tol = np.maximum(np.abs(before), 1.0)
+            np.maximum(tol[1], np.abs(v0[1:]), out=tol[1])
+            tol *= _RTOLS
+            fails = np.zeros((5, t0.size), dtype=bool)
+            np.logical_not((t0 < t1) & (t0 >= 0.0), out=fails[0])
+            np.logical_and((coef != 0.0) & (expo != 0.0),
+                           (base != 0.0) | (orient != 1.0), out=fails[1])
+            fails[2, 0] = abs(t0[0]) > 1e-15
+            np.greater(np.abs(np.array((t0[1:], v0[1:])) - before), tol,
+                       out=fails[2::2, 1:])
+            np.greater(v1, v0, out=fails[3])
+        if np.count_nonzero(fails):
+            # the first piece with bad ends, else the first failing piece
+            i = (fails[0] if fails[0].any() else fails.any(axis=0)).argmax()
+            raise ValidationError(_PROFILE_ERRORS[fails[:, i].argmax()].format(
+                t0=t0[i].tolist(), t1=t1[i].tolist()))
+        if math.isinf(t1[-1]):
             raise ValidationError("profile support must be bounded")
-        if not -1e-12 <= prev_val <= _JUNCTION_RTOL * max(
-                1.0, self.max_value if not self.is_unbounded else 1.0):
+        head, end = v0[0].tolist(), v1[-1].tolist()
+        object.__setattr__(self, "max_value", head)
+        if not -1e-12 <= end <= _JUNCTION_RTOL * max(
+                1.0, head if not math.isinf(head) else 1.0):
             raise ValidationError(
-                f"profile must decay to zero at its support end, "
-                f"got {prev_val}")
+                f"profile must decay to zero at its support end, got {end}")
+
+    pieces = _row_views
 
     # -- queries --------------------------------------------------------
 
     @property
     def t_max(self) -> float:
-        return self.pieces[-1].t1
-
-    @property
-    def max_value(self) -> float:
-        """sup phi, attained as t -> 0+ (may be inf)."""
-        return self.pieces[0].endpoint_values()[0]
+        return self.table.t1[-1].tolist()
 
     @property
     def is_unbounded(self) -> bool:
-        return math.isinf(self.pieces[0].endpoint_values()[0])
+        return math.isinf(self.max_value)
 
     def value(self, t):
         """phi(t), zero beyond the support."""
@@ -118,9 +142,9 @@ class RadialProfile:
         """k * phi for k > 0."""
         if k <= 0:
             raise ValidationError("amplitude factor must be positive")
-        return RadialProfile(self.cone,
-                             tuple(Piece(p.t0, p.t1, p.law.scaled(k))
-                                   for p in self.pieces))
+        table = self.table
+        return RadialProfile(self.cone, table._replace(
+            coef=k * table.coef, shift=k * table.shift))
 
     # -- profile files ----------------------------------------------------
 
@@ -142,23 +166,21 @@ class RadialProfile:
                 pieces.append(Piece(float(seg["t0"]), float(seg["t1"]), law))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile spec: {exc}") from exc
-        return RadialProfile(cone, tuple(pieces))
+        return RadialProfile(cone, PieceTable.of(pieces))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientDensity:
-    """psi(t) = D c_d^(1/D) t^((D-1)/D) (-phi'(t)) as exact pieces.
+    """psi(t) = D c_d^(1/D) t^((D-1)/D) (-phi'(t)) as a table of pieces.
 
-    psi is zero off the listed pieces (where phi is locally constant).
+    psi is zero off the table's pieces (where phi is locally constant).
     Its distributional Lorentz (p, q) norm is the gradient norm of the
     radial realization of the owning profile.
     """
 
     profile: RadialProfile
-    pieces: tuple[Piece, ...]
-
-    def value(self, t):
-        return pieces_value(self.pieces, t)
+    table: PieceTable
+    pieces = _row_views
 
 
 def from_knots(cone: WeightedCone,
@@ -169,27 +191,26 @@ def from_knots(cone: WeightedCone,
     must be strictly increasing in t with nonincreasing values ending at
     zero.
     """
-    if not knots:
+    if not len(knots):
         raise ValidationError("at least one knot is required")
-    ts = [float(t) for t, _ in knots]
-    vs = [float(v) for _, v in knots]
-    if any(t <= 0 for t in ts):
-        raise DomainError("knot positions must be positive measure values")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("knot positions must be strictly increasing")
-    if any(not math.isfinite(v) for v in vs):
-        raise ValidationError("knot values must be finite")
-    if any(b > a for a, b in zip(vs, vs[1:])):
-        raise ValidationError("knot values must be nonincreasing")
-    if any(v < 0 for v in vs):
-        raise ValidationError("knot values must be nonnegative")
-    if vs[-1] != 0.0:
-        raise ValidationError("the last knot value must be zero")
-    pieces = [Piece(0.0, ts[0], Law.constant(vs[0]))]
-    for (t0, v0), (t1, v1) in zip(zip(ts, vs), zip(ts[1:], vs[1:])):
-        slope = (v1 - v0) / (t1 - t0)
-        pieces.append(Piece(t0, t1, Law(slope, 1.0, shift=v0 - slope * t0)))
-    return RadialProfile(cone, tuple(pieces))
+    points = np.array(knots, dtype=float).reshape(len(knots), 2)
+    ts, vs = points.T
+    # t rising from above 0 and v falling to 0 break none of the rules
+    if not (ts[0] > 0.0 and vs[0] < math.inf and vs[-1] == 0.0 and ts.size
+            == 1 + np.count_nonzero((ts[1:] > ts[:-1]) & (vs[1:] <= vs[:-1]))):
+        for k, bad in enumerate((ts <= 0.0, ts[1:] <= ts[:-1],
+                                 ~np.isfinite(vs), vs[1:] > vs[:-1],
+                                 vs < 0.0, vs[-1:] != 0.0)):
+            if np.count_nonzero(bad):
+                raise (ValidationError if k else DomainError)(_KNOT_ERRORS[k])
+    t0, t1, coef, shift, expo, _, orient = table = np.zeros((7, ts.size))
+    t0[1:], t1[:], coef[0] = ts[:-1], ts, vs[0]
+    dt, dv = (points[1:] - points[:-1]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.divide(dv, dt, out=coef[1:])
+        np.subtract(vs[:-1], slope * ts[:-1], out=shift[1:])
+    orient[:] = expo[1:] = 1.0
+    return RadialProfile(cone, PieceTable(*table))
 
 
 def alvino_profile(cone: WeightedCone, p_star: float, eps: float,
@@ -208,10 +229,9 @@ def alvino_profile(cone: WeightedCone, p_star: float, eps: float,
         raise DomainError("the flat head requires 0 < eps < t_max")
     e = -1.0 / p_star
     tail = t_max ** e
-    head = Law.constant(eps ** e - tail)
-    arc = Law(1.0, e, shift=-tail)
-    return RadialProfile(cone, (Piece(0.0, eps, head),
-                                Piece(eps, t_max, arc)))
+    return RadialProfile(cone, PieceTable(*np.array(
+        [(0.0, eps), (eps, t_max), (eps ** e - tail, 1.0), (0.0, -tail),
+         (0.0, e), (0.0, 0.0), (1.0, 1.0)])))
 
 
 def gradient_density(profile: RadialProfile) -> GradientDensity:
@@ -227,16 +247,15 @@ def gradient_density(profile: RadialProfile) -> GradientDensity:
             "head) before gradient operations")
     cone = profile.cone
     front = cone.big_d * cone.c_d ** (1.0 / cone.big_d)
-    out = []
-    for p in profile.pieces:
-        dlaw = p.law.derivative()
-        if dlaw.is_constant and dlaw.constant_value() == 0.0:
-            continue
-        # -phi' = -coef * t^(expo); fold in the t^((D-1)/D) factor
-        coef = front * (-dlaw.coef)
-        expo = dlaw.expo + (cone.big_d - 1.0) / cone.big_d
-        out.append(Piece(p.t0, p.t1, Law(coef, expo)))
-    return GradientDensity(profile, tuple(out))
+    t0, t1, coef, _, expo, _, orient = profile.table
+    slope = coef * expo * orient    # phi' = slope t^(expo - 1)
+    keep = (coef != 0.0) & (expo != 0.0) & (slope != 0.0)
+    zero = np.zeros(t0.size)
+    # -phi' = -slope t^(expo - 1); fold in the t^((D-1)/D) factor
+    table = np.array((t0, t1, front * -slope, zero,
+                      expo - 1.0 + (cone.big_d - 1.0) / cone.big_d, zero,
+                      zero + 1.0))
+    return GradientDensity(profile, PieceTable(*table[:, keep]))
 
 
 def scale(profile: RadialProfile, kappa: float) -> RadialProfile:
@@ -248,6 +267,10 @@ def scale(profile: RadialProfile, kappa: float) -> RadialProfile:
     if kappa <= 0:
         raise ValidationError("scaling factor must be positive")
     k = kappa ** profile.cone.big_d
-    pieces = tuple(Piece(p.t0 / k, p.t1 / k, p.law.with_argument_scaled(k))
-                   for p in profile.pieces)
-    return RadialProfile(profile.cone, pieces)
+    t0, t1, coef, shift, expo, base, orient = table = profile.table
+    live = (coef != 0.0) & (expo != 0.0)   # a constant law stays as it is
+    powers = [k ** e if on else 1.0 for e, on in zip(expo.tolist(),
+                                                      live.tolist())]
+    return RadialProfile(profile.cone, table._replace(
+        t0=t0 / k, t1=t1 / k, coef=coef * powers,
+        base=np.where(live, base / k, base)))

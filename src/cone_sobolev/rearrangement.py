@@ -1,4 +1,4 @@
-"""Distribution functions and nonincreasing rearrangements.
+"""Nonincreasing rearrangements of steps and sampled fields.
 
 The rearrangement of a function on the weighted cone lives on (0, inf)
 with Lebesgue measure in the measure coordinate t: equimeasurability
@@ -24,15 +24,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cones import WeightedCone
-from .errors import (DivergentIntegralError, DomainError,
-                     NumericalError, ValidationError)
+from .errors import DivergentIntegralError, NumericalError, ValidationError
 from .profiles import RadialProfile, from_knots
 from .segments import Law, Piece, power_primitives
 
 __all__ = [
     "StepFunction1D",
     "SampledField",
-    "distribution_function",
     "rearrangement",
     "radial_rearrangement",
 ]
@@ -140,11 +138,6 @@ class StepFunction1D:
         out = np.zeros_like(flat)
         out[ok] = self.value_array[idx[ok]]
         return out if t.shape else float(out[0])
-
-    def distribution_function(self, tau: float) -> float:
-        if tau <= 0:
-            raise DomainError("distribution threshold must be positive")
-        return float(np.sum(self.widths()[self.value_array > tau]))
 
     def moment(self, gamma: float, q: float) -> float:
         """integral over (0, inf) of t^(gamma-1) f(t)^q, exactly, gamma > 0.
@@ -263,11 +256,6 @@ class SampledField:
     def total_measure(self) -> float:
         return float(np.sum(self.cell_measures))
 
-    def distribution_function(self, tau: float) -> float:
-        if tau <= 0:
-            raise DomainError("distribution threshold must be positive")
-        return float(np.sum(self.cell_measures[np.abs(self.values) > tau]))
-
 
 def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:
     """|grad u| from np.gradient, with the squared components added in
@@ -328,14 +316,6 @@ def _cell_measures(cone: WeightedCone, box, shape) -> np.ndarray:
 
 
 # -- the operators ---------------------------------------------------------
-
-def distribution_function(obj, tau: float) -> float:
-    """mu-measure (or Lebesgue measure, for 1D steps) of {|f| > tau}."""
-    if isinstance(obj, (StepFunction1D, SampledField)):
-        return obj.distribution_function(tau)
-    raise ValidationError(
-        "distribution_function expects a StepFunction1D or SampledField")
-
 
 def _canonical_step(measures: np.ndarray, values: np.ndarray
                     ) -> StepFunction1D:
@@ -449,7 +429,7 @@ def radial_rearrangement(field: SampledField) -> RadialProfile:
     """
     cone, step = field.cone, rearrangement(field)
     if not step.breakpoint_array.size:
-        return RadialProfile(cone, (Piece(0.0, 1.0, Law.constant(0.0)),))
+        return from_knots(cone, [(1.0, 0.0)])
     ring = cone.big_d * cone.c_d ** (1.0 / cone.big_d) \
         * field.max_cell_diameter
     knots = _pooled_knots(step, ring, 1.0 - 1.0 / cone.big_d)

@@ -34,7 +34,8 @@ main self-check:
   origin (mirrored onto the right end when a law blows up there);
 * the lambda route builds the strata of one or many level sets with one
   array builder (``level_set_strata``), for profiles, gradient densities,
-  steps, sampled fields and span batches alike; it integrates every
+  steps, sampled fields and span batches alike, all given as columns; it
+  integrates every
   finite stratum with terms by its own batched tanh-sinh rule
   (``tanhsinh.row_integrals``), all strata at once
   (``level_set_qth_powers``), and uses the power rule only for constant
@@ -62,6 +63,7 @@ from .tanhsinh import Rows, row_integrals
 __all__ = [
     "Law",
     "Piece",
+    "PieceTable",
     "LevelSet",
     "Strata",
     "power_primitive",
@@ -120,25 +122,6 @@ class Law:
             raise InternalConsistencyError("law is not constant")
         return self.coef + self.shift if self.expo == 0.0 else self.shift
 
-    def derivative(self) -> "Law":
-        if self.is_constant:
-            return Law.constant(0.0)
-        return Law(self.coef * self.expo * self.orient, self.expo - 1.0,
-                   self.base, self.orient, 0.0)
-
-    def scaled(self, k: float) -> "Law":
-        """k * law, for k real."""
-        return replace(self, coef=k * self.coef, shift=k * self.shift)
-
-    def with_argument_scaled(self, kappa: float) -> "Law":
-        """t -> law(kappa * t), kappa > 0."""
-        if kappa <= 0:
-            raise ValidationError("argument dilation must be positive")
-        if self.is_constant:
-            return self
-        return Law(self.coef * kappa ** self.expo, self.expo,
-                   self.base / kappa, self.orient, self.shift)
-
     def with_argument_shifted(self, tau: float) -> "Law":
         """t -> law(t + tau)."""
         if self.is_constant:
@@ -164,6 +147,11 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
     few float operations where a one-element array call pays numpy's
     fixed cost for each of its array operations.
     """
+    return _power_primitive(t0, t1, t1 - t0, rho)
+
+
+def _power_primitive(t0: float, t1: float, width: float, rho: float) -> float:
+    # power_primitive given the width, which rounded ends can misstate
     if not 0.0 <= t0 <= t1:
         raise ValidationError(f"bad integration segment ({t0}, {t1})")
     if t0 == t1:
@@ -184,7 +172,7 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
                 f"integral of t^{rho} diverges at the right endpoint of "
                 f"({t0}, inf)")
         return -(t0 ** r1) / r1
-    gap = (t1 - t0) / t0
+    gap = width / t0
     log_ratio = (math.log1p(gap) if math.isfinite(gap)
                  else math.log(t1) - math.log(t0))
     if r1 == 0.0:
@@ -260,12 +248,14 @@ def _moment_exact(t0: float, t1: float, law: Law, gamma: float, q: float
         # expand t^(gamma-1) = (base + orient*u)^(gamma-1) in u
         n = int(gamma) - 1
         u0, u1 = _signed_u_interval(t0, t1, law)
+        width = t1 - t0     # not u1 - u0, whose ends are rounded
         terms = []
         for k in range(n + 1):
             c_k = math.comb(n, k) * law.base ** (n - k) * law.orient ** k
-            terms.append(c_k * law.coef
-                         * power_primitive(u0, u1, k + law.expo))
-            terms.append(c_k * law.shift * power_primitive(u0, u1, float(k)))
+            terms.append(c_k * law.coef * _power_primitive(
+                u0, u1, width, k + law.expo))
+            terms.append(c_k * law.shift * _power_primitive(
+                u0, u1, width, float(k)))
         return _uncancelled(terms)
     return None
 
@@ -673,7 +663,7 @@ def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
 
 @dataclass(frozen=True)
 class Piece:
-    """One segment (t0, t1) carrying a single law."""
+    """One segment (t0, t1) carrying a single law: a ``PieceTable`` row."""
 
     t0: float
     t1: float
@@ -684,17 +674,12 @@ class Piece:
             raise ValidationError(
                 f"piece endpoints must satisfy 0 <= t0 < t1, got "
                 f"({self.t0}, {self.t1})")
-        if not self.law.is_constant:
-            # the law argument must stay nonnegative across the segment
-            if self.law.orient > 0 and self.t0 < self.law.base - 1e-15 * max(
-                    1.0, abs(self.law.base)):
-                raise ValidationError("law argument negative on the segment")
-            if self.law.orient < 0 and self.t1 > self.law.base + 1e-15 * max(
-                    1.0, abs(self.law.base)):
-                raise ValidationError("law argument negative on the segment")
-
-    def value(self, t):
-        return self.law.value(t)
+        law = self.law   # its argument must stay nonnegative on the piece
+        if not law.is_constant and (
+                self.t0 < law.base - 1e-15 * max(1.0, abs(law.base))
+                if law.orient > 0 else
+                self.t1 > law.base + 1e-15 * max(1.0, abs(law.base))):
+            raise ValidationError("law argument negative on the segment")
 
     def endpoint_values(self) -> tuple[float, float]:
         """Limits of the law at t0+ and t1-, possibly infinite."""
@@ -729,6 +714,31 @@ def _power_limit(law: Law, u: float) -> float:
     return law.coef * u ** law.expo + law.shift
 
 
+class PieceTable(NamedTuple):
+    """Pieces as the columns ``level_set_strata`` takes, the one form from
+    profile to strata: piece i is (t0[i], t1[i]) with the law coef[i] *
+    (orient[i] (t - base[i]))**expo[i] + shift[i]; ``pieces`` are views."""
+
+    t0: np.ndarray
+    t1: np.ndarray
+    coef: np.ndarray
+    shift: np.ndarray
+    expo: np.ndarray
+    base: np.ndarray
+    orient: np.ndarray
+
+    @staticmethod
+    def of(pieces: Iterable[Piece]) -> "PieceTable":
+        return PieceTable(*np.array(
+            [(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo, p.law.base,
+              p.law.orient) for p in pieces], dtype=float).reshape(-1, 7).T)
+
+    def pieces(self) -> tuple[Piece, ...]:
+        return tuple(Piece(t0, t1, Law(coef, expo, base, orient, shift))
+                     for t0, t1, coef, shift, expo, base, orient
+                     in zip(*(col.tolist() for col in self)))
+
+
 def pieces_value(pieces: Sequence[Piece], t) -> np.ndarray:
     """Evaluate a disjoint piece list at points t (zero off-support)."""
     t = np.asarray(t, dtype=float)
@@ -752,28 +762,6 @@ def clip_pieces(pieces: Iterable[Piece], t_lo: float, t_hi: float
         if a < b:
             out.append(Piece(a, b, p.law))
     return out
-
-
-def _evaluation_scale(p: Piece) -> float:
-    """Magnitude of the quantities law.value combines on the piece.
-
-    Bounds the roundoff of an evaluated value; a value can be tiny while
-    the scale is huge when the power term nearly cancels the shift.
-    """
-    law = p.law
-    if law.is_constant:
-        return abs(law.constant_value())
-    scale = abs(law.shift)
-    for t in (p.t0, p.t1):
-        if math.isinf(t):
-            continue
-        arg = law.orient * (t - law.base)
-        if arg <= 0.0:
-            continue
-        term = abs(law.coef) * arg ** law.expo
-        if math.isfinite(term):
-            scale = max(scale, term)
-    return scale
 
 
 # -- level sets ------------------------------------------------------------
@@ -934,8 +922,14 @@ class LevelSet:
 
     @staticmethod
     def from_pieces(pieces: Sequence[Piece]) -> "LevelSet":
-        """The level set of a nonnegative piece list: its laws as one row
-        of arrays, through ``level_set_strata``.
+        """The level set of a nonnegative piece list.  Pieces are views of
+        ``PieceTable`` rows, the form the builder takes: ``from_table``."""
+        return LevelSet.from_table(PieceTable.of(pieces))
+
+    @staticmethod
+    def from_table(table: PieceTable) -> "LevelSet":
+        """The level set of a nonnegative piece table, its columns one
+        row of ``level_set_strata``: profiles and densities come this way.
 
         A continuous junction is one cut, not an ulp-wide stratum: where
         piece i + 1 starts at the t where piece i ends and their end
@@ -945,13 +939,11 @@ class LevelSet:
         one, else the left end's.  So a constant piece keeps equal ends.
         Two constants and infinite ends (poles) are never joined.
         """
-        table = np.array([(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo,
-                           p.law.base, p.law.orient) for p in pieces],
-                         dtype=float).reshape(-1, 7).T
         t0, t1, coef, shift, expo, base, orient = table
         flat = coef == 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ends = np.maximum(orient * (table[:2] - base), 0.0) ** expo
+            ends = np.maximum(orient * (np.array((t0, t1)) - base),
+                              0.0) ** expo
             va, vb = np.where(flat, shift, coef * ends + shift)
             # a strict test, so an infinite end (nan or inf < inf) fails it
             tol = np.abs(shift)
@@ -960,21 +952,27 @@ class LevelSet:
             tol *= _JOIN_EPS
             gap = va[1:] - vb[:-1]
             join = np.abs(gap, out=gap) < tol
-        join &= t1[:-1] == t0[1:]
-        if np.count_nonzero(join):
-            # a constant side keeps its value; two constants never join
-            flat |= expo == 0.0
-            np.copyto(vb[:-1], va[1:], where=(join & flat[1:]) > flat[:-1])
-            np.copyto(va[1:], vb[:-1], where=join > flat[1:])
-        low = np.minimum(va, vb)
-        for i in (low < 0.0).nonzero()[0].tolist():
-            # negativity slack scales with the law's own evaluation
-            # magnitude: a value near a root of coef*arg^expo + shift is a
-            # cancellation of shift-sized quantities, so its roundoff is
-            # ulp(shift), not ulp(value)
-            if low[i] < -1e-12 * max(1.0, _evaluation_scale(pieces[i])):
-                raise ValidationError(
-                    "level sets require a nonnegative function")
+            join &= t1[:-1] == t0[1:]
+            if np.count_nonzero(join):
+                # a constant side keeps its value; two constants never join
+                flat |= expo == 0.0
+                np.copyto(vb[:-1], va[1:], where=(join & flat[1:]) > flat[:-1])
+                np.copyto(va[1:], vb[:-1], where=join > flat[1:])
+            low = np.minimum(va, vb)
+            neg = low < 0.0
+            if np.count_nonzero(neg):
+                # the slack scales with |shift| and |coef| arg^expo at the
+                # ends: near a root the value cancels shift-sized terms
+                c, s, e = coef[neg], shift[neg], expo[neg]
+                arg = orient[neg] * (np.array((t0[neg], t1[neg])) - base[neg])
+                term = np.abs(c) * arg ** e
+                term[~((arg > 0.0) & np.isfinite(term))] = 0.0
+                scale = np.where((e == 0.0) | (c == 0.0),
+                                 np.abs(np.where(e == 0.0, c + s, s)),
+                                 np.maximum(np.abs(s), term.max(axis=0)))
+                if (low[neg] < -1e-12 * np.maximum(1.0, scale)).any():
+                    raise ValidationError(
+                        "level sets require a nonnegative function")
         return LevelSet(level_set_strata(t0, t1, coef[None], shift[None],
                                          expo, base, orient, va[None],
                                          vb[None]))

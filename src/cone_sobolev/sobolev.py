@@ -79,7 +79,7 @@ def quotient(profile: RadialProfile, params: LorentzParams
     """
     bound = LorentzParams(params.p, params.q, profile.cone)
     psi = gradient_density(profile)
-    if not psi.pieces:
+    if not psi.table.t0.size:
         raise DomainError(
             "constant profile: the quotient needs a nonzero gradient")
     numerator = lorentz_norm_rearranged(profile, bound.star_params())
@@ -111,7 +111,7 @@ def polya_szego_check(field: SampledField, params: LorentzParams
     rhs = lorentz_norm_rearranged(grad_star, bound)
     interp = radial_rearrangement(field)
     psi = gradient_density(interp)
-    lhs = lorentz_norm_distributional(psi, bound) if psi.pieces else 0.0
+    lhs = lorentz_norm_distributional(psi, bound) if psi.table.t0.size else 0.0
     tol = _PS_TOL_FACTOR * field.max_cell_diameter
     return lhs, rhs, lhs <= rhs * (1.0 + tol)
 

@@ -13,18 +13,27 @@ library's array paths do without, lives here too:
   ``monotone_direction(law)``;
 * ``abs_pieces``, the pieces of |f| split at each law's closed-form root
   (``_law_root``), the reference for the span engine's f and -f;
-* ``distribution(level, lam)``, m(lam) read off ``LevelSet.strata``.
+* ``distribution(level, lam)``, m(lam) read off ``LevelSet.strata``;
+* ``derivative``, ``scaled`` and ``with_argument_scaled``, the law
+  algebra that profiles now apply to table columns;
+* ``knot_pieces``, ``density_pieces`` and ``check_profile``: profiles
+  built and checked one ``Piece`` and ``Law`` at a time, the oracles of
+  ``from_knots``, ``gradient_density`` and ``RadialProfile``'s column
+  checks;
+* ``distribution_function(obj, tau)``, the measure of {|f| > tau} of a
+  step or a sampled field.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cone_sobolev import InternalConsistencyError, ValidationError
+from cone_sobolev import (DomainError, InternalConsistencyError,
+                          SampledField, StepFunction1D, ValidationError)
 from cone_sobolev.segments import (Law, LevelSet, Piece, Strata,
                                    level_set_qth_powers)
 from cone_sobolev.tanhsinh import Rows
@@ -82,9 +91,46 @@ def abs_pieces(pieces) -> list[Piece]:
         for a, b in segs:
             mid_val = p.law.value(0.5 * (a + b) if not math.isinf(b)
                                   else a + 1.0)
-            law = p.law if mid_val >= 0 else p.law.scaled(-1.0)
+            law = p.law if mid_val >= 0 else scaled(p.law, -1.0)
             out.append(Piece(a, b, law))
     return out
+
+
+def derivative(law: Law) -> Law:
+    """The law's derivative in t, again a law."""
+    if law.is_constant:
+        return Law.constant(0.0)
+    return Law(law.coef * law.expo * law.orient, law.expo - 1.0,
+               law.base, law.orient, 0.0)
+
+
+def scaled(law: Law, k: float) -> Law:
+    """k * law, for k real."""
+    return replace(law, coef=k * law.coef, shift=k * law.shift)
+
+
+def with_argument_scaled(law: Law, kappa: float) -> Law:
+    """t -> law(kappa * t), kappa > 0."""
+    if kappa <= 0:
+        raise ValidationError("argument dilation must be positive")
+    if law.is_constant:
+        return law
+    return Law(law.coef * kappa ** law.expo, law.expo, law.base / kappa,
+               law.orient, law.shift)
+
+
+def distribution_function(obj, tau: float) -> float:
+    """mu-measure (or Lebesgue measure, for 1D steps) of {|f| > tau}."""
+    if isinstance(obj, StepFunction1D):
+        widths, values = obj.widths(), obj.value_array
+    elif isinstance(obj, SampledField):
+        widths, values = obj.cell_measures, np.abs(obj.values)
+    else:
+        raise ValidationError(
+            "distribution_function expects a StepFunction1D or SampledField")
+    if tau <= 0:
+        raise DomainError("distribution threshold must be positive")
+    return float(np.sum(widths[values > tau]))
 
 
 def distribution(level: LevelSet, lam):
@@ -103,6 +149,83 @@ def distribution(level: LevelSet, lam):
             out[mask] = sum((t.value(flat[mask]) for t in s.terms),
                             np.full(np.count_nonzero(mask), s.const))
     return out if lam.shape else float(out[0])
+
+
+# -- profiles, one object per piece ------------------------------------------
+
+def check_profile(pieces) -> None:
+    """A profile's checks, piece by piece, with Python's pow."""
+    if not pieces:
+        raise ValidationError("profile needs at least one piece")
+    prev_end = 0.0
+    prev_val = math.inf
+    for p in pieces:
+        if not p.law.is_constant and (p.law.base != 0.0
+                                      or p.law.orient != 1.0):
+            raise ValidationError(
+                "profile laws must be anchored at the origin")
+        if abs(p.t0 - prev_end) > 1e-15 * max(1.0, abs(prev_end)):
+            raise ValidationError(
+                f"profile pieces must tile (0, t_max); gap at {p.t0}")
+        v0, v1 = p.endpoint_values()
+        if v1 > v0:
+            raise ValidationError("profile must be nonincreasing")
+        if not math.isinf(prev_val):
+            tol = 1e-9 * max(abs(prev_val), abs(v0), 1.0)
+            if abs(v0 - prev_val) > tol:
+                raise ValidationError(
+                    f"profile discontinuity at t = {p.t0}")
+        prev_end, prev_val = p.t1, v1
+    if math.isinf(prev_end):
+        raise ValidationError("profile support must be bounded")
+    head = pieces[0].endpoint_values()[0]
+    if not -1e-12 <= prev_val <= 1e-9 * max(
+            1.0, head if not math.isinf(head) else 1.0):
+        raise ValidationError(
+            f"profile must decay to zero at its support end, "
+            f"got {prev_val}")
+
+
+def knot_pieces(knots) -> list[Piece]:
+    """The checked pieces of ``from_knots``, one object at a time."""
+    if not knots:
+        raise ValidationError("at least one knot is required")
+    ts = [float(t) for t, _ in knots]
+    vs = [float(v) for _, v in knots]
+    if any(t <= 0 for t in ts):
+        raise DomainError("knot positions must be positive measure values")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValidationError("knot positions must be strictly increasing")
+    if any(not math.isfinite(v) for v in vs):
+        raise ValidationError("knot values must be finite")
+    if any(b > a for a, b in zip(vs, vs[1:])):
+        raise ValidationError("knot values must be nonincreasing")
+    if any(v < 0 for v in vs):
+        raise ValidationError("knot values must be nonnegative")
+    if vs[-1] != 0.0:
+        raise ValidationError("the last knot value must be zero")
+    pieces = [Piece(0.0, ts[0], Law.constant(vs[0]))]
+    for (t0, v0), (t1, v1) in zip(zip(ts, vs), zip(ts[1:], vs[1:])):
+        slope = (v1 - v0) / (t1 - t0)
+        pieces.append(Piece(t0, t1, Law(slope, 1.0, shift=v0 - slope * t0)))
+    check_profile(pieces)
+    return pieces
+
+
+def density_pieces(cone, pieces) -> list[Piece]:
+    """The pieces of ``gradient_density`` of a profile's pieces."""
+    if math.isinf(pieces[0].endpoint_values()[0]):
+        raise DomainError("profile has an unbounded head")
+    front = cone.big_d * cone.c_d ** (1.0 / cone.big_d)
+    out = []
+    for p in pieces:
+        dlaw = derivative(p.law)
+        if dlaw.is_constant and dlaw.constant_value() == 0.0:
+            continue
+        coef = front * (-dlaw.coef)
+        expo = dlaw.expo + (cone.big_d - 1.0) / cone.big_d
+        out.append(Piece(p.t0, p.t1, Law(coef, expo)))
+    return out
 
 
 # -- the sweep ----------------------------------------------------------------

@@ -471,7 +471,7 @@ def _reference_norms(system, alpha):
     signed = level_set_reference.abs_pieces(pieces)
     function = level_set_reference.norm(signed, system.params.star_params())
     gradient = level_set_reference.norm(
-        [Piece(p.t0, p.t1, p.law.scaled(abs(a)))
+        [Piece(p.t0, p.t1, level_set_reference.scaled(p.law, abs(a)))
          for a, shell in zip(alpha, system.shells) if a != 0.0
          for p in gradient_density(shell.profile).pieces], system.params)
     return function, gradient, len(signed) - len(pieces)

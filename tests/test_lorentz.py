@@ -18,7 +18,7 @@ from cone_sobolev import (DomainError, LorentzParams, NumericalError,
                           lorentz_norm_distributional,
                           lorentz_norm_rearranged, rearrangement,
                           restricted_norm)
-from cone_sobolev.segments import Law, LevelSet, Piece
+from cone_sobolev.segments import Law, LevelSet, Piece, PieceTable
 
 PAIRS = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (2.5, 1.4), (4.0, 3.0)]
 
@@ -406,8 +406,8 @@ def test_restricted_norm_validation(halfplane):
 def test_restricted_norm_of_gradient_density(halfplane):
     # the gradient density of 1 - t^0.2 on (0, 1) is one decreasing arc
     # from t = 0, so it is its own rearrangement
-    phi = RadialProfile(halfplane, (Piece(0.0, 1.0, Law(-1.0, 0.2,
-                                                         shift=1.0)),))
+    phi = RadialProfile(halfplane, PieceTable.of(
+        [Piece(0.0, 1.0, Law(-1.0, 0.2, shift=1.0))]))
     psi = gradient_density(phi)
     params = LorentzParams(2.0, 1.0)
     full = lorentz_norm_rearranged(psi, params)

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_sobolev import (DomainError, RadialProfile, ValidationError,
-                          alvino_profile, from_knots, gradient_density,
-                          scale)
-from cone_sobolev.segments import Law, Piece
+from cone_sobolev import (DomainError, LorentzParams, RadialProfile,
+                          ValidationError, alvino_profile, builtin_cone,
+                          from_knots, gradient_density,
+                          lorentz_norm_distributional,
+                          lorentz_norm_rearranged, scale)
+from cone_sobolev.segments import Law, Piece, PieceTable, pieces_value
+
+import level_set_reference as ref
 
 
 def tent(cone, t1=1.0, t2=2.0):
@@ -46,9 +50,11 @@ def test_from_knots_validation(halfplane, knots):
 
 def test_profile_rejects_gaps_and_increases(halfplane):
     with pytest.raises(ValidationError):
-        RadialProfile(halfplane, (Piece(0.5, 1.0, Law.constant(0.0)),))
+        RadialProfile(halfplane, PieceTable.of(
+            [Piece(0.5, 1.0, Law.constant(0.0))]))
     with pytest.raises(ValidationError):
-        RadialProfile(halfplane, (Piece(0.0, 1.0, Law(1.0, 1.0)),))
+        RadialProfile(halfplane, PieceTable.of(
+            [Piece(0.0, 1.0, Law(1.0, 1.0))]))
 
 
 def test_alvino_profile_structure(halfplane):
@@ -88,10 +94,10 @@ def test_gradient_density_of_tent(halfplane):
     assert (piece.t0, piece.t1) == (1.0, 2.0)
     front = halfplane.big_d * halfplane.c_d ** (1.0 / halfplane.big_d)
     for t in (1.2, 1.7):
-        assert piece.value(t) == pytest.approx(
+        assert piece.law.value(t) == pytest.approx(
             front * t ** (2.0 / 3.0), rel=1e-12)
-    assert psi.value(0.5) == 0.0
-    assert psi.value(2.5) == 0.0
+    assert pieces_value(psi.pieces, 0.5) == 0.0
+    assert pieces_value(psi.pieces, 2.5) == 0.0
 
 
 def test_gradient_density_of_power_arc(halfplane):
@@ -106,8 +112,8 @@ def test_gradient_density_of_power_arc(halfplane):
 
 
 def test_gradient_density_refuses_unbounded_heads(halfplane):
-    unbounded = RadialProfile(halfplane, (
-        Piece(0.0, 1.0, Law(1.0, -1.0 / 3.0, shift=-1.0)),))
+    unbounded = RadialProfile(halfplane, PieceTable.of([
+        Piece(0.0, 1.0, Law(1.0, -1.0 / 3.0, shift=-1.0))]))
     assert unbounded.is_unbounded
     with pytest.raises(DomainError):
         gradient_density(unbounded)
@@ -134,8 +140,8 @@ def test_scale_support_and_gradient_identity(halfplane):
     assert scaled.t_max == pytest.approx(prof.t_max / k, rel=1e-14)
     psi, psi_k = gradient_density(prof), gradient_density(scaled)
     for t in (0.04, 0.06):
-        assert float(psi_k.value(t)) == pytest.approx(
-            kappa * float(psi.value(k * t)), rel=1e-12)
+        assert float(pieces_value(psi_k.pieces, t)) == pytest.approx(
+            kappa * float(pieces_value(psi.pieces, k * t)), rel=1e-12)
 
 
 def test_scale_validation(halfplane):
@@ -161,7 +167,7 @@ def test_profile_json_reads_every_law_kind(halfplane):
     assert prof.pieces == tuple(expected)
     for got, want in zip(prof.pieces, expected):
         ts = np.linspace(want.t0, want.t1, 9)[1:]
-        assert np.array_equal(np.asarray(got.value(ts)),
+        assert np.array_equal(np.asarray(got.law.value(ts)),
                               np.asarray(want.law.value(ts)))
     assert prof.value(0.5) == 2.75
     assert prof.value(4.0) == pytest.approx(1.25, rel=1e-15)
@@ -173,3 +179,139 @@ def test_profile_json_rejects_unknown_laws(halfplane):
                           "params": [1.0]}]}
     with pytest.raises(ValidationError):
         RadialProfile.from_json_dict(data, halfplane)
+
+
+# -- the table path against the object path -------------------------------------
+
+PQ = [(1.5, 1.0), (1.5, 1.25), (1.2, 1.1)]
+
+
+def columns(table):
+    return [[x.hex() for x in col.tolist()] for col in table]
+
+
+def outcome(fn, *args):
+    """fn's value under float.hex, a profile's or piece list's columns, or
+    the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:   # compared, not hidden
+        return type(exc).__name__, str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    return columns(PieceTable.of(value) if isinstance(value, list)
+                   else value.table)
+
+
+def checked(pieces):
+    """The pieces, once the object path's profile checks pass them."""
+    ref.check_profile(pieces)
+    return pieces
+
+
+@st.composite
+def knot_lists(draw):
+    """Valid knots: positions rising from above 0, values falling to 0."""
+    n = draw(st.integers(1, 12))
+    ts = sorted(draw(st.lists(st.floats(1e-3, 8.0), min_size=n, max_size=n,
+                              unique=True)))
+    drops = draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1,
+                          max_size=n - 1))
+    vs = [math.fsum(drops[i:]) for i in range(n - 1)] + [0.0]
+    return list(zip(ts, vs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(knots=knot_lists(), cone_name=st.sampled_from(
+    ["halfplane-x1", "quadrant-x1x2", "disc-unweighted"]),
+       pq=st.sampled_from(PQ), k=st.floats(0.1, 10.0))
+def test_table_path_matches_the_object_path(knots, cone_name, pq, k):
+    """from_knots, gradient_density, scale and scaled_amplitude give the
+    columns of the profiles built one Piece and Law at a time, and the
+    same lambda-route and t-route norms, bit for bit (or the same
+    error)."""
+    cone = builtin_cone(cone_name)
+    params = LorentzParams(*pq, cone)
+    star = params.star_params()
+    made = outcome(from_knots, cone, knots)
+    assert made == outcome(ref.knot_pieces, knots)
+    if isinstance(made, tuple):   # knots closer than the checks allow
+        return
+    pieces = ref.knot_pieces(knots)
+    prof = from_knots(cone, knots)
+    assert prof.pieces == tuple(pieces)
+    psi = gradient_density(prof)
+    psi_pieces = ref.density_pieces(cone, pieces)
+    assert columns(psi.table) == columns(PieceTable.of(psi_pieces))
+    for f, want, pq_of in ((prof, pieces, star), (psi, psi_pieces, params)):
+        assert (outcome(lorentz_norm_distributional, f, pq_of)
+                == outcome(lorentz_norm_distributional, want, pq_of))
+    assert (outcome(lorentz_norm_rearranged, prof, star)
+            == outcome(lorentz_norm_rearranged, pieces, star))
+    kappa = k ** (1.0 / cone.big_d)
+    dilation = kappa ** cone.big_d
+    assert outcome(scale, prof, kappa) == outcome(lambda: checked(
+        [Piece(p.t0 / dilation, p.t1 / dilation,
+               ref.with_argument_scaled(p.law, dilation)) for p in pieces]))
+    assert outcome(prof.scaled_amplitude, k) == outcome(lambda: checked(
+        [Piece(p.t0, p.t1, ref.scaled(p.law, k)) for p in pieces]))
+
+
+any_float = st.one_of(st.floats(-1.0, 5.0), st.sampled_from(
+    [0.0, -0.0, 1e-300, math.inf, -math.inf, math.nan]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(knots=st.one_of(knot_lists(), st.lists(
+    st.tuples(any_float, any_float), max_size=5)))
+def test_knots_are_checked_as_the_object_path_checks_them(knots):
+    cone = builtin_cone("halfplane-x1")
+    assert outcome(from_knots, cone, knots) == outcome(ref.knot_pieces,
+                                                       knots)
+
+
+def object_profile(cone, rows):
+    """The profile of (t0, t1, coef, expo, shift) rows, checked one
+    object at a time."""
+    pieces = [Piece(t0, t1, Law(coef, expo, shift=shift))
+              for t0, t1, coef, expo, shift in rows]
+    ref.check_profile(pieces)
+    return RadialProfile(cone, PieceTable.of(pieces))
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0.0, 1.0, 1.0, 1.0, 0.0)],                          # rises
+    [(0.5, 1.0, 0.0, 0.0, 0.0)],                          # gap at 0
+    [(0.0, 1.0, 2.0, 0.0, 0.0), (1.5, 2.0, -1.0, 1.0, 2.0)],   # gap
+    [(0.0, 1.0, 2.0, 0.0, 0.0), (1.0, 2.0, -1.0, 1.0, 2.5)],   # jump
+    [(0.0, 1.0, 1.0, 0.0, 0.0), (1.0, 1.0, -1.0, 1.0, 2.0)],   # empty
+    [(0.0, 1.0, 1.0, 0.0, 0.0), (1.0, math.nan, -1.0, 1.0, 2.0)],
+    [(0.0, 1.0, 1.0, 0.0, 0.0), (1.0, math.inf, -1.0, 1.0, 2.0)],
+    [(0.0, 2.0, -1.0, 1.0, 2.5)],                         # no decay
+    [(0.0, 2.0, -1.0, 1.0, 2.0 + 1e-8)],                  # decay, rounding
+    [(0.0, 1.0, 1.0, -0.5, -1.0)],                        # pole at 0
+    [(0.0, 1.0, 1.0, 0.0, 0.0), (1.0, 2.0, -1.0, 1.0, 2.0),
+     (2.0, 3.0, 1.0, 1.0, -2.0)],                         # rises at t = 2
+    [(0.0, 1.0, 3.0, 0.0, 0.0), (1.0, 4.0, 3.0, -0.5, 0.0),
+     (4.0, 9.0, 3.0, -0.5, -1.0)],                        # jump at t = 4
+])
+def test_profiles_are_checked_as_the_object_path_checks_them(halfplane,
+                                                             rows):
+    t0, t1, coef, expo, shift = np.array(rows, dtype=float).reshape(-1, 5).T
+    table = PieceTable(t0, t1, coef, shift, expo, 0.0 * t0, 0.0 * t0 + 1.0)
+    assert outcome(RadialProfile, halfplane, table) == outcome(
+        object_profile, halfplane, rows)
+
+
+def test_unanchored_laws_are_refused_as_before(halfplane):
+    pieces = [Piece(0.0, 1.0, Law(-1.0, 1.0, base=-1.0, shift=2.0)),
+              Piece(1.0, 2.0, Law(5.0, 0.0, base=7.0, orient=-1.0))]
+    with pytest.raises(ValidationError, match="anchored at the origin"):
+        ref.check_profile(pieces)
+    with pytest.raises(ValidationError, match="anchored at the origin"):
+        RadialProfile(halfplane, PieceTable.of(pieces))
+    # a constant law may sit anywhere: only the power term is anchored
+    RadialProfile(halfplane, PieceTable.of(
+        [Piece(0.0, 1.0, Law(2.0, 0.0, base=7.0, orient=-1.0)),
+         Piece(1.0, 2.0, Law(-2.0, 1.0, shift=4.0))]))

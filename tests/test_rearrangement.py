@@ -16,10 +16,12 @@ import cone_sobolev.segments as segments
 from cone_sobolev import (DomainError, LorentzParams, NumericalError,
                           SampledField, StepFunction1D, ValidationError,
                           WeightedCone, builtin_cone, bump_superposition_field,
-                          distribution_function, polya_szego_check,
+                          from_knots, gradient_density,
+                          lorentz_norm_distributional, polya_szego_check,
                           radial_rearrangement, rearrangement)
 from cone_sobolev.rearrangement import (_canonical_step, _exact_sum,
                                         _gradient_magnitude, _pooled_knots)
+from level_set_reference import distribution_function
 
 # the package exports a function of the same name as the module
 rearrangement_module = importlib.import_module("cone_sobolev.rearrangement")
@@ -87,16 +89,16 @@ def test_step_evaluation():
     assert f.value(4.0) == 0.0
     assert f.value(0.0) == 0.0
     assert f.support_end == 3.0
-    assert [p.value(p.t0 + 0.1) for p in f.as_pieces()] == [2.0, 0.5]
+    assert [p.law.value(p.t0 + 0.1) for p in f.as_pieces()] == [2.0, 0.5]
 
 
 def test_step_distribution_exact():
     f = StepFunction1D((1.0, 3.0, 4.5), (2.0, 0.5, 1.0))
-    assert f.distribution_function(0.75) == pytest.approx(2.5, abs=0)
-    assert f.distribution_function(1.5) == 1.0
-    assert f.distribution_function(2.5) == 0.0
+    assert distribution_function(f, 0.75) == pytest.approx(2.5, abs=0)
+    assert distribution_function(f, 1.5) == 1.0
+    assert distribution_function(f, 2.5) == 0.0
     with pytest.raises(DomainError):
-        f.distribution_function(0.0)
+        distribution_function(f, 0.0)
 
 
 def test_rearrangement_merges_and_drops_zeros():
@@ -121,8 +123,8 @@ def test_rearrangement_equimeasurable(cells):
         for tau in (0.5 * v, v, 1.0000001 * v + 1e-9):
             if tau <= 0:
                 continue
-            assert r.distribution_function(tau) == pytest.approx(
-                f.distribution_function(tau), rel=1e-12, abs=1e-12)
+            assert distribution_function(r, tau) == pytest.approx(
+                distribution_function(f, tau), rel=1e-12, abs=1e-12)
 
 
 @given(fc=steps(6), gc=steps(6))
@@ -237,8 +239,8 @@ def test_rearrangement_translation_invariant():
     f1 = bump_field((3.0 * h, -2.0 * h))
     assert f0.total_measure() == f1.total_measure()
     for tau in (0.02, 0.05, 0.1, 0.2, 0.3):
-        assert f1.distribution_function(tau) == pytest.approx(
-            f0.distribution_function(tau), rel=1e-12)
+        assert distribution_function(f1, tau) == pytest.approx(
+            distribution_function(f0, tau), rel=1e-12)
 
 
 # -- radial rearrangement -------------------------------------------------------
@@ -458,16 +460,25 @@ def test_polya_szego_avoids_per_cell_objects(halfplane, monkeypatch):
 def test_polya_szego_never_reaches_the_adaptive_rule(halfplane, monkeypatch,
                                                      p, q):
     # the adaptive rule is quadratic at its split budget; grid checks
-    # must stay on exact moments and the lambda route's own rule
+    # must stay on exact moments and the lambda route's own rule, and a
+    # profile goes to the strata as one piece table, with no Piece or Law
     def forbidden(*args, **kwargs):
         raise AssertionError("adaptive quadrature used")
 
-    monkeypatch.setattr(segments, "integrate_adaptive", forbidden)
-    monkeypatch.setattr(lorentz, "integrate_adaptive", forbidden)
+    def built(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
     field = bump_superposition_field(
         halfplane, [(0.0, 3.0), (-1.5, 1.5)], (64, 64), 3, seed=0)
+    monkeypatch.setattr(segments, "integrate_adaptive", forbidden)
+    monkeypatch.setattr(lorentz, "integrate_adaptive", forbidden)
+    monkeypatch.setattr(segments.Piece, "__post_init__", built)
+    monkeypatch.setattr(segments.Law, "__post_init__", built)
     lhs, rhs, ok = polya_szego_check(field, LorentzParams(p, q))
     assert ok and 0.0 < lhs <= rhs
+    psi = gradient_density(from_knots(halfplane, [(0.4, 2.0), (1.1, 1.2),
+                                                  (2.5, 0.0)]))
+    assert lorentz_norm_distributional(psi, LorentzParams(p, q)) > 0.0
 
 
 # -- exact step moments: the kernel against math.fsum -------------------------

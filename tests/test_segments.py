@@ -33,9 +33,10 @@ from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
                                    pieces_value, power_primitive,
                                    power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
-from level_set_reference import (Stratum, abs_pieces, distribution, inverse,
-                                 monotone_direction, qth_power, rows_of,
-                                 sweep)
+from level_set_reference import (Stratum, abs_pieces, derivative,
+                                 distribution, inverse, monotone_direction,
+                                 qth_power, rows_of, scaled, sweep,
+                                 with_argument_scaled)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -53,7 +54,7 @@ def test_constant_law():
     assert law.is_constant
     assert law.constant_value() == 2.5
     assert law.value(17.0) == 2.5
-    assert law.derivative().constant_value() == 0.0
+    assert derivative(law).constant_value() == 0.0
     assert monotone_direction(law) == 0
 
 
@@ -73,7 +74,7 @@ def test_derivative_matches_difference_quotient(coef, expo, t):
     law = Law(coef, expo, shift=1.0)
     h = 1e-6 * t
     numeric = (law.value(t + h) - law.value(t - h)) / (2 * h)
-    assert law.derivative().value(t) == pytest.approx(numeric, rel=1e-5)
+    assert derivative(law).value(t) == pytest.approx(numeric, rel=1e-5)
 
 
 @given(coef=st.floats(min_value=-4, max_value=-0.05) | st.floats(min_value=0.05, max_value=4),
@@ -82,7 +83,7 @@ def test_derivative_matches_difference_quotient(coef, expo, t):
        t=st.floats(min_value=0.2, max_value=4))
 def test_argument_dilation(coef, expo, k, t):
     law = Law(coef, expo, shift=0.7)
-    assert law.with_argument_scaled(k).value(t) == pytest.approx(
+    assert with_argument_scaled(law, k).value(t) == pytest.approx(
         law.value(k * t), rel=1e-12)
 
 
@@ -110,7 +111,7 @@ def test_inverse_round_trip(coef, expo, shift, orient, t):
 
 def test_scaled_and_shifted():
     law = Law(2.0, 1.5, shift=1.0)
-    assert law.scaled(3.0).value(2.0) == pytest.approx(3.0 * law.value(2.0))
+    assert scaled(law, 3.0).value(2.0) == pytest.approx(3.0 * law.value(2.0))
     assert replace(law, shift=law.shift - 1.0).value(2.0) == pytest.approx(
         law.value(2.0) - 1.0)
 
@@ -235,6 +236,27 @@ def test_moment_integral_divergence_is_reported():
     with pytest.raises(DivergentIntegralError):
         moment_integral(0.0, 1.0, Law(1.0, -2.0), 0.5, 1.0)
 
+
+@pytest.mark.parametrize("law, t0", [
+    (Law(-2.2, 1.0, base=-1.2488877019831965, shift=6.378912152651386),
+     1.0444112292665013),
+    (Law(1.7, 1.0, base=3.9, orient=-1.0, shift=0.4), 2.3741113)])
+@pytest.mark.parametrize("width", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+def test_off_origin_closed_form_keeps_the_segment_width(law, t0, width,
+                                                        gamma):
+    # q = 1 and an integer gamma off the origin: the closed form in
+    # u = orient (t - base) takes the width of the t-segment, not the
+    # difference of u's rounded ends, which was 2.2e-10 off at 1e-6
+    t1 = t0 + width
+    assert segments._moment_exact(t0, t1, law, gamma, 1.0) is not None
+    got = moment_integral(t0, t1, law, gamma, 1.0)
+    with mpmath.workdps(50):
+        a, b, coef, base, shift = map(mpmath.mpf, (
+            t0, t1, law.coef, law.base, law.shift))
+        want = mpmath.quad(lambda t: t ** (gamma - 1) * (
+            coef * law.orient * (t - base) + shift), [a, b])
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 # -- the incomplete beta series of the t-route ----------------------------------
 
@@ -647,7 +669,7 @@ def test_builder_counts_signed_pieces_above_zero_only(p, q):
     # the builder measures a piece only where it lies above a level
     # lam >= 0, so a sign-changing piece stacked with its negation is |f|
     piece = Piece(1.0, 3.0, Law(1.5, 1.0, shift=-2.5))  # root at t = 5/3
-    both = [piece, Piece(1.0, 3.0, piece.law.scaled(-1.0))]
+    both = [piece, Piece(1.0, 3.0, scaled(piece.law, -1.0))]
     t0, t1, coef, shift, expo, base, orient = np.array(
         [(pc.t0, pc.t1, pc.law.coef, pc.law.shift, pc.law.expo,
           pc.law.base, pc.law.orient) for pc in both]).T
@@ -1159,7 +1181,7 @@ def test_stacked_level_sets_match_their_single_rows(halfplane, p, q):
                                   (2.6, 0.0)])
     pieces = gradient_density(prof).pieces
     amps = np.array([1.0, 0.37, 3.0, 1e3, 2.0 ** -20])
-    levels = [LevelSet.from_pieces([replace(pc, law=pc.law.scaled(k))
+    levels = [LevelSet.from_pieces([replace(pc, law=scaled(pc.law, k))
                                     for pc in pieces]) for k in amps]
     t0, t1, coef, shift, expo, base, orient = np.array(
         [(pc.t0, pc.t1, pc.law.coef, pc.law.shift, pc.law.expo,

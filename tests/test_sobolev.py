@@ -10,7 +10,7 @@ from cone_sobolev import (DomainError, LorentzParams, RadialProfile,
                           alvino_search, builtin_cone,
                           bump_superposition_field, embedding_norm,
                           from_knots, quotient, polya_szego_check, scale)
-from cone_sobolev.segments import Law, Piece
+from cone_sobolev.segments import Law, Piece, PieceTable
 
 BOX = [(0.0, 3.0), (-1.5, 1.5)]
 
@@ -81,7 +81,8 @@ def test_quotient_scale_invariant(halfplane):
 
 
 def test_quotient_rejects_zero_profiles(halfplane):
-    flat = RadialProfile(halfplane, (Piece(0.0, 1.0, Law.constant(0.0)),))
+    flat = RadialProfile(halfplane, PieceTable.of(
+        [Piece(0.0, 1.0, Law.constant(0.0))]))
     with pytest.raises(DomainError):
         quotient(flat, LorentzParams(2.0, 1.0))
 
