@@ -29,8 +29,11 @@ Every shell is the first one dilated in the measure coordinate, with the
 same norms, so each search runs once per system and is dilated to every
 shell: the head ratio (the quotient is scale invariant), the window
 cutoff, and the tail cutoff once per distinct budget gamma_j (once at
-q = 1).  Each shell then checks both cutoff conditions itself; everything
-is exact segment arithmetic or adaptive quadrature at 1e-12.
+q = 1).  Each shell then checks both cutoff conditions itself; every
+integral is a closed form, an incomplete beta series with a certified
+1e-12 bound (``segments._moment_integrals``), the lambda route's tanh-sinh
+rule, or the adaptive rule (an Appell F1 moment, or a series that cannot
+certify 1e-12).
 
 Span directions go to the span engine (``spans``).  Each system keeps the
 law tables of its two spans, built on first use: every direction has the
@@ -58,7 +61,7 @@ from .lorentz import (LorentzParams, ell_q_norm,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
-from .segments import _moment_integrals
+from .segments import PieceTable, _moment_integrals
 from .sobolev import embedding_norm, quotient
 from .spans import SpanTables, span_norms
 
@@ -306,14 +309,13 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
     contributes an exact power moment, each arc a sum of incomplete beta
     integrals, all in one ``_moment_integrals`` call.
     """
+    t0, t1, coef, shift, expo, base, orient = profile.table
+    # t -> law(t + tau): a law's base moves by -tau, a constant's stays
+    moved = np.where((coef != 0.0) & (expo != 0.0), base - tau, base)
+    window = PieceTable(t0 - tau, t1 - tau, coef, shift, expo, moved,
+                        orient).clip(tau, math.inf)
     q = bound.q
-    windows = []
-    for piece in profile.pieces:
-        lo = max(piece.t0 - tau, tau)
-        hi = piece.t1 - tau
-        if lo < hi:
-            windows.append((lo, hi, piece.law.with_argument_shifted(tau)))
-    return sum(_moment_integrals(windows, q / bound.p_star, q))
+    return sum(_moment_integrals(window.segments(), q / bound.p_star, q))
 
 
 # -- the inductive construction ----------------------------------------------

@@ -43,7 +43,7 @@ from .errors import (DomainError, DivergentIntegralError,
 from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
-from .segments import (Law, LevelSet, Piece, _moment_integrals, clip_pieces,
+from .segments import (Law, LevelSet, Piece, PieceTable, _moment_integrals,
                        moment_integral)
 
 __all__ = [
@@ -108,15 +108,19 @@ class LorentzParams:
 
 # -- input adapters ---------------------------------------------------------
 
-def _pieces_of(f) -> list[Piece]:
+def _table_of(f) -> PieceTable:
+    """The piece table of a step, profile, gradient density, piece or
+    piece list."""
     if isinstance(f, StepFunction1D):
-        return f.as_pieces()
+        zero = np.zeros(f.value_array.size)
+        return PieceTable(*f.plateaus(), f.value_array, zero, zero, zero,
+                          zero + 1.0)
     if isinstance(f, (RadialProfile, GradientDensity)):
-        return list(f.pieces)
+        return f.table
     if isinstance(f, Piece):
-        return [f]
+        return PieceTable.of([f])
     if isinstance(f, Sequence) and all(isinstance(p, Piece) for p in f):
-        return list(f)
+        return PieceTable.of(f)
     raise ValidationError(
         "expected a step function, profile, gradient density, or pieces")
 
@@ -128,21 +132,23 @@ def _rises(before, after):
     return after > before * (1.0 + 1e-9) + 1e-300
 
 
-def _check_nonincreasing(pieces: Sequence[Piece]) -> None:
+def _check_nonincreasing(table: PieceTable) -> None:
     """A rearrangement's pieces tile (0, support end) without gaps, each
     nonincreasing and none starting above where the one before ends."""
-    prev_end_val = math.inf
-    prev_t1 = 0.0
-    for p in sorted(pieces, key=lambda x: x.t0):
-        if abs(p.t0 - prev_t1) > 1e-15 * max(1.0, prev_t1):
-            raise ValidationError(
-                "pieces overlap" if p.t0 < prev_t1 else
-                "rearranged-route pieces must tile (0, t_max) from t = 0")
-        v0, v1 = p.endpoint_values()
-        if v1 > v0 + 1e-12 * max(abs(v0), 1.0) or _rises(prev_end_val, v0):
-            raise ValidationError(
-                "rearranged-route input must be nonincreasing")
-        prev_end_val, prev_t1 = v1, p.t1
+    order = table.t0.argsort(kind="stable")
+    t0, t1 = table.t0[order], table.t1[order]
+    v0, v1 = table.ends()[:, order]
+    # each piece against the end of the one before; (0, inf) for the first
+    t_before, v_before = np.append(0.0, t1[:-1]), np.append(math.inf, v1[:-1])
+    gap = np.abs(t0 - t_before) > 1e-15 * np.maximum(1.0, t_before)
+    bad = gap | (v1 > v0 + 1e-12 * np.maximum(np.abs(v0), 1.0))
+    bad |= _rises(v_before, v0)
+    if np.count_nonzero(bad):
+        i = bad.argmax()
+        raise ValidationError(
+            "rearranged-route input must be nonincreasing" if not gap[i] else
+            "pieces overlap" if t0[i] < t_before[i] else
+            "rearranged-route pieces must tile (0, t_max) from t = 0")
 
 
 # -- the two norm routes -----------------------------------------------------
@@ -165,13 +171,19 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
                 "rearranged-route input must be nonincreasing")
         return f_star.moment(params.q / params.p, params.q) ** (
             1.0 / params.q)
-    pieces = _pieces_of(f_star)
-    if not pieces:
+    return _rearranged_norm(f_star, _table_of(f_star), params)
+
+
+def _rearranged_norm(f, table: PieceTable, params: LorentzParams) -> float:
+    """The rearranged route on ``table``, f's table or a clip of it.  A
+    profile's own checks (tiling, nonincreasing, its 1e-9 junction rule)
+    already hold there, so only other inputs take the route's check."""
+    if not isinstance(f, RadialProfile):
+        _check_nonincreasing(table)
+    if not table.t0.size:
         return 0.0
-    _check_nonincreasing(pieces)
-    p, q = params.p, params.q
-    total = math.fsum(_moment_integrals(
-        [(pc.t0, pc.t1, pc.law) for pc in pieces], q / p, q))
+    q = params.q
+    total = math.fsum(_moment_integrals(table.segments(), q / params.p, q))
     return total ** (1.0 / q)
 
 
@@ -180,73 +192,71 @@ def lorentz_norm_distributional(f, params: LorentzParams) -> float:
 
     ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), stratum by stratum,
     from a step's plateaus, a sampled field's cells as the plateaus
-    (0, cell measure) of their |value|, or pieces (a profile's as its
-    table).  Must agree with the rearranged route, to 1e-10 in the tests.
+    (0, cell measure) of their |value|, or a piece table (a profile's or
+    density's own).  Must agree with the rearranged route, to 1e-10 in the
+    tests.
     """
     if isinstance(f, SampledField):
         level = LevelSet.from_plateaus(0.0, f.cell_measures.ravel(),
                                        np.abs(f.values.ravel()))
     elif isinstance(f, StepFunction1D):
         level = LevelSet.from_plateaus(*f.plateaus(), f.value_array)
-    elif isinstance(f, (RadialProfile, GradientDensity)):
-        level = LevelSet.from_table(f.table)
     else:
-        level = LevelSet.from_pieces(_pieces_of(f))
+        level = LevelSet.from_table(_table_of(f))
     return level.lorentz_qth_power(params.p, params.q) ** (1.0 / params.q)
 
 
 # -- Hardy inequality evaluation ---------------------------------------------
 
-def _tail_function(pieces: list[Piece]):
-    """F(t) = integral_t^inf f, returned as (intervals, evaluator).
+def _tail_function(segments: list[tuple[float, float, Law]]):
+    """F(t) = integral_t^inf f on intervals (lo, hi, F's law, f's law,
+    tail beyond hi).
 
-    Intervals tile (0, support_end] including gaps between pieces; on each
-    interval F is either an exact law (when the piece law is constant or a
-    pure power) or a pointwise-evaluable closure.
+    Intervals tile (0, support_end] including gaps between segments; on
+    each interval F is either an exact law (when the segment's law is
+    constant or a pure power) or is evaluated pointwise from f's law.
     """
-    pieces = sorted(pieces, key=lambda p: p.t0)
-    for a, b in zip(pieces, pieces[1:]):
-        if b.t0 < a.t1 - 1e-15 * max(1.0, a.t1):
+    segments = sorted(segments, key=lambda s: s[0])
+    for (_, a1, _), (b0, _, _) in zip(segments, segments[1:]):
+        if b0 < a1 - 1e-15 * max(1.0, a1):
             raise ValidationError("pieces overlap")
-    # piece tail masses, accumulated from the right
-    masses = [pc.moment(1.0, 1.0) for pc in pieces]
+    # segment tail masses, accumulated from the right
+    masses = [moment_integral(*seg, 1.0, 1.0) for seg in segments]
     tails_after = [0.0]
     for mass in masses[::-1]:
         tails_after.append(tails_after[-1] + mass)
-    tails_after = tails_after[::-1][1:]  # tail beyond each piece's t1
+    tails_after = tails_after[::-1][1:]  # tail beyond each segment's t1
 
-    intervals: list[tuple[float, float, Law | None, Piece | None, float]] = []
+    intervals: list[tuple[float, float, Law | None, Law | None, float]] = []
     cursor = 0.0
-    for pc, tail, mass in zip(pieces, tails_after, masses):
-        if pc.t0 > cursor:
+    for (t0, t1, law), tail, mass in zip(segments, tails_after, masses):
+        if t0 > cursor:
             # gap: F constant there
-            intervals.append((cursor, pc.t0, Law.constant(tail + mass),
+            intervals.append((cursor, t0, Law.constant(tail + mass),
                               None, 0.0))
-        law = pc.law
         if law.is_constant:
             v = law.constant_value()
-            f_law = Law(-v, 1.0, shift=tail + v * pc.t1)
-            intervals.append((pc.t0, pc.t1, f_law, None, 0.0))
+            f_law = Law(-v, 1.0, shift=tail + v * t1)
+            intervals.append((t0, t1, f_law, None, 0.0))
         elif law.base == 0.0 and law.shift == 0.0 and law.expo != -1.0:
             e1 = law.expo + 1.0
             f_law = Law(-law.coef / e1, e1,
-                        shift=tail + law.coef * pc.t1 ** e1 / e1)
-            intervals.append((pc.t0, pc.t1, f_law, None, 0.0))
+                        shift=tail + law.coef * t1 ** e1 / e1)
+            intervals.append((t0, t1, f_law, None, 0.0))
         else:
-            intervals.append((pc.t0, pc.t1, None, pc, tail))
-        cursor = pc.t1
+            intervals.append((t0, t1, None, law, tail))
+        cursor = t1
     return intervals
 
 
 def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
-                          piece: Piece | None, tail: float,
+                          law: Law | None, tail: float,
                           gamma: float, q: float) -> float:
     if f_law is not None:
         return moment_integral(lo, hi, f_law, gamma, q)
 
     def big_f(t: np.ndarray) -> np.ndarray:
-        return np.array([tail + moment_integral(float(s), piece.t1,
-                                                piece.law, 1.0, 1.0)
+        return np.array([tail + moment_integral(float(s), hi, law, 1.0, 1.0)
                          for s in t])
 
     # F is bounded at the origin (local order 0)
@@ -264,27 +274,26 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
     sides reduce to the same double integral by Fubini).  A violation
     beyond _HARDY_SLACK (1e-9) indicates an integration bug and raises.
     """
-    pieces = _pieces_of(f)
+    table = _table_of(f)
     p_star, q = params.p_star, params.q
-    for pc in pieces:
-        lo, _ = pc.value_range()
-        if lo < 0:
-            raise ValidationError("the Hardy check requires f >= 0")
-    if not pieces:
+    if np.count_nonzero(table.ends() < 0.0):
+        raise ValidationError("the Hardy check requires f >= 0")
+    if not table.t0.size:
         return 0.0, 0.0
+    segments = table.segments()
     try:
         rhs_power = math.fsum(
-            pc.moment(q + q / p_star, q) for pc in pieces)
+            moment_integral(*seg, q + q / p_star, q) for seg in segments)
     except DivergentIntegralError as exc:
         raise DomainError(
             f"divergent Hardy right-hand side: {exc}") from exc
     rhs = p_star * rhs_power ** (1.0 / q)
 
     gamma = q / p_star
-    intervals = _tail_function(pieces)
+    intervals = _tail_function(segments)
     lhs_power = math.fsum(
-        _interval_tail_moment(lo, hi, f_law, piece, tail, gamma, q)
-        for lo, hi, f_law, piece, tail in intervals)
+        _interval_tail_moment(lo, hi, f_law, law, tail, gamma, q)
+        for lo, hi, f_law, law, tail in intervals)
     lhs = lhs_power ** (1.0 / q)
     if lhs > rhs * (1.0 + _HARDY_SLACK):
         raise InternalConsistencyError(
@@ -304,10 +313,7 @@ def restricted_norm(f, params: LorentzParams, t_cut: float) -> float:
         raise DomainError("measure cutoff must be nonnegative")
     if t_cut == 0.0:
         return 0.0
-    pieces = clip_pieces(_pieces_of(f), 0.0, t_cut)
-    if not pieces:
-        return 0.0
-    return lorentz_norm_rearranged(pieces, params)
+    return _rearranged_norm(f, _table_of(f).clip(0.0, t_cut), params)
 
 
 def ell_q_norm(alpha: Sequence[float], q: float) -> float:

@@ -8,8 +8,9 @@ its profile phi in the measure coordinate t = c_d |x|^D:
 Profiles here are piecewise laws anchored at the origin (base 0), which
 keeps every operation exact: values, gradient densities, scalings, and the
 norm integrals downstream.  Each profile or gradient density is one
-``segments.PieceTable``, made and checked by column expressions, with
-``pieces`` as row views for the t-route.  The gradient density
+``segments.PieceTable``, made and checked by column expressions; both
+norm routes, the span templates and the checks take it as it is.  The
+gradient density
 
     psi(t) = D * c_d^(1/D) * t^((D-1)/D) * (-phi'(t))
 
@@ -25,7 +26,6 @@ the head-to-support ratio grows; closed-form segments let that ratio reach
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -34,7 +34,7 @@ import numpy as np
 
 from .cones import WeightedCone
 from .errors import DomainError, ValidationError
-from .segments import Law, Piece, PieceTable, pieces_value
+from .segments import PieceTable
 
 __all__ = [
     "RadialProfile",
@@ -59,7 +59,6 @@ _PROFILE_ERRORS = ("piece endpoints must satisfy 0 <= t0 < t1, got ({t0}, "
                    "profile pieces must tile (0, t_max); gap at {t0}",
                    "profile must be nonincreasing",
                    "profile discontinuity at t = {t0}")
-_row_views = functools.cached_property(lambda self: self.table.pieces())
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +81,8 @@ class RadialProfile:
         t0, t1, coef, shift, expo, base, orient = table = self.table
         if not t0.size:
             raise ValidationError("profile needs at least one piece")
-        # each piece's values at t0 and t1, by Python's pow where expo is
-        # not 0 or 1: numpy's can miss by an ulp (an arc and its tail
-        # t_max ** e cancel exactly at t_max)
+        v0, v1 = table.ends()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v0, v1 = values = coef * np.maximum(orient * (
-                np.array((t0, t1)) - base), 0.0) ** expo + shift
-            for i in np.flatnonzero((expo != 0.0) & (expo != 1.0)).tolist():
-                values[:, i] = self.pieces[i].endpoint_values()
             # a piece's start (t, value) against the end of the one before
             before = np.array((t1[:-1], v1[:-1]))
             tol = np.maximum(np.abs(before), 1.0)
@@ -117,8 +110,6 @@ class RadialProfile:
             raise ValidationError(
                 f"profile must decay to zero at its support end, got {end}")
 
-    pieces = _row_views
-
     # -- queries --------------------------------------------------------
 
     @property
@@ -131,7 +122,18 @@ class RadialProfile:
 
     def value(self, t):
         """phi(t), zero beyond the support."""
-        return pieces_value(self.pieces, t)
+        t = np.asarray(t, dtype=float)
+        flat = np.atleast_1d(t)
+        out = np.zeros(flat.shape)
+        for t0, t1, coef, shift, expo, base, orient in np.array(
+                self.table).T.tolist():
+            at = (flat >= t0) & (flat < t1)
+            if expo == 0.0 or coef == 0.0:
+                out[at] = coef + shift if expo == 0.0 else shift
+            elif at.any():
+                out[at] = coef * np.power(np.maximum(
+                    orient * (flat[at] - base), 0.0), expo) + shift
+        return out if t.shape else float(out[0])
 
     def radial_value(self, r):
         """u(x) for |x| = r."""
@@ -150,23 +152,29 @@ class RadialProfile:
 
     @staticmethod
     def from_json_dict(data: Mapping, cone: WeightedCone) -> "RadialProfile":
-        pieces = []
+        rows = []   # (t0, t1, coef, shift, expo); base 0, orient +1
         try:
             for seg in data["segments"]:
                 kind, params = seg["law"], [float(v) for v in seg["params"]]
                 if kind == "affine":
                     a, b = params
-                    law = Law(b, 1.0, shift=a)
+                    law = (b, a, 1.0)
                 elif kind == "power":
-                    c, e = params[0], params[1]
-                    s = params[2] if len(params) > 2 else 0.0
-                    law = Law(c, e, shift=s)
+                    law = (params[0], params[2] if len(params) > 2 else 0.0,
+                           params[1])
                 else:
                     raise ValidationError(f"unknown law kind {kind!r}")
-                pieces.append(Piece(float(seg["t0"]), float(seg["t1"]), law))
+                t0, t1 = float(seg["t0"]), float(seg["t1"])
+                if not 0.0 <= t0 < t1:
+                    raise ValidationError(_PROFILE_ERRORS[0].format(t0=t0,
+                                                                    t1=t1))
+                rows.append((t0, t1, *law))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile spec: {exc}") from exc
-        return RadialProfile(cone, PieceTable.of(pieces))
+        t0, t1, coef, shift, expo = np.array(rows).reshape(-1, 5).T
+        zero = np.zeros(t0.size)
+        return RadialProfile(cone, PieceTable(t0, t1, coef, shift, expo,
+                                              zero, zero + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +188,6 @@ class GradientDensity:
 
     profile: RadialProfile
     table: PieceTable
-    pieces = _row_views
 
 
 def from_knots(cone: WeightedCone,

@@ -126,6 +126,9 @@ class StepFunction1D:
         return np.append(0.0, ends)[:-1], ends
 
     def as_pieces(self) -> list[Piece]:
+        """The plateaus as constant pieces: a public entry that perfbench's
+        layer tracer wraps; the norm routes take a step's plateaus as
+        arrays."""
         return [Piece(t0, t1, Law.constant(v)) for t0, t1, v in
                 zip(*(x.tolist() for x in self.plateaus()),
                     self.value_array.tolist())]
@@ -252,9 +255,6 @@ class SampledField:
     def max_cell_diameter(self) -> float:
         return math.sqrt(sum(((hi - lo) / n) ** 2
                              for (lo, hi), n in zip(self.box, self.shape)))
-
-    def total_measure(self) -> float:
-        return float(np.sum(self.cell_measures))
 
 
 def _gradient_magnitude(values: np.ndarray, box, shape) -> np.ndarray:

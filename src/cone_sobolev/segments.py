@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -69,8 +69,6 @@ __all__ = [
     "power_primitive",
     "power_primitives",
     "moment_integral",
-    "clip_pieces",
-    "pieces_value",
     "level_set_strata",
     "level_set_qth_powers",
 ]
@@ -121,12 +119,6 @@ class Law:
         if not self.is_constant:
             raise InternalConsistencyError("law is not constant")
         return self.coef + self.shift if self.expo == 0.0 else self.shift
-
-    def with_argument_shifted(self, tau: float) -> "Law":
-        """t -> law(t + tau)."""
-        if self.is_constant:
-            return self
-        return replace(self, base=self.base - tau)
 
 
 # -- exact power primitive -------------------------------------------------
@@ -663,7 +655,8 @@ def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
 
 @dataclass(frozen=True)
 class Piece:
-    """One segment (t0, t1) carrying a single law: a ``PieceTable`` row."""
+    """One segment (t0, t1) carrying a single law: the input record of the
+    public entries, which ``PieceTable.of`` turns into table rows."""
 
     t0: float
     t1: float
@@ -681,43 +674,11 @@ class Piece:
                 self.t1 > law.base + 1e-15 * max(1.0, abs(law.base))):
             raise ValidationError("law argument negative on the segment")
 
-    def endpoint_values(self) -> tuple[float, float]:
-        """Limits of the law at t0+ and t1-, possibly infinite."""
-        law = self.law
-        if law.is_constant:
-            v = law.constant_value()
-            return v, v
-        u0 = law.orient * (self.t0 - law.base)
-        u1 = (math.inf if math.isinf(self.t1)
-              else law.orient * (self.t1 - law.base))
-        return _power_limit(law, u0), _power_limit(law, u1)
-
-    def value_range(self) -> tuple[float, float]:
-        """Ordered (lo, hi) closure of values on the open segment."""
-        v0, v1 = self.endpoint_values()
-        return (v0, v1) if v0 <= v1 else (v1, v0)
-
-    def moment(self, gamma: float, q: float) -> float:
-        return moment_integral(self.t0, self.t1, self.law, gamma, q)
-
-
-def _power_limit(law: Law, u: float) -> float:
-    """Limit of coef * u^expo + shift, with u = 0 and u = inf resolved."""
-    if u <= 0.0:
-        if law.expo < 0.0:
-            return law.shift + math.copysign(math.inf, law.coef)
-        return law.shift
-    if math.isinf(u):
-        if law.expo > 0.0:
-            return math.copysign(math.inf, law.coef)
-        return law.shift
-    return law.coef * u ** law.expo + law.shift
-
 
 class PieceTable(NamedTuple):
     """Pieces as the columns ``level_set_strata`` takes, the one form from
     profile to strata: piece i is (t0[i], t1[i]) with the law coef[i] *
-    (orient[i] (t - base[i]))**expo[i] + shift[i]; ``pieces`` are views."""
+    (orient[i] (t - base[i]))**expo[i] + shift[i]."""
 
     t0: np.ndarray
     t1: np.ndarray
@@ -733,35 +694,43 @@ class PieceTable(NamedTuple):
             [(p.t0, p.t1, p.law.coef, p.law.shift, p.law.expo, p.law.base,
               p.law.orient) for p in pieces], dtype=float).reshape(-1, 7).T)
 
-    def pieces(self) -> tuple[Piece, ...]:
-        return tuple(Piece(t0, t1, Law(coef, expo, base, orient, shift))
-                     for t0, t1, coef, shift, expo, base, orient
-                     in zip(*(col.tolist() for col in self)))
+    def ends(self) -> np.ndarray:
+        """The (2, n) values (va, vb) of the pieces at t0+ and t1-, their
+        limits where the law's argument is 0 or inf: the end values of the
+        profile checks, the span templates and the rearranged route's
+        check.  Where expo is not 0 or 1 and the argument is positive and
+        finite they come from Python's pow, as numpy's can miss by an ulp
+        (an arc and its tail t_max ** e cancel exactly at t_max)."""
+        t0, t1, coef, shift, expo, base, orient = self
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ends = coef * np.maximum(orient * (np.array((t0, t1)) - base),
+                                     0.0) ** expo + shift
+        power = ((expo != 0.0) & (expo != 1.0)).nonzero()[0]
+        for i, a, b, c, s, e, g, o in zip(power.tolist(), *np.array(
+                self)[:, power].tolist()):
+            for k, u in enumerate((o * (a - g), math.inf if math.isinf(b)
+                                   else o * (b - g))):
+                if not c:
+                    ends[k, i] = s
+                elif 0.0 < u < math.inf:
+                    ends[k, i] = c * u ** e + s
+        return ends
 
+    def clip(self, t_lo: float, t_hi: float) -> "PieceTable":
+        """The pieces restricted to the window (t_lo, t_hi)."""
+        if not 0.0 <= t_lo <= t_hi:
+            raise ValidationError(f"bad clip window ({t_lo}, {t_hi})")
+        cols = np.array(self)
+        np.maximum(cols[0], t_lo, out=cols[0])
+        np.minimum(cols[1], t_hi, out=cols[1])
+        return PieceTable(*cols[:, cols[0] < cols[1]])
 
-def pieces_value(pieces: Sequence[Piece], t) -> np.ndarray:
-    """Evaluate a disjoint piece list at points t (zero off-support)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape if t.shape else (1,))
-    flat_t = np.atleast_1d(t)
-    for p in pieces:
-        mask = (flat_t >= p.t0) & (flat_t < p.t1)
-        if np.any(mask):
-            np.atleast_1d(out)[mask] = np.asarray(p.law.value(flat_t[mask]))
-    return out if t.shape else float(out[0])
-
-
-def clip_pieces(pieces: Iterable[Piece], t_lo: float, t_hi: float
-                ) -> list[Piece]:
-    """Restrict a piece list to the window (t_lo, t_hi)."""
-    if not 0.0 <= t_lo <= t_hi:
-        raise ValidationError(f"bad clip window ({t_lo}, {t_hi})")
-    out = []
-    for p in pieces:
-        a, b = max(p.t0, t_lo), min(p.t1, t_hi)
-        if a < b:
-            out.append(Piece(a, b, p.law))
-    return out
+    def segments(self) -> list[tuple[float, float, Law]]:
+        """The pieces as the (t0, t1, law) segments of the moment kernel
+        (``_moment_integrals``), one ``Law`` per row, made at the call."""
+        return [(t0, t1, Law(coef, expo, base, orient, shift))
+                for t0, t1, coef, shift, expo, base, orient
+                in np.array(self).T.tolist()]
 
 
 # -- level sets ------------------------------------------------------------
@@ -922,8 +891,8 @@ class LevelSet:
 
     @staticmethod
     def from_pieces(pieces: Sequence[Piece]) -> "LevelSet":
-        """The level set of a nonnegative piece list.  Pieces are views of
-        ``PieceTable`` rows, the form the builder takes: ``from_table``."""
+        """The level set of a nonnegative piece list, as the rows of a
+        ``PieceTable``, the form the builder takes: ``from_table``."""
         return LevelSet.from_table(PieceTable.of(pieces))
 
     @staticmethod

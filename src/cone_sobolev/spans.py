@@ -13,21 +13,22 @@ Every direction has the same pieces in t; only each law's coefficient and
 shift move with alpha.  So the pieces are tabulated once per system
 (``SpanTables``), with everything alpha does not move, and ``span_norms``
 scales a batch of directions into one coef/shift row each: no ``Piece``,
-``Law`` or ``LevelSet`` per direction.  The function span's end values
-are alpha_j u + lift_(j-1), from each piece's unscaled end values u
-(``_shell_end_values``), the same rounded expression as the cumulative
-lifts: a shell's head value, the lift it carries into the next shell and
-the next arc's end value are one float, so the builder merges their cuts
-instead of leaving ulp-wide strata between them.  Both spans take their
-sign the same way: each template holds every piece as itself and negated,
-scaled by alpha_j, not |alpha_j|, and the function span's pieces lifted
-by the lift times the same sign.  The builder counts a piece only where
-it lies above a level lam >= 0, and |f| > lam exactly where f > lam or
--f > lam; the gradient densities are nonnegative on disjoint annuli, so
-the gradient span's alpha_j psi_j and -alpha_j psi_j give sum |alpha_j|
-psi_j.  No piece is cut at a root, and neither span has a path of its
-own.  The strata of each pass of directions come from
-``segments.level_set_strata``, the builder ``LevelSet.from_pieces`` uses
+``Law`` or ``LevelSet`` at all, only each shell's ``PieceTable``.  The
+function span's end values are alpha_j u + lift_(j-1), from each piece's
+unscaled end values u (``PieceTable.ends``, a shell's identities made
+exact by ``_shell_end_values``), the same rounded expression as the
+cumulative lifts: a shell's head value, the lift it carries into the next
+shell and the next arc's end value are one float, so the builder merges
+their cuts instead of leaving ulp-wide strata between them.  Both spans
+take their sign the same way: each template holds every piece as itself
+and negated, scaled by alpha_j, not |alpha_j|, and the function span's
+pieces lifted by the lift times the same sign.  The builder counts a piece
+only where it lies above a level lam >= 0, and |f| > lam exactly where f >
+lam or -f > lam; the gradient densities are nonnegative on disjoint
+annuli, so the gradient span's alpha_j psi_j and -alpha_j psi_j give sum
+|alpha_j| psi_j.  No piece is cut at a root, and neither span has a path
+of its own.  The strata of each pass of directions come from
+``segments.level_set_strata``, the builder ``LevelSet.from_table`` uses
 too, and go in one call to ``segments.level_set_qth_powers``.  Every step
 is per direction, and each direction's parts are added by math.fsum, so a
 norm is bit-identical whether its direction is evaluated alone or in any
@@ -42,8 +43,7 @@ import numpy as np
 
 from .lorentz import LorentzParams
 from .profiles import gradient_density
-from .segments import (Law, Piece, clip_pieces, level_set_qth_powers,
-                       level_set_strata)
+from .segments import PieceTable, level_set_qth_powers, level_set_strata
 
 if TYPE_CHECKING:
     from .bernstein import ShellSpec
@@ -81,24 +81,21 @@ class _Template(NamedTuple):
     laws: np.ndarray
 
     @staticmethod
-    def of(pieces: Sequence[tuple[int, Piece]],
-           ends: tuple[Sequence[float], Sequence[float]],
+    def of(shell: np.ndarray, table: PieceTable, ends: np.ndarray,
            heights: np.ndarray, params: LorentzParams) -> "_Template":
-        table = np.repeat(np.array(
-            [(j, p.t0, p.t1, p.law.expo, p.law.base, p.law.orient,
-              p.law.coef, p.law.shift, u0, u1)
-             for (j, p), u0, u1 in zip(pieces, *ends)], dtype=float
-        ).reshape(-1, 10), 2, axis=0).T
-        sign = np.tile([1.0, -1.0], len(pieces))
-        return _Template(params, heights, sign, table[0].astype(int),
-                         *table[1:6], table[6:] * sign)
+        t0, t1, coef, shift, expo, base, orient = np.repeat(table, 2, axis=1)
+        sign = np.tile([1.0, -1.0], shell.size)
+        return _Template(params, heights, sign, shell.repeat(2), t0, t1,
+                         expo, base, orient,
+                         np.vstack(((coef, shift), np.repeat(ends, 2, axis=1)))
+                         * sign)
 
 
-def _shell_end_values(pieces: Sequence[tuple[int, Piece]]
-                      ) -> tuple[list[float], list[float]]:
-    """Each piece's values at t0+ and t1-, with a shell's identities exact.
+def _shell_end_values(shell: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The pieces' values (u0, u1) at t0+ and t1-, with a shell's
+    identities exact.
 
-    ``pieces`` runs through each shell's pieces in t order.  A shell's
+    ``shell`` runs through each shell's pieces in t order.  A shell's
     first piece starts at its own value (its flat head's, the shell's max
     u), every later piece starts at the value the piece before it ends
     at, and the last one ends at 0, where the shell's support ends (the
@@ -107,18 +104,15 @@ def _shell_end_values(pieces: Sequence[tuple[int, Piece]]
     carried into the next shell and the arc's end values as one float
     each.
     """
-    u0: list[float] = []
-    u1: list[float] = []
-    for i, (j, piece) in enumerate(pieces):
-        start, end = piece.endpoint_values()
-        u0.append(start if i == 0 or pieces[i - 1][0] != j else u1[-1])
-        last = i + 1 == len(pieces) or pieces[i + 1][0] != j
-        u1.append(0.0 if last else end)
-    return u0, u1
+    u0, u1 = ends = ends.copy()
+    same = shell[1:] == shell[:-1]
+    np.copyto(u0[1:], u1[:-1], where=same)
+    u1[np.append(~same, True)] = 0.0
+    return ends
 
 
 class SpanTables(NamedTuple):
-    """The per-system law tables of both spans.
+    """The per-system piece tables of both spans.
 
     Each shell's pieces (its profile clipped to its annulus; its gradient
     density) are taken once per system, and the ``_Template`` of each
@@ -126,8 +120,8 @@ class SpanTables(NamedTuple):
     """
 
     params: LorentzParams
-    function: tuple[list[Piece], ...]
-    gradient: tuple[list[Piece], ...]
+    function: tuple[PieceTable, ...]
+    gradient: tuple[PieceTable, ...]
     heights: np.ndarray  # max u_j: the lift shell j adds to later shells
     cutoffs: tuple[float, ...]  # delta_{j+1}: where the lift of 1..j ends
     templates: dict
@@ -137,31 +131,33 @@ class SpanTables(NamedTuple):
            ) -> "SpanTables":
         return SpanTables(
             params,
-            tuple(clip_pieces(s.profile.pieces, s.cutoff_measure,
-                              s.profile.t_max) for s in shells),
-            tuple(list(gradient_density(s.profile).pieces) for s in shells),
+            tuple(s.profile.table.clip(s.cutoff_measure, s.profile.t_max)
+                  for s in shells),
+            tuple(gradient_density(s.profile).table for s in shells),
             np.array([s.profile.max_value for s in shells]),
             tuple(s.cutoff_measure for s in shells), {})
 
     def template(self, gradient: bool, k: int) -> _Template:
         """The pieces of the first k shells.  The function span ends with
-        the lift of all k shells, a constant on (0, delta_{k+1}), and takes
-        its end values from ``_shell_end_values``; the gradient span lifts
-        nothing and takes each piece's own end values."""
+        the lift of all k shells, a constant 0 row on (0, delta_{k+1}) that
+        alpha lifts, and takes its end values from ``_shell_end_values``;
+        the gradient span lifts nothing and takes each piece's own end
+        values."""
         if (gradient, k) not in self.templates:
-            per_shell = self.gradient if gradient else self.function
-            pieces = [(j, pc) for j in range(k) for pc in per_shell[j]]
+            tables = list((self.gradient if gradient else self.function)[:k])
+            shell = np.repeat(np.arange(k), [t.t0.size for t in tables])
             if gradient:
-                tpl = _Template.of(pieces, tuple(zip(*(
-                    pc.endpoint_values() for _, pc in pieces))),
-                    np.zeros(k), self.params)
+                heights, params = np.zeros(k), self.params
             else:
-                pieces.append((-1, Piece(0.0, self.cutoffs[k - 1],
-                                         Law.constant(0.0))))
-                tpl = _Template.of(pieces, _shell_end_values(pieces),
-                                   self.heights[:k],
-                                   self.params.star_params())
-            self.templates[gradient, k] = tpl
+                tables.append(np.array([[0.0], [self.cutoffs[k - 1]], [0.0],
+                                        [0.0], [0.0], [0.0], [1.0]]))
+                shell = np.append(shell, -1)
+                heights, params = self.heights[:k], self.params.star_params()
+            table = PieceTable(*np.concatenate(tables, axis=1))
+            ends = table.ends()
+            self.templates[gradient, k] = _Template.of(
+                shell, table, ends if gradient else _shell_end_values(
+                    shell, ends), heights, params)
         return self.templates[gradient, k]
 
 

@@ -14,8 +14,12 @@ library's array paths do without, lives here too:
 * ``abs_pieces``, the pieces of |f| split at each law's closed-form root
   (``_law_root``), the reference for the span engine's f and -f;
 * ``distribution(level, lam)``, m(lam) read off ``LevelSet.strata``;
-* ``derivative``, ``scaled`` and ``with_argument_scaled``, the law
-  algebra that profiles now apply to table columns;
+* ``derivative``, ``scaled``, ``with_argument_scaled`` and
+  ``with_argument_shifted``, the law algebra that profiles and windows
+  apply to table columns;
+* ``pieces_of(table)``, a table's rows as ``Piece`` objects, and the
+  per-object ``endpoint_values``, ``value_range``, ``moment`` and
+  ``pieces_value`` that the library computes from the table;
 * ``knot_pieces``, ``density_pieces`` and ``check_profile``: profiles
   built and checked one ``Piece`` and ``Law`` at a time, the oracles of
   ``from_knots``, ``gradient_density`` and ``RadialProfile``'s column
@@ -35,7 +39,7 @@ import numpy as np
 from cone_sobolev import (DomainError, InternalConsistencyError,
                           SampledField, StepFunction1D, ValidationError)
 from cone_sobolev.segments import (Law, LevelSet, Piece, Strata,
-                                   level_set_qth_powers)
+                                   level_set_qth_powers, moment_integral)
 from cone_sobolev.tanhsinh import Rows
 
 
@@ -119,6 +123,13 @@ def with_argument_scaled(law: Law, kappa: float) -> Law:
                law.orient, law.shift)
 
 
+def with_argument_shifted(law: Law, tau: float) -> Law:
+    """t -> law(t + tau)."""
+    if law.is_constant:
+        return law
+    return replace(law, base=law.base - tau)
+
+
 def distribution_function(obj, tau: float) -> float:
     """mu-measure (or Lebesgue measure, for 1D steps) of {|f| > tau}."""
     if isinstance(obj, StepFunction1D):
@@ -151,6 +162,63 @@ def distribution(level: LevelSet, lam):
     return out if lam.shape else float(out[0])
 
 
+# -- pieces, one object per row -----------------------------------------------
+
+def pieces_of(table) -> tuple[Piece, ...]:
+    """The rows of a ``PieceTable`` as pieces."""
+    return tuple(Piece(t0, t1, Law(coef, expo, base, orient, shift))
+                 for t0, t1, coef, shift, expo, base, orient
+                 in zip(*(col.tolist() for col in table)))
+
+
+def _power_limit(law: Law, u: float) -> float:
+    """Limit of coef * u^expo + shift, with u = 0 and u = inf resolved."""
+    if u <= 0.0:
+        if law.expo < 0.0:
+            return law.shift + math.copysign(math.inf, law.coef)
+        return law.shift
+    if math.isinf(u):
+        if law.expo > 0.0:
+            return math.copysign(math.inf, law.coef)
+        return law.shift
+    return law.coef * u ** law.expo + law.shift
+
+
+def endpoint_values(p: Piece) -> tuple[float, float]:
+    """Limits of the piece's law at t0+ and t1-, possibly infinite."""
+    law = p.law
+    if law.is_constant:
+        v = law.constant_value()
+        return v, v
+    u0 = law.orient * (p.t0 - law.base)
+    u1 = (math.inf if math.isinf(p.t1)
+          else law.orient * (p.t1 - law.base))
+    return _power_limit(law, u0), _power_limit(law, u1)
+
+
+def value_range(p: Piece) -> tuple[float, float]:
+    """Ordered (lo, hi) closure of values on the open segment."""
+    v0, v1 = endpoint_values(p)
+    return (v0, v1) if v0 <= v1 else (v1, v0)
+
+
+def moment(p: Piece, gamma: float, q: float) -> float:
+    """The integral over the piece of t^(gamma-1) law(t)^q."""
+    return moment_integral(p.t0, p.t1, p.law, gamma, q)
+
+
+def pieces_value(pieces, t):
+    """Evaluate a disjoint piece list at points t (zero off-support)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape if t.shape else (1,))
+    flat_t = np.atleast_1d(t)
+    for p in pieces:
+        mask = (flat_t >= p.t0) & (flat_t < p.t1)
+        if np.any(mask):
+            np.atleast_1d(out)[mask] = np.asarray(p.law.value(flat_t[mask]))
+    return out if t.shape else float(out[0])
+
+
 # -- profiles, one object per piece ------------------------------------------
 
 def check_profile(pieces) -> None:
@@ -167,7 +235,7 @@ def check_profile(pieces) -> None:
         if abs(p.t0 - prev_end) > 1e-15 * max(1.0, abs(prev_end)):
             raise ValidationError(
                 f"profile pieces must tile (0, t_max); gap at {p.t0}")
-        v0, v1 = p.endpoint_values()
+        v0, v1 = endpoint_values(p)
         if v1 > v0:
             raise ValidationError("profile must be nonincreasing")
         if not math.isinf(prev_val):
@@ -178,7 +246,7 @@ def check_profile(pieces) -> None:
         prev_end, prev_val = p.t1, v1
     if math.isinf(prev_end):
         raise ValidationError("profile support must be bounded")
-    head = pieces[0].endpoint_values()[0]
+    head = endpoint_values(pieces[0])[0]
     if not -1e-12 <= prev_val <= 1e-9 * max(
             1.0, head if not math.isinf(head) else 1.0):
         raise ValidationError(
@@ -214,7 +282,7 @@ def knot_pieces(knots) -> list[Piece]:
 
 def density_pieces(cone, pieces) -> list[Piece]:
     """The pieces of ``gradient_density`` of a profile's pieces."""
-    if math.isinf(pieces[0].endpoint_values()[0]):
+    if math.isinf(endpoint_values(pieces[0])[0]):
         raise DomainError("profile has an unbounded head")
     front = cone.big_d * cone.c_d ** (1.0 / cone.big_d)
     out = []
@@ -315,7 +383,7 @@ def sweep(pieces) -> tuple[list[Stratum], float]:
     has_inf = False
     init: list[tuple[float, tuple, float]] = []
     for p in pieces:
-        lo, hi = p.value_range()
+        lo, hi = value_range(p)
         if lo < -1e-12 * max(1.0, _evaluation_scale(p)):
             raise ValidationError("level sets require a nonnegative function")
         lo = max(lo, 0.0)

@@ -14,10 +14,12 @@ from cone_sobolev import (DomainError, InfeasibleError,
                           absolute_continuity_witness, bernstein_lower_bound,
                           certify_span, construct_system, ell_q_norm,
                           embedding_norm, from_knots, gamma_sequence,
-                          gradient_upper_certificate, quotient,
-                          superadditivity_certificate, verify_system)
+                          gradient_upper_certificate,
+                          lorentz_norm_rearranged, quotient,
+                          restricted_norm, superadditivity_certificate,
+                          verify_system)
 from cone_sobolev.profiles import gradient_density
-from cone_sobolev.segments import Law, Piece, clip_pieces
+from cone_sobolev.segments import Law, Piece
 
 import level_set_reference
 
@@ -95,7 +97,7 @@ def test_shell_function_hits_its_targets(halfplane):
     assert rep.denominator == pytest.approx(1.0, rel=1e-10)
     assert rep.numerator == pytest.approx(lam, rel=1e-10)
     assert 0.0 < inner < 1.0
-    head = profile.pieces[0]
+    head = level_set_reference.pieces_of(profile.table)[0]
     assert head.t1 == pytest.approx(
         halfplane.c_d * inner ** halfplane.big_d, rel=1e-12)
 
@@ -267,9 +269,8 @@ def test_window_energy_below_1e160_matches_the_first_shell(halfplane):
     assert deep.t_max < 1e-160
     for share in (1e-6, 1e-3, 0.3):
         want = bernstein._window_energy(first, bound,
-                                        share * first.pieces[0].t1)
-        got = bernstein._window_energy(deep, bound,
-                                       share * deep.pieces[0].t1)
+                                        share * first.table.t1[0])
+        got = bernstein._window_energy(deep, bound, share * deep.table.t1[0])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -452,6 +453,28 @@ def test_certify_span_splits_one_sweep(system, trials, directions):
     assert got[2] == bernstein_lower_bound(system, directions, 11)
 
 
+def test_quotients_and_the_shell_chain_build_no_piece(halfplane,
+                                                     monkeypatch):
+    # profiles, their clips and windows, gradient densities and the span
+    # templates reach both routes as piece tables; the t-route's kernel
+    # still takes a Law per row, so only Piece is refused
+    def built(self):
+        raise AssertionError("a Piece was built")
+
+    monkeypatch.setattr(Piece, "__post_init__", built)
+    params = LorentzParams(2.0, 1.0, halfplane)
+    star = params.star_params()
+    prof = from_knots(halfplane, [(0.4, 2.0), (1.1, 1.2), (2.5, 0.0)])
+    assert quotient(prof, params).quotient > 0.0
+    assert 0.0 < restricted_norm(prof, star, 1.5) < \
+        lorentz_norm_rearranged(prof, star)
+    lam = 0.5 * embedding_norm(halfplane, params)
+    system = construct_system(halfplane, params, 2, lam, 0.05, 0.05)
+    sweep = certify_span(system, 20, 20, 0)
+    assert sweep.super_failures == sweep.grad_failures == 0
+    assert sweep.bound.empirical_minimum >= sweep.bound.certified
+
+
 # -- the span engine against the Piece path ---------------------------------------
 
 def _reference_norms(system, alpha):
@@ -459,8 +482,8 @@ def _reference_norms(system, alpha):
     object sweep, which shares no strata code with the engine."""
     pieces, lift = [], 0.0
     for a, shell in zip(alpha, system.shells):
-        for pc in clip_pieces(shell.profile.pieces, shell.cutoff_measure,
-                              shell.profile.t_max):
+        for pc in level_set_reference.pieces_of(shell.profile.table.clip(
+                shell.cutoff_measure, shell.profile.t_max)):
             law = dataclasses.replace(pc.law, coef=a * pc.law.coef,
                                       shift=a * pc.law.shift + lift)
             pieces.append(Piece(pc.t0, pc.t1, law))
@@ -473,7 +496,8 @@ def _reference_norms(system, alpha):
     gradient = level_set_reference.norm(
         [Piece(p.t0, p.t1, level_set_reference.scaled(p.law, abs(a)))
          for a, shell in zip(alpha, system.shells) if a != 0.0
-         for p in gradient_density(shell.profile).pieces], system.params)
+         for p in level_set_reference.pieces_of(
+             gradient_density(shell.profile).table)], system.params)
     return function, gradient, len(signed) - len(pieces)
 
 

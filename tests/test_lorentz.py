@@ -16,9 +16,11 @@ from cone_sobolev import (DomainError, LorentzParams, NumericalError,
                           bump_superposition_field, ell_q_norm,
                           from_knots, gradient_density, hardy_check,
                           lorentz_norm_distributional,
-                          lorentz_norm_rearranged, rearrangement,
-                          restricted_norm)
+                          lorentz_norm_rearranged, quotient,
+                          rearrangement, restricted_norm)
 from cone_sobolev.segments import Law, LevelSet, Piece, PieceTable
+
+from level_set_reference import pieces_of
 
 PAIRS = [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (2.5, 1.4), (4.0, 3.0)]
 
@@ -243,14 +245,15 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     """
     from cone_sobolev import bernstein, embedding_norm, quadrature, segments
     from cone_sobolev.segments import Piece
+    from level_set_reference import pieces_of, with_argument_shifted
     params = LorentzParams(2.0, 1.0, halfplane)
     lam = 0.5 * embedding_norm(halfplane, params)
     shell, _ = bernstein._shell_at(
         halfplane, params, lam, bernstein._head_ratio(halfplane, params, lam),
         1.0)
-    shell_psi = list(gradient_density(shell).pieces)
-    affine_psi = list(gradient_density(from_knots(
-        halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).pieces)
+    shell_psi = list(pieces_of(gradient_density(shell).table))
+    affine_psi = list(pieces_of(gradient_density(from_knots(
+        halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).table))
     inputs = [shell_psi, affine_psi, shell_psi + affine_psi]
     assert any(len(s.terms) > 1 for s in
                segments.LevelSet.from_pieces(inputs[2]).strata)
@@ -277,7 +280,7 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     monkeypatch.undo()
     head = shell_psi[0].t0
     slid = [Piece(pc.t0 - head, pc.t1 - head,
-                  pc.law.with_argument_shifted(head)) for pc in shell_psi]
+                  with_argument_shifted(pc.law, head)) for pc in shell_psi]
     for (p, q), value in zip(pairs, got):
         assert lorentz_norm_rearranged(slid, LorentzParams(p, q)) == \
             pytest.approx(value, rel=1e-10)
@@ -438,6 +441,24 @@ def test_rearranged_route_rejects_non_rearrangements(halfplane):
             lorentz_norm_rearranged(f, params)
     with pytest.raises(ValidationError):
         restricted_norm(psi, params, t_cut=4.0)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1.0), (2.0, 1.0), (1.5, 1.2)])
+def test_a_profile_is_checked_once_by_its_own_rule(halfplane, p, q):
+    # the affine pieces' ends at t = 2 differ by the rounding of shifts
+    # near 2: far beyond 1e-9 of the knot value 1e-12, the t-route's rule
+    # for piece lists, but within the profile's 1e-9 max(|v|, 1), so the
+    # t-route takes the profile, and its clips, as its own checks pass it
+    prof = from_knots(halfplane, [(1.0, 1.0), (2.0, 1e-12), (3.0, 0.0)])
+    params = LorentzParams(p, q, halfplane)
+    star = params.star_params()
+    assert quotient(prof, params).quotient > 0.0
+    assert restricted_norm(prof, star, 2.5) > 0.0
+    a = lorentz_norm_rearranged(prof, star)
+    b = lorentz_norm_distributional(prof, star)
+    assert abs(a - b) <= 1e-10 * max(a, b)
+    with pytest.raises(ValidationError, match="must be nonincreasing"):
+        lorentz_norm_rearranged(list(pieces_of(prof.table)), star)
 
 
 # -- sequence norms -----------------------------------------------------------------

@@ -27,16 +27,17 @@ from cone_sobolev import (BUILTIN_CONE_NAMES, DivergentIntegralError,
                           verify_system)
 from cone_sobolev.profiles import (alvino_profile, from_knots,
                                    gradient_density, scale)
-from cone_sobolev.segments import (Law, LevelSet, Piece, _group_fsums,
-                                   clip_pieces, level_set_qth_powers,
+from cone_sobolev.segments import (Law, LevelSet, Piece, PieceTable,
+                                   _group_fsums, level_set_qth_powers,
                                    level_set_strata, moment_integral,
-                                   pieces_value, power_primitive,
-                                   power_primitives)
+                                   power_primitive, power_primitives)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
 from level_set_reference import (Stratum, abs_pieces, derivative,
-                                 distribution, inverse, monotone_direction,
-                                 qth_power, rows_of, scaled, sweep,
-                                 with_argument_scaled)
+                                 distribution, endpoint_values, inverse,
+                                 moment, monotone_direction, pieces_of,
+                                 pieces_value, qth_power, rows_of, scaled,
+                                 sweep, value_range, with_argument_scaled,
+                                 with_argument_shifted)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -92,7 +93,7 @@ def test_argument_dilation(coef, expo, k, t):
        t=st.floats(min_value=1.0, max_value=4))
 def test_argument_shift(coef, tau, t):
     law = Law(coef, 2.0, base=0.25)
-    assert law.with_argument_shifted(tau).value(t) == pytest.approx(
+    assert with_argument_shifted(law, tau).value(t) == pytest.approx(
         law.value(t + tau), rel=1e-12)
 
 
@@ -534,9 +535,10 @@ def test_pieces_value_and_clip():
               Piece(1.0, 3.0, Law(1.0, 1.0))]
     ts = np.array([0.5, 1.5, 2.5, 3.5])
     assert np.allclose(pieces_value(pieces, ts), [2.0, 1.5, 2.5, 0.0])
-    clipped = clip_pieces(pieces, 0.5, 2.0)
-    assert [(p.t0, p.t1) for p in clipped] == [(0.5, 1.0), (1.0, 2.0)]
-    assert clip_pieces(pieces, 5.0, 6.0) == []
+    clipped = PieceTable.of(pieces).clip(0.5, 2.0)
+    assert pieces_of(clipped) == (Piece(0.5, 1.0, pieces[0].law),
+                                  Piece(1.0, 2.0, pieces[1].law))
+    assert not PieceTable.of(pieces).clip(5.0, 6.0).t0.size
 
 
 def test_abs_pieces_splits_at_roots():
@@ -546,13 +548,13 @@ def test_abs_pieces_splits_at_roots():
     ts = np.linspace(1.01, 2.99, 41)
     got = pieces_value(split, ts)
     assert np.allclose(got, np.abs(ts - 2.0), atol=1e-12)
-    assert all(p.value_range()[0] >= -1e-12 for p in split)
+    assert all(value_range(p)[0] >= -1e-12 for p in split)
 
 
 def test_piece_moment_additivity():
     pieces = [Piece(0.0, 1.0, Law.constant(1.0)),
               Piece(1.0, 2.0, Law.constant(0.5))]
-    total = math.fsum(p.moment(1.0, 1.0) for p in pieces)
+    total = math.fsum(moment(p, 1.0, 1.0) for p in pieces)
     assert total == pytest.approx(1.0 + 0.5, rel=1e-14)
 
 
@@ -562,7 +564,7 @@ def brute_distribution(pieces, lam: float) -> float:
     """Measure of {f > lam} summed piece by piece, via monotone inverses."""
     total = 0.0
     for p in pieces:
-        lo, hi = p.value_range()
+        lo, hi = value_range(p)
         if lam >= hi:
             continue
         if lam < lo or p.law.is_constant:
@@ -673,7 +675,7 @@ def test_builder_counts_signed_pieces_above_zero_only(p, q):
     t0, t1, coef, shift, expo, base, orient = np.array(
         [(pc.t0, pc.t1, pc.law.coef, pc.law.shift, pc.law.expo,
           pc.law.base, pc.law.orient) for pc in both]).T
-    va, vb = np.array([pc.endpoint_values() for pc in both]).T
+    va, vb = np.array([endpoint_values(pc) for pc in both]).T
     (got,) = level_set_qth_powers(
         level_set_strata(t0, t1, coef[None], shift[None], expo, base,
                          orient, va[None], vb[None]), p, q)
@@ -745,26 +747,27 @@ def test_extreme_ratio_routes_agree(halfplane):
     # whole 40-decade sweep; fractional q leaves the t route adaptive, so
     # those pairs are checked at a moderate ratio below.
     for p_exp in (3.0, 2.0, 4.0):
-        level = LevelSet.from_pieces(list(profile.pieces))
+        level = LevelSet.from_pieces(list(pieces_of(profile.table)))
         lam_route = level.lorentz_qth_power(p_exp, 1.0)
-        t_route = math.fsum(p.moment(1.0 / p_exp, 1.0)
-                            for p in profile.pieces)
+        t_route = math.fsum(moment(p, 1.0 / p_exp, 1.0)
+                            for p in pieces_of(profile.table))
         gaps.append(abs(lam_route - t_route) / t_route)
     moderate = alvino_profile(halfplane, 3.0, 1.0, 1e8)
     for p_exp, q_exp in [(3.0, 1.5), (4.0, 2.0)]:
-        level = LevelSet.from_pieces(list(moderate.pieces))
+        level = LevelSet.from_pieces(list(pieces_of(moderate.table)))
         lam_route = level.lorentz_qth_power(p_exp, q_exp) ** (1.0 / q_exp)
-        t_route = math.fsum(p.moment(q_exp / p_exp, q_exp)
-                            for p in moderate.pieces) ** (1.0 / q_exp)
+        t_route = math.fsum(moment(p, q_exp / p_exp, q_exp)
+                            for p in pieces_of(moderate.table)) ** (
+                                1.0 / q_exp)
         gaps.append(abs(lam_route - t_route) / t_route)
     assert max(gaps) <= 1e-10
 
     psi = gradient_density(profile)
-    level = LevelSet.from_pieces(list(psi.pieces))
+    level = LevelSet.from_pieces(list(pieces_of(psi.table)))
     for lam in sample_levels(level.strata):
         if lam is None:
             continue
-        want = brute_distribution(psi.pieces, lam)
+        want = brute_distribution(pieces_of(psi.table), lam)
         assert distribution(level, lam) == pytest.approx(want, rel=1e-10)
 
 
@@ -872,7 +875,7 @@ def test_junctions_with_a_constant_take_its_value():
               Piece(0.7, 1.3, Law.constant(third)),
               Piece(1.3, 2.0, Law(-third / 0.7, 1.0,
                                   shift=third / 0.7 * 2.0))]
-    ends = [p.endpoint_values() for p in pieces]
+    ends = [endpoint_values(p) for p in pieces]
     assert ends[0][1] != ends[1][0] != ends[2][0]   # ulps apart
     level = LevelSet.from_pieces(pieces)
     rows = level.table.rows
@@ -902,11 +905,11 @@ def test_a_jump_beyond_rounding_stays_two_cuts():
     h = 1.0 + 1e-12
     pieces = [Piece(0.0, 1.0, Law(-1.0, 1.0, shift=2.0)),
               Piece(1.0, 2.0, Law(-h, 1.0, shift=2.0 * h))]
-    assert pieces[0].endpoint_values()[1] == 1.0
-    assert pieces[1].endpoint_values()[0] == pytest.approx(h, rel=1e-15)
+    assert endpoint_values(pieces[0])[1] == 1.0
+    assert endpoint_values(pieces[1])[0] == pytest.approx(h, rel=1e-15)
     level = LevelSet.from_pieces(pieces)
     assert sorted(level.table.rows.b.tolist())[:2] == [
-        1.0, pieces[1].endpoint_values()[0]]
+        1.0, endpoint_values(pieces[1])[0]]
     assert_matches_reference(pieces)
 
 
@@ -949,8 +952,9 @@ def test_profile_level_sets_have_no_sliver_strata(name, monkeypatch):
 def test_builder_matches_reference_across_40_decades(halfplane):
     assert_matches_reference(deep_transient_pieces())
     profile = alvino_profile(halfplane, 3.0, 1.0, 1e40)
-    assert_matches_reference(list(profile.pieces), ((3.0, 1.0), (2.0, 1.0)))
-    assert_matches_reference(list(gradient_density(profile).pieces),
+    assert_matches_reference(list(pieces_of(profile.table)),
+                             ((3.0, 1.0), (2.0, 1.0)))
+    assert_matches_reference(list(pieces_of(gradient_density(profile).table)),
                              ((2.0, 1.0), (3.0, 1.5)))
 
 
@@ -967,8 +971,8 @@ def test_builder_merges_terms_by_law_key(halfplane):
     ts = 0.5 + np.cumsum(rng.uniform(0.01, 1.0, 2000))
     vs = np.sort(rng.uniform(0.0, 1.0, 2000))[::-1]
     vs[-1] = 0.0
-    pieces = list(gradient_density(from_knots(
-        halfplane, list(zip(ts.tolist(), vs.tolist())))).pieces)
+    pieces = list(pieces_of(gradient_density(from_knots(
+        halfplane, list(zip(ts.tolist(), vs.tolist())))).table))
     level = LevelSet.from_pieces(pieces)
     ruled = [s for s in level.strata if s.terms]
     assert ruled and all(len(s.terms) == 1 for s in ruled)
@@ -1144,7 +1148,7 @@ def test_alvino_gradient_with_a_sliver_graded_panel():
         lorentz_norm_distributional(prof, params.star_params()), rel=1e-10)
     # psi = c t^(-1/2) on (1, t_max), so its (2, 1) norm is
     # c * integral of t^(-1/2) (t + 1)^(-1/2) over (0, t_max - 1)
-    (piece,) = gradient_density(prof).pieces
+    (piece,) = pieces_of(gradient_density(prof).table)
     with mpmath.workdps(40):
         want = piece.law.coef * 2 * mpmath.asinh(mpmath.sqrt(
             mpmath.mpf(piece.t1) - 1))
@@ -1179,7 +1183,7 @@ def test_stacked_level_sets_match_their_single_rows(halfplane, p, q):
     q-th power bit for bit."""
     prof = from_knots(halfplane, [(0.2, 2.0), (0.9, 1.3), (1.7, 0.4),
                                   (2.6, 0.0)])
-    pieces = gradient_density(prof).pieces
+    pieces = pieces_of(gradient_density(prof).table)
     amps = np.array([1.0, 0.37, 3.0, 1e3, 2.0 ** -20])
     levels = [LevelSet.from_pieces([replace(pc, law=scaled(pc.law, k))
                                     for pc in pieces]) for k in amps]
@@ -1210,11 +1214,11 @@ def test_stratum_rule_raises_when_it_cannot_converge():
 def test_right_end_singular_moment_matches_mpmath():
     """A law that blows up integrably at its segment's right end."""
     piece = Piece(0.5, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0))
-    got = piece.moment(1.4, 1.2)
+    got = moment(piece, 1.4, 1.2)
     with mpmath.workdps(40):
         want = mpmath.quad(lambda t: t ** 0.4 * (2 - t) ** -0.6, [0.5, 2])
     assert got == pytest.approx(float(want), rel=1e-12)
     origin = Piece(0.0, 2.0, Law(1.0, -0.5, base=2.0, orient=-1.0))
     with mpmath.workdps(40):
         want = mpmath.quad(lambda t: t ** -0.3 * (2 - t) ** -0.6, [0, 1, 2])
-    assert origin.moment(0.7, 1.2) == pytest.approx(float(want), rel=1e-12)
+    assert moment(origin, 0.7, 1.2) == pytest.approx(float(want), rel=1e-12)
