@@ -44,7 +44,7 @@ from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
 from .segments import (Law, LevelSet, Piece, PieceTable, _moment_integrals,
-                       moment_integral)
+                       dips_below_zero, moment_integral, rises_past)
 
 __all__ = [
     "LorentzParams",
@@ -125,30 +125,27 @@ def _table_of(f) -> PieceTable:
         "expected a step function, profile, gradient density, or pieces")
 
 
-def _rises(before, after):
-    """Whether ``after`` exceeds ``before`` beyond roundoff (1e-9
-    relative, 1e-300 absolute): the rearranged route's nonincreasing rule,
-    elementwise on arrays."""
-    return after > before * (1.0 + 1e-9) + 1e-300
-
-
 def _check_nonincreasing(table: PieceTable) -> None:
-    """A rearrangement's pieces tile (0, support end) without gaps, each
-    nonincreasing and none starting above where the one before ends."""
+    """A rearrangement's pieces tile (0, support end) without gaps; none
+    rises (its law rises exactly when coef * expo * orient > 0), starts
+    above where the one before ends (``segments.rises_past``) or falls
+    below 0 (``segments.dips_below_zero``)."""
     order = table.t0.argsort(kind="stable")
     t0, t1 = table.t0[order], table.t1[order]
-    v0, v1 = table.ends()[:, order]
-    # each piece against the end of the one before; (0, inf) for the first
-    t_before, v_before = np.append(0.0, t1[:-1]), np.append(math.inf, v1[:-1])
+    ends = table.ends()[:, :, order]
+    (v0, v1), (s0, s1) = ends
+    t_before = np.append(0.0, t1[:-1])
     gap = np.abs(t0 - t_before) > 1e-15 * np.maximum(1.0, t_before)
-    bad = gap | (v1 > v0 + 1e-12 * np.maximum(np.abs(v0), 1.0))
-    bad |= _rises(v_before, v0)
+    rise = (table.coef * table.expo * table.orient)[order] > 0.0
+    rise[1:] |= rises_past(v1[:-1], v0[1:], s1[:-1], s0[1:])
+    bad = gap | rise | dips_below_zero(*ends).any(axis=0)
     if np.count_nonzero(bad):
         i = bad.argmax()
         raise ValidationError(
-            "rearranged-route input must be nonincreasing" if not gap[i] else
-            "pieces overlap" if t0[i] < t_before[i] else
-            "rearranged-route pieces must tile (0, t_max) from t = 0")
+            "pieces overlap" if gap[i] and t0[i] < t_before[i] else
+            "rearranged-route pieces must tile (0, t_max) from t = 0"
+            if gap[i] else "rearranged-route input must be nonincreasing"
+            if rise[i] else "rearranged-route input must be nonnegative")
 
 
 # -- the two norm routes -----------------------------------------------------
@@ -165,8 +162,8 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
     plateaus.
     """
     if isinstance(f_star, StepFunction1D):
-        vals = f_star.value_array
-        if _rises(vals[:-1], vals[1:]).any():
+        vals = f_star.value_array   # >= 0, so each its own magnitude
+        if rises_past(vals[:-1], vals[1:], vals[:-1], vals[1:]).any():
             raise ValidationError(
                 "rearranged-route input must be nonincreasing")
         return f_star.moment(params.q / params.p, params.q) ** (
@@ -176,8 +173,9 @@ def lorentz_norm_rearranged(f_star, params: LorentzParams) -> float:
 
 def _rearranged_norm(f, table: PieceTable, params: LorentzParams) -> float:
     """The rearranged route on ``table``, f's table or a clip of it.  A
-    profile's own checks (tiling, nonincreasing, its 1e-9 junction rule)
-    already hold there, so only other inputs take the route's check."""
+    profile's own checks (tiling, no rising piece, continuity under the
+    order rule, decay to 0) already hold there, so only other inputs take
+    the route's check."""
     if not isinstance(f, RadialProfile):
         _check_nonincreasing(table)
     if not table.t0.size:
@@ -276,7 +274,7 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
     """
     table = _table_of(f)
     p_star, q = params.p_star, params.q
-    if np.count_nonzero(table.ends() < 0.0):
+    if np.count_nonzero(dips_below_zero(*table.ends())):
         raise ValidationError("the Hardy check requires f >= 0")
     if not table.t0.size:
         return 0.0, 0.0

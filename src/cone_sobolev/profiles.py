@@ -34,7 +34,7 @@ import numpy as np
 
 from .cones import WeightedCone
 from .errors import DomainError, ValidationError
-from .segments import PieceTable
+from .segments import PieceTable, rises_past
 
 __all__ = [
     "RadialProfile",
@@ -45,8 +45,6 @@ __all__ = [
     "scale",
 ]
 
-_JUNCTION_RTOL = 1e-9
-_RTOLS = np.array([[1e-15], [_JUNCTION_RTOL]])   # tiling, junctions
 _KNOT_ERRORS = ("knot positions must be positive measure values",
                 "knot positions must be strictly increasing",
                 "knot values must be finite",
@@ -70,7 +68,9 @@ class RadialProfile:
     class.  phi is nonincreasing and continuous on (0, inf) with
     phi(t_max) = 0; it may diverge as t -> 0+ only through a leading power
     piece with negative exponent, in which case gradient operations are
-    refused until the head is truncated.  Profiles compare by identity.
+    refused until the head is truncated.  No law may rise (coef * expo *
+    orient > 0) and no junction jump (``segments.rises_past``, either way
+    round).  Profiles compare by identity.
     """
 
     cone: WeightedCone
@@ -81,21 +81,20 @@ class RadialProfile:
         t0, t1, coef, shift, expo, base, orient = table = self.table
         if not t0.size:
             raise ValidationError("profile needs at least one piece")
-        v0, v1 = table.ends()
+        (v0, v1), (s0, s1) = table.ends()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # a piece's start (t, value) against the end of the one before
-            before = np.array((t1[:-1], v1[:-1]))
-            tol = np.maximum(np.abs(before), 1.0)
-            np.maximum(tol[1], np.abs(v0[1:]), out=tol[1])
-            tol *= _RTOLS
             fails = np.zeros((5, t0.size), dtype=bool)
             np.logical_not((t0 < t1) & (t0 >= 0.0), out=fails[0])
             np.logical_and((coef != 0.0) & (expo != 0.0),
                            (base != 0.0) | (orient != 1.0), out=fails[1])
             fails[2, 0] = abs(t0[0]) > 1e-15
-            np.greater(np.abs(np.array((t0[1:], v0[1:])) - before), tol,
-                       out=fails[2::2, 1:])
-            np.greater(v1, v0, out=fails[3])
+            # t1 > 0 unless row 0 fails, and orient is 1 unless row 1 does
+            np.greater(np.abs(t0[1:] - t1[:-1]),
+                       1e-15 * np.maximum(t1[:-1], 1.0), out=fails[2, 1:])
+            np.greater(coef * expo, 0.0, out=fails[3])
+            # a jump: a junction's higher side rises past its lower side
+            fails[4, 1:] = rises_past(np.minimum(v1[:-1], v0[1:]), np.maximum(
+                v1[:-1], v0[1:]), s1[:-1], s0[1:])
         if np.count_nonzero(fails):
             # the first piece with bad ends, else the first failing piece
             i = (fails[0] if fails[0].any() else fails.any(axis=0)).argmax()
@@ -105,7 +104,7 @@ class RadialProfile:
             raise ValidationError("profile support must be bounded")
         head, end = v0[0].tolist(), v1[-1].tolist()
         object.__setattr__(self, "max_value", head)
-        if not -1e-12 <= end <= _JUNCTION_RTOL * max(
+        if not -1e-12 <= end <= 1e-9 * max(
                 1.0, head if not math.isinf(head) else 1.0):
             raise ValidationError(
                 f"profile must decay to zero at its support end, got {end}")
@@ -183,10 +182,9 @@ class GradientDensity:
 
     psi is zero off the table's pieces (where phi is locally constant).
     Its distributional Lorentz (p, q) norm is the gradient norm of the
-    radial realization of the owning profile.
+    radial realization of the profile it was made from.
     """
 
-    profile: RadialProfile
     table: PieceTable
 
 
@@ -262,7 +260,7 @@ def gradient_density(profile: RadialProfile) -> GradientDensity:
     table = np.array((t0, t1, front * -slope, zero,
                       expo - 1.0 + (cone.big_d - 1.0) / cone.big_d, zero,
                       zero + 1.0))
-    return GradientDensity(profile, PieceTable(*table[:, keep]))
+    return GradientDensity(PieceTable(*table[:, keep]))
 
 
 def scale(profile: RadialProfile, kappa: float) -> RadialProfile:

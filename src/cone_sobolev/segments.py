@@ -75,6 +75,23 @@ __all__ = [
 
 _BEFORE = np.array([-1, 0])  # a stratum's (lam0, lam1): the cut before its end
 _JOIN_EPS = 8.0 * 2.0 ** -52  # a junction's rounding, per law magnitude
+# the order and sign rules: how far a value may rise past another, or fall
+# below 0, relative to the magnitude it is rounded from (``PieceTable.ends``)
+_ORDER_RTOL = 1e-9
+_SIGN_RTOL = 1e-12
+
+
+def rises_past(before, after, before_size, after_size):
+    """Whether ``after`` exceeds ``before`` by more than 1e-9 of the larger
+    of their magnitudes, elementwise.  An infinite value has magnitude 0,
+    so inf rises past every finite value and none rises past inf."""
+    return after - before > _ORDER_RTOL * np.maximum(before_size, after_size)
+
+
+def dips_below_zero(value, size):
+    """Whether ``value`` falls below 0 by more than 1e-12 of its magnitude
+    ``size``, elementwise (-inf, of magnitude 0, always does)."""
+    return value < -_SIGN_RTOL * size
 
 
 # -- the law ---------------------------------------------------------------
@@ -139,11 +156,6 @@ def power_primitive(t0: float, t1: float, rho: float) -> float:
     few float operations where a one-element array call pays numpy's
     fixed cost for each of its array operations.
     """
-    return _power_primitive(t0, t1, t1 - t0, rho)
-
-
-def _power_primitive(t0: float, t1: float, width: float, rho: float) -> float:
-    # power_primitive given the width, which rounded ends can misstate
     if not 0.0 <= t0 <= t1:
         raise ValidationError(f"bad integration segment ({t0}, {t1})")
     if t0 == t1:
@@ -164,7 +176,7 @@ def _power_primitive(t0: float, t1: float, width: float, rho: float) -> float:
                 f"integral of t^{rho} diverges at the right endpoint of "
                 f"({t0}, inf)")
         return -(t0 ** r1) / r1
-    gap = width / t0
+    gap = (t1 - t0) / t0
     log_ratio = (math.log1p(gap) if math.isfinite(gap)
                  else math.log(t1) - math.log(t0))
     if r1 == 0.0:
@@ -191,13 +203,6 @@ def power_primitives(t0, t1, r1: float) -> np.ndarray:
         return np.expm1(x, out=x) * t1 ** r1 / -r1
 
 
-def _signed_u_interval(t0: float, t1: float, law: Law) -> tuple[float, float]:
-    """The u = orient*(t - base) interval, positively oriented."""
-    if law.orient > 0:
-        return max(t0 - law.base, 0.0), max(t1 - law.base, 0.0)
-    return max(law.base - t1, 0.0), max(law.base - t0, 0.0)
-
-
 # -- moment integrals ------------------------------------------------------
 
 _EPS = 2.0 ** -52
@@ -214,15 +219,17 @@ def _moment_exact(t0: float, t1: float, law: Law, gamma: float, q: float
                   ) -> float | None:
     """Exact value of integral t^(gamma-1) law(t)^q dt, or None.
 
-    Elementary cases: constant laws; pure powers (no shift, base 0) for any
-    real q; nonnegative-integer q with base 0 (binomial expansion in t); and
-    nonnegative-integer gamma with q == 1 (binomial expansion around the
-    base).  Everything else, and a binomial whose terms cancel near the
-    law's zero, is left to ``_moment_integrals``.
+    Elementary cases: constant laws (0 within the sign rule, a
+    ValidationError below it); pure powers (no shift, base 0) for any real
+    q; and nonnegative-integer q with base 0 (binomial expansion in t).
+    Everything else, and a binomial whose terms cancel near the law's zero,
+    is left to ``_moment_integrals``.
     """
     if law.is_constant:
         v = law.constant_value()
-        if v == 0.0:
+        if v <= 0.0:   # |coef| is 0 where the constant is the shift
+            if dips_below_zero(v, abs(law.coef) + abs(law.shift)):
+                raise ValidationError("law negative on the segment")
             return 0.0
         return v ** q * power_primitive(t0, t1, gamma - 1.0)
     if law.base == 0.0 and law.orient == 1.0:
@@ -231,35 +238,17 @@ def _moment_exact(t0: float, t1: float, law: Law, gamma: float, q: float
                 t0, t1, gamma - 1.0 + q * law.expo)
         if q == int(q) and q >= 0:
             n = int(q)
-            return _uncancelled([
-                math.comb(n, k) * law.coef ** k * law.shift ** (n - k)
-                * power_primitive(t0, t1, gamma - 1.0 + k * law.expo)
-                for k in range(n + 1)])
-        return None
-    if q == 1.0 and gamma == int(gamma) and gamma >= 1:
-        # expand t^(gamma-1) = (base + orient*u)^(gamma-1) in u
-        n = int(gamma) - 1
-        u0, u1 = _signed_u_interval(t0, t1, law)
-        width = t1 - t0     # not u1 - u0, whose ends are rounded
-        terms = []
-        for k in range(n + 1):
-            c_k = math.comb(n, k) * law.base ** (n - k) * law.orient ** k
-            terms.append(c_k * law.coef * _power_primitive(
-                u0, u1, width, k + law.expo))
-            terms.append(c_k * law.shift * _power_primitive(
-                u0, u1, width, float(k)))
-        return _uncancelled(terms)
+            terms = [math.comb(n, k) * law.coef ** k * law.shift ** (n - k)
+                     * power_primitive(t0, t1, gamma - 1.0 + k * law.expo)
+                     for k in range(n + 1)]
+            # None where the terms' own rounding, len(terms) eps sum|term|,
+            # exceeds 1e-12 of their sum: they cancel near the law's zero,
+            # and the series expands about the zero instead
+            total = math.fsum(terms)
+            if not len(terms) * _EPS * sum(map(abs, terms)) > _REL_TOL * abs(
+                    total):
+                return total
     return None
-
-
-def _uncancelled(terms: list[float]) -> float | None:
-    """math.fsum of a binomial's terms, or None where their own rounding,
-    len(terms) eps sum|term|, exceeds 1e-12 of the sum: the terms cancel
-    near the law's zero, and the series expands about the zero instead."""
-    total = math.fsum(terms)
-    if len(terms) * _EPS * sum(map(abs, terms)) > _REL_TOL * abs(total):
-        return None
-    return total
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -405,11 +394,14 @@ def _power_parts(parts: list, sign: float, scale: tuple, err: float,
     mag = abs(coef)
     ends = []
     for x in (x0, x1):
-        value = coef * x + shift
+        term = coef * x
+        value = term + shift
         if abs(value) < 0.5 * abs(shift):   # near the zero: round once
             value = _fma(shift, coef, x)
         if value < 0.0:
-            if value < -8.0 * _EPS * (abs(coef * x) + abs(shift)):
+            # the magnitude the value is rounded from; a limit has none
+            size = abs(term) + abs(shift) if value > -math.inf else 0.0
+            if dips_below_zero(value, size):
                 raise ValidationError("law negative on the segment")
             value = 0.0
         ends.append(value / mag)
@@ -459,7 +451,9 @@ def _moment_parts(parts: list, t0: float, t1: float, law: Law,
         return 0.0
     if gamma == int(gamma) and gamma >= 1:
         m = int(gamma) - 1
-        u0, u1 = _signed_u_interval(t0, t1, law)
+        # the u = orient (t - base) interval, positively oriented
+        u0, u1 = sorted(max(0.0, law.orient * (t - law.base))
+                        for t in (t0, t1))
         for k in range(m + 1):
             c_k = math.comb(m, k) * law.base ** (m - k) * law.orient ** k
             # x = u^expo carries u's rounding expo times, and pow's
@@ -609,6 +603,8 @@ def _moment_integrals(segments: Iterable[tuple[float, float, Law]],
     for t0, t1, law in segments:
         if not 0.0 <= t0 <= t1:
             raise ValidationError(f"bad integration segment ({t0}, {t1})")
+        if law.coef < 0.0 and not law.shift:   # below 0 past any rounding
+            raise ValidationError("law negative on the segment")
         value = 0.0 if t0 == t1 else _moment_exact(t0, t1, law, gamma, q)
         if value is None:
             first = len(parts)
@@ -695,25 +691,34 @@ class PieceTable(NamedTuple):
               p.law.orient) for p in pieces], dtype=float).reshape(-1, 7).T)
 
     def ends(self) -> np.ndarray:
-        """The (2, n) values (va, vb) of the pieces at t0+ and t1-, their
-        limits where the law's argument is 0 or inf: the end values of the
-        profile checks, the span templates and the rearranged route's
-        check.  Where expo is not 0 or 1 and the argument is positive and
-        finite they come from Python's pow, as numpy's can miss by an ulp
-        (an arc and its tail t_max ** e cancel exactly at t_max)."""
+        """((va, vb), (ma, mb)), (2, 2, n): the pieces' values at t0+ and
+        t1-, limits where the law's argument is 0 or inf, and the
+        magnitudes |coef u^expo| + |shift| they are rounded from (0 at an
+        infinite limit), which scale the order and sign rules of the
+        profile checks and the rearranged route's check; the span templates
+        take the values.  Where expo is not 0 or 1 and the argument is
+        positive and finite they come from Python's pow, as numpy's can
+        miss by an ulp (an arc and its tail t_max ** e cancel exactly)."""
         t0, t1, coef, shift, expo, base, orient = self
+        ends = np.empty((2, 2, t0.size))
+        values, sizes = ends
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ends = coef * np.maximum(orient * (np.array((t0, t1)) - base),
-                                     0.0) ** expo + shift
-        power = ((expo != 0.0) & (expo != 1.0)).nonzero()[0]
+            terms = coef * np.maximum(orient * (np.array((t0, t1)) - base),
+                                      0.0) ** expo
+            np.add(terms, shift, out=values)
+            np.abs(terms, out=sizes)
+        sizes += np.abs(shift)
+        power = (expo * (expo - 1.0)).nonzero()[0]   # expo not 0 or 1
         for i, a, b, c, s, e, g, o in zip(power.tolist(), *np.array(
-                self)[:, power].tolist()):
+                self)[:, power].tolist()) if power.size else ():
             for k, u in enumerate((o * (a - g), math.inf if math.isinf(b)
                                    else o * (b - g))):
                 if not c:
-                    ends[k, i] = s
+                    ends[:, k, i] = s, abs(s)
                 elif 0.0 < u < math.inf:
-                    ends[k, i] = c * u ** e + s
+                    term = c * u ** e
+                    ends[:, k, i] = term + s, abs(term) + abs(s)
+        np.copyto(sizes, 0.0, where=np.isinf(values))
         return ends
 
     def clip(self, t_lo: float, t_hi: float) -> "PieceTable":
@@ -906,14 +911,17 @@ class LevelSet:
         |shift_(i+1)|), which bounds the roundoff of two laws that agree
         there, both ends take one value, a constant side's if there is
         one, else the left end's.  So a constant piece keeps equal ends.
-        Two constants and infinite ends (poles) are never joined.
+        Two constants and infinite ends (poles) are never joined.  An end
+        value that falls below 0 beyond the sign rule (``dips_below_zero``)
+        is a ValidationError.
         """
         t0, t1, coef, shift, expo, base, orient = table
         flat = coef == 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ends = np.maximum(orient * (np.array((t0, t1)) - base),
                               0.0) ** expo
-            va, vb = np.where(flat, shift, coef * ends + shift)
+            values = np.where(flat, shift, coef * ends + shift)
+            va, vb = values
             # a strict test, so an infinite end (nan or inf < inf) fails it
             tol = np.abs(shift)
             tol = tol[1:] + tol[:-1]
@@ -927,19 +935,12 @@ class LevelSet:
                 flat |= expo == 0.0
                 np.copyto(vb[:-1], va[1:], where=(join & flat[1:]) > flat[:-1])
                 np.copyto(va[1:], vb[:-1], where=join > flat[1:])
-            low = np.minimum(va, vb)
-            neg = low < 0.0
-            if np.count_nonzero(neg):
-                # the slack scales with |shift| and |coef| arg^expo at the
-                # ends: near a root the value cancels shift-sized terms
-                c, s, e = coef[neg], shift[neg], expo[neg]
-                arg = orient[neg] * (np.array((t0[neg], t1[neg])) - base[neg])
-                term = np.abs(c) * arg ** e
-                term[~((arg > 0.0) & np.isfinite(term))] = 0.0
-                scale = np.where((e == 0.0) | (c == 0.0),
-                                 np.abs(np.where(e == 0.0, c + s, s)),
-                                 np.maximum(np.abs(s), term.max(axis=0)))
-                if (low[neg] < -1e-12 * np.maximum(1.0, scale)).any():
+            if np.count_nonzero(values < 0.0):
+                # the sign rule, on the magnitudes of ``PieceTable.ends``
+                sizes = np.abs(np.where(coef == 0.0, 0.0, coef * ends))
+                sizes += np.abs(shift)
+                sizes[np.isinf(values)] = 0.0
+                if np.count_nonzero(dips_below_zero(values, sizes)):
                     raise ValidationError(
                         "level sets require a nonnegative function")
         return LevelSet(level_set_strata(t0, t1, coef[None], shift[None],

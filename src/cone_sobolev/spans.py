@@ -154,7 +154,7 @@ class SpanTables(NamedTuple):
                 shell = np.append(shell, -1)
                 heights, params = self.heights[:k], self.params.star_params()
             table = PieceTable(*np.concatenate(tables, axis=1))
-            ends = table.ends()
+            ends = table.ends()[0]
             self.templates[gradient, k] = _Template.of(
                 shell, table, ends if gradient else _shell_end_values(
                     shell, ends), heights, params)

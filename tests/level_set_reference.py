@@ -221,29 +221,40 @@ def pieces_value(pieces, t):
 
 # -- profiles, one object per piece ------------------------------------------
 
+def _end_magnitudes(p: Piece) -> list[float]:
+    """|coef u^expo| + |shift| at t0+ and t1- with Python's pow, the
+    magnitudes the end values are rounded from; 0 at an infinite limit."""
+    law, out = p.law, []
+    for v, t in zip(endpoint_values(p), (p.t0, p.t1)):
+        if law.is_constant:
+            term = law.coef if law.expo == 0.0 else 0.0
+        else:
+            u = law.orient * (t - law.base)
+            term = law.coef * u ** law.expo if 0.0 < u < math.inf else 0.0
+        out.append(0.0 if math.isinf(v) else abs(term) + abs(law.shift))
+    return out
+
+
 def check_profile(pieces) -> None:
     """A profile's checks, piece by piece, with Python's pow."""
     if not pieces:
         raise ValidationError("profile needs at least one piece")
     prev_end = 0.0
-    prev_val = math.inf
+    prev = None   # the piece before's end value and its magnitude
     for p in pieces:
-        if not p.law.is_constant and (p.law.base != 0.0
-                                      or p.law.orient != 1.0):
+        law = p.law
+        if not law.is_constant and (law.base != 0.0 or law.orient != 1.0):
             raise ValidationError(
                 "profile laws must be anchored at the origin")
         if abs(p.t0 - prev_end) > 1e-15 * max(1.0, abs(prev_end)):
             raise ValidationError(
                 f"profile pieces must tile (0, t_max); gap at {p.t0}")
-        v0, v1 = endpoint_values(p)
-        if v1 > v0:
+        if law.coef * law.expo * law.orient > 0.0:
             raise ValidationError("profile must be nonincreasing")
-        if not math.isinf(prev_val):
-            tol = 1e-9 * max(abs(prev_val), abs(v0), 1.0)
-            if abs(v0 - prev_val) > tol:
-                raise ValidationError(
-                    f"profile discontinuity at t = {p.t0}")
-        prev_end, prev_val = p.t1, v1
+        (v0, v1), (m0, m1) = endpoint_values(p), _end_magnitudes(p)
+        if prev is not None and abs(v0 - prev[0]) > 1e-9 * max(prev[1], m0):
+            raise ValidationError(f"profile discontinuity at t = {p.t0}")
+        prev_end, prev_val, prev = p.t1, v1, (v1, m1)
     if math.isinf(prev_end):
         raise ValidationError("profile support must be bounded")
     head = endpoint_values(pieces[0])[0]

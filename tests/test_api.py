@@ -88,3 +88,16 @@ def test_every_definition_is_used_exported_or_traced():
                     and item.name not in used
                     and f"{node.name}.{item.name}" not in traced]
     assert not unused
+
+
+@pytest.mark.parametrize("module, name, value", [
+    ("segments", "_REL_TOL", 1e-12), ("quadrature", "_REL_TOL", 1e-12),
+    ("tanhsinh", "_REL_TOL", 1e-12), ("bernstein", "_CERT_SLACK", 1e-9),
+    ("lorentz", "_HARDY_SLACK", 1e-9), ("sobolev", "_UPPER_SLACK", 1e-9),
+    ("cli", "_ROUTE_RTOL", 1e-10), ("segments", "_ORDER_RTOL", 1e-9),
+    ("segments", "_SIGN_RTOL", 1e-12)])
+def test_accuracy_contracts_are_fixed(module, name, value):
+    """The accuracy contracts are fixed values, not settings: loosening one
+    changes what every result promises, so it fails here on purpose."""
+    assert getattr(importlib.import_module(f"cone_sobolev.{module}"),
+                   name) == value

@@ -287,6 +287,21 @@ def object_profile(cone, rows):
     return RadialProfile(cone, PieceTable.of(pieces))
 
 
+@pytest.mark.parametrize("k", [1.0, 1e6])
+def test_a_junction_is_judged_by_its_values_magnitudes(halfplane, k):
+    # 1e-12 then 3e-12 at t = 1: within 1e-9 max(|v|, 1), so an absolute
+    # floor took it, and its two norm routes read 9.2% apart at (1.5, 1);
+    # against the magnitudes 3e-12 and 9e-12 that the values are rounded
+    # from it is a jump at every scale
+    t0, t1, coef, shift = np.array([(0.0, 1.0, -1e-12, 2e-12),
+                                    (1.0, 2.0, -3e-12, 6e-12)]).T
+    one = np.ones(2)
+    table = PieceTable(t0, t1, k * coef, k * shift, one, 0.0 * one, one)
+    with pytest.raises(ValidationError,
+                       match=r"profile discontinuity at t = 1\.0"):
+        RadialProfile(halfplane, table)
+
+
 @pytest.mark.parametrize("rows", [
     [],
     [(0.0, 1.0, 1.0, 1.0, 0.0)],                          # rises

@@ -8,7 +8,7 @@ import pytest
 
 from cone_sobolev import (LorentzParams, alvino_profile, builtin_cone,
                           lorentz_norm_distributional,
-                          lorentz_norm_rearranged)
+                          lorentz_norm_rearranged, quadrature)
 from cone_sobolev.errors import DivergentIntegralError, NumericalError
 from cone_sobolev.segments import Law, Piece
 from cone_sobolev.quadrature import (_K31_NODES, _K31_WEIGHTS,
@@ -48,6 +48,15 @@ def test_panel_budget_exhaustion_raises():
     # can resolve
     with pytest.raises(NumericalError):
         integrate_adaptive(lambda t: 2.0 + np.cos(3e5 * t), 0.0, 10.0)
+
+
+def test_a_spent_budget_raises_however_close_the_estimate(monkeypatch):
+    # after 15 splits sqrt on [0, 1] has an error estimate of 4.4e-12,
+    # beyond 1e-12 of 2/3 but within 10 times that, where a looser exit
+    # returned 0.6666666666669194
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 15)
+    with pytest.raises(NumericalError, match="did not converge"):
+        integrate_adaptive(np.sqrt, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.25])
