@@ -23,17 +23,16 @@ every m since the shells keep coming.  Restricted norms along the
 shrinking supports vanish (absolute continuity), which is the mechanism
 that defeats any fixed finite cover.
 
-Shell profiles are truncated power arcs placed by monotone searches: the
-head ratio by bracketed regula falsi (Illinois), the cutoffs by bisection.
-Every shell is the first one dilated in the measure coordinate, with the
-same norms, so each search runs once per system and is dilated to every
-shell: the head ratio (the quotient is scale invariant), the window
-cutoff, and the tail cutoff once per distinct budget gamma_j (once at
-q = 1).  Each shell then checks both cutoff conditions itself; every
-integral is a closed form, an incomplete beta series with a certified
-1e-12 bound (``segments._moment_integrals``), the lambda route's tanh-sinh
-rule, or the adaptive rule (an Appell F1 moment, or a series that cannot
-certify 1e-12).
+Shell profiles are truncated power arcs placed by one monotone search,
+bracketed regula falsi (Illinois): the head ratio in log ratio, the
+window cutoff in log tau.  Every shell is the first one dilated in the
+measure coordinate, with the same norms, so each search runs once per
+system and is dilated to every shell; every shell is flat on its head,
+so its tail cutoff is a closed form.  Each shell then checks both cutoff
+conditions itself; every integral is a closed form, an incomplete beta
+series with a certified 1e-12 bound (``segments._moment_integrals``),
+the lambda route's tanh-sinh rule, or the adaptive rule (an Appell F1
+moment, or a series that cannot certify 1e-12).
 
 Span directions go to the span engine (``spans``).  Each system keeps the
 law tables of its two spans, built on first use: every direction has the
@@ -84,7 +83,6 @@ _NORM_RTOL = 1e-10
 _CERT_SLACK = 1e-9
 _MAX_LOG10_RANGE = 300.0
 _QUOTIENT_TOL = 1e-12
-_THRESHOLD_ITERATIONS = 80
 
 
 @dataclass(frozen=True)
@@ -203,18 +201,50 @@ def _quotient_of_ratio(cone: WeightedCone, bound: LorentzParams,
     return quotient(profile, bound).quotient
 
 
+def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float,
+              tol: float) -> tuple[float, float]:
+    """Illinois regula falsi (Dowell & Jarratt 1971) for a root of f on
+    lo < hi with f_lo <= 0 <= f_hi: (x, x) for the first x, an end
+    included, with |f(x)| <= tol, else the bracket once it closes to 1e-15
+    of its ends.  Its ends keep f of opposite measured signs, so f's own
+    error cannot lose the root; a step that would leave the bracket takes
+    its midpoint instead."""
+    for x, fx in ((lo, f_lo), (hi, f_hi)):
+        if abs(fx) <= tol:
+            return x, x
+    # f_lo < 0 < f_hi from here on; ``side`` is the end moved last
+    side = 0
+    for _ in range(200):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x, x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5  # Illinois: the other end stalled, halve it
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            break
+    return lo, hi
+
+
 def _head_ratio(cone: WeightedCone, bound: LorentzParams,
                 lam: float) -> float:
     """Head-to-support ratio (in measure) of the profile with quotient lam.
 
     The quotient of alvino_profile(cone, p*, t/ratio, t) does not depend
     on the scale t, so the search runs once, on the unit ball: the ratio
-    is expanded until its quotient brackets lambda, then the root of
-    f(x) = Q(e^x) - lambda in log space is found by the Illinois variant
-    of regula falsi (Dowell & Jarratt 1971), to |f| <= 1e-12 max(1, lam).
-    Every step keeps a bracket whose ends have f of opposite measured
-    signs, so the quotient's own 1e-12 error cannot lose the root; a step
-    that would leave the bracket takes its midpoint instead.
+    is expanded until its quotient brackets lambda, then ``_illinois``
+    finds the root of f(x) = Q(e^x) - lambda in log space, to |f| <=
+    1e-12 max(1, lam), or the middle of the bracket it closes.
     """
     e_norm = embedding_norm(cone, bound)
     if not 0.0 < lam < e_norm:
@@ -252,31 +282,7 @@ def _head_ratio(cone: WeightedCone, bound: LorentzParams,
             raise InternalConsistencyError(
                 "quotient bracketing failed at vanishing head ratio")
         f_lo = f(lo)
-    tol = _QUOTIENT_TOL * max(1.0, lam)
-    for x, fx in ((lo, f_lo), (hi, f_hi)):
-        if abs(fx) <= tol:
-            return math.exp(x)
-    # f_lo < 0 < f_hi from here on; ``side`` is the end moved last
-    side = 0
-    for _ in range(200):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= tol:
-            return math.exp(x)
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if side < 0:
-                f_hi *= 0.5  # Illinois: the other end stalled, halve it
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
+    lo, hi = _illinois(f, lo, f_lo, hi, f_hi, _QUOTIENT_TOL * max(1.0, lam))
     return math.exp(0.5 * (lo + hi))
 
 
@@ -318,29 +324,42 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
     return sum(_moment_integrals(window.segments(), q / bound.p_star, q))
 
 
-# -- the inductive construction ----------------------------------------------
+def _tail_cutoff(profile: RadialProfile, bound: LorentzParams,
+                 gamma: float) -> float:
+    """The tau at which the tail norm ||u chi_(0,tau)|| reaches gamma, or
+    head if it does not by then: u is flat at M = max_value on (0, head),
+    so the norm there is M (p*/q)^(1/q) tau^(1/p*), solved for tau."""
+    p_star, q = bound.p_star, bound.q
+    tau = (gamma / profile.max_value) ** p_star * (q / p_star) ** (p_star / q)
+    return min(profile.table.t1[0].tolist(), tau)
 
-def _bisect_threshold(predicate, lo: float, hi: float) -> float:
-    """Largest x in (lo, hi] with predicate(x) true, for a predicate that
-    holds near 0 and fails near hi.  Returns hi if it never fails."""
-    if predicate(hi):
-        return hi
-    for _ in range(40):
-        if predicate(lo):
+
+def _window_cutoff(profile: RadialProfile, bound: LorentzParams,
+                   lam: float, eps1: float, tau_max: float) -> float:
+    """The largest tau <= tau_max where the windowed energy, falling in
+    tau, inflated by (1+eps1)^q covers lambda^q: tau_max if it does there,
+    else the low end of ``_illinois``'s closed bracket on tau = tau_max e^x,
+    after a scan down by factors 1e-6 to where it does."""
+    def f(x: float) -> float:
+        energy = _window_energy(profile, bound, tau_max * math.exp(x))
+        return lam ** bound.q - (1.0 + eps1) ** bound.q * energy
+
+    f_hi = f(0.0)
+    if f_hi <= 0.0:
+        return tau_max
+    for k in range(1, 41):
+        lo = -k * math.log(1e6)
+        f_lo = f(lo)
+        if f_lo <= 0.0:
             break
-        lo *= 1e-6
     else:
         raise InternalConsistencyError(
-            "monotone bisection found no feasible cutoff: restricted "
-            "norms are not behaving monotonically")
-    for _ in range(_THRESHOLD_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            "no feasible window cutoff: windowed energies are not monotone")
+    lo, _ = _illinois(f, lo, f_lo, 0.0, f_hi, 0.0)
+    return tau_max * math.exp(lo)
 
+
+# -- the inductive construction ----------------------------------------------
 
 def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
                      lam: float, eps1: float, eps2: float
@@ -352,12 +371,11 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     inflated by (1+eps1) still covers lambda; then the next outer radius
     shrinks further to meet the measure-decay rule delta_{j+1} < delta_j / j.
 
-    Both cutoff conditions are conditions on tau/delta_j, since every
-    shell is shell 1 dilated in measure.  So the window cutoff is bisected
-    once, on shell 1, and the tail cutoff once per distinct gamma_j (once
-    at q = 1), then dilated; ``verify_system`` checks both conditions at
-    every shell's own cutoff.  Raises ResourceError once a shell's delta
-    or cutoff measure is below the normal double range.
+    The tail cutoff is a closed form.  Every shell is shell 1 dilated in
+    measure, so the window cutoff is searched once, on shell 1, and
+    dilated; ``verify_system`` checks both conditions at every shell's own
+    cutoff.  Raises ResourceError once a shell's delta or cutoff measure
+    is below the normal double range.
     """
     if int(m) != m or m < 1:
         raise ValidationError("shell count m must be a positive integer")
@@ -368,14 +386,8 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     gammas = gamma_sequence(bound, eps2, m)
     ratio = (None if bound.q == 1.0
              else _geometric_ratio(bound.q_prime, eps2))
-    star = bound.star_params()
-    lam_q = lam ** bound.q
-    inflate = (1.0 + eps1) ** bound.q
     head_ratio = _head_ratio(cone, bound, lam)
 
-    # searched cutoffs as (tau, delta of the shell searched on)
-    tail_cuts: dict[float, tuple[float, float]] = {}
-    window_cut: tuple[float, float] | None = None
     shells: list[ShellSpec] = []
     outer = 1.0
     for j in range(1, m + 1):
@@ -384,27 +396,13 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
         profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
         head = profile.table.t1[0].tolist()  # mu(B_{r_j})
         gamma = gammas[j - 1]
-
-        def tail_ok(tau: float) -> bool:
-            return restricted_norm(profile, star, t_cut=tau) <= gamma
-
-        def window_ok(tau: float) -> bool:
-            return inflate * _window_energy(profile, bound, tau) >= lam_q
-
-        if gamma not in tail_cuts:
-            tail_cuts[gamma] = (
-                _bisect_threshold(tail_ok, head * 1e-24, head), delta)
-        tau, at = tail_cuts[gamma]
-        tau_tail = tau * (delta / at)
-        if window_cut is None:
-            window_cut = (_bisect_threshold(window_ok, head * 1e-24,
-                                            min(tau_tail, 0.75 * head)),
-                          delta)
-        tau, at = window_cut
-        tau_window = tau * (delta / at)
+        tau_tail = _tail_cutoff(profile, bound, gamma)
+        if j == 1:
+            window_cut, delta_1 = _window_cutoff(
+                profile, bound, lam, eps1, min(tau_tail, 0.75 * head)), delta
+        tau_window = window_cut * (delta / delta_1)
         tau_feasible = 0.5 * min(tau_tail, tau_window, 0.75 * head)
-        cutoff_measure = min(0.5 * tau_feasible,
-                             delta / (2.0 * j))
+        cutoff_measure = min(0.5 * tau_feasible, delta / (2.0 * j))
         _check_representable(j, "cutoff measure", cutoff_measure)
         cutoff_radius = cone.radius_of_measure(cutoff_measure)
         shells.append(ShellSpec(j, outer, inner, cutoff_radius, delta,
@@ -449,8 +447,7 @@ def _verification_report(system: AlmostExtremalSystem) -> dict:
         raise InternalConsistencyError("tail budgets exceed eps2")
     lam_q = system.lam ** bound.q
     inflate = (1.0 + system.eps1) ** bound.q
-    report = {"shells": [], "lambda": system.lam,
-              "embedding_norm": e_norm}
+    report = {"shells": [], "lambda": system.lam, "embedding_norm": e_norm}
     for k, s in enumerate(system.shells):
         psi = gradient_density(s.profile)
         grad_norm = lorentz_norm_distributional(psi, bound)
@@ -586,8 +583,10 @@ def certify_span(system: AlmostExtremalSystem, trials: int, directions: int,
     norms skipped) over the first ``directions``.  Each norm equals what
     the certificate functions give for its direction, bit for bit.
     """
-    if trials < 0 or directions < 0:
-        raise ValidationError("trial and direction counts must be >= 0")
+    if not all(isinstance(n, (int, np.integer)) and n >= 0
+               for n in (trials, directions, seed)):
+        raise ValidationError(
+            "trials, directions and seed must be integers >= 0")
     alphas = np.random.default_rng(seed).standard_normal(
         (max(trials, directions), system.m))
     nums = span_norms(system._span_tables, alphas, gradient=False)

@@ -195,8 +195,7 @@ def test_head_ratio_needs_few_quotients(halfplane, monkeypatch, p, q, frac):
 def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
                                                        monkeypatch):
     # beyond the first, a shell costs one check of each cutoff condition
-    # at its cutoff, in verify_system: no bisection
-    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    # at its cutoff, in verify_system: no search, at q = 1 and above
     calls = {"_window_energy": 0, "restricted_norm": 0}
     for name in calls:
         original = getattr(bernstein, name)
@@ -206,13 +205,33 @@ def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(bernstein, name, counted)
-    counts = []
-    for m in (1, 6):
-        calls.update(dict.fromkeys(calls, 0))
-        construct_system(halfplane, PARAMS, m, lam, 0.05, 0.05)
-        counts.append(dict(calls))
-    for name in calls:
-        assert counts[1][name] - counts[0][name] <= 5
+    for q in (1.0, 1.5):
+        params = LorentzParams(2.0, q)
+        lam = 0.5 * embedding_norm(halfplane, params)
+        counts = []
+        for m in (1, 6):
+            calls.update(dict.fromkeys(calls, 0))
+            construct_system(halfplane, params, m, lam, 0.05, 0.05)
+            counts.append(dict(calls))
+        for name in calls:
+            assert counts[1][name] - counts[0][name] <= 5
+
+
+def _bisect_log(predicate, lo: float, hi: float) -> float:
+    """The largest tau in [lo, hi] with predicate(tau), for a predicate that
+    holds at lo and fails past one threshold, bisected in log tau so that
+    its resolution is relative."""
+    if predicate(hi):
+        return hi
+    assert predicate(lo)
+    lo, hi = math.log(lo), math.log(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if predicate(math.exp(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
 
 
 def _per_shell_cutoffs(system):
@@ -234,9 +253,8 @@ def _per_shell_cutoffs(system):
             return inflate * bernstein._window_energy(
                 s.profile, bound, tau) >= lam_q
 
-        tau_tail = bernstein._bisect_threshold(tail_ok, head * 1e-24, head)
-        tau_window = bernstein._bisect_threshold(window_ok, head * 1e-24,
-                                                 head)
+        tau_tail = _bisect_log(tail_ok, head * 1e-200, head)
+        tau_window = _bisect_log(window_ok, head * 1e-200, head)
         feasible = 0.5 * min(tau_tail, tau_window, 0.75 * head)
         cutoff = min(0.5 * feasible, s.delta / (2.0 * s.index))
         rows.append((cutoff / s.delta, tau_window < min(tau_tail,
@@ -254,6 +272,32 @@ def test_dilated_cutoffs_match_per_shell_bisection(halfplane, q, binds):
     assert [bind for _, bind in rows] == binds
     for s, (ratio, _) in zip(system.shells, rows):
         assert s.cutoff_measure / s.delta == pytest.approx(ratio, rel=1e-11)
+
+
+@pytest.mark.parametrize("p, q, frac", [(2.0, 1.5, 0.5), (1.5, 1.3, 0.7),
+                                        (2.0, 1.0, 0.9)])
+def test_tail_norms_spend_a_fixed_share_of_their_budgets(halfplane, p, q,
+                                                         frac):
+    # the tail sets every cutoff here, at a quarter of the measure where
+    # the flat head's tail norm reaches gamma_j, so every tail norm is
+    # gamma_j 4^(-1/p*), also where gamma_j = a^j is far below the head
+    params = LorentzParams(p, q)
+    lam = frac * embedding_norm(halfplane, params)
+    system = construct_system(halfplane, params, 6, lam, 0.05, 0.05)
+    share = 4.0 ** (-1.0 / system.params.p_star)
+    for s, row in zip(system.shells, verify_system(system)["shells"]):
+        assert row["tail_norm"] == pytest.approx(s.gamma * share, rel=1e-12)
+
+
+def test_deepest_system_above_q_one(halfplane):
+    # q = 1.5 budgets shrink geometrically, and their cutoffs with them:
+    # eight shells fit in the double range at lambda 0.5, seven at 0.9
+    params = LorentzParams(2.0, 1.5)
+    e_norm = embedding_norm(halfplane, params)
+    system = construct_system(halfplane, params, 8, 0.5 * e_norm, 0.05, 0.05)
+    verify_system(system)
+    with pytest.raises(ResourceError, match="shell 8"):
+        construct_system(halfplane, params, 8, 0.9 * e_norm, 0.05, 0.05)
 
 
 def test_window_energy_below_1e160_matches_the_first_shell(halfplane):
@@ -306,10 +350,13 @@ def test_verify_system_detects_tampering(system):
 
 
 def test_infeasible_cutoff_search_is_caught(halfplane, monkeypatch):
-    # a bisection that returns its upper end gives cutoffs where neither
-    # condition holds; verify_system refuses the system
-    monkeypatch.setattr(bernstein, "_bisect_threshold",
-                        lambda predicate, lo, hi: hi)
+    # cutoffs at the upper ends of their ranges, the head for the tail and
+    # the window search's tau_max, are cutoffs where neither condition
+    # holds; verify_system refuses the system
+    monkeypatch.setattr(bernstein, "_tail_cutoff",
+                        lambda profile, bound, gamma: profile.table.t1[0])
+    monkeypatch.setattr(bernstein, "_window_cutoff",
+                        lambda profile, bound, lam, eps1, tau_max: tau_max)
     lam = 0.5 * embedding_norm(halfplane, PARAMS)
     with pytest.raises(InternalConsistencyError):
         construct_system(halfplane, PARAMS, 2, lam, 0.05, 0.05)
@@ -440,6 +487,24 @@ def test_certify_span_counts_match_the_explicit_loop(system):
 def test_certify_span_rejects_negative_counts(system, trials, directions):
     with pytest.raises(ValidationError):
         certify_span(system, trials, directions, 0)
+
+
+@pytest.mark.parametrize("trials, directions, seed", [
+    (2, 2, -1), (2, 2, 1.5), (2.5, 2, 0), (2, 2.0, 0), (2, 2, "3")])
+def test_certify_span_rejects_non_counts(system, trials, directions, seed):
+    with pytest.raises(ValidationError):
+        certify_span(system, trials, directions, seed)
+
+
+@pytest.mark.parametrize("directions, seed", [(2, -1), (2, 1.5), (2.0, 0)])
+def test_bernstein_lower_bound_rejects_non_counts(system, directions, seed):
+    with pytest.raises(ValidationError):
+        bernstein_lower_bound(system, directions, seed)
+
+
+def test_certify_span_takes_numpy_integers(system):
+    got = certify_span(system, np.int64(3), np.uint8(4), np.int32(2))
+    assert got == certify_span(system, 3, 4, 2)
 
 
 @pytest.mark.parametrize("trials, directions", [(4, 9), (9, 4)])

@@ -313,16 +313,15 @@ AVX512_TARGETS = [t for t in __cpu_dispatch__
                   if "AVX512" in t or t == "X86_V4"]
 
 
-def bernstein_fields(disabled: str) -> dict:
-    """The m = 4 bernstein report of a fresh interpreter whose numpy runs
-    without the ``disabled`` targets, as (path, value) pairs."""
+def report_fields(argv: list[str], disabled: str) -> dict:
+    """The report of ``cone-sobolev argv`` in a fresh interpreter whose
+    numpy runs without the ``disabled`` targets, as (path, value) pairs."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src),
                NPY_DISABLE_CPU_FEATURES=disabled)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cone_sobolev.cli", "bernstein", "--m", "4",
-         "--alpha-trials", "200", "--directions", "100", "--seed", "3"],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-m", "cone_sobolev.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
 
     def flat(node, path=()):
@@ -343,9 +342,15 @@ def bernstein_fields(disabled: str) -> dict:
                    "AVX-512 and AVX2 kernels: the lambda rule, the span "
                    "engine and the cutoff searches use vectorised exp, log "
                    "and pow, whose last bits the shell chain amplifies")
-def test_bernstein_report_is_identical_without_avx512():
-    native = bernstein_fields("")
-    other = bernstein_fields(" ".join(AVX512_TARGETS))
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--m", "4", "--alpha-trials", "200", "--directions", "100",
+     "--seed", "3"],
+    ["alvino"],
+    ["selftest", "--criteria", "9"],
+], ids=["bernstein", "alvino", "criterion-9"])
+def test_report_is_identical_without_avx512(argv):
+    native = report_fields(argv, "")
+    other = report_fields(argv, " ".join(AVX512_TARGETS))
     assert native.keys() == other.keys()
     assert [path for path, value in native.items()
             if path != ("timestamp",) and other[path] != value] == []
