@@ -18,14 +18,14 @@ from .errors import (ConeSobolevError, DivergentIntegralError, DomainError,
                      NumericalError, ResourceError, ValidationError)
 from .lorentz import (LorentzParams, ell_q_norm, hardy_check,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
-                      restricted_norm)
+                      lorentz_norms_distributional, restricted_norm)
 from .profiles import (GradientDensity, RadialProfile, alvino_profile,
                        from_knots, gradient_density, scale)
 from .rearrangement import (SampledField, StepFunction1D,
                             radial_rearrangement, rearrangement)
 from .sobolev import (QuotientReport, alvino_search,
                       bump_superposition_field, embedding_norm,
-                      polya_szego_check, quotient)
+                      polya_szego_check, quotient, quotients)
 
 __version__ = "0.1.0"
 
@@ -42,12 +42,12 @@ __all__ = [
     "ResourceError", "ValidationError",
     "LorentzParams", "ell_q_norm", "hardy_check",
     "lorentz_norm_distributional", "lorentz_norm_rearranged",
-    "restricted_norm",
+    "lorentz_norms_distributional", "restricted_norm",
     "GradientDensity", "RadialProfile", "alvino_profile", "from_knots",
     "gradient_density", "scale",
     "SampledField", "StepFunction1D", "radial_rearrangement",
     "rearrangement",
     "QuotientReport", "alvino_search", "bump_superposition_field",
-    "embedding_norm", "polya_szego_check", "quotient",
+    "embedding_norm", "polya_szego_check", "quotient", "quotients",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .profiles import alvino_profile, from_knots, scale
 from .rearrangement import (SampledField, StepFunction1D, rearrangement)
 from .sobolev import (_PS_TOL_FACTOR, _UPPER_SLACK, alvino_search,
                       bump_superposition_field, embedding_norm,
-                      polya_szego_check, quotient)
+                      polya_szego_check, quotient, quotients)
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria", "result_line"]
 
@@ -134,12 +134,12 @@ def criterion_3() -> CriterionResult:
             cone = builtin_cone(name)
             params = LorentzParams(p, q, cone)
             bound = embedding_norm(cone, params) * (1.0 + _UPPER_SLACK)
+            profiles = [_random_affine_profile(cone, rng)
+                        for _ in range(500)]
             worst, passes = 0.0, 0
-            for _ in range(500):
-                prof = _random_affine_profile(cone, rng)
-                val = quotient(prof, params).quotient
-                worst = max(worst, val)
-                passes += val <= bound
+            for report in quotients(profiles, params):
+                worst = max(worst, report.quotient)
+                passes += report.quotient <= bound
             details[f"{name} p={p} q={q}"] = {
                 "trials": 500, "passes": passes, "worst_quotient": worst,
                 "bound": bound,

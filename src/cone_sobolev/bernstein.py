@@ -27,12 +27,18 @@ Shell profiles are truncated power arcs placed by one monotone search,
 bracketed regula falsi (Illinois): the head ratio in log ratio, the
 window cutoff in log tau.  Every shell is the first one dilated in the
 measure coordinate, with the same norms, so each search runs once per
-system and is dilated to every shell; every shell is flat on its head,
-so its tail cutoff is a closed form.  Each shell then checks both cutoff
-conditions itself; every integral is a closed form, an incomplete beta
-series with a certified 1e-12 bound (``segments._moment_integrals``),
-the lambda route's tanh-sinh rule, or the adaptive rule (an Appell F1
-moment, or a series that cannot certify 1e-12).
+system and is dilated to every shell, and so is the normalization: every
+shell divides by the gradient norm of the head-ratio search's own unit-ball
+profile, and building a system makes no quotient outside the search
+(one, if the search ends on a closed bracket).  Every shell is flat on
+its head, so its tail cutoff is a closed form.  ``verify_system`` then
+measures both norms of every shell (all gradient norms in one lambda-route
+call), checks that their quotient is pinned to lambda, and checks both
+cutoff conditions at each shell's own cutoff; every integral is a closed
+form, an incomplete beta series with a certified 1e-12 bound
+(``segments._moment_integrals``), the lambda route's tanh-sinh rule, or
+the adaptive rule (an Appell F1 moment, or a series that cannot certify
+1e-12).
 
 Span directions go to the span engine (``spans``).  Each system keeps the
 law tables of its two spans, built on first use: every direction has the
@@ -56,12 +62,11 @@ import numpy as np
 from .cones import WeightedCone, ball_measure
 from .errors import (DomainError, InfeasibleError, InternalConsistencyError,
                      ResourceError, ValidationError)
-from .lorentz import (LorentzParams, ell_q_norm,
-                      lorentz_norm_distributional, lorentz_norm_rearranged,
-                      restricted_norm)
+from .lorentz import (LorentzParams, ell_q_norm, lorentz_norm_rearranged,
+                      lorentz_norms_distributional, restricted_norm)
 from .profiles import RadialProfile, alvino_profile, gradient_density
 from .segments import PieceTable, _moment_integrals
-from .sobolev import embedding_norm, quotient
+from .sobolev import QuotientReport, embedding_norm, quotient
 from .spans import SpanTables, span_norms
 
 __all__ = [
@@ -83,6 +88,9 @@ _NORM_RTOL = 1e-10
 _CERT_SLACK = 1e-9
 _MAX_LOG10_RANGE = 300.0
 _QUOTIENT_TOL = 1e-12
+# how far a shell's measured quotient may sit from lambda: the head-ratio
+# search's tolerance with room for the rounding of both norms
+_PIN_TOL = 100.0 * _QUOTIENT_TOL
 
 
 @dataclass(frozen=True)
@@ -195,10 +203,12 @@ def gamma_sequence(params: LorentzParams, eps2: float,
 # -- single shell ------------------------------------------------------------
 
 def _quotient_of_ratio(cone: WeightedCone, bound: LorentzParams,
-                       ratio: float) -> float:
-    t_unit = cone.c_d  # the unit ball's measure
+                       ratio: float) -> QuotientReport:
+    """The quotient report of the unit-ball profile with head ratio
+    ``ratio``: shell 1 before its normalization."""
+    t_unit = cone.c_d  # the unit ball's measure, ball_measure(cone, 1.0)
     profile = alvino_profile(cone, bound.p_star, t_unit / ratio, t_unit)
-    return quotient(profile, bound).quotient
+    return quotient(profile, bound)
 
 
 def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float,
@@ -237,14 +247,17 @@ def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float,
 
 
 def _head_ratio(cone: WeightedCone, bound: LorentzParams,
-                lam: float) -> float:
-    """Head-to-support ratio (in measure) of the profile with quotient lam.
+                lam: float) -> tuple[float, QuotientReport]:
+    """Head-to-support ratio (in measure) of the profile with quotient lam,
+    and the quotient report of its unit-ball profile.
 
     The quotient of alvino_profile(cone, p*, t/ratio, t) does not depend
     on the scale t, so the search runs once, on the unit ball: the ratio
     is expanded until its quotient brackets lambda, then ``_illinois``
     finds the root of f(x) = Q(e^x) - lambda in log space, to |f| <=
-    1e-12 max(1, lam), or the middle of the bracket it closes.
+    1e-12 max(1, lam), or the middle of the bracket it closes.  The
+    report is the search's own at a root, and one more quotient at the
+    middle of a closed bracket.
     """
     e_norm = embedding_norm(cone, bound)
     if not 0.0 < lam < e_norm:
@@ -257,8 +270,11 @@ def _head_ratio(cone: WeightedCone, bound: LorentzParams,
             "sharp constant exactly, so no profile has quotient "
             "lambda < ||E||; use q = 1 with p > 1 instead")
 
+    reports: dict[float, QuotientReport] = {}
+
     def f(x: float) -> float:
-        return _quotient_of_ratio(cone, bound, math.exp(x)) - lam
+        reports[x] = _quotient_of_ratio(cone, bound, math.exp(x))
+        return reports[x].quotient - lam
 
     # bracket the quotient in log-ratio space (quotient grows with ratio)
     lo, hi = math.log(2.0), math.log(16.0)
@@ -283,23 +299,29 @@ def _head_ratio(cone: WeightedCone, bound: LorentzParams,
                 "quotient bracketing failed at vanishing head ratio")
         f_lo = f(lo)
     lo, hi = _illinois(f, lo, f_lo, hi, f_hi, _QUOTIENT_TOL * max(1.0, lam))
-    return math.exp(0.5 * (lo + hi))
+    x = 0.5 * (lo + hi)
+    if x not in reports:
+        f(x)
+    return math.exp(x), reports[x]
 
 
-def _shell_at(cone: WeightedCone, bound: LorentzParams, lam: float,
-              ratio: float, outer_radius: float
+def _shell_at(cone: WeightedCone, bound: LorentzParams, ratio: float,
+              denominator: float, outer_radius: float
               ) -> tuple[RadialProfile, float]:
-    """The shell in B_{outer_radius} with head ratio ``ratio``, scaled to
-    unit gradient norm; returns the profile and its flat-head radius."""
+    """The shell in B_{outer_radius} with head ratio ``ratio``, divided by
+    the gradient norm ``denominator`` of the unit-ball shell; returns the
+    profile and its flat-head radius.
+
+    The shell is the unit-ball one dilated in measure by s = mu(B_R)/c_d,
+    s^(-1/p*) phi(t/s), and 1/p* = 1/p - 1/D makes that dilation keep the
+    gradient norm, so every shell takes shell 1's ``denominator`` (the
+    report of ``_head_ratio``) and no quotient of its own.
+    ``verify_system`` measures both norms of every shell."""
     if outer_radius <= 0:
         raise DomainError("the outer radius must be positive")
     t_outer = ball_measure(cone, outer_radius)
     raw = alvino_profile(cone, bound.p_star, t_outer / ratio, t_outer)
-    report = quotient(raw, bound)
-    if abs(report.quotient - lam) > 100.0 * _QUOTIENT_TOL * max(1.0, lam):
-        raise InternalConsistencyError(
-            "head-ratio search failed to pin the quotient")
-    profile = raw.scaled_amplitude(1.0 / report.denominator)
+    profile = raw.scaled_amplitude(1.0 / denominator)
     inner_radius = cone.radius_of_measure(t_outer / ratio)
     return profile, inner_radius
 
@@ -373,11 +395,13 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
 
     The tail cutoff is a closed form.  Every shell is shell 1 dilated in
     measure, so the window cutoff is searched once, on shell 1, and
-    dilated; ``verify_system`` checks both conditions at every shell's own
-    cutoff.  Raises ResourceError once a shell's delta or cutoff measure
-    is below the normal double range.
+    dilated, and every shell takes shell 1's normalizing gradient norm
+    (``_shell_at``); ``verify_system`` checks both norms, the quotient and
+    both cutoff conditions at every shell.  Raises ResourceError once a
+    shell's delta or cutoff measure is below the normal double range.
     """
-    if int(m) != m or m < 1:
+    if (not isinstance(m, (int, np.integer)) or isinstance(m, bool)
+            or m < 1):
         raise ValidationError("shell count m must be a positive integer")
     if eps1 <= 0 or eps2 <= 0:
         raise ValidationError("eps1 and eps2 must be positive")
@@ -386,14 +410,15 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     gammas = gamma_sequence(bound, eps2, m)
     ratio = (None if bound.q == 1.0
              else _geometric_ratio(bound.q_prime, eps2))
-    head_ratio = _head_ratio(cone, bound, lam)
+    head_ratio, report = _head_ratio(cone, bound, lam)
 
     shells: list[ShellSpec] = []
     outer = 1.0
     for j in range(1, m + 1):
         delta = ball_measure(cone, outer)
         _check_representable(j, "delta", delta)
-        profile, inner = _shell_at(cone, bound, lam, head_ratio, outer)
+        profile, inner = _shell_at(cone, bound, head_ratio,
+                                   report.denominator, outer)
         head = profile.table.t1[0].tolist()  # mu(B_{r_j})
         gamma = gammas[j - 1]
         tau_tail = _tail_cutoff(profile, bound, gamma)
@@ -448,9 +473,9 @@ def _verification_report(system: AlmostExtremalSystem) -> dict:
     lam_q = system.lam ** bound.q
     inflate = (1.0 + system.eps1) ** bound.q
     report = {"shells": [], "lambda": system.lam, "embedding_norm": e_norm}
-    for k, s in enumerate(system.shells):
-        psi = gradient_density(s.profile)
-        grad_norm = lorentz_norm_distributional(psi, bound)
+    grad_norms = lorentz_norms_distributional(
+        [gradient_density(s.profile) for s in system.shells], bound)
+    for k, (s, grad_norm) in enumerate(zip(system.shells, grad_norms)):
         fn_norm = lorentz_norm_rearranged(s.profile, star)
         if abs(grad_norm - 1.0) > _NORM_RTOL:
             raise InternalConsistencyError(
@@ -458,6 +483,11 @@ def _verification_report(system: AlmostExtremalSystem) -> dict:
         if abs(fn_norm - system.lam) > _NORM_RTOL * system.lam:
             raise InternalConsistencyError(
                 f"shell {s.index}: function norm {fn_norm} is not lambda")
+        if abs(fn_norm / grad_norm - system.lam) > _PIN_TOL * max(
+                1.0, system.lam):
+            raise InternalConsistencyError(
+                f"shell {s.index}: quotient {fn_norm / grad_norm} is not "
+                f"pinned to lambda")
         if not 0.0 < s.cutoff_radius < s.inner_radius < s.outer_radius:
             raise InternalConsistencyError(
                 f"shell {s.index}: radii are not strictly nested")

@@ -20,6 +20,10 @@ rule; the lambda route integrates its strata with its own batched
 tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance.  Steps
 and sampled fields stay arrays on both routes, and the lambda route takes
 their plateaus to the one strata builder (``LevelSet.from_plateaus``).
+Many profiles or densities of one (p, q) take the lambda route as one
+batch (``lorentz_norms_distributional``), whose fixed cost, about 200 us
+a call whatever its size, is paid once; ``lorentz_norm_distributional``
+is its one-element case.
 
 The Hardy evaluation check
 
@@ -44,12 +48,14 @@ from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
 from .segments import (Law, LevelSet, Piece, PieceTable, _moment_integrals,
-                       dips_below_zero, moment_integral, rises_past)
+                       dips_below_zero, level_set_qth_powers, moment_integral,
+                       rises_past, table_strata)
 
 __all__ = [
     "LorentzParams",
     "lorentz_norm_rearranged",
     "lorentz_norm_distributional",
+    "lorentz_norms_distributional",
     "hardy_check",
     "restricted_norm",
     "ell_q_norm",
@@ -186,22 +192,44 @@ def _rearranged_norm(f, table: PieceTable, params: LorentzParams) -> float:
 
 
 def lorentz_norm_distributional(f, params: LorentzParams) -> float:
-    """Lorentz norm via the distribution function.
+    """Lorentz norm via the distribution function: the one-element case
+    of ``lorentz_norms_distributional``.  Must agree with the rearranged
+    route, to 1e-10 in the tests."""
+    (norm,) = lorentz_norms_distributional([f], params)
+    return norm
+
+
+def lorentz_norms_distributional(fs: Sequence, params: LorentzParams
+                                 ) -> list[float]:
+    """The Lorentz norm of each f via its distribution function.
 
     ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), stratum by stratum,
     from a step's plateaus, a sampled field's cells as the plateaus
     (0, cell measure) of their |value|, or a piece table (a profile's or
-    density's own).  Must agree with the rearranged route, to 1e-10 in the
-    tests.
+    density's own, or a piece list's).  All the piece tables of ``fs`` go
+    through one strata build (``segments.table_strata``) and one rule call
+    (``segments.level_set_qth_powers``), so a call's fixed cost is paid
+    once per batch, not per level set; each norm is the same float alone
+    or in any batch.
     """
-    if isinstance(f, SampledField):
-        level = LevelSet.from_plateaus(0.0, f.cell_measures.ravel(),
-                                       np.abs(f.values.ravel()))
-    elif isinstance(f, StepFunction1D):
-        level = LevelSet.from_plateaus(*f.plateaus(), f.value_array)
-    else:
-        level = LevelSet.from_table(_table_of(f))
-    return level.lorentz_qth_power(params.p, params.q) ** (1.0 / params.q)
+    p, q = params.p, params.q
+    tables = [_table_of(f) for f in fs
+              if not isinstance(f, (SampledField, StepFunction1D))]
+    batch = iter(level_set_qth_powers(table_strata(tables), p, q)
+                 if tables else ())
+    norms = []
+    for f in fs:
+        if isinstance(f, SampledField):
+            power = LevelSet.from_plateaus(
+                0.0, f.cell_measures.ravel(),
+                np.abs(f.values.ravel())).lorentz_qth_power(p, q)
+        elif isinstance(f, StepFunction1D):
+            power = LevelSet.from_plateaus(
+                *f.plateaus(), f.value_array).lorentz_qth_power(p, q)
+        else:
+            power = next(batch)
+        norms.append(power ** (1.0 / q))
+    return norms
 
 
 # -- Hardy inequality evaluation ---------------------------------------------

@@ -34,10 +34,11 @@ main self-check:
   origin (mirrored onto the right end when a law blows up there);
 * the lambda route builds the strata of one or many level sets with one
   array builder (``level_set_strata``), for profiles, gradient densities,
-  steps, sampled fields and span batches alike, all given as columns; it
-  integrates every
-  finite stratum with terms by its own batched tanh-sinh rule
-  (``tanhsinh.row_integrals``), all strata at once
+  steps, sampled fields and span batches alike, all given as columns; a
+  batch of piece tables (``table_strata``, many profiles or densities of
+  one (p, q)) is one call, and one table is its one-element case.  It
+  integrates every finite stratum with terms by its own batched tanh-sinh
+  rule (``tanhsinh.row_integrals``), all strata at once
   (``level_set_qth_powers``), and uses the power rule only for constant
   strata (``power_primitives``) and pure-power infinite tails.
 
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import (DivergentIntegralError, InternalConsistencyError,
                      NumericalError, ValidationError)
 from .quadrature import integrate_adaptive, substitute_origin
-from .tanhsinh import Rows, row_integrals
+from .tanhsinh import Rows, array_power, row_integrals
 
 __all__ = [
     "Law",
@@ -70,6 +71,7 @@ __all__ = [
     "power_primitives",
     "moment_integral",
     "level_set_strata",
+    "table_strata",
     "level_set_qth_powers",
 ]
 
@@ -79,6 +81,9 @@ _JOIN_EPS = 8.0 * 2.0 ** -52  # a junction's rounding, per law magnitude
 # below 0, relative to the magnitude it is rounded from (``PieceTable.ends``)
 _ORDER_RTOL = 1e-9
 _SIGN_RTOL = 1e-12
+# the sign rule's absolute part: a few rounding units of subnormal
+# arithmetic, whose absolute error no relative bound covers
+_SIGN_ABS = 4.0 * 2.0 ** -1074
 
 
 def rises_past(before, after, before_size, after_size):
@@ -90,8 +95,11 @@ def rises_past(before, after, before_size, after_size):
 
 def dips_below_zero(value, size):
     """Whether ``value`` falls below 0 by more than 1e-12 of its magnitude
-    ``size``, elementwise (-inf, of magnitude 0, always does)."""
-    return value < -_SIGN_RTOL * size
+    ``size`` plus 4 * 2^-1074, elementwise (-inf, of magnitude 0, always
+    does).  The absolute part is the rounding of subnormal results: at
+    magnitude 7e-323 a law can end at -2^-1074, where 1e-12 of its size
+    underflows to 0."""
+    return value < -_SIGN_RTOL * size - _SIGN_ABS
 
 
 # -- the law ---------------------------------------------------------------
@@ -762,8 +770,9 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
 
     ``coef``, ``shift`` and the end values ``va``, ``vb`` (limits at t0+
     and t1-) are (count, n) arrays, row d giving f_d the n pieces (t0, t1)
-    with laws coef * (orient (t - base))**expo + shift; ``expo``, ``base``
-    and ``orient`` are (n,) arrays, and t0, t1 either.  Pieces may be
+    with laws coef * (orient (t - base))**expo + shift; t0, t1, ``expo``,
+    ``base`` and ``orient`` are (n,) arrays, shared by every row, or
+    (count, n), one row per level set (``table_strata``).  Pieces may be
     signed: every value-range end is clamped at 0, so a piece counts only
     where it lies above a level lam >= 0, and f stacked with -f gives the
     level sets of |f|.  A constant law has equal end values, so it never
@@ -855,6 +864,80 @@ def level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb
         cuts[:, -1])
 
 
+def table_strata(tables: Sequence[PieceTable]) -> Strata:
+    """The strata of the level sets of nonnegative piece tables, table d
+    as level set d: one ``level_set_strata`` call for the batch.
+
+    One or more tables become (count, n) columns, n the most pieces of
+    any (one table keeps its own (n,) columns); a shorter table is padded
+    at its own end with empty pieces (t0 = t1 = 0, value 0), which add no
+    cut, stratum or term, though the batch's arrays are count x n.  End
+    values, the junction join and the sign rule are column expressions
+    over the batch, each per piece or per junction, so a level set's
+    strata, and its q-th power, are the same floats alone or in any batch.
+
+    A continuous junction is one cut, not an ulp-wide stratum: where
+    piece i + 1 starts at the t where piece i ends and their end values
+    there differ by less than 8 eps (|vb_i| + |shift_i| + |shift_(i+1)|),
+    which bounds the roundoff of two laws that agree there, both ends take
+    one value, a constant side's if there is one, else the left end's.  So
+    a constant piece keeps equal ends.  Two constants, infinite ends
+    (poles) and padding are never joined.  An end value that falls below
+    0 beyond the sign rule (``dips_below_zero``) is a ValidationError.
+    """
+    if not tables:
+        raise ValidationError("a batch of level sets needs a table")
+    pad = False
+    if len(tables) == 1:   # one row: the table's own (n,) columns
+        cols = tables[0]
+    else:
+        counts = [table.t0.size for table in tables]
+        count, n = len(tables), max(counts)
+        pieces = [np.concatenate(col) for col in zip(*tables)]
+        pad = pieces[0].size < count * n
+        if pad:
+            real = np.arange(n) < np.array(counts)[:, None]
+            cols = np.zeros((7, count, n))
+            cols[6] = 1.0
+            cols[:, real] = pieces
+        else:
+            cols = np.reshape(pieces, (7, count, n))
+    t0, t1, coef, shift, expo, base, orient = cols
+    flat = coef == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ends = array_power(
+            np.maximum(orient * (np.array((t0, t1)) - base), 0.0), expo)
+        values = np.where(flat, shift, coef * ends + shift)
+        va, vb = values
+        # a strict test, so an infinite end (nan or inf < inf) fails it
+        tol = np.abs(shift)
+        tol = tol[..., 1:] + tol[..., :-1]
+        tol += np.abs(vb[..., :-1])
+        tol *= _JOIN_EPS
+        gap = va[..., 1:] - vb[..., :-1]
+        join = np.abs(gap, out=gap) < tol
+        join &= t1[..., :-1] == t0[..., 1:]
+        if pad:
+            join &= real[:, 1:]
+        if np.count_nonzero(join):
+            # a constant side keeps its value; two constants never join
+            flat |= expo == 0.0
+            np.copyto(vb[..., :-1], va[..., 1:],
+                      where=(join & flat[..., 1:]) > flat[..., :-1])
+            np.copyto(va[..., 1:], vb[..., :-1], where=join > flat[..., 1:])
+        if np.count_nonzero(values < 0.0):
+            # the sign rule, on the magnitudes of ``PieceTable.ends``
+            sizes = np.abs(np.where(coef == 0.0, 0.0, coef * ends))
+            sizes += np.abs(shift)
+            sizes[np.isinf(values)] = 0.0
+            if np.count_nonzero(dips_below_zero(values, sizes)):
+                raise ValidationError(
+                    "level sets require a nonnegative function")
+    if len(tables) == 1:
+        coef, shift, va, vb = coef[None], shift[None], va[None], vb[None]
+    return level_set_strata(t0, t1, coef, shift, expo, base, orient, va, vb)
+
+
 def _group_fsums(values: np.ndarray, group: np.ndarray, size: int
                  ) -> np.ndarray:
     """math.fsum of the values of each of ``size`` groups; ``group`` is
@@ -884,7 +967,8 @@ class LevelSet:
     """Distribution function of a nonnegative piecewise-law function.
 
     A thin holder of the ``Strata`` of one level set (``level_set_strata``,
-    which also serves the span engine).  The lambda-route Lorentz
+    which also serves the span engine and batches of tables,
+    ``table_strata``).  The lambda-route Lorentz
     functional integrates them with its own batched tanh-sinh rule
     (``tanhsinh.row_integrals``), which shares no code with the t-route's
     moments; constant strata and pure-power infinite tails are exact.
@@ -902,50 +986,9 @@ class LevelSet:
 
     @staticmethod
     def from_table(table: PieceTable) -> "LevelSet":
-        """The level set of a nonnegative piece table, its columns one
-        row of ``level_set_strata``: profiles and densities come this way.
-
-        A continuous junction is one cut, not an ulp-wide stratum: where
-        piece i + 1 starts at the t where piece i ends and their end
-        values there differ by less than 8 eps (|vb_i| + |shift_i| +
-        |shift_(i+1)|), which bounds the roundoff of two laws that agree
-        there, both ends take one value, a constant side's if there is
-        one, else the left end's.  So a constant piece keeps equal ends.
-        Two constants and infinite ends (poles) are never joined.  An end
-        value that falls below 0 beyond the sign rule (``dips_below_zero``)
-        is a ValidationError.
-        """
-        t0, t1, coef, shift, expo, base, orient = table
-        flat = coef == 0.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ends = np.maximum(orient * (np.array((t0, t1)) - base),
-                              0.0) ** expo
-            values = np.where(flat, shift, coef * ends + shift)
-            va, vb = values
-            # a strict test, so an infinite end (nan or inf < inf) fails it
-            tol = np.abs(shift)
-            tol = tol[1:] + tol[:-1]
-            tol += np.abs(vb[:-1])
-            tol *= _JOIN_EPS
-            gap = va[1:] - vb[:-1]
-            join = np.abs(gap, out=gap) < tol
-            join &= t1[:-1] == t0[1:]
-            if np.count_nonzero(join):
-                # a constant side keeps its value; two constants never join
-                flat |= expo == 0.0
-                np.copyto(vb[:-1], va[1:], where=(join & flat[1:]) > flat[:-1])
-                np.copyto(va[1:], vb[:-1], where=join > flat[1:])
-            if np.count_nonzero(values < 0.0):
-                # the sign rule, on the magnitudes of ``PieceTable.ends``
-                sizes = np.abs(np.where(coef == 0.0, 0.0, coef * ends))
-                sizes += np.abs(shift)
-                sizes[np.isinf(values)] = 0.0
-                if np.count_nonzero(dips_below_zero(values, sizes)):
-                    raise ValidationError(
-                        "level sets require a nonnegative function")
-        return LevelSet(level_set_strata(t0, t1, coef[None], shift[None],
-                                         expo, base, orient, va[None],
-                                         vb[None]))
+        """The level set of a nonnegative piece table: the one-element
+        case of ``table_strata``, as profiles and densities come."""
+        return LevelSet(table_strata([table]))
 
     @staticmethod
     def from_plateaus(t0, t1, values: np.ndarray) -> "LevelSet":
@@ -991,6 +1034,12 @@ def level_set_qth_powers(strata: Strata, p: float, q: float) -> list[float]:
     (``tanhsinh.row_integrals``), whose error bound meets the 1e-12
     contract or raises NumericalError, as does an overflow.  Each level
     set's parts are added by math.fsum, independently of the others.
+
+    (p, q) is one pair per call, not per level set: the rule raises m to
+    the scalar power q/p, and numpy takes its sqrt path for a scalar 0.5
+    but not for an array of them (10202 of 200000 uniform values differ
+    by an ulp, numpy 2.4.6), so per-row exponents would move every p = 2
+    gradient norm.
     """
     rows, qq = strata.rows, q / p
     parts: list[list[float]] = [[] for _ in strata.top]

@@ -18,11 +18,12 @@ distance instead of losing it to rounding.
 
 ``row_integrals`` is the one entry, called through
 ``segments.level_set_qth_powers`` with the strata of one level set
-(``LevelSet.lorentz_qth_power``) or of many (the span engine, ``spans``),
-each row's level set in ``owner``; ``segments.level_set_strata`` builds
-them as this table.  A row's value and bound depend on that row alone,
-so they are bit-identical however the rows are batched; only the sliver
-check reads a whole level set.  One call tests slivers, grading and
+(``LevelSet.lorentz_qth_power``) or of many (the span engine, ``spans``;
+a batch of piece tables, ``segments.table_strata``), each row's level set
+in ``owner``; ``segments.level_set_strata`` builds them as this table.  A
+row's value and bound depend on that row alone, so they are bit-identical
+however the rows are batched (a one-term table too: ``array_power``);
+only the sliver check reads a whole level set.  One call tests slivers, grading and
 singular ends on the (terms, 2) end arguments and evaluates levels 2 to 4
 in one pass over terms x nodes, under one ``np.errstate``, so its cost is
 a fixed count of array operations plus work linear in terms x nodes.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, NumericalError
 
-__all__ = ["Rows", "row_integrals"]
+__all__ = ["Rows", "array_power", "row_integrals"]
 
 # relative tolerance of every stratum integral (a fixed accuracy contract,
 # not a setting; the t route states the same contract for its moments)
@@ -169,7 +170,7 @@ class Rows(namedtuple("Rows",
         arg = self.args.take(side, axis=1)
         arg += (self.orient * half[self.row])[:, None] * sc
         np.maximum(arg, 0.0, out=arg)
-        term = np.power(arg, self.expo[:, None])
+        term = array_power(arg, self.expo[:, None])
         term *= self.coef[:, None]
         m = np.add.reduceat(term, self.first[:-1], axis=0)
         m += self.const[:, None]
@@ -230,6 +231,23 @@ class Rows(namedtuple("Rows",
             np.add.reduceat(f, starts, axis=1, out=out[lo:hi])
             lo = hi
         return out
+
+
+def array_power(x: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """x ** expo by numpy's array loop, whatever the shapes.
+
+    An exponent that broadcasts one value over a loop of several elements
+    takes numpy's scalar paths for 2, 0.5 and -1 (square, sqrt,
+    reciprocal), which round differently from its array loop: about 6% of
+    values by an ulp, numpy 2.4.6.  A one-term row table or a one-piece
+    level set would then round otherwise than the same row or piece in a
+    batch, so such an exponent is spread over x's shape first.
+    """
+    if expo.size == 1 and x.size > 1:
+        spread = np.empty(x.shape)
+        spread.fill(expo.item())
+        expo = spread
+    return np.power(x, expo)
 
 
 def _grade_cuts(a: float, b: float, da: float, db: float) -> list[float]:

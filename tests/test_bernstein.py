@@ -85,8 +85,9 @@ def _shell(cone, params, lam, outer_radius):
     """The shell profile and flat-head radius, as ``construct_system``
     builds them: one head-ratio search, then the shell at its radius."""
     bound = LorentzParams(params.p, params.q, cone)
-    ratio = bernstein._head_ratio(cone, bound, lam)
-    return bernstein._shell_at(cone, bound, lam, ratio, outer_radius)
+    ratio, report = bernstein._head_ratio(cone, bound, lam)
+    return bernstein._shell_at(cone, bound, ratio, report.denominator,
+                               outer_radius)
 
 
 def test_shell_function_hits_its_targets(halfplane):
@@ -155,22 +156,51 @@ def test_system_with_q_above_one(halfplane):
 
 
 def test_head_ratio_is_searched_once_per_system(halfplane, monkeypatch):
+    # every shell takes the search's normalization: m = 1 and m = 6 make
+    # the same quotients, all of them inside the head-ratio search
     lam = 0.5 * embedding_norm(halfplane, PARAMS)
-    search = bernstein._quotient_of_ratio
-    calls = []
+    calls, searched = [], []
 
     def counted(*args):
         calls.append(args)
-        return search(*args)
+        return quotient(*args)
 
-    monkeypatch.setattr(bernstein, "_quotient_of_ratio", counted)
+    search = bernstein._head_ratio
+
+    def counted_search(*args):
+        start = len(calls)
+        out = search(*args)
+        searched.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(bernstein, "quotient", counted)
+    monkeypatch.setattr(bernstein, "_head_ratio", counted_search)
     counts = []
     for m in (1, 6):
         calls.clear()
+        searched.clear()
         construct_system(halfplane, PARAMS, m, lam, 0.05, 0.05)
+        assert searched == [len(calls)]
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("m", [2.0, True, "3", 2.5])
+def test_construct_system_takes_only_integer_shell_counts(halfplane, m):
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    for params in (PARAMS, LorentzParams(2.0, 1.5)):
+        with pytest.raises(ValidationError, match="shell count"):
+            construct_system(halfplane, params, m, lam, 0.05, 0.05)
+
+
+def test_construct_system_takes_a_numpy_shell_count(halfplane):
+    lam = 0.5 * embedding_norm(halfplane, PARAMS)
+    system = construct_system(halfplane, PARAMS, np.int64(3), lam, 0.05,
+                              0.05)
+    assert system.m == 3
+    assert verify_system(system) == verify_system(
+        construct_system(halfplane, PARAMS, 3, lam, 0.05, 0.05))
 
 
 @pytest.mark.parametrize("p, q", [(2.0, 1.0), (2.0, 1.5), (1.5, 1.0)])
@@ -186,10 +216,10 @@ def test_head_ratio_needs_few_quotients(halfplane, monkeypatch, p, q, frac):
         return search(*args)
 
     monkeypatch.setattr(bernstein, "_quotient_of_ratio", counted)
-    ratio = bernstein._head_ratio(halfplane, bound, lam)
+    ratio, report = bernstein._head_ratio(halfplane, bound, lam)
     assert len(calls) <= 16
-    assert abs(search(halfplane, bound, ratio) - lam) <= 1e-12 * max(1.0,
-                                                                     lam)
+    assert report == search(halfplane, bound, ratio)
+    assert abs(report.quotient - lam) <= 1e-12 * max(1.0, lam)
 
 
 def test_cutoffs_are_searched_once_per_system_at_q_one(halfplane,
@@ -306,9 +336,10 @@ def test_window_energy_below_1e160_matches_the_first_shell(halfplane):
     # rule works on panels below 1e-154
     bound = LorentzParams(2.0, 1.0, halfplane)
     lam = 0.9 * embedding_norm(halfplane, bound)
-    ratio = bernstein._head_ratio(halfplane, bound, lam)
-    first, _ = bernstein._shell_at(halfplane, bound, lam, ratio, 1.0)
-    deep, _ = bernstein._shell_at(halfplane, bound, lam, ratio,
+    ratio, report = bernstein._head_ratio(halfplane, bound, lam)
+    first, _ = bernstein._shell_at(halfplane, bound, ratio,
+                                   report.denominator, 1.0)
+    deep, _ = bernstein._shell_at(halfplane, bound, ratio, report.denominator,
                                   halfplane.radius_of_measure(1e-165))
     assert deep.t_max < 1e-160
     for share in (1e-6, 1e-3, 0.3):
@@ -365,21 +396,48 @@ def test_infeasible_cutoff_search_is_caught(halfplane, monkeypatch):
 def test_verify_system_runs_once_per_object(halfplane, monkeypatch):
     lam = 0.5 * embedding_norm(halfplane, PARAMS)
     built = construct_system(halfplane, PARAMS, 2, lam, 0.05, 0.05)
-    norm = bernstein.lorentz_norm_distributional
+    norms = bernstein.lorentz_norms_distributional
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return norm(*args)
+        return norms(*args)
 
-    monkeypatch.setattr(bernstein, "lorentz_norm_distributional", counted)
+    monkeypatch.setattr(bernstein, "lorentz_norms_distributional", counted)
     report = verify_system(built)
     assert not calls
     report["shells"].clear()  # a copy: the kept report is untouched
     assert len(verify_system(built)["shells"]) == 2
     fresh = dataclasses.replace(built)
     assert verify_system(fresh) == verify_system(built)
-    assert len(calls) == 2  # the fresh system is checked on its own
+    # the fresh system is checked on its own, both gradient norms in one
+    # lambda-route call
+    assert [len(fs) for fs, _ in calls] == [2]
+
+
+def test_verify_system_measures_every_shell(system):
+    # shell 3 only, its amplitude 1e-9 off: its gradient norm is not 1
+    shells = list(system.shells)
+    shells[2] = dataclasses.replace(
+        shells[2], profile=shells[2].profile.scaled_amplitude(1.0 + 1e-9))
+    with pytest.raises(InternalConsistencyError, match="shell 3"):
+        verify_system(dataclasses.replace(system, shells=tuple(shells)))
+
+
+def test_verify_system_pins_every_shell_quotient(system):
+    # shell 3 with quotient lambda (1 - 1.5e-10) and gradient norm
+    # 1 + 0.9e-10: each norm is within 1e-10 of its target, but their
+    # quotient is not within 1e-10 max(1, lambda) of lambda
+    cone, bound, lam = system.cone, system.params, system.lam
+    ratio, report = bernstein._head_ratio(cone, bound, lam * (1.0 - 1.5e-10))
+    third = system.shells[2]
+    profile, _ = bernstein._shell_at(cone, bound, ratio,
+                                     report.denominator / (1.0 + 0.9e-10),
+                                     third.outer_radius)
+    shells = list(system.shells)
+    shells[2] = dataclasses.replace(third, profile=profile)
+    with pytest.raises(InternalConsistencyError, match="shell 3: quotient"):
+        verify_system(dataclasses.replace(system, shells=tuple(shells)))
 
 
 def test_prefix_systems_stand_alone(system):

@@ -249,9 +249,9 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     from level_set_reference import pieces_of, with_argument_shifted
     params = LorentzParams(2.0, 1.0, halfplane)
     lam = 0.5 * embedding_norm(halfplane, params)
-    shell, _ = bernstein._shell_at(
-        halfplane, params, lam, bernstein._head_ratio(halfplane, params, lam),
-        1.0)
+    ratio, report = bernstein._head_ratio(halfplane, params, lam)
+    shell, _ = bernstein._shell_at(halfplane, params, ratio,
+                                   report.denominator, 1.0)
     shell_psi = list(pieces_of(gradient_density(shell).table))
     affine_psi = list(pieces_of(gradient_density(from_knots(
         halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).table))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_sobolev import (DomainError, LorentzParams, RadialProfile,
@@ -225,6 +225,10 @@ def knot_lists(draw):
 @given(knots=knot_lists(), cone_name=st.sampled_from(
     ["halfplane-x1", "quadrant-x1x2", "disc-unweighted"]),
        pq=st.sampled_from(PQ), k=st.floats(0.1, 10.0))
+# subnormal values: the last piece ends at -2^-1074 with magnitude 7e-323,
+# inside the sign rule only through its absolute part
+@example(knots=[(0.5, 5e-324), (1.0, 5e-324), (6.0, 5e-324), (7.5, 0.0)],
+         cone_name="halfplane-x1", pq=(1.5, 1.0), k=1.0)
 def test_table_path_matches_the_object_path(knots, cone_name, pq, k):
     """from_knots, gradient_density, scale and scaled_amplitude give the
     columns of the profiles built one Piece and Law at a time, and the

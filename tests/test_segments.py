@@ -30,7 +30,8 @@ from cone_sobolev.profiles import (alvino_profile, from_knots,
 from cone_sobolev.segments import (Law, LevelSet, Piece, PieceTable,
                                    _group_fsums, level_set_qth_powers,
                                    level_set_strata, moment_integral,
-                                   power_primitive, power_primitives)
+                                   power_primitive, power_primitives,
+                                   table_strata)
 from cone_sobolev.tanhsinh import _GRADE, _grade_cuts, row_integrals
 from level_set_reference import (Stratum, abs_pieces, derivative,
                                  distribution, endpoint_values, inverse,
@@ -1197,6 +1198,75 @@ def test_stacked_level_sets_match_their_single_rows(halfplane, p, q):
         t0, t1, coefs, shifts, expo, base, orient, va, vb), p, q)
     assert stacked == [lv.lorentz_qth_power(p, q) for lv in levels]
     assert len(set(stacked)) == len(amps)
+
+
+@st.composite
+def ragged_tables(draw):
+    """1 to 8 nonnegative piece tables of 1 to 6 pieces each: constant,
+    power and affine pieces, mostly end to end, some affine pieces
+    starting at the value the piece before ends at (a junction the
+    builder joins)."""
+    tables = []
+    for _ in range(draw(st.integers(1, 8))):
+        t, end, pieces = draw(st.floats(0.05, 1.0)), None, []
+        for _ in range(draw(st.integers(1, 6))):
+            t1 = t + draw(st.floats(0.05, 2.0))
+            kind = draw(st.sampled_from(["constant", "power", "affine",
+                                         "joined"]))
+            if kind == "constant":
+                law = Law.constant(draw(st.floats(0.0, 5.0)))
+            elif kind == "power":
+                law = Law(draw(st.floats(0.1, 5.0)),
+                          draw(st.sampled_from([-1.5, -1.0, -0.5, 0.5,
+                                                2.0 / 3.0, 1.0, 2.0])))
+            else:
+                v0 = (end if kind == "joined" and end is not None
+                      else draw(st.floats(0.0, 5.0)))
+                v1 = draw(st.floats(0.0, 5.0))
+                slope = (v1 - v0) / (t1 - t)
+                law = Law(slope, 1.0, shift=v0 - slope * t)
+            pieces.append(Piece(t, t1, law))
+            end = law.value(t1)
+            t = t1 + draw(st.sampled_from([0.0, 0.0, 0.0, 0.25]))
+        tables.append(PieceTable.of(pieces))
+    return tables
+
+
+@settings(deadline=None, max_examples=80)
+@given(tables=ragged_tables(),
+       pq=st.sampled_from([(2.0, 1.0), (1.5, 1.0), (3.0, 2.0), (1.5, 1.25)]),
+       at=st.integers(0, 8))
+def test_table_batches_match_their_single_level_sets(tables, pq, at):
+    """Ragged tables as one batch (``table_strata``, padded with empty
+    pieces) give each table's own single-call q-th power bit for bit;
+    a negative table anywhere in the batch is still refused."""
+    p, q = pq
+    alone = []
+    for table in tables:
+        try:
+            alone.append(LevelSet.from_table(table).lorentz_qth_power(p, q))
+        except NumericalError:   # a defect of the rule, not of batching
+            assume(False)
+    batch = level_set_qth_powers(table_strata(tables), p, q)
+    assert [v.hex() for v in batch] == [v.hex() for v in alone]
+    negative = PieceTable.of([Piece(0.5, 1.5, Law(-0.25, 1.0, shift=0.2))])
+    with pytest.raises(ValidationError):
+        table_strata(tables[:at] + [negative] + tables[at:])
+    with pytest.raises(ValidationError):
+        table_strata([])
+
+
+def test_one_piece_and_one_term_level_sets_round_as_in_a_batch():
+    # exponents 0.5, 2 and -1 (and their inverses) are where numpy's
+    # scalar power paths round otherwise than its array loop; a one-piece
+    # table and a one-term row table must still match their batch rows
+    tables = [PieceTable.of([Piece(0.3 + 0.1 * k, 2.0 + k,
+                                   Law(0.7 + k, expo))])
+              for k, expo in enumerate([0.5, 2.0, -1.0, 0.5, -0.5, 1.0])]
+    for p, q in [(2.0, 1.0), (1.0, 1.0), (1.5, 1.25)]:
+        batch = level_set_qth_powers(table_strata(tables), p, q)
+        assert batch == [LevelSet.from_table(table).lorentz_qth_power(p, q)
+                         for table in tables]
 
 
 def test_stratum_rule_raises_when_it_cannot_converge():

@@ -1,6 +1,7 @@
 """Sharp embedding constant, quotients, maximizing family, rearrangement check."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from cone_sobolev import (DomainError, LorentzParams, RadialProfile,
                           SampledField, ValidationError, WeightedCone,
                           alvino_search, builtin_cone,
                           bump_superposition_field, embedding_norm,
-                          from_knots, quotient, polya_szego_check, scale)
+                          acceptance, from_knots, quotient, quotients,
+                          polya_szego_check, scale)
 from cone_sobolev.segments import Law, Piece, PieceTable
 
 BOX = [(0.0, 3.0), (-1.5, 1.5)]
@@ -85,6 +87,37 @@ def test_quotient_rejects_zero_profiles(halfplane):
         [Piece(0.0, 1.0, Law.constant(0.0))]))
     with pytest.raises(DomainError):
         quotient(flat, LorentzParams(2.0, 1.0))
+
+
+def test_quotients_match_quotient_on_criterion_3_draws():
+    # criterion 3's 2000 profiles at seed 0: each batched report equals
+    # its own single call bit for bit
+    rng = np.random.default_rng(0)
+    cases = [("halfplane-x1", 1.0, 1.0), ("quadrant-x1x2", 1.0, 1.0),
+             ("disc-unweighted", 1.0, 1.0), ("quadrant-x1x2", 2.0, 1.0)]
+    for name, p, q in cases:
+        cone = builtin_cone(name)
+        params = LorentzParams(p, q, cone)
+        profiles = [acceptance._random_affine_profile(cone, rng)
+                    for _ in range(500)]
+        batch = quotients(profiles, params)
+        alone = [quotient(prof, params) for prof in profiles]
+        assert [[x.hex() for x in astuple(r)] for r in batch] == [
+            [x.hex() for x in astuple(r)] for r in alone]
+
+
+def test_quotients_batch_mixed_cones_and_refuse_a_flat_profile(halfplane,
+                                                                quadrant):
+    params = LorentzParams(1.5, 1.0)
+    profiles = [tent(halfplane), tent(quadrant),
+                from_knots(halfplane, [(0.5, 2.0), (1.0, 0.0)])]
+    assert quotients(profiles, params) == [quotient(prof, params)
+                                           for prof in profiles]
+    assert quotients([], params) == []
+    flat = RadialProfile(halfplane, PieceTable.of(
+        [Piece(0.0, 1.0, Law.constant(0.0))]))
+    with pytest.raises(DomainError):
+        quotients(profiles + [flat], params)
 
 
 # -- the maximizing family --------------------------------------------------------
