@@ -883,7 +883,9 @@ def table_strata(tables: Sequence[PieceTable]) -> Strata:
     one value, a constant side's if there is one, else the left end's.  So
     a constant piece keeps equal ends.  Two constants, infinite ends
     (poles) and padding are never joined.  An end value that falls below
-    0 beyond the sign rule (``dips_below_zero``) is a ValidationError.
+    0 beyond the sign rule (``dips_below_zero``) on the magnitude it was
+    rounded from, the other piece's where the join gave it that piece's
+    value, is a ValidationError.
     """
     if not tables:
         raise ValidationError("a batch of level sets needs a table")
@@ -919,16 +921,23 @@ def table_strata(tables: Sequence[PieceTable]) -> Strata:
         join &= t1[..., :-1] == t0[..., 1:]
         if pad:
             join &= real[:, 1:]
-        if np.count_nonzero(join):
+        joined = np.count_nonzero(join)
+        if joined:
             # a constant side keeps its value; two constants never join
             flat |= expo == 0.0
-            np.copyto(vb[..., :-1], va[..., 1:],
-                      where=(join & flat[..., 1:]) > flat[..., :-1])
-            np.copyto(va[..., 1:], vb[..., :-1], where=join > flat[..., 1:])
+            to_left = (join & flat[..., 1:]) > flat[..., :-1]
+            to_right = join > flat[..., 1:]
+            np.copyto(vb[..., :-1], va[..., 1:], where=to_left)
+            np.copyto(va[..., 1:], vb[..., :-1], where=to_right)
         if np.count_nonzero(values < 0.0):
-            # the sign rule, on the magnitudes of ``PieceTable.ends``
+            # the sign rule, on the magnitudes of ``PieceTable.ends``; a
+            # joined end keeps the magnitude of the value it takes
             sizes = np.abs(np.where(coef == 0.0, 0.0, coef * ends))
             sizes += np.abs(shift)
+            if joined:
+                size_a, size_b = sizes
+                np.copyto(size_b[..., :-1], size_a[..., 1:], where=to_left)
+                np.copyto(size_a[..., 1:], size_b[..., :-1], where=to_right)
             sizes[np.isinf(values)] = 0.0
             if np.count_nonzero(dips_below_zero(values, sizes)):
                 raise ValidationError(

@@ -1220,7 +1220,7 @@ def ragged_tables(draw):
                           draw(st.sampled_from([-1.5, -1.0, -0.5, 0.5,
                                                 2.0 / 3.0, 1.0, 2.0])))
             else:
-                v0 = (end if kind == "joined" and end is not None
+                v0 = (max(end, 0.0) if kind == "joined" and end is not None
                       else draw(st.floats(0.0, 5.0)))
                 v1 = draw(st.floats(0.0, 5.0))
                 slope = (v1 - v0) / (t1 - t)
@@ -1254,6 +1254,22 @@ def test_table_batches_match_their_single_level_sets(tables, pq, at):
         table_strata(tables[:at] + [negative] + tables[at:])
     with pytest.raises(ValidationError):
         table_strata([])
+
+
+def test_a_joined_end_keeps_the_magnitude_it_was_rounded_from():
+    # the left arc ends at -8.9e-16, within the sign rule on its own
+    # magnitude 8.7; joined to an arc rising from 0 to 1e-300, the right
+    # arc's start takes that value, which is still a rounded 0
+    left = Piece(0.375, 1.9375, Law(-2.24, 1.0, shift=4.34))
+    right = Piece(1.9375, 2.9375, Law(1e-300, 1.0, shift=-1.9375e-300))
+    assert left.law.value(left.t1) < 0.0
+    params = LorentzParams(2.0, 1.0)
+    assert lorentz_norm_distributional([left, right], params) == \
+        lorentz_norm_distributional([left], params)
+    with pytest.raises(ValidationError):   # a real dip still fails
+        lorentz_norm_distributional(
+            [left, Piece(1.9375, 2.9375, Law(1e-300, 1.0, shift=-3e-300))],
+            params)
 
 
 def test_one_piece_and_one_term_level_sets_round_as_in_a_batch():
