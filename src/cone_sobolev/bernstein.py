@@ -145,7 +145,6 @@ class AlmostExtremalSystem:
     lam: float
     eps1: float
     eps2: float
-    geometric_ratio: float | None
     shells: tuple[ShellSpec, ...]
 
     def __post_init__(self) -> None:
@@ -170,8 +169,7 @@ class AlmostExtremalSystem:
         if not 1 <= k <= self.m:
             raise ValidationError(f"prefix length must be in 1..{self.m}")
         return AlmostExtremalSystem(self.cone, self.params, self.lam,
-                                    self.eps1, self.eps2,
-                                    self.geometric_ratio, self.shells[:k])
+                                    self.eps1, self.eps2, self.shells[:k])
 
 
 # -- tail budgets ------------------------------------------------------------
@@ -408,8 +406,6 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
     _certified_floor(lam, eps1, eps2)
     bound = LorentzParams(params.p, params.q, cone)
     gammas = gamma_sequence(bound, eps2, m)
-    ratio = (None if bound.q == 1.0
-             else _geometric_ratio(bound.q_prime, eps2))
     head_ratio, report = _head_ratio(cone, bound, lam)
 
     shells: list[ShellSpec] = []
@@ -433,7 +429,7 @@ def construct_system(cone: WeightedCone, params: LorentzParams, m: int,
         shells.append(ShellSpec(j, outer, inner, cutoff_radius, delta,
                                 cutoff_measure, gamma, profile))
         outer = cutoff_radius
-    system = AlmostExtremalSystem(cone, bound, lam, eps1, eps2, ratio,
+    system = AlmostExtremalSystem(cone, bound, lam, eps1, eps2,
                                   tuple(shells))
     verify_system(system)
     return system

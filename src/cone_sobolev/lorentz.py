@@ -18,12 +18,12 @@ moments as incomplete beta series with a certified bound (relative
 leaves only Appell F1 moments to ``quadrature``'s deterministic adaptive
 rule; the lambda route integrates its strata with its own batched
 tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance.  Steps
-and sampled fields stay arrays on both routes, and the lambda route takes
-their plateaus to the one strata builder (``LevelSet.from_plateaus``).
-Many profiles or densities of one (p, q) take the lambda route as one
-batch (``lorentz_norms_distributional``), whose fixed cost, about 200 us
-a call whatever its size, is paid once; ``lorentz_norm_distributional``
-is its one-element case.
+and sampled fields stay arrays on both routes: on the lambda route their
+plateaus are constant pieces of a piece table, like any other input.
+Many inputs of one (p, q) take the lambda route as one batch
+(``lorentz_norms_distributional``), whose fixed cost, about 200 us a call
+whatever its size, is paid once; ``lorentz_norm_distributional`` is its
+one-element case.
 
 The Hardy evaluation check
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (DomainError, DivergentIntegralError,
 from .profiles import GradientDensity, RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
-from .segments import (Law, LevelSet, Piece, PieceTable, _moment_integrals,
+from .segments import (Law, Piece, PieceTable, _moment_integrals,
                        dips_below_zero, level_set_qth_powers, moment_integral,
                        rises_past, table_strata)
 
@@ -114,21 +114,31 @@ class LorentzParams:
 
 # -- input adapters ---------------------------------------------------------
 
+def _plateau_table(t0, t1, values: np.ndarray) -> PieceTable:
+    """Constant pieces of the given values on the segments (t0, t1)."""
+    zero = np.zeros(values.size)
+    return PieceTable(t0, t1, values, zero, zero, zero, zero + 1.0)
+
+
 def _table_of(f) -> PieceTable:
-    """The piece table of a step, profile, gradient density, piece or
-    piece list."""
+    """The piece table of a step, sampled field, profile, gradient
+    density, piece or piece list.  A field's cells are the constant pieces
+    (0, cell measure) of their |value|: only lengths count on the lambda
+    route, so pieces may overlap there."""
     if isinstance(f, StepFunction1D):
-        zero = np.zeros(f.value_array.size)
-        return PieceTable(*f.plateaus(), f.value_array, zero, zero, zero,
-                          zero + 1.0)
+        return _plateau_table(*f.plateaus(), f.value_array)
+    if isinstance(f, SampledField):
+        measures = f.cell_measures.ravel()
+        return _plateau_table(np.zeros(measures.size), measures,
+                              np.abs(f.values.ravel()))
     if isinstance(f, (RadialProfile, GradientDensity)):
         return f.table
     if isinstance(f, Piece):
         return PieceTable.of([f])
     if isinstance(f, Sequence) and all(isinstance(p, Piece) for p in f):
         return PieceTable.of(f)
-    raise ValidationError(
-        "expected a step function, profile, gradient density, or pieces")
+    raise ValidationError("expected a step function, sampled field, "
+                          "profile, gradient density, or pieces")
 
 
 def _check_nonincreasing(table: PieceTable) -> None:
@@ -199,37 +209,23 @@ def lorentz_norm_distributional(f, params: LorentzParams) -> float:
     return norm
 
 
-def lorentz_norms_distributional(fs: Sequence, params: LorentzParams
+def lorentz_norms_distributional(fs: Iterable, params: LorentzParams
                                  ) -> list[float]:
     """The Lorentz norm of each f via its distribution function.
 
     ( p * integral lam^(q-1) m(lam)^(q/p) dlam )^(1/q), stratum by stratum,
-    from a step's plateaus, a sampled field's cells as the plateaus
-    (0, cell measure) of their |value|, or a piece table (a profile's or
-    density's own, or a piece list's).  All the piece tables of ``fs`` go
-    through one strata build (``segments.table_strata``) and one rule call
+    from each f's piece table (``_table_of``).  All of them go through one
+    strata build (``segments.table_strata``) and one rule call
     (``segments.level_set_qth_powers``), so a call's fixed cost is paid
     once per batch, not per level set; each norm is the same float alone
-    or in any batch.
+    or in any batch.  ``fs`` is read once, so any iterable will do.
     """
-    p, q = params.p, params.q
-    tables = [_table_of(f) for f in fs
-              if not isinstance(f, (SampledField, StepFunction1D))]
-    batch = iter(level_set_qth_powers(table_strata(tables), p, q)
-                 if tables else ())
-    norms = []
-    for f in fs:
-        if isinstance(f, SampledField):
-            power = LevelSet.from_plateaus(
-                0.0, f.cell_measures.ravel(),
-                np.abs(f.values.ravel())).lorentz_qth_power(p, q)
-        elif isinstance(f, StepFunction1D):
-            power = LevelSet.from_plateaus(
-                *f.plateaus(), f.value_array).lorentz_qth_power(p, q)
-        else:
-            power = next(batch)
-        norms.append(power ** (1.0 / q))
-    return norms
+    tables = [_table_of(f) for f in fs]
+    if not tables:
+        return []
+    q = params.q
+    return [power ** (1.0 / q) for power in level_set_qth_powers(
+        table_strata(tables), params.p, q)]
 
 
 # -- Hardy inequality evaluation ---------------------------------------------

@@ -35,8 +35,8 @@ main self-check:
 * the lambda route builds the strata of one or many level sets with one
   array builder (``level_set_strata``), for profiles, gradient densities,
   steps, sampled fields and span batches alike, all given as columns; a
-  batch of piece tables (``table_strata``, many profiles or densities of
-  one (p, q)) is one call, and one table is its one-element case.  It
+  batch of piece tables (``table_strata``, any of these but spans, of one
+  (p, q)) is one call, and one table is its one-element case.  It
   integrates every finite stratum with terms by its own batched tanh-sinh
   rule (``tanhsinh.row_integrals``), all strata at once
   (``level_set_qth_powers``), and uses the power rule only for constant
@@ -975,12 +975,11 @@ class _Stratum(NamedTuple):
 class LevelSet:
     """Distribution function of a nonnegative piecewise-law function.
 
-    A thin holder of the ``Strata`` of one level set (``level_set_strata``,
-    which also serves the span engine and batches of tables,
-    ``table_strata``).  The lambda-route Lorentz
-    functional integrates them with its own batched tanh-sinh rule
-    (``tanhsinh.row_integrals``), which shares no code with the t-route's
-    moments; constant strata and pure-power infinite tails are exact.
+    A thin holder of the ``Strata`` of one level set (``table_strata``),
+    with ``Law`` views of its strata.  No library path builds one: the
+    norm routes take ``table_strata`` and ``level_set_qth_powers``
+    directly.  It remains for the tests and perfbench's layer tracer,
+    which wraps ``from_pieces`` and ``lorentz_qth_power``.
     """
 
     def __init__(self, table: Strata):
@@ -998,18 +997,6 @@ class LevelSet:
         """The level set of a nonnegative piece table: the one-element
         case of ``table_strata``, as profiles and densities come."""
         return LevelSet(table_strata([table]))
-
-    @staticmethod
-    def from_plateaus(t0, t1, values: np.ndarray) -> "LevelSet":
-        """The level set of the array ``values`` >= 0, constant on the
-        segments (t0, t1), as one row of arrays: no ``Piece`` or ``Law``.
-        Only lengths count, so segments may overlap, as a field's cells at
-        (0, cell measure) do."""
-        if not (values >= 0.0).all():
-            raise ValidationError("level sets require a nonnegative function")
-        zero, row = np.zeros(values.shape), values[None]
-        return LevelSet(level_set_strata(t0, t1, row, zero[None], zero,
-                                         zero, zero + 1.0, row, row))
 
     @functools.cached_property
     def strata(self) -> tuple[_Stratum, ...]:

@@ -26,7 +26,7 @@ rearrangement still fails).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def quotient(profile: RadialProfile, params: LorentzParams
     return report
 
 
-def quotients(profiles: Sequence[RadialProfile], params: LorentzParams
+def quotients(profiles: Iterable[RadialProfile], params: LorentzParams
               ) -> list[QuotientReport]:
     """||u||_{p*,q} / ||grad u||_{p,q} for each profile's realization.
 
@@ -90,13 +90,12 @@ def quotients(profiles: Sequence[RadialProfile], params: LorentzParams
     cost once.  Each report is the same alone or in any batch, and is
     certified against the sharp constant (quotient <= ||E|| up to 1e-9
     relative, else the computation itself is inconsistent and raises).
+    ``profiles`` is read once, so any iterable will do.
     """
+    profiles = list(profiles)
     bounds = [LorentzParams(params.p, params.q, prof.cone)
               for prof in profiles]
     psis = [gradient_density(prof) for prof in profiles]
-    if not all(psi.table.t0.size for psi in psis):
-        raise DomainError(
-            "constant profile: the quotient needs a nonzero gradient")
     numerators = [lorentz_norm_rearranged(prof, bound.star_params())
                   for prof, bound in zip(profiles, bounds)]
     reports = []
@@ -131,27 +130,28 @@ def polya_szego_check(field: SampledField, params: LorentzParams
     rhs = lorentz_norm_rearranged(grad_star, bound)
     interp = radial_rearrangement(field)
     psi = gradient_density(interp)
-    lhs = lorentz_norm_distributional(psi, bound) if psi.table.t0.size else 0.0
+    lhs = lorentz_norm_distributional(psi, bound)
     tol = _PS_TOL_FACTOR * field.max_cell_diameter
     return lhs, rhs, lhs <= rhs * (1.0 + tol)
 
 
 def alvino_search(cone: WeightedCone, params: LorentzParams,
-                  log_range_grid: Sequence[float]) -> list[QuotientReport]:
+                  log_range_grid: Iterable[float]) -> list[QuotientReport]:
     """Quotients of the truncated power family over head-to-support ratios.
 
-    Ratios are t_max/eps; quotients are nondecreasing in the ratio and
-    approach the embedding norm from below.  A decrease beyond rounding
-    indicates an integration bug and raises.
+    Ratios are t_max/eps, read once from any iterable; quotients are
+    nondecreasing in the ratio and approach the embedding norm from below.
+    A decrease beyond rounding indicates an integration bug and raises.
     """
-    if not log_range_grid:
+    ratios = [float(r) for r in log_range_grid]
+    if not ratios:
         raise ValidationError("at least one range ratio is required")
-    if any(r <= 1.0 for r in log_range_grid):
+    if any(r <= 1.0 for r in ratios):
         raise ValidationError("range ratios must exceed 1")
     bound = LorentzParams(params.p, params.q, cone)
     p_star = bound.p_star
-    reports = quotients([alvino_profile(cone, p_star, 1.0, float(ratio))
-                         for ratio in log_range_grid], bound)
+    reports = quotients([alvino_profile(cone, p_star, 1.0, ratio)
+                         for ratio in ratios], bound)
     for a, b in zip(reports, reports[1:]):
         if b.quotient < a.quotient * (1.0 - 1e-12):
             raise InternalConsistencyError(

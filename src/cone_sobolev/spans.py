@@ -28,7 +28,7 @@ lam or -f > lam; the gradient densities are nonnegative on disjoint
 annuli, so the gradient span's alpha_j psi_j and -alpha_j psi_j give sum
 |alpha_j| psi_j.  No piece is cut at a root, and neither span has a path
 of its own.  The strata of each pass of directions come from
-``segments.level_set_strata``, the builder ``LevelSet.from_table`` uses
+``segments.level_set_strata``, the builder ``segments.table_strata`` calls
 too, and go in one call to ``segments.level_set_qth_powers``.  Every step
 is per direction, and each direction's parts are added by math.fsum, so a
 norm is bit-identical whether its direction is evaluated alone or in any

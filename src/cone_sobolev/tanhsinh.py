@@ -17,16 +17,16 @@ panel end, so a term whose base sits at or near that end keeps its
 distance instead of losing it to rounding.
 
 ``row_integrals`` is the one entry, called through
-``segments.level_set_qth_powers`` with the strata of one level set
-(``LevelSet.lorentz_qth_power``) or of many (the span engine, ``spans``;
-a batch of piece tables, ``segments.table_strata``), each row's level set
-in ``owner``; ``segments.level_set_strata`` builds them as this table.  A
-row's value and bound depend on that row alone, so they are bit-identical
-however the rows are batched (a one-term table too: ``array_power``);
-only the sliver check reads a whole level set.  One call tests slivers, grading and
-singular ends on the (terms, 2) end arguments and evaluates levels 2 to 4
-in one pass over terms x nodes, under one ``np.errstate``, so its cost is
-a fixed count of array operations plus work linear in terms x nodes.
+``segments.level_set_qth_powers`` with the strata of a batch of piece
+tables (``segments.table_strata``) or of spans (``spans``), each row's
+level set in ``owner``; ``segments.level_set_strata`` builds them as this
+table.  A row's value and bound depend on that row alone, so they are
+bit-identical however the rows are batched (a one-term table too:
+``array_power``); only the sliver check reads a whole level set.  One call
+tests slivers, grading and singular ends on the (terms, 2) end arguments
+and evaluates levels 2 to 4 in one pass over terms x nodes, under one
+``np.errstate``, so its cost is a fixed count of array operations plus
+work linear in terms x nodes.
 
 The module shares no code with the t route's adaptive Gauss-Kronrod rule
 in ``quadrature``, so the agreement of the two routes checks two

@@ -1,6 +1,6 @@
 """Every name the package and its modules export in ``__all__`` exists,
-every name a module imports is used or exported, and every definition is
-used, exported or traced."""
+every name a module imports is used or exported, every definition is
+used, exported or traced, and every traced name resolves."""
 
 import ast
 import importlib
@@ -46,16 +46,31 @@ def test_every_import_is_used(path):
     assert not unused
 
 
-def _traced_names() -> set[str]:
-    """The qualified names in perfbench's ``layertrace.WRAPPED``, read
-    from its source: the tracer wraps them by name."""
+def _wrapped() -> tuple[tuple[str, str], ...]:
+    """The (module, qualified name) pairs of perfbench's
+    ``layertrace.WRAPPED``, read from its source: the tracer wraps them by
+    name."""
     tree = ast.parse((PERFBENCH / "layertrace.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "WRAPPED"
                         for t in node.targets)):
-            return {qual for _, qual in ast.literal_eval(node.value)}
+            return ast.literal_eval(node.value)
     raise AssertionError("layertrace.WRAPPED not found")
+
+
+@pytest.mark.parametrize("module, qual", _wrapped())
+def test_every_traced_name_resolves(module, qual):
+    """Each traced layer resolves the way the tracer's ``install`` reads
+    it: ``Class.attr`` as an entry of the class's own ``__dict__``, any
+    other name as a module attribute.  So deleting a traced name fails
+    here, not only in perfbench's own tests."""
+    holder = importlib.import_module(f"cone_sobolev.{module}")
+    if "." in qual:
+        cls_name, attr = qual.split(".")
+        assert attr in vars(getattr(holder, cls_name))
+    else:
+        assert callable(getattr(holder, qual, None))
 
 
 def test_every_definition_is_used_exported_or_traced():
@@ -70,7 +85,7 @@ def test_every_definition_is_used_exported_or_traced():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     exported = {name for module in MODULES for name in module.__all__}
-    traced = _traced_names()
+    traced = {qual for _, qual in _wrapped()}
     unused = []
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:

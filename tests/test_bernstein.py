@@ -142,7 +142,8 @@ def test_system_invariants(system):
         assert b.outer_radius < a.inner_radius < a.outer_radius
     for s in system.shells:
         assert s.cutoff_measure < s.delta / s.index
-    assert system.geometric_ratio is None  # q = 1 budgets are constant
+    # q = 1 budgets are constant
+    assert [s.gamma for s in system.shells] == [0.05] * 3
 
 
 def test_system_with_q_above_one(halfplane):
@@ -150,8 +151,12 @@ def test_system_with_q_above_one(halfplane):
     lam = 0.5 * embedding_norm(halfplane, params)
     sys2 = construct_system(halfplane, params, 2, lam, 0.05, 0.05)
     assert sys2.m == 2
-    assert sys2.geometric_ratio is not None
-    assert 0.0 < sys2.geometric_ratio < 1.0
+    # q > 1 budgets are a^1, a^2, ...: with a^0 = 1 in front, equal
+    # consecutive ratios in (0, 1)
+    budgets = [1.0] + [s.gamma for s in sys2.shells]
+    ratios = [b / a for a, b in zip(budgets, budgets[1:])]
+    assert 0.0 < ratios[0] < 1.0
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-14)
     verify_system(sys2)
 
 

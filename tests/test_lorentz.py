@@ -16,7 +16,8 @@ from cone_sobolev import (DomainError, LorentzParams, NumericalError,
                           bump_superposition_field, ell_q_norm,
                           from_knots, gradient_density, hardy_check,
                           lorentz_norm_distributional,
-                          lorentz_norm_rearranged, quotient,
+                          lorentz_norm_rearranged,
+                          lorentz_norms_distributional, quotient,
                           rearrangement, restricted_norm)
 from cone_sobolev.segments import (Law, LevelSet, Piece, PieceTable,
                                    moment_integral)
@@ -232,6 +233,44 @@ def test_plateau_inputs_build_no_pieces(halfplane, monkeypatch):
     for f in (field, step):
         assert lorentz_norm_distributional(f, params) == pytest.approx(
             lorentz_norm_rearranged(step, params), rel=1e-14)
+
+
+def mixed_inputs(cone):
+    """Every input kind of the lambda route: steps (an empty one and one
+    with two equal adjacent plateaus), a field, a profile, its gradient
+    density and a piece list."""
+    prof = from_knots(cone, [(0.5, 2.0), (1.5, 0.5), (3.0, 0.0)])
+    field = bump_superposition_field(cone, [(0.0, 3.0), (-1.5, 1.5)],
+                                     (16, 16), 3, seed=2)
+    return [StepFunction1D((), ()), StepFunction1D((1.0, 2.0, 3.0),
+                                                   (2.0, 2.0, 0.5)),
+            gradient_density(prof), prof, field, random_step(
+                np.random.default_rng(3)),
+            [Piece(0.0, 1.0, Law(1.0, 0.5, 1.0, -1.0)),
+             Piece(1.0, 2.0, Law.constant(0.25))]]
+
+
+@pytest.mark.parametrize("p, q", PAIRS)
+def test_mixed_batches_give_each_member_its_single_norm(halfplane, p, q):
+    params = LorentzParams(p, q)
+    inputs = mixed_inputs(halfplane)
+    alone = [lorentz_norm_distributional(f, params).hex() for f in inputs]
+    assert alone[0] == (0.0).hex()
+    for batch in (inputs, inputs[::-1]):
+        got = [v.hex() for v in lorentz_norms_distributional(batch, params)]
+        assert got == (alone if batch is inputs else alone[::-1])
+
+
+def test_the_batch_entry_reads_its_input_once(halfplane):
+    params = LorentzParams(2.5, 1.4)
+    inputs = mixed_inputs(halfplane)
+    want = [v.hex() for v in lorentz_norms_distributional(inputs, params)]
+    array = np.empty(len(inputs), dtype=object)
+    array[:] = inputs
+    for fs in ((f for f in inputs), tuple(inputs), array):
+        assert [v.hex() for v in lorentz_norms_distributional(
+            fs, params)] == want
+    assert lorentz_norms_distributional(iter(()), params) == []
 
 
 def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):

@@ -630,22 +630,27 @@ def test_level_set_strata_tile_the_range():
 
 
 def test_plateaus_give_the_strata_of_their_pieces():
-    # constant laws as arrays take the builder's path for pieces, so the
-    # strata of a step are those of its Piece list, value for value
+    # a step's plateaus as array columns (``lorentz._table_of``) give the
+    # strata of its Piece list, value for value, and those the builder
+    # gives its plateaus as one row of constant laws
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 40):
         bps = np.cumsum(rng.uniform(0.01, 2.0, n))
         vals = rng.choice([0.0, 0.5, 1.0, 3.0], n) * rng.uniform(1, 2, n)
         step = StepFunction1D(bps, vals)
-        got = LevelSet.from_plateaus(*step.plateaus(), step.value_array)
+        got = LevelSet(table_strata([lorentz._table_of(step)]))
         want = LevelSet.from_pieces(step.as_pieces())
+        zero, row = np.zeros(n), step.value_array[None]
+        raw = level_set_strata(*step.plateaus(), row, zero[None], zero,
+                               zero, zero + 1.0, row, row)
         assert len(got.table.rows.a) == 0
-        for x, y in zip(got.table.flat, want.table.flat):
-            assert x.tolist() == y.tolist()
+        for x, y, z in zip(got.table.flat, want.table.flat, raw.flat):
+            assert x.tolist() == y.tolist() == z.tolist()
         assert got.lam_max == want.lam_max
         assert got.strata == want.strata
     with pytest.raises(ValidationError):
-        LevelSet.from_plateaus(np.zeros(2), np.ones(2), np.array([1.0, -1.0]))
+        table_strata([lorentz._plateau_table(np.zeros(2), np.ones(2),
+                                             np.array([1.0, -1.0]))])
 
 
 def test_group_fsums_of_no_values_are_float_zeros():
@@ -655,9 +660,9 @@ def test_group_fsums_of_no_values_are_float_zeros():
     out += 0.5
     assert out.tolist() == [0.5, 0.5, 0.5]
     # a plateau level set has no straddling pair, so it sums no values
-    level = LevelSet.from_plateaus(np.zeros(2), np.ones(2),
-                                   np.array([1.0, 2.0]))
-    assert level.table.rows.coef.dtype == np.float64
+    strata = table_strata([lorentz._plateau_table(np.zeros(2), np.ones(2),
+                                                  np.array([1.0, 2.0]))])
+    assert strata.rows.coef.dtype == np.float64
 
 
 def test_level_set_rejects_negative_functions():

@@ -120,6 +120,29 @@ def test_quotients_batch_mixed_cones_and_refuse_a_flat_profile(halfplane,
         quotients(profiles + [flat], params)
 
 
+def report_hexes(reports):
+    return [[x.hex() for x in astuple(r)] for r in reports]
+
+
+def test_batch_entries_read_their_input_once(halfplane, quadrant):
+    params = LorentzParams(1.5, 1.0)
+    profiles = [tent(halfplane), tent(quadrant),
+                from_knots(halfplane, [(0.5, 2.0), (1.0, 0.0)])]
+    want = report_hexes(quotients(profiles, params))
+    array = np.empty(len(profiles), dtype=object)
+    array[:] = profiles
+    for given in ((p for p in profiles), tuple(profiles), array):
+        assert report_hexes(quotients(given, params)) == want
+    assert quotients(iter(()), params) == []
+    ratios = [1e2, 1e4]
+    want = report_hexes(alvino_search(halfplane, params, ratios))
+    for given in ((r for r in ratios), tuple(ratios), np.array(ratios)):
+        assert report_hexes(alvino_search(halfplane, params, given)) == want
+    for empty in (iter(()), (), np.array([])):
+        with pytest.raises(ValidationError):
+            alvino_search(halfplane, params, empty)
+
+
 # -- the maximizing family --------------------------------------------------------
 
 def test_alvino_family_fractions_frozen(halfplane):
@@ -184,6 +207,17 @@ def test_polya_szego_seed_and_exponent_sweep(quadrant):
         for p, q in [(1.0, 1.0), (2.0, 1.5), (3.0, 2.0)]:
             lhs, rhs, ok = polya_szego_check(field, LorentzParams(p, q))
             assert ok, (seed, p, q, lhs, rhs)
+
+
+def test_polya_szego_of_a_zero_field_is_exactly_zero(halfplane):
+    # the flat rearrangement's gradient density has no pieces, and the
+    # lambda route gives it the norm 0.0 like any empty table
+    field = SampledField.from_function(halfplane, BOX, (8, 8),
+                                       lambda x: np.zeros(len(x)))
+    for p, q in [(2.0, 1.0), (2.5, 1.4)]:
+        got = polya_szego_check(field, LorentzParams(p, q))
+        assert got == (0.0, 0.0, True)
+        assert [x.hex() for x in got[:2]] == [(0.0).hex()] * 2
 
 
 # -- bump superposition fields -------------------------------------------------------
