@@ -19,8 +19,8 @@ from .errors import (ConeSobolevError, DivergentIntegralError, DomainError,
 from .lorentz import (LorentzParams, ell_q_norm, hardy_check,
                       lorentz_norm_distributional, lorentz_norm_rearranged,
                       lorentz_norms_distributional, restricted_norm)
-from .profiles import (GradientDensity, RadialProfile, alvino_profile,
-                       from_knots, gradient_density, scale)
+from .profiles import (RadialProfile, alvino_profile, from_knots,
+                       gradient_density, scale)
 from .rearrangement import (SampledField, StepFunction1D,
                             radial_rearrangement, rearrangement)
 from .sobolev import (QuotientReport, alvino_search,
@@ -43,8 +43,8 @@ __all__ = [
     "LorentzParams", "ell_q_norm", "hardy_check",
     "lorentz_norm_distributional", "lorentz_norm_rearranged",
     "lorentz_norms_distributional", "restricted_norm",
-    "GradientDensity", "RadialProfile", "alvino_profile", "from_knots",
-    "gradient_density", "scale",
+    "RadialProfile", "alvino_profile", "from_knots", "gradient_density",
+    "scale",
     "SampledField", "StepFunction1D", "radial_rearrangement",
     "rearrangement",
     "QuotientReport", "alvino_search", "bump_superposition_field",

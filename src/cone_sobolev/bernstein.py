@@ -341,7 +341,7 @@ def _window_energy(profile: RadialProfile, bound: LorentzParams,
     window = PieceTable(t0 - tau, t1 - tau, coef, shift, expo, moved,
                         orient).clip(tau, math.inf)
     q = bound.q
-    return sum(_moment_integrals(window.segments(), q / bound.p_star, q))
+    return math.fsum(_moment_integrals(window, q / bound.p_star, q))
 
 
 def _tail_cutoff(profile: RadialProfile, bound: LorentzParams,

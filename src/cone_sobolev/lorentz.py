@@ -14,10 +14,10 @@ bugs, since no external numeric tables exist for these norms.
 Both routes are exact on steps and on elementary moments, and share no
 integration code otherwise.  The t route sums its non-elementary segment
 moments as incomplete beta series with a certified bound (relative
-1e-12), one array kernel per norm (``segments._moment_integrals``), and
-leaves only Appell F1 moments to ``quadrature``'s deterministic adaptive
-rule; the lambda route integrates its strata with its own batched
-tanh-sinh rule (``tanhsinh.row_integrals``) to the same tolerance.  Steps
+1e-12), one kernel call per piece table (``segments._moment_integrals``),
+and leaves only Appell F1 moments to ``quadrature``'s adaptive rule; the
+lambda route integrates its strata with its own batched tanh-sinh rule
+(``tanhsinh.row_integrals``) to the same tolerance.  Steps
 and sampled fields stay arrays on both routes: on the lambda route their
 plateaus are constant pieces of a piece table, like any other input.
 Many inputs of one (p, q) take the lambda route as one batch
@@ -30,7 +30,9 @@ The Hardy evaluation check
     || t^(1/p*-1/q) integral_t^inf f ||_q  <=  p* || t^(1+1/p*-1/q) f ||_q
 
 is the inequality behind the embedding theorem; for q = 1 it holds with
-equality by Fubini, which the tests pin down.
+equality by Fubini, which the tests pin down.  Each side is one kernel
+call on a piece table, f's on the right and its tail function's on the
+left, plus the adaptive rule for each piece whose tail is not elementary.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ import numpy as np
 from .cones import WeightedCone
 from .errors import (DomainError, DivergentIntegralError,
                      InternalConsistencyError, ValidationError)
-from .profiles import GradientDensity, RadialProfile
+from .profiles import RadialProfile
 from .quadrature import integrate_adaptive, substitute_origin
 from .rearrangement import SampledField, StepFunction1D
 from .segments import (Law, Piece, PieceTable, _moment_integrals,
                        dips_below_zero, level_set_qth_powers, moment_integral,
-                       rises_past, table_strata)
+                       rises_past, table_strata, tiling_slack)
 
 __all__ = [
     "LorentzParams",
@@ -121,17 +123,19 @@ def _plateau_table(t0, t1, values: np.ndarray) -> PieceTable:
 
 
 def _table_of(f) -> PieceTable:
-    """The piece table of a step, sampled field, profile, gradient
-    density, piece or piece list.  A field's cells are the constant pieces
-    (0, cell measure) of their |value|: only lengths count on the lambda
-    route, so pieces may overlap there."""
+    """The piece table of a step, sampled field, profile, piece table (a
+    gradient density is one), piece or piece list.  A field's cells are
+    the constant pieces (0, cell measure) of their |value|: only lengths
+    count on the lambda route, so pieces may overlap there."""
+    if isinstance(f, PieceTable):   # before the lists: it is a tuple
+        return f
     if isinstance(f, StepFunction1D):
         return _plateau_table(*f.plateaus(), f.value_array)
     if isinstance(f, SampledField):
         measures = f.cell_measures.ravel()
         return _plateau_table(np.zeros(measures.size), measures,
                               np.abs(f.values.ravel()))
-    if isinstance(f, (RadialProfile, GradientDensity)):
+    if isinstance(f, RadialProfile):
         return f.table
     if isinstance(f, Piece):
         return PieceTable.of([f])
@@ -151,7 +155,7 @@ def _check_nonincreasing(table: PieceTable) -> None:
     ends = table.ends()[:, :, order]
     (v0, v1), (s0, s1) = ends
     t_before = np.append(0.0, t1[:-1])
-    gap = np.abs(t0 - t_before) > 1e-15 * np.maximum(1.0, t_before)
+    gap = np.abs(t0 - t_before) > tiling_slack(t_before)
     rise = (table.coef * table.expo * table.orient)[order] > 0.0
     rise[1:] |= rises_past(v1[:-1], v0[1:], s1[:-1], s0[1:])
     bad = gap | rise | dips_below_zero(*ends).any(axis=0)
@@ -197,7 +201,7 @@ def _rearranged_norm(f, table: PieceTable, params: LorentzParams) -> float:
     if not table.t0.size:
         return 0.0
     q = params.q
-    total = math.fsum(_moment_integrals(table.segments(), q / params.p, q))
+    total = math.fsum(_moment_integrals(table, q / params.p, q))
     return total ** (1.0 / q)
 
 
@@ -230,59 +234,21 @@ def lorentz_norms_distributional(fs: Iterable, params: LorentzParams
 
 # -- Hardy inequality evaluation ---------------------------------------------
 
-def _tail_function(segments: list[tuple[float, float, Law]]):
-    """F(t) = integral_t^inf f on intervals (lo, hi, F's law, f's law,
-    tail beyond hi).
-
-    Intervals tile (0, support_end] including gaps between segments; on
-    each interval F is either an exact law (when the segment's law is
-    constant or a pure power) or is evaluated pointwise from f's law.
-    """
-    segments = sorted(segments, key=lambda s: s[0])
-    for (_, a1, _), (b0, _, _) in zip(segments, segments[1:]):
-        if b0 < a1 - 1e-15 * max(1.0, a1):
-            raise ValidationError("pieces overlap")
-    # segment tail masses, accumulated from the right
-    masses = [moment_integral(*seg, 1.0, 1.0) for seg in segments]
-    tails_after = [0.0]
-    for mass in masses[::-1]:
-        tails_after.append(tails_after[-1] + mass)
-    tails_after = tails_after[::-1][1:]  # tail beyond each segment's t1
-
-    intervals: list[tuple[float, float, Law | None, Law | None, float]] = []
-    cursor = 0.0
-    for (t0, t1, law), tail, mass in zip(segments, tails_after, masses):
-        if t0 > cursor:
-            # gap: F constant there
-            intervals.append((cursor, t0, Law.constant(tail + mass),
-                              None, 0.0))
-        if law.is_constant:
-            v = law.constant_value()
-            f_law = Law(-v, 1.0, shift=tail + v * t1)
-            intervals.append((t0, t1, f_law, None, 0.0))
-        elif law.base == 0.0 and law.shift == 0.0 and law.expo != -1.0:
-            e1 = law.expo + 1.0
-            f_law = Law(-law.coef / e1, e1,
-                        shift=tail + law.coef * t1 ** e1 / e1)
-            intervals.append((t0, t1, f_law, None, 0.0))
-        else:
-            intervals.append((t0, t1, None, law, tail))
-        cursor = t1
-    return intervals
-
-
-def _interval_tail_moment(lo: float, hi: float, f_law: Law | None,
-                          law: Law | None, tail: float,
-                          gamma: float, q: float) -> float:
-    if f_law is not None:
-        return moment_integral(lo, hi, f_law, gamma, q)
+def _closure_moment(row: list[float], tail: float, gamma: float, q: float
+                    ) -> float:
+    """integral over (t0, t1) of t^(gamma-1) F(t)^q on a table row (t0, t1,
+    coef, shift, expo, base, orient), F(t) = tail + the integral of the
+    row's law over (t, t1), by the adaptive rule: F where it has no
+    elementary form."""
+    t0, t1, coef, shift, expo, base, orient = row
+    law = Law(coef, expo, base, orient, shift)
 
     def big_f(t: np.ndarray) -> np.ndarray:
-        return np.array([tail + moment_integral(float(s), hi, law, 1.0, 1.0)
+        return np.array([tail + moment_integral(float(s), t1, law, 1.0, 1.0)
                          for s in t])
 
     # F is bounded at the origin (local order 0)
-    f, a, b = substitute_origin(lambda t: big_f(t) ** q, gamma, lo, hi, 0.0)
+    f, a, b = substitute_origin(lambda t: big_f(t) ** q, gamma, t0, t1, 0.0)
     return integrate_adaptive(f, a, b)
 
 
@@ -295,6 +261,13 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
     Returns (lhs, rhs); lhs <= rhs always (equality when q = 1, where both
     sides reduce to the same double integral by Fubini).  A violation
     beyond _HARDY_SLACK (1e-9) indicates an integration bug and raises.
+
+    The right side, f's masses and the left side take one
+    ``_moment_integrals`` call each, on f's rows sorted by t0 (overlaps
+    are refused) and on the rows of F(t) = integral_t^inf f: a suffix sum
+    of masses plus a constant on a gap, an affine law on a constant piece
+    and a power on a pure power c t^e (e != -1); F on any other piece
+    takes the adaptive rule (``_closure_moment``).
     """
     table = _table_of(f)
     p_star, q = params.p_star, params.q
@@ -302,21 +275,44 @@ def hardy_check(f, params: LorentzParams) -> tuple[float, float]:
         raise ValidationError("the Hardy check requires f >= 0")
     if not table.t0.size:
         return 0.0, 0.0
-    segments = table.segments()
+    cols = np.array(table)[:, table.t0.argsort(kind="stable")]
+    table = PieceTable(*cols)
     try:
-        rhs_power = math.fsum(
-            moment_integral(*seg, q + q / p_star, q) for seg in segments)
+        rhs_power = math.fsum(_moment_integrals(table, q + q / p_star, q))
     except DivergentIntegralError as exc:
         raise DomainError(
             f"divergent Hardy right-hand side: {exc}") from exc
     rhs = p_star * rhs_power ** (1.0 / q)
 
+    t0, t1, coef, shift, expo, base, _ = table
+    before = t1[:-1]
+    if np.count_nonzero(t0[1:] < before - tiling_slack(before)):
+        raise ValidationError("pieces overlap")
+    masses = np.array(_moment_integrals(table, 1.0, 1.0))
+    tails = np.append(np.cumsum(masses[::-1])[::-1][1:], 0.0)
+    # F's rows: tail + mass across a gap; (tail + c t1^e1 / e1) - (c / e1)
+    # t^e1 on a piece of value c (e1 = 1) or of law c t^(e1-1)
+    flat = (expo == 0.0) | (coef == 0.0)
+    power = ~flat & (base == 0.0) & (shift == 0.0) & (expo != -1.0)
+    closure = ~(flat | power)
+    c = np.where(flat, np.where(expo == 0.0, coef + shift, shift), coef)
+    e1 = np.where(power, expo + 1.0, 1.0)
+    t1_e1 = t1.copy()
+    t1_e1[power] = [t ** e for t, e in zip(t1[power].tolist(),
+                                           e1[power].tolist())]
+    cursor = np.append(0.0, before)
+    zero = np.zeros(t0.size)
+    # a closure row (dropped) may overflow, an infinite piece give nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate(
+            ((cursor, t0, tails + masses, zero, zero, zero, zero + 1.0),
+             (t0, t1, -c / e1, tails + c * t1_e1 / e1, e1, zero, zero + 1.0)),
+            axis=1)[:, np.append(t0 > cursor, ~closure)]
     gamma = q / p_star
-    intervals = _tail_function(segments)
-    lhs_power = math.fsum(
-        _interval_tail_moment(lo, hi, f_law, law, tail, gamma, q)
-        for lo, hi, f_law, law, tail in intervals)
-    lhs = lhs_power ** (1.0 / q)
+    moments = _moment_integrals(PieceTable(*rows), gamma, q)
+    moments += [_closure_moment(row, tail, gamma, q) for *row, tail in zip(
+        *cols[:, closure].tolist(), tails[closure].tolist())]
+    lhs = math.fsum(moments) ** (1.0 / q)
     if lhs > rhs * (1.0 + _HARDY_SLACK):
         raise InternalConsistencyError(
             f"Hardy inequality violated: lhs {lhs} > rhs {rhs}")

@@ -34,11 +34,10 @@ import numpy as np
 
 from .cones import WeightedCone
 from .errors import DomainError, ValidationError
-from .segments import PieceTable, rises_past
+from .segments import PieceTable, rises_past, tiling_slack
 
 __all__ = [
     "RadialProfile",
-    "GradientDensity",
     "from_knots",
     "alvino_profile",
     "gradient_density",
@@ -89,8 +88,8 @@ class RadialProfile:
                            (base != 0.0) | (orient != 1.0), out=fails[1])
             fails[2, 0] = abs(t0[0]) > 1e-15
             # t1 > 0 unless row 0 fails, and orient is 1 unless row 1 does
-            np.greater(np.abs(t0[1:] - t1[:-1]),
-                       1e-15 * np.maximum(t1[:-1], 1.0), out=fails[2, 1:])
+            np.greater(np.abs(t0[1:] - t1[:-1]), tiling_slack(t1[:-1]),
+                       out=fails[2, 1:])
             np.greater(coef * expo, 0.0, out=fails[3])
             # a jump: a junction's higher side rises past its lower side
             fails[4, 1:] = rises_past(np.minimum(v1[:-1], v0[1:]), np.maximum(
@@ -176,18 +175,6 @@ class RadialProfile:
                                               zero, zero + 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class GradientDensity:
-    """psi(t) = D c_d^(1/D) t^((D-1)/D) (-phi'(t)) as a table of pieces.
-
-    psi is zero off the table's pieces (where phi is locally constant).
-    Its distributional Lorentz (p, q) norm is the gradient norm of the
-    radial realization of the profile it was made from.
-    """
-
-    table: PieceTable
-
-
 def from_knots(cone: WeightedCone,
                knots: Sequence[tuple[float, float]]) -> RadialProfile:
     """Piecewise-affine profile through (t, value) knots.
@@ -239,8 +226,11 @@ def alvino_profile(cone: WeightedCone, p_star: float, eps: float,
          (0.0, e), (0.0, 0.0), (1.0, 1.0)])))
 
 
-def gradient_density(profile: RadialProfile) -> GradientDensity:
-    """Differentiate the profile into its gradient density, exactly.
+def gradient_density(profile: RadialProfile) -> PieceTable:
+    """The gradient density psi(t) = D c_d^(1/D) t^((D-1)/D) (-phi'(t)),
+    exactly, as a table; psi is 0 off it, where phi is constant.  Its
+    distributional Lorentz norm is the gradient norm of the profile's
+    radial realization.
 
     An affine piece with slope -s maps to psi = D c_d^(1/D) s t^((D-1)/D);
     a power arc t^(-1/p*) maps to psi proportional to t^(-1/p) through
@@ -260,7 +250,7 @@ def gradient_density(profile: RadialProfile) -> GradientDensity:
     table = np.array((t0, t1, front * -slope, zero,
                       expo - 1.0 + (cone.big_d - 1.0) / cone.big_d, zero,
                       zero + 1.0))
-    return GradientDensity(PieceTable(*table[:, keep]))
+    return PieceTable(*table[:, keep])
 
 
 def scale(profile: RadialProfile, kappa: float) -> RadialProfile:

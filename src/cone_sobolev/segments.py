@@ -24,9 +24,11 @@ main self-check:
 
 * the t-route's non-elementary moments are incomplete beta integrals
   (DLMF 8.17): a base-0 law in x = t^expo, a law off the origin through
-  the binomial of an integer q or gamma.  ``_moment_integrals`` sums each
-  about the nearer singular end (0, or the law's zero), all segments of
-  a norm in one array kernel (``_beta_series``) with a bound per moment.
+  the binomial of an integer q or gamma.  ``_moment_integrals`` takes a
+  ``PieceTable``, makes each row's ``Law`` itself, and sums each moment
+  about the nearer singular end (0, or the law's zero), all rows of a
+  norm, or of one side of the Hardy check, in one array kernel
+  (``_beta_series``) with a bound per moment.
   Only an off-origin moment with non-integer q and gamma (an Appell F1
   integral), or one whose series cannot certify 1e-12, takes the
   deterministic adaptive quadrature in ``quadrature``, after
@@ -100,6 +102,12 @@ def dips_below_zero(value, size):
     magnitude 7e-323 a law can end at -2^-1074, where 1e-12 of its size
     underflows to 0."""
     return value < -_SIGN_RTOL * size - _SIGN_ABS
+
+
+def tiling_slack(end):
+    """How far a piece may start from ``end``, where the piece before it
+    ends, and still tile with it: 1e-15 of max(1, end), elementwise."""
+    return 1e-15 * np.maximum(end, 1.0)
 
 
 # -- the law ---------------------------------------------------------------
@@ -589,9 +597,10 @@ def _moment_adaptive(t0: float, t1: float, law: Law, gamma: float, q: float
     return integrate_adaptive(f, a, b) + right
 
 
-def _moment_integrals(segments: Iterable[tuple[float, float, Law]],
-                      gamma: float, q: float) -> list[float]:
-    """``moment_integral`` of each (t0, t1, law) of ``segments``.
+def _moment_integrals(table: PieceTable, gamma: float, q: float
+                      ) -> list[float]:
+    """``moment_integral`` of each row of ``table``, whose ``Law`` the
+    kernel makes itself.
 
     Elementary moments keep their closed forms (``_moment_exact``).  Every
     other moment but an Appell F1 integral is a sum of incomplete beta
@@ -608,7 +617,9 @@ def _moment_integrals(segments: Iterable[tuple[float, float, Law]],
     values: list[float | None] = []
     parts: list[tuple] = []
     series = []
-    for t0, t1, law in segments:
+    for t0, t1, coef, shift, expo, base, orient in zip(
+            *[col.tolist() for col in table]):
+        law = Law(coef, expo, base, orient, shift)
         if not 0.0 <= t0 <= t1:
             raise ValidationError(f"bad integration segment ({t0}, {t1})")
         if law.coef < 0.0 and not law.shift:   # below 0 past any rounding
@@ -647,11 +658,13 @@ def _part_sums(parts: list[tuple]) -> tuple[list[float], list[float]]:
 def moment_integral(t0: float, t1: float, law: Law, gamma: float, q: float
                     ) -> float:
     """integral over (t0, t1) of t^(gamma-1) * law(t)^q, the law
-    nonnegative on the segment: ``_moment_integrals`` on one segment, so
+    nonnegative on the segment: ``_moment_integrals`` on a one-row table, so
     exact if elementary, an incomplete beta series within a certified
     1e-12 bound otherwise, and the adaptive rule only for an Appell F1
     integral or a series that cannot certify that bound."""
-    (value,) = _moment_integrals(((t0, t1, law),), gamma, q)
+    (value,) = _moment_integrals(PieceTable(*np.array(
+        [t0, t1, law.coef, law.shift, law.expo, law.base, law.orient],
+        dtype=float)[:, None]), gamma, q)
     return value
 
 
@@ -737,13 +750,6 @@ class PieceTable(NamedTuple):
         np.maximum(cols[0], t_lo, out=cols[0])
         np.minimum(cols[1], t_hi, out=cols[1])
         return PieceTable(*cols[:, cols[0] < cols[1]])
-
-    def segments(self) -> list[tuple[float, float, Law]]:
-        """The pieces as the (t0, t1, law) segments of the moment kernel
-        (``_moment_integrals``), one ``Law`` per row, made at the call."""
-        return [(t0, t1, Law(coef, expo, base, orient, shift))
-                for t0, t1, coef, shift, expo, base, orient
-                in np.array(self).T.tolist()]
 
 
 # -- level sets ------------------------------------------------------------

@@ -133,7 +133,7 @@ class SpanTables(NamedTuple):
             params,
             tuple(s.profile.table.clip(s.cutoff_measure, s.profile.t_max)
                   for s in shells),
-            tuple(gradient_density(s.profile).table for s in shells),
+            tuple(gradient_density(s.profile) for s in shells),
             np.array([s.profile.max_value for s in shells]),
             tuple(s.cutoff_measure for s in shells), {})
 

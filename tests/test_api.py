@@ -3,7 +3,9 @@ every name a module imports is used or exported, every definition is
 used, exported or traced, and every traced name resolves."""
 
 import ast
+import dataclasses
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -116,3 +118,62 @@ def test_accuracy_contracts_are_fixed(module, name, value):
     changes what every result promises, so it fails here on purpose."""
     assert getattr(importlib.import_module(f"cone_sobolev.{module}"),
                    name) == value
+
+
+def test_public_entries_return_python_scalars(halfplane):
+    """Every number and verdict these entries return is a Python float,
+    int or bool, never a numpy scalar: reports and the benchmark's output
+    check compare values by type, and an np.bool_ verdict counts there as
+    a number."""
+    from cone_sobolev import (LorentzParams, bernstein_lower_bound,
+                              bump_superposition_field, certify_span,
+                              construct_system, ell_q_norm, embedding_norm,
+                              from_knots, gradient_density,
+                              gradient_upper_certificate, hardy_check,
+                              lorentz_norm_distributional,
+                              lorentz_norm_rearranged,
+                              lorentz_norms_distributional,
+                              polya_szego_check, quotient, restricted_norm,
+                              superadditivity_certificate)
+
+    params = LorentzParams(2.0, 1.5, halfplane)
+    star = params.star_params()
+    prof = from_knots(halfplane, [(0.5, 1.0), (1.0, 0.7), (2.0, 0.3),
+                                  (2.5, 0.0)])
+    psi = gradient_density(prof)
+    report = quotient(prof, params)
+    values = {
+        "rearranged": lorentz_norm_rearranged(prof, star),
+        "distributional": lorentz_norm_distributional(psi, params),
+        "batch": lorentz_norms_distributional([psi, prof], params),
+        "hardy": hardy_check(prof, params),
+        "restricted": restricted_norm(prof, star, 1.0),
+        "ell_q": [ell_q_norm([1.0, -2.0], q) for q in (1.0, 1.5, math.inf)]
+        + [ell_q_norm([], 2.0), ell_q_norm([0.0], 2.0)],
+        "quotient": [getattr(report, f.name)
+                     for f in dataclasses.fields(report)],
+    }
+    pair = LorentzParams(2.0, 1.0)
+    system = construct_system(halfplane, pair, 2,
+                              0.5 * embedding_norm(halfplane, pair), 0.05,
+                              0.05)
+    sweep = certify_span(system, 3, 4, 0)
+    bound = bernstein_lower_bound(system, 4, 0)
+    values.update({
+        "superadditivity": superadditivity_certificate(system, [1.0, -0.5]),
+        "gradient_upper": gradient_upper_certificate(system, [1.0, -0.5]),
+        "certify_span": [*sweep[:2], *sweep[3:]]
+        + [getattr(sweep.bound, f.name)
+           for f in dataclasses.fields(sweep.bound)],
+        "bernstein_lower_bound": [getattr(bound, f.name)
+                                  for f in dataclasses.fields(bound)],
+        "polya_szego": polya_szego_check(bump_superposition_field(
+            halfplane, [(0.0, 3.0), (-1.5, 1.5)], (16, 16), 2, seed=0),
+            LorentzParams(2.0, 1.0)),
+    })
+    wrong = {}
+    for name, value in values.items():
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if type(v) not in (float, int, bool):
+                wrong.setdefault(name, []).append(type(v).__name__)
+    assert not wrong

@@ -625,7 +625,7 @@ def _reference_norms(system, alpha):
         [Piece(p.t0, p.t1, level_set_reference.scaled(p.law, abs(a)))
          for a, shell in zip(alpha, system.shells) if a != 0.0
          for p in level_set_reference.pieces_of(
-             gradient_density(shell.profile).table)], system.params)
+             gradient_density(shell.profile))], system.params)
     return function, gradient, len(signed) - len(pieces)
 
 

@@ -291,9 +291,9 @@ def test_lambda_route_has_its_own_fallback(halfplane, monkeypatch):
     ratio, report = bernstein._head_ratio(halfplane, params, lam)
     shell, _ = bernstein._shell_at(halfplane, params, ratio,
                                    report.denominator, 1.0)
-    shell_psi = list(pieces_of(gradient_density(shell).table))
+    shell_psi = list(pieces_of(gradient_density(shell)))
     affine_psi = list(pieces_of(gradient_density(from_knots(
-        halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)])).table))
+        halfplane, [(1.0, 0.5), (2.0, 0.15), (3.0, 0.0)]))))
     inputs = [shell_psi, affine_psi, shell_psi + affine_psi]
     assert any(len(s.terms) > 1 for s in
                segments.LevelSet.from_pieces(inputs[2]).strata)
@@ -373,6 +373,35 @@ def test_hardy_on_affine_knots_matches_high_precision(halfplane):
     assert abs(lhs - want_lhs) <= 1e-12 * want_lhs
     assert abs(rhs - want_rhs) <= 1e-12 * want_rhs
     assert lhs < rhs
+
+
+def test_hardy_on_a_pure_power_after_a_gap(halfplane):
+    # f = 1.5 t^-0.7 on (0.5, 2): F is the constant total mass on the gap
+    # (0, 0.5) and a pure power plus a constant on the piece
+    params = LorentzParams(2.0, 1.5, halfplane)
+    lhs, rhs = hardy_check([Piece(0.5, 2.0, Law(1.5, -0.7))], params)
+    with mpmath.workdps(40):
+        mp = mpmath.mpf
+        p_star, q, c, e1 = mp(6), mp("1.5"), mp("1.5"), mp("0.3")
+        a, b = mp("0.5"), mp(2)
+
+        def big_f(t):
+            return c * (b ** e1 - t ** e1) / e1
+
+        gamma = q / p_star
+        # the gap in closed form: quad with its t^(gamma-1) factor is
+        # off by 5e-12
+        want_lhs = (big_f(a) ** q * a ** gamma / gamma + mpmath.quad(
+            lambda t: t ** (gamma - 1) * big_f(t) ** q, [a, b])) ** (1 / q)
+        want_rhs = p_star * mpmath.quad(
+            lambda t: t ** (q + gamma - 1) * (c * t ** (e1 - 1)) ** q,
+            [a, b]) ** (1 / q)
+    assert abs(lhs - want_lhs) <= 1e-12 * want_lhs
+    assert abs(rhs - want_rhs) <= 1e-12 * want_rhs
+
+
+def test_hardy_of_no_pieces(halfplane):
+    assert hardy_check([], LorentzParams(2.0, 1.5, halfplane)) == (0.0, 0.0)
 
 
 def test_hardy_indicator_frozen_value(halfplane):

@@ -89,7 +89,7 @@ def test_radial_value_uses_measure_coordinates(halfplane):
 def test_gradient_density_of_tent(halfplane):
     # slope -1 on (1, 2): psi = D c_d^(1/D) t^((D-1)/D)
     psi = gradient_density(tent(halfplane))
-    (piece,) = ref.pieces_of(psi.table)
+    (piece,) = ref.pieces_of(psi)
     assert (piece.t0, piece.t1) == (1.0, 2.0)
     front = halfplane.big_d * halfplane.c_d ** (1.0 / halfplane.big_d)
     for t in (1.2, 1.7):
@@ -104,7 +104,7 @@ def test_gradient_density_of_power_arc(halfplane):
     p_star = 3.0
     prof = alvino_profile(halfplane, p_star, 1.0, 100.0)
     psi = gradient_density(prof)
-    (piece,) = ref.pieces_of(psi.table)
+    (piece,) = ref.pieces_of(psi)
     expo = piece.law.expo
     inv_p = 1.0 / p_star + 1.0 / halfplane.big_d
     assert expo == pytest.approx(-inv_p, rel=1e-12)
@@ -139,9 +139,9 @@ def test_scale_support_and_gradient_identity(halfplane):
     assert scaled.t_max == pytest.approx(prof.t_max / k, rel=1e-14)
     psi, psi_k = gradient_density(prof), gradient_density(scaled)
     for t in (0.04, 0.06):
-        assert float(ref.pieces_value(ref.pieces_of(psi_k.table), t)) == \
+        assert float(ref.pieces_value(ref.pieces_of(psi_k), t)) == \
             pytest.approx(kappa * float(ref.pieces_value(
-                ref.pieces_of(psi.table), k * t)), rel=1e-12)
+                ref.pieces_of(psi), k * t)), rel=1e-12)
 
 
 def test_scale_validation(halfplane):
@@ -246,7 +246,7 @@ def test_table_path_matches_the_object_path(knots, cone_name, pq, k):
     assert ref.pieces_of(prof.table) == tuple(pieces)
     psi = gradient_density(prof)
     psi_pieces = ref.density_pieces(cone, pieces)
-    assert columns(psi.table) == columns(PieceTable.of(psi_pieces))
+    assert columns(psi) == columns(PieceTable.of(psi_pieces))
     for f, want, pq_of in ((prof, pieces, star), (psi, psi_pieces, params)):
         assert (outcome(lorentz_norm_distributional, f, pq_of)
                 == outcome(lorentz_norm_distributional, want, pq_of))
@@ -257,8 +257,8 @@ def test_table_path_matches_the_object_path(knots, cone_name, pq, k):
     if want == ("ValidationError",
                 "rearranged-route input must be nonincreasing"):
         want = outcome(lambda: math.fsum(_moment_integrals(
-            [(p.t0, p.t1, p.law) for p in pieces], star.q / star.p,
-            star.q)) ** (1.0 / star.q))
+            PieceTable.of(pieces), star.q / star.p, star.q))
+            ** (1.0 / star.q))
     assert outcome(lorentz_norm_rearranged, prof, star) == want
     kappa = k ** (1.0 / cone.big_d)
     dilation = kappa ** cone.big_d
